@@ -15,19 +15,33 @@ pass removes nothing.  ``propagate_decomposed`` runs atmost and atleast to
 their mutual fixpoint and serves as the baseline the exact rule strictly
 dominates.
 
-All propagators mutate one store, append every removal to its log, and count
-``passes`` as the number of sweep-table rebuilds.
+All propagators mutate one store and append every removal to its log.
+``passes`` counts table builds: one per atmost or atleast run (a forward and
+a backward sweep in one mode) and one per exact round (all four sweeps).
+The decomposition's ``passes`` is the sum over its component runs; it stops
+at the first run that removes nothing once both components have run, so it
+never ends with a whole idle atmost+atleast round.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 
 from .automaton import CounterDfa
 from .domains import COUNTER_VAR, DomainStore, Instance, RemoveResult
 from .signature import SignatureMap
-from .sweep import UNREACHABLE_MAX, UNREACHABLE_MIN, SweepTable, backward, forward, row_max, row_min
+from .sweep import (
+    UNREACHABLE_MAX,
+    UNREACHABLE_MIN,
+    SweepTable,
+    backward,
+    forward,
+    pass_symbols,
+    row_max,
+    row_min,
+)
 
 FIXPOINT = "fixpoint"
 FAILED = "failed"
@@ -115,16 +129,17 @@ def _propagate_bound(dfa: CounterDfa, store: DomainStore, minimize: bool) -> Pro
         return PropagationOutcome(FAILED, [], 0)
     mode = "min" if minimize else "max"
     sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
-    pre = forward(dfa, store, mode)
-    suf = backward(dfa, store, pre[-1], mode)
+    symbols = pass_symbols(store)
+    pre = forward(dfa, store, mode, symbols)
+    suf = backward(dfa, store, pre[-1], mode, symbols)
     extremal = row_min(pre[-1]) if minimize else row_max(pre[-1])
     bound = store.max_counter() if minimize else store.min_counter()
     if (extremal > bound) if minimize else (extremal < bound):
         return PropagationOutcome(FAILED, store.removal_log[mark:], 1)
-    for i in range(1, store.n + 1):
+    for i, syms in enumerate(symbols, 1):
         pre_row = pre[i - 1]
         suf_row = suf[i + 1]
-        for sym in store.symbols(i - 1):
+        for sym in syms:
             cost = _edge_cost(dfa, pre_row, suf_row, sym, minimize)
             assert cost != sent, "reachable position lost all completions"
             if (cost > bound) if minimize else (cost < bound):
@@ -163,12 +178,12 @@ def propagate_exact(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome:
         if not store.counter_has_between(table.global_min(), table.global_max()):
             return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
         changed = False
-        for i in range(1, store.n + 1):
+        for i, syms in enumerate(table.symbols, 1):
             pre_min_row = table.pre_min[i - 1]
             pre_max_row = table.pre_max[i - 1]
             suf_min_row = table.suf_min[i + 1]
             suf_max_row = table.suf_max[i + 1]
-            for sym in store.symbols(i - 1):
+            for sym in syms:
                 supported = False
                 for q, lo_pre in enumerate(pre_min_row):
                     if lo_pre == UNREACHABLE_MIN:
@@ -210,19 +225,21 @@ def _assert_matching_support(table: SweepTable) -> None:
 def propagate_decomposed(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome:
     """Fixpoint of the atmost and atleast propagators: the baseline for exact.
 
-    Sound for exact counting but weaker than :func:`propagate_exact`, whose
-    removal set always contains this one's.
+    Runs atmost and atleast in turn.  Both are idempotent, so once both have
+    run, a run that removes nothing leaves the other one at its fixpoint too
+    and the loop stops there; ``passes`` counts the component runs.  Sound
+    for exact counting but weaker than :func:`propagate_exact`, whose removal
+    set always contains this one's.
     """
     mark = len(store.removal_log)
     passes = 0
-    while True:
+    for runs, component in enumerate(itertools.cycle((propagate_atmost, propagate_atleast)), 1):
         before = len(store.removal_log)
-        for component in (propagate_atmost, propagate_atleast):
-            out = component(dfa, store)
-            passes += out.passes
-            if out.failed:
-                return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
-        if len(store.removal_log) == before:
+        out = component(dfa, store)
+        passes += out.passes
+        if out.failed:
+            return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
+        if runs >= 2 and len(store.removal_log) == before:
             return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
 
 

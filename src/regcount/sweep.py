@@ -6,20 +6,52 @@ minimum (resp. maximum) counter value over all domain-admissible strings
 hold, for each suffix start ``i`` and state ``q``, the extremal counter
 increase over admissible suffixes ``s_i..s_n`` that end in a state reachable
 at position ``n``.  Rows are dense per-state arrays; a state no admissible
-string reaches carries ``+inf`` in min rows and ``-inf`` in max rows, which
-makes the relaxation loops and the monotonicity ordering fall out of plain
-arithmetic.  The per-state trim (keep only the extremal value per state) is
-fused into the relaxation as a running min/max, so building one row costs
-O(|alphabet| * |states|) and a full table O(n * |alphabet| * |states|).
+string reaches carries ``+inf`` in min rows and ``-inf`` in max rows.  Since
+``inf + x`` stays ``inf``, a sum with an unreachable endpoint stays
+unreachable and min/max pass over it, so the backward gather needs no branch
+for the sentinels.
 
-Tables are rebuilt from scratch on every propagator call; nothing here is
-incremental.
+How a row is built:
+
+* A forward row scatters from the reachable states of the previous row: for
+  each reachable ``q`` and each symbol ``s`` of the position's domain, the
+  candidate ``row[q] + increment[q][s]`` relaxes ``new[next_state[q][s]]``
+  through a running min/max.
+* A backward row is a gather over per-symbol transition columns: for symbol
+  ``s``, ``map(add, map(next_row.__getitem__, next_col[s]), inc_col[s])``
+  gives every state's cost through ``s`` at once, and ``map(min, ...)`` (or
+  ``max``) over the domain's symbols gives the row.
+
+One row costs O(|domain| * |states|), a full table O(n * |alphabet| *
+|states|).  Tables are rebuilt from scratch on every propagator call; nothing
+here is incremental.
+
+Overflow rule: counters are unsigned 64-bit with checked addition.  A sweep
+raises :class:`OverflowError` iff some candidate sum exceeds ``U64_MAX``: a
+reachable entry of the row it extends plus the increment of a transition on
+a symbol of the position's domain, whether or not that candidate wins its
+cell.  Every candidate of a sweep over ``n`` positions is a sum of at most
+``n`` increments, so a sweep first checks ``n * max_increment <= U64_MAX``
+(``max_increment`` is the automaton's largest) and then adds unchecked; only
+when that bound fails does it run the loop that tests every candidate.
+
+Memoised, and how it is bounded:
+
+* :func:`pass_symbols` maps each domain mask to a tuple of its symbol ids
+  through a cache of at most ``SYMBOL_CACHE_SIZE`` masks, which is emptied
+  when full.  A propagator pass builds the list once and hands it to its
+  sweeps and its filter loop.
+* :func:`columns` keeps the transition columns and the largest increment of
+  one automaton, the last one asked for, compared by identity.  A different
+  automaton replaces the entry, so it holds one automaton at most.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import add
 from typing import Sequence
 
 from .automaton import U64_MAX, CounterDfa
@@ -30,18 +62,112 @@ UNREACHABLE_MIN = math.inf
 #: Sentinel for "no admissible string" in max rows (orders below any value).
 UNREACHABLE_MAX = -math.inf
 
+#: Most domain masks :func:`pass_symbols` keeps symbol tuples for.
+SYMBOL_CACHE_SIZE = 1024
 
-def forward(dfa: CounterDfa, store: DomainStore, mode: str) -> list[list[int | float]]:
-    """Rows 0..n of per-state extremal prefix counters; row 0 is {start: 0}."""
+
+class _SymbolTuples(dict):
+    """Domain mask -> ascending symbol ids, emptied when it reaches its bound."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        if len(self) >= SYMBOL_CACHE_SIZE:
+            self.clear()
+        syms = self[mask] = tuple(s for s in range(mask.bit_length()) if mask >> s & 1)
+        return syms
+
+
+_symbol_tuples = _SymbolTuples()
+
+
+def pass_symbols(store: DomainStore) -> list[tuple[int, ...]]:
+    """Per-position symbol tuples of ``store``: entry ``i`` equals ``store.symbols(i)``."""
+    alphabet = (1 << store.alphabet_size) - 1
+    return list(map(_symbol_tuples.__getitem__, map(alphabet.__and__, store.domains)))
+
+
+class Columns:
+    """Per-symbol transition columns of one automaton and its largest increment.
+
+    ``next_state[s][q]`` is ``dfa.next_state[q][s]`` and ``increment[s][q]``
+    is ``dfa.increment[q][s]``.
+    """
+
+    __slots__ = ("dfa", "next_state", "increment", "max_increment")
+
+    def __init__(self, dfa: CounterDfa):
+        self.dfa = dfa
+        self.next_state = tuple(zip(*dfa.next_state))
+        self.increment = tuple(zip(*dfa.increment))
+        self.max_increment = max(chain.from_iterable(dfa.increment), default=0)
+
+
+_last_columns: Columns | None = None
+
+
+def columns(dfa: CounterDfa) -> Columns:
+    """The :class:`Columns` of ``dfa``, reused while the same object is asked for."""
+    global _last_columns
+    cols = _last_columns
+    if cols is None or cols.dfa is not dfa:
+        cols = _last_columns = Columns(dfa)
+    return cols
+
+
+def _may_overflow(dfa: CounterDfa, n: int) -> bool:
+    return n * columns(dfa).max_increment > U64_MAX
+
+
+def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None) -> list[list[int | float]]:
+    """Rows 0..n of per-state extremal prefix counters; row 0 is {start: 0}.
+
+    ``symbols`` is the pass's :func:`pass_symbols` list, built here if omitted.
+    """
     minimize = _minimize(mode)
+    if symbols is None:
+        symbols = pass_symbols(store)
+    if _may_overflow(dfa, store.n):
+        return _forward_checked(dfa, symbols, minimize)
     sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
     num_states = dfa.num_states
     nxt, inc = dfa.next_state, dfa.increment
     row: list[int | float] = [sent] * num_states
     row[dfa.start] = 0
     rows = [row]
-    for i in range(store.n):
-        syms = store.symbols(i)
+    for syms in symbols:
+        new: list[int | float] = [sent] * num_states
+        for q, c in enumerate(row):
+            # Every row starts as [sent] * num_states and only reachable
+            # states write to it, so unreachable entries are ``sent`` itself.
+            if c is sent:
+                continue
+            trow = nxt[q]
+            irow = inc[q]
+            if minimize:
+                for s in syms:
+                    c2 = c + irow[s]
+                    t = trow[s]
+                    if c2 < new[t]:
+                        new[t] = c2
+            else:
+                for s in syms:
+                    c2 = c + irow[s]
+                    t = trow[s]
+                    if c2 > new[t]:
+                        new[t] = c2
+        row = new
+        rows.append(new)
+    return rows
+
+
+def _forward_checked(dfa: CounterDfa, symbols, minimize: bool) -> list[list[int | float]]:
+    # forward with every candidate sum tested against U64_MAX.
+    sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
+    num_states = dfa.num_states
+    nxt, inc = dfa.next_state, dfa.increment
+    row: list[int | float] = [sent] * num_states
+    row[dfa.start] = 0
+    rows = [row]
+    for syms in symbols:
         new: list[int | float] = [sent] * num_states
         for q in range(num_states):
             c = row[q]
@@ -64,21 +190,46 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str) -> list[list[int | f
     return rows
 
 
-def backward(dfa: CounterDfa, store: DomainStore, forward_row_n, mode: str) -> list:
+def backward(dfa: CounterDfa, store: DomainStore, forward_row_n, mode: str, symbols=None) -> list:
     """Rows 1..n+1 of per-state extremal suffix counters (index 0 unused).
 
     Row n+1 assigns 0 exactly to the states present in ``forward_row_n``,
-    which must be the matching-mode forward row at position n.
+    which must be the matching-mode forward row at position n.  ``symbols``
+    is the pass's :func:`pass_symbols` list, built here if omitted.
     """
     minimize = _minimize(mode)
+    if symbols is None:
+        symbols = pass_symbols(store)
+    sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
+    n = store.n
+    rows: list = [None] * (n + 2)
+    rows[n + 1] = [0 if c != sent else sent for c in forward_row_n]
+    if _may_overflow(dfa, n):
+        return _backward_checked(dfa, symbols, rows, minimize)
+    cols = columns(dfa)
+    next_cols, inc_cols = cols.next_state, cols.increment
+    pick = min if minimize else max
+    for i in range(n, 0, -1):
+        syms = symbols[i - 1]
+        suffix = rows[i + 1].__getitem__
+        if len(syms) == 1:
+            s = syms[0]
+            rows[i] = list(map(add, map(suffix, next_cols[s]), inc_cols[s]))
+        elif syms:
+            rows[i] = list(map(pick, *[map(add, map(suffix, next_cols[s]), inc_cols[s]) for s in syms]))
+        else:
+            rows[i] = [sent] * dfa.num_states
+    return rows
+
+
+def _backward_checked(dfa: CounterDfa, symbols, rows: list, minimize: bool) -> list:
+    # backward with every candidate sum tested against U64_MAX; ``rows``
+    # arrives with only its base row n+1 filled in.
     sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
     num_states = dfa.num_states
     nxt, inc = dfa.next_state, dfa.increment
-    n = store.n
-    rows: list = [None] * (n + 2)
-    rows[n + 1] = [0 if forward_row_n[q] != sent else sent for q in range(num_states)]
-    for i in range(n, 0, -1):
-        syms = store.symbols(i - 1)
+    for i in range(len(rows) - 2, 0, -1):
+        syms = symbols[i - 1]
         nxt_row = rows[i + 1]
         new: list[int | float] = [sent] * num_states
         for q in range(num_states):
@@ -122,22 +273,28 @@ def row_max(row: Sequence) -> int:
 
 @dataclass
 class SweepTable:
-    """All four vectors for one store: pre/suf in both min and max modes."""
+    """All four vectors for one store: pre/suf in both min and max modes.
+
+    ``symbols`` is the :func:`pass_symbols` list the four sweeps ran on.
+    """
 
     pre_min: list
     pre_max: list
     suf_min: list
     suf_max: list
+    symbols: list
 
     @classmethod
     def compute(cls, dfa: CounterDfa, store: DomainStore) -> "SweepTable":
-        pre_min = forward(dfa, store, "min")
-        pre_max = forward(dfa, store, "max")
+        symbols = pass_symbols(store)
+        pre_min = forward(dfa, store, "min", symbols)
+        pre_max = forward(dfa, store, "max", symbols)
         return cls(
             pre_min=pre_min,
             pre_max=pre_max,
-            suf_min=backward(dfa, store, pre_min[-1], "min"),
-            suf_max=backward(dfa, store, pre_max[-1], "max"),
+            suf_min=backward(dfa, store, pre_min[-1], "min", symbols),
+            suf_max=backward(dfa, store, pre_max[-1], "max", symbols),
+            symbols=symbols,
         )
 
     def global_min(self) -> int:

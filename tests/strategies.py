@@ -10,11 +10,12 @@ _LETTERS = "abcd"
 
 
 @st.composite
-def cdfas(draw, max_states: int = 4, max_symbols: int = 3, max_increment: int = 2) -> CounterDfa:
+def cdfas(draw, max_states: int = 4, max_symbols: int = 3, max_increment: int = 2, increments=None) -> CounterDfa:
+    """Random valid automata; ``increments`` (a strategy) overrides ``0..max_increment``."""
     num_states = draw(st.integers(1, max_states))
     num_symbols = draw(st.integers(1, max_symbols))
     cell = st.integers(0, num_states - 1)
-    inc = st.integers(0, max_increment)
+    inc = st.integers(0, max_increment) if increments is None else increments
     dfa = CounterDfa(
         num_states=num_states,
         alphabet=tuple(_LETTERS[:num_symbols]),
@@ -35,8 +36,9 @@ def dfa_store_pairs(
     min_n: int = 0,
     max_counter: int = 8,
     max_increment: int = 2,
+    increments=None,
 ) -> tuple[CounterDfa, DomainStore]:
-    dfa = draw(cdfas(max_states, max_symbols, max_increment))
+    dfa = draw(cdfas(max_states, max_symbols, max_increment, increments))
     n = draw(st.integers(min_n, max_n))
     symbol = st.integers(0, dfa.num_symbols - 1)
     domains = [draw(st.sets(symbol, min_size=1)) for _ in range(n)]

@@ -1,7 +1,11 @@
+import dataclasses
+
 from hypothesis import given, settings
 
+import reference_kernel
 from regcount import (
     COUNTER_VAR,
+    CounterDfa,
     DomainStore,
     SweepTable,
     catalog,
@@ -18,6 +22,7 @@ from regcount import (
     propagate_exact,
     run,
 )
+from regcount import sweep as sweep_module
 from strategies import dfa_store_pairs
 
 B = catalog("B")
@@ -317,3 +322,41 @@ def test_lifted_automaton_prunes_words_ending_rejected():
     # "aa$" survives (ends accepted, counter 0); "ba$" would end rejected
     assert out.removals == [(0, b_sym)]
     assert store.symbols(0) == [a]
+
+
+@given(dfa_store_pairs(max_n=6, max_counter=12))
+@settings(max_examples=150)
+def test_decomposed_early_stop_matches_full_rounds(pair):
+    # The loop stops after the first idle component run once both have run;
+    # the old loop always finished with a full idle round.
+    dfa, store = pair
+    new_store, old_store = store.copy(), store.copy()
+    new = propagate_decomposed(dfa, new_store)
+    old = reference_kernel.propagate_decomposed(dfa, old_store)
+    assert new.status == old.status
+    assert new.removals == old.removals
+    assert new_store == old_store
+    assert new.passes <= old.passes
+
+
+def _outcomes(dfa, store):
+    return [(mode, propagate(dfa, store.copy(), mode)) for mode in ("atmost", "atleast", "exact", "decomposed")]
+
+
+def _fresh_outcomes(dfa, store):
+    sweep_module._last_columns = None
+    return _outcomes(dfa, store)
+
+
+def test_interleaved_automata_do_not_reuse_stale_tables():
+    # Same transitions, different increments: reusing one automaton's columns
+    # for the other would change the outcome.
+    a = CounterDfa(num_states=1, alphabet=("x", "y"), start=0, next_state=((0, 0),), increment=((0, 1),))
+    b = dataclasses.replace(a, increment=((1, 0),))
+    a_twin = dataclasses.replace(a)
+    assert a_twin == a and a_twin is not a
+    store = DomainStore(a.num_symbols, [(0, 1), (0,)], (1,))
+    expected = {id(dfa): _fresh_outcomes(dfa, store) for dfa in (a, b, a_twin)}
+    assert expected[id(a)] != expected[id(b)]
+    for dfa in (a, b, a_twin, b, a, a_twin, a):
+        assert _outcomes(dfa, store) == expected[id(dfa)]

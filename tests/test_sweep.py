@@ -2,19 +2,26 @@ import dataclasses
 import itertools
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_kernel
 from regcount import (
+    COUNTER_VAR,
+    U64_MAX,
+    CounterDfa,
     DomainStore,
     SweepTable,
     backward,
     catalog,
     forward,
     format_row,
+    propagate,
     run,
 )
-from regcount.sweep import UNREACHABLE_MAX, UNREACHABLE_MIN
+from regcount import sweep as sweep_module
+from regcount.sweep import UNREACHABLE_MAX, UNREACHABLE_MIN, pass_symbols
 from strategies import dfa_store_pairs
 
 
@@ -230,3 +237,135 @@ def test_format_row_skips_unreachable():
     rst, store = rst_store()
     row = forward(rst, store, "max")[4]
     assert format_row(row, rst.state_names) == "eps=2,r=2,rr=2,rrt=1,rrtr=3"
+
+
+# -- overflow -----------------------------------------------------------------
+
+MODES = ("atmost", "atleast", "exact", "decomposed")
+
+
+def one_state_dfa(increments):
+    """One state, one symbol per increment, every symbol a self-loop."""
+    return CounterDfa(
+        num_states=1,
+        alphabet=tuple("abcd"[: len(increments)]),
+        start=0,
+        next_state=((0,) * len(increments),),
+        increment=(tuple(increments),),
+    )
+
+
+def test_u64_max_increment_read_twice_overflows():
+    dfa = one_state_dfa([U64_MAX])
+    store = DomainStore(dfa.num_symbols, [(0,), (0,)], (0,))
+    for mode in ("min", "max"):
+        with pytest.raises(OverflowError):
+            forward(dfa, store, mode)
+        with pytest.raises(OverflowError):
+            backward(dfa, store, [0], mode)
+    for mode in MODES:
+        with pytest.raises(OverflowError):
+            propagate(dfa, store.copy(), mode)
+
+
+def test_counter_of_exactly_u64_max_does_not_overflow():
+    # n * max_increment is U64_MAX in the first automaton and above it in the
+    # second, so both the bounded sweep and the checked loop are covered.
+    one_step = (one_state_dfa([U64_MAX]), 1)
+    two_steps = (
+        CounterDfa(num_states=2, alphabet=("a",), start=0, next_state=((1,), (1,)), increment=((U64_MAX - 5,), (5,))),
+        2,
+    )
+    for dfa, n in (one_step, two_steps):
+        store = DomainStore(dfa.num_symbols, [(0,)] * n, (U64_MAX,))
+        for mode in ("min", "max"):
+            pre = forward(dfa, store, mode)
+            assert max(as_dict(pre[n]).values()) == U64_MAX
+            assert backward(dfa, store, pre[n], mode)[1][dfa.start] == U64_MAX
+        for mode in MODES:
+            out = propagate(dfa, store.copy(), mode)
+            assert not out.failed and out.removals == []
+
+
+def test_u64_max_increment_outside_every_domain_does_not_overflow():
+    # Symbol b adds U64_MAX but no domain holds it: n * max_increment exceeds
+    # U64_MAX, so the sweeps take the checked loop, which must not raise.
+    dfa = one_state_dfa([1, U64_MAX])
+    store = DomainStore(dfa.num_symbols, [(0,)] * 3, (2, 3))
+    for mode in ("min", "max"):
+        pre = forward(dfa, store, mode)
+        assert pre == reference_kernel.forward(dfa, store, mode)
+        assert backward(dfa, store, pre[-1], mode) == reference_kernel.backward(dfa, store, pre[-1], mode)
+    for mode in MODES:
+        out = propagate(dfa, store.copy(), mode)
+        assert not out.failed
+        assert out.removals == ([] if mode == "atleast" else [(COUNTER_VAR, 2)])
+
+
+# -- differential: the kernel against the plain per-cell loops ------------------
+
+#: Small increments mixed with ones near U64_MAX, so that some automata fail
+#: the per-sweep bound and take the checked loop, and some overflow.
+NEAR_U64_MAX = st.one_of(st.integers(0, 2), st.integers(U64_MAX - 2, U64_MAX), st.integers(U64_MAX // 12 - 1, U64_MAX // 11))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OverflowError:
+        return OverflowError
+
+
+def assert_reachable_ints(rows, sent):
+    for row in rows:
+        if row is not None:
+            assert all(type(c) is int for c in row if c != sent)
+
+
+@given(st.one_of(dfa_store_pairs(max_n=12), dfa_store_pairs(max_n=12, increments=NEAR_U64_MAX)))
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_reference_loops(pair):
+    dfa, store = pair
+    table = {}
+    for mode, sent in (("min", UNREACHABLE_MIN), ("max", UNREACHABLE_MAX)):
+        pre = outcome(forward, dfa, store, mode)
+        assert pre == outcome(reference_kernel.forward, dfa, store, mode)
+        if pre is OverflowError:
+            return
+        # The backward base row needs a forward row; the reference's is the
+        # kernel's, checked just above.
+        suf = outcome(backward, dfa, store, pre[-1], mode)
+        assert suf == outcome(reference_kernel.backward, dfa, store, pre[-1], mode)
+        if suf is OverflowError:
+            return
+        assert_reachable_ints(pre, sent)
+        assert_reachable_ints(suf, sent)
+        table[mode] = pre, suf
+    expected = SweepTable(table["min"][0], table["max"][0], table["min"][1], table["max"][1], pass_symbols(store))
+    assert SweepTable.compute(dfa, store) == expected
+
+
+def test_empty_domain_rows_match_reference_loops():
+    dfa = catalog("AAB")
+    store = DomainStore(dfa.num_symbols, [(0, 1), (), (1,)], (0,))
+    for mode in ("min", "max"):
+        pre = forward(dfa, store, mode)
+        assert pre == reference_kernel.forward(dfa, store, mode)
+        assert backward(dfa, store, pre[-1], mode) == reference_kernel.backward(dfa, store, pre[-1], mode)
+        full = [1 if mode == "min" else 0] * dfa.num_states
+        assert backward(dfa, store, full, mode) == reference_kernel.backward(dfa, store, full, mode)
+
+
+@given(dfa_store_pairs(max_n=6), st.integers(1, 3))
+@settings(max_examples=60)
+def test_pass_symbols_match_store_symbols(pair, cache_size):
+    dfa, store = pair
+    saved = sweep_module.SYMBOL_CACHE_SIZE
+    sweep_module.SYMBOL_CACHE_SIZE = cache_size  # a tiny bound forces evictions
+    sweep_module._symbol_tuples.clear()
+    try:
+        got = pass_symbols(store)
+        assert len(sweep_module._symbol_tuples) <= cache_size
+    finally:
+        sweep_module.SYMBOL_CACHE_SIZE = saved
+    assert [list(syms) for syms in got] == [store.symbols(i) for i in range(store.n)]
