@@ -71,13 +71,8 @@ from .oracle import (
 from .propagators import (
     FAILED,
     FIXPOINT,
-    CompositeOutcome,
     Mode,
     PropagationOutcome,
-    feasible_atleast,
-    feasible_atmost,
-    max_cost,
-    min_cost,
     propagate,
     propagate_atleast,
     propagate_atmost,

@@ -90,7 +90,7 @@ def _instance_from_args(args) -> Instance:
         else:
             inst = load_instance(args.instance)
         if getattr(args, "mode", None):
-            inst.mode = args.mode if args.mode != "decomposed" else "exact"
+            inst.mode = Mode(args.mode).semantics.value
         return inst
     if not (args.automaton and args.vars and args.counter):
         raise CliError("give an instance file, or --automaton with --vars and --counter")
@@ -101,7 +101,7 @@ def _instance_from_args(args) -> Instance:
         var_domains = [sorted({dfa.symbol_id(name) for name in group}) for group in _parse_domains(args.vars)]
     except KeyError as exc:
         raise CliError(str(exc)) from None
-    mode = args.mode if args.mode != "decomposed" else "exact"
+    mode = Mode(args.mode).semantics.value
     return Instance(dfa=dfa, mode=mode, var_domains=var_domains, counter_values=_parse_counter(args.counter))
 
 

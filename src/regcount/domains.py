@@ -83,10 +83,6 @@ class DomainStore:
 
     # -- counter variable ----------------------------------------------------
 
-    @property
-    def counter_values(self) -> list[int]:
-        return self.counter
-
     def min_counter(self) -> int:
         if not self.counter:
             raise EmptyDomain("counter domain is empty")
@@ -96,10 +92,6 @@ class DomainStore:
         if not self.counter:
             raise EmptyDomain("counter domain is empty")
         return self.counter[-1]
-
-    def has_counter(self, value: int) -> bool:
-        i = bisect_left(self.counter, value)
-        return i < len(self.counter) and self.counter[i] == value
 
     def counter_has_between(self, lo, hi) -> bool:
         """True iff some counter value v satisfies lo <= v <= hi (holes respected)."""
@@ -153,6 +145,15 @@ class DomainStore:
         return f"DomainStore(x={doms}, N={self.counter})"
 
 
+def project_store(
+    dfa: CounterDfa, sig: SignatureMap, native_domains: Sequence[Iterable[int]], counter_values: Iterable[int]
+) -> DomainStore:
+    """Symbol-level store whose dom(x_i) holds the signature images of native dom(x_i)."""
+    store = DomainStore(dfa.num_symbols, [], counter_values)
+    store.domains = [sig.project(i, dom) for i, dom in enumerate(native_domains)]
+    return store
+
+
 @dataclass
 class Instance:
     """A counting-constraint instance: automaton, domains, counter domain, mode.
@@ -186,10 +187,7 @@ class Instance:
         """Fresh symbol-level store (projected through the signature if any)."""
         if self.is_composite:
             assert self.signature is not None and self.native_domains is not None
-            masks = [self.signature.project(i, dom) for i, dom in enumerate(self.native_domains)]
-            store = DomainStore(self.dfa.num_symbols, [], self.counter_values)
-            store.domains = masks
-            return store
+            return project_store(self.dfa, self.signature, self.native_domains, self.counter_values)
         return DomainStore(self.dfa.num_symbols, self.var_domains, self.counter_values)
 
 

@@ -248,29 +248,28 @@ def check_among_instance(inst: Instance, modes: Sequence[str] = ("atmost", "atle
     native oracle's supported sets exactly under each bound semantics."""
     assert inst.signature is not None and inst.native_domains is not None
     violations: list[FuzzViolation] = []
+
+    def bad(mode: str, kind: str, detail: str) -> None:
+        doc = instance_to_json(Instance(dfa=inst.dfa, mode=mode, counter_values=inst.counter_values,
+                                        signature=inst.signature, native_domains=inst.native_domains))
+        violations.append(FuzzViolation(index, mode, kind, detail, doc))
+
     for mode in modes:
         result = propagate_composite(inst.dfa, inst.signature, inst.native_domains, inst.counter_values, mode)
         report = enumerate_support_native(inst.dfa, inst.signature, inst.native_domains,
                                           inst.counter_values, mode, cap)
-        doc = instance_to_json(Instance(dfa=inst.dfa, mode=mode, counter_values=inst.counter_values,
-                                        signature=inst.signature, native_domains=inst.native_domains))
         if result.failed:
             if report.satisfiable:
-                violations.append(FuzzViolation(index, mode, "failed-on-satisfiable",
-                                                "composite propagation failed on a satisfiable instance", doc))
+                bad(mode, "failed-on-satisfiable", "composite propagation failed on a satisfiable instance")
             continue
         if not report.satisfiable:
-            violations.append(FuzzViolation(index, mode, "missed-failure",
-                                            "oracle found no solutions but propagation reached a fixpoint", doc))
+            bad(mode, "missed-failure", "oracle found no solutions but propagation reached a fixpoint")
             continue
         got = [set(d) for d in result.native_domains]
         want = [set(s) for s in report.supported]
         if got != want or set(result.counter_values) != report.supported_counter:
-            violations.append(FuzzViolation(
-                index, mode, "composite-dc",
-                f"native domains {got} vs supported {want}; N {result.counter_values} vs {sorted(report.supported_counter)}",
-                doc,
-            ))
+            bad(mode, "composite-dc", f"native domains {got} vs supported {want}; "
+                f"N {result.counter_values} vs {sorted(report.supported_counter)}")
     return violations
 
 

@@ -4,8 +4,13 @@ The oracle walks every domain-admissible ground sequence, runs the automaton
 transition by transition, and records which symbols, native values and
 N-values occur in at least one solution under the requested semantics.  It is
 the reference every consistency claim is checked against, so it deliberately
-shares no code with the sweep tables: plain recursion over positions, no
-memoization, no trimming.
+shares no code with the sweep tables: one plain recursion over positions that
+visits every ground sequence, with no trimming.  A plain store and a
+signature instance differ only in the (reported value, symbol) pairs each
+position offers; a store is the identity signature.  The only thing cached is
+each full-string counter's mode bits (which semantics accept it), computed at
+the first leaf that reaches that counter; every leaf still counts its ground
+sequence.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from math import prod
 
 from .automaton import CounterDfa
 from .domains import COUNTER_VAR, DomainStore
-from .propagators import PropagationOutcome
+from .propagators import Mode, PropagationOutcome
 from .signature import SignatureMap
 
 #: Default ceiling on the number of ground sequences; override per call or
@@ -46,85 +51,13 @@ class SupportReport:
 
 def enumerate_support(dfa: CounterDfa, store: DomainStore, mode: str, cap: int = DEFAULT_CAP) -> SupportReport:
     """Exhaustively enumerate admissible sequences under one semantics."""
-    return _enumerate(dfa, store, (str(mode),), cap)[str(mode)]
+    semantics = Mode(mode).semantics.value
+    return _enumerate(dfa, _store_choices(store), store.counter, (semantics,), cap)[semantics]
 
 
 def enumerate_all_modes(dfa: CounterDfa, store: DomainStore, cap: int = DEFAULT_CAP) -> dict[str, SupportReport]:
     """One enumeration pass, reports for atmost, atleast and exact at once."""
-    return _enumerate(dfa, store, ("atmost", "atleast", "exact"), cap)
-
-
-def _enumerate(dfa: CounterDfa, store: DomainStore, modes: tuple[str, ...], cap: int) -> dict[str, SupportReport]:
-    n = store.n
-    domains = [store.symbols(i) for i in range(n)]
-    if prod(len(d) for d in domains) > cap:
-        raise CapExceeded(f"instance exceeds the enumeration cap of {cap} ground sequences")
-    counter_dom = store.counter
-    counter_set = set(counter_dom)
-    dom_size = len(counter_dom)
-    nxt, inc = dfa.next_state, dfa.increment
-
-    mode_bits = {m: 1 << k for k, m in enumerate(modes)}
-    supported = {m: [set() for _ in range(n)] for m in modes}
-    counts = dict.fromkeys(modes, 0)
-    min_counter_seen: int | None = None
-    max_counter_seen: int | None = None
-    exact_hits: set[int] = set()
-
-    def leaf(counter: int) -> int:
-        nonlocal min_counter_seen, max_counter_seen
-        if min_counter_seen is None or counter < min_counter_seen:
-            min_counter_seen = counter
-        if max_counter_seen is None or counter > max_counter_seen:
-            max_counter_seen = counter
-        bits = 0
-        for m in modes:
-            if m == "atmost":
-                compatible = dom_size - bisect_left(counter_dom, counter)
-            elif m == "atleast":
-                compatible = bisect_right(counter_dom, counter)
-            else:
-                if counter in counter_set:
-                    exact_hits.add(counter)
-                    compatible = 1
-                else:
-                    compatible = 0
-            if compatible:
-                counts[m] += compatible
-                bits |= mode_bits[m]
-        return bits
-
-    def rec(pos: int, state: int, counter: int) -> int:
-        if pos == n:
-            return leaf(counter)
-        bits = 0
-        marks = supported
-        for sym in domains[pos]:
-            sub = rec(pos + 1, nxt[state][sym], counter + inc[state][sym])
-            if sub:
-                bits |= sub
-                for m in modes:
-                    if sub & mode_bits[m]:
-                        marks[m][pos].add(sym)
-        return bits
-
-    rec(0, dfa.start, 0)
-
-    reports = {}
-    for m in modes:
-        if m == "atmost":
-            n_support = set() if min_counter_seen is None else {v for v in counter_dom if v >= min_counter_seen}
-        elif m == "atleast":
-            n_support = set() if max_counter_seen is None else {v for v in counter_dom if v <= max_counter_seen}
-        else:
-            n_support = set(exact_hits)
-        reports[m] = SupportReport(
-            supported=[set(s) for s in supported[m]],
-            supported_counter=n_support,
-            solution_count=counts[m],
-            satisfiable=counts[m] > 0,
-        )
-    return reports
+    return _enumerate(dfa, _store_choices(store), store.counter, ("atmost", "atleast", "exact"), cap)
 
 
 def enumerate_support_native(
@@ -137,62 +70,94 @@ def enumerate_support_native(
 ) -> SupportReport:
     """Support report over native values for a signature instance.
 
-    Same exhaustive recursion, but each step maps the position's native value
-    through the signature before taking the transition.
+    Each position's distinct native values are reported as themselves and
+    stepped through the automaton as their signature symbol.
     """
-    n = len(native_domains)
-    domains = [sorted(d) for d in native_domains]
-    if prod(len(d) for d in domains) > cap:
+    semantics = Mode(mode).semantics.value
+    choices = [[(v, sig.symbol_of(i, v)) for v in sorted(set(dom))] for i, dom in enumerate(native_domains)]
+    return _enumerate(dfa, choices, counter_values, (semantics,), cap)[semantics]
+
+
+def _store_choices(store: DomainStore) -> list[list[tuple[int, int]]]:
+    # A plain store reports each symbol as itself: the identity signature.
+    return [[(s, s) for s in store.symbols(i)] for i in range(store.n)]
+
+
+def _enumerate(
+    dfa: CounterDfa,
+    choices: list[list[tuple[int, int]]],
+    counter_values: list[int],
+    modes: tuple[str, ...],
+    cap: int,
+) -> dict[str, SupportReport]:
+    """The one recursion: ``choices[i]`` lists position i's (reported value, symbol) pairs."""
+    if prod(map(len, choices)) > cap:
         raise CapExceeded(f"instance exceeds the enumeration cap of {cap} ground sequences")
+    n = len(choices)
     counter_dom = sorted(set(counter_values))
     counter_set = set(counter_dom)
     dom_size = len(counter_dom)
     nxt, inc = dfa.next_state, dfa.increment
-    mode = str(mode)
 
-    supported: list[set[int]] = [set() for _ in range(n)]
-    count = 0
-    min_seen: int | None = None
-    max_seen: int | None = None
-    exact_hits: set[int] = set()
-
-    def leaf(counter: int) -> bool:
-        nonlocal count, min_seen, max_seen
-        if min_seen is None or counter < min_seen:
-            min_seen = counter
-        if max_seen is None or counter > max_seen:
-            max_seen = counter
+    def compatible(mode: str, counter: int) -> int:
+        """Number of N-values a full-string counter forms a solution with."""
         if mode == "atmost":
-            compatible = dom_size - bisect_left(counter_dom, counter)
-        elif mode == "atleast":
-            compatible = bisect_right(counter_dom, counter)
-        else:
-            compatible = 1 if counter in counter_set else 0
-            if compatible:
-                exact_hits.add(counter)
-        count += compatible
-        return compatible > 0
+            return dom_size - bisect_left(counter_dom, counter)
+        if mode == "atleast":
+            return bisect_right(counter_dom, counter)
+        return 1 if counter in counter_set else 0
 
-    def rec(pos: int, state: int, counter: int) -> bool:
+    hits: dict[int, int] = {}  # full-string counter -> ground sequences ending with it
+    leaf_bits: dict[int, int] = {}  # full-string counter -> bit k set iff modes[k] accepts it
+    marks: list[dict[int, int]] = [{} for _ in range(n)]  # per position: value -> mode bits
+
+    def rec(pos: int, state: int, counter: int) -> int:
         if pos == n:
-            return leaf(counter)
-        any_ok = False
-        for value in domains[pos]:
-            sym = sig.symbol_of(pos, value)
-            if rec(pos + 1, nxt[state][sym], counter + inc[state][sym]):
-                supported[pos].add(value)
-                any_ok = True
-        return any_ok
+            try:
+                hits[counter] += 1
+            except KeyError:
+                hits[counter] = 1
+                bits = 0
+                for k, m in enumerate(modes):
+                    if compatible(m, counter):
+                        bits |= 1 << k
+                leaf_bits[counter] = bits
+            return leaf_bits[counter]
+        bits = 0
+        seen = marks[pos]
+        for value, sym in choices[pos]:
+            sub = rec(pos + 1, nxt[state][sym], counter + inc[state][sym])
+            if sub:
+                bits |= sub
+                if value in seen:
+                    seen[value] |= sub
+                else:
+                    seen[value] = sub
+        return bits
 
     rec(0, dfa.start, 0)
 
-    if mode == "atmost":
-        n_support = set() if min_seen is None else {v for v in counter_dom if v >= min_seen}
-    elif mode == "atleast":
-        n_support = set() if max_seen is None else {v for v in counter_dom if v <= max_seen}
-    else:
-        n_support = set(exact_hits)
-    return SupportReport(supported, n_support, count, count > 0)
+    reports = {}
+    for k, m in enumerate(modes):
+        if not hits:
+            n_support = set()
+        elif m == "atmost":
+            least = min(hits)
+            n_support = {v for v in counter_dom if v >= least}
+        elif m == "atleast":
+            most = max(hits)
+            n_support = {v for v in counter_dom if v <= most}
+        else:
+            n_support = counter_set.intersection(hits)
+        count = sum(h * compatible(m, c) for c, h in hits.items())
+        bit = 1 << k
+        reports[m] = SupportReport(
+            supported=[{v for v, b in seen.items() if b & bit} for seen in marks],
+            supported_counter=n_support,
+            solution_count=count,
+            satisfiable=count > 0,
+        )
+    return reports
 
 
 @dataclass
@@ -213,7 +178,7 @@ class DcVerdict:
     def ok(self, mode: str) -> bool:
         if self.failed_on_satisfiable or self.unsound:
             return False
-        if str(mode) == "exact":
+        if Mode(mode).semantics is Mode.EXACT:
             return True
         return not self.gaps
 

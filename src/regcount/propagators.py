@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .automaton import CounterDfa
-from .domains import COUNTER_VAR, DomainStore, Instance, RemoveResult
+from .domains import COUNTER_VAR, DomainStore, Instance, RemoveResult, project_store
 from .signature import SignatureMap
 from .sweep import (
     UNREACHABLE_MAX,
@@ -53,26 +53,36 @@ class Mode(str, enum.Enum):
     EXACT = "exact"
     DECOMPOSED_EXACT = "decomposed"
 
+    @property
+    def semantics(self) -> "Mode":
+        """The constraint this mode's propagator filters.
+
+        ``DECOMPOSED_EXACT`` is a filtering algorithm for exact counting, not
+        a semantics of its own, so it maps to ``EXACT``; every other mode maps
+        to itself.
+        """
+        return Mode.EXACT if self is Mode.DECOMPOSED_EXACT else self
+
 
 @dataclass
 class PropagationOutcome:
+    """What one propagator run did: its status, its removals in order, and its passes.
+
+    Removal values are symbol ids, except after :func:`propagate_composite`,
+    where they are native values and ``native_domains`` and
+    ``counter_values`` hold the domains left after channeling.  On every
+    other run those two fields are ``None``.
+    """
+
     status: str
     removals: list[tuple[int | str, int]] = field(default_factory=list)
     passes: int = 0
+    native_domains: list[list[int]] | None = None
+    counter_values: list[int] | None = None
 
     @property
     def failed(self) -> bool:
         return self.status == FAILED
-
-
-def feasible_atmost(table: SweepTable, store: DomainStore) -> bool:
-    """The atmost constraint has a solution iff some admissible string keeps
-    the counter at or below the largest allowed value of N."""
-    return table.global_min() <= store.max_counter()
-
-
-def feasible_atleast(table: SweepTable, store: DomainStore) -> bool:
-    return table.global_max() >= store.min_counter()
 
 
 def min_cost(dfa: CounterDfa, table: SweepTable, i: int, sym: int):
@@ -256,28 +266,13 @@ def propagate(dfa: CounterDfa, store: DomainStore, mode: str | Mode) -> Propagat
     return _PROPAGATORS[Mode(mode)](dfa, store)
 
 
-@dataclass
-class CompositeOutcome:
-    """Result of propagating a signature instance, reported in native values."""
-
-    status: str
-    removals: list[tuple[int | str, int]]
-    passes: int
-    native_domains: list[list[int]]
-    counter_values: list[int]
-
-    @property
-    def failed(self) -> bool:
-        return self.status == FAILED
-
-
 def propagate_composite(
     dfa: CounterDfa,
     sig: SignatureMap,
     native_domains: list[list[int]],
     counter_values: list[int],
     mode: str | Mode,
-) -> CompositeOutcome:
+) -> PropagationOutcome:
     """Propagate on projected symbol domains, then channel prunings back.
 
     One round suffices for a fixpoint: re-projecting the channeled native
@@ -286,11 +281,9 @@ def propagate_composite(
     theirs), so a second symbol-level run could remove nothing new.
     """
     natives = [set(dom) for dom in native_domains]
-    store = DomainStore(dfa.num_symbols, [], counter_values)
-    store.domains = [sig.project(i, dom) for i, dom in enumerate(natives)]
+    store = project_store(dfa, sig, natives, counter_values)
     out = propagate(dfa, store, mode)
     removals: list[tuple[int | str, int]] = []
-    counter = list(store.counter)
     for var, value in out.removals:
         if var == COUNTER_VAR:
             removals.append((COUNTER_VAR, value))
@@ -298,26 +291,17 @@ def propagate_composite(
         for nv in sorted(sig.channel_back(var, [value], natives[var])):
             natives[var].discard(nv)
             removals.append((var, nv))
-    return CompositeOutcome(out.status, removals, out.passes, [sorted(d) for d in natives], counter)
+    return PropagationOutcome(out.status, removals, out.passes, [sorted(d) for d in natives], list(store.counter))
 
 
-def propagate_instance(inst: Instance, mode: str | Mode | None = None):
-    """Run an instance's propagator; returns a CompositeOutcome-shaped result.
+def propagate_instance(inst: Instance, mode: str | Mode | None = None) -> PropagationOutcome:
+    """Run an instance's propagator, by default the one for the instance's mode.
 
-    Plain instances are wrapped so callers can treat both kinds uniformly
-    (removal values are symbol ids for plain instances, native integers for
-    signature instances).
+    Removal values are symbol ids for plain instances and native integers for
+    signature instances.
     """
     chosen = Mode(mode) if mode is not None else Mode(inst.mode)
     if inst.is_composite:
         assert inst.signature is not None and inst.native_domains is not None
         return propagate_composite(inst.dfa, inst.signature, inst.native_domains, inst.counter_values, chosen)
-    store = inst.make_store()
-    out = propagate(inst.dfa, store, chosen)
-    return CompositeOutcome(
-        out.status,
-        out.removals,
-        out.passes,
-        [store.symbols(i) for i in range(store.n)],
-        list(store.counter),
-    )
+    return propagate(inst.dfa, inst.make_store(), chosen)

@@ -40,12 +40,13 @@ def solve(
 
     ``propagator`` selects the filtering run at each node: by default the one
     matching ``mode``; pass ``"decomposed"`` to solve an exact instance with
-    the atmost+atleast baseline instead of the exact rule.  A solution is a
-    full assignment of the sequence variables and N.
+    the atmost+atleast baseline instead of the exact rule.  A propagator
+    for a semantics other than ``mode``'s raises ``ValueError``.  A solution
+    is a full assignment of the sequence variables and N.
     """
-    semantics = Mode(mode)
-    chosen = Mode(propagator) if propagator is not None else semantics
-    if semantics in (Mode.ATMOST, Mode.ATLEAST) and chosen != semantics:
+    semantics = Mode(mode).semantics
+    chosen = Mode(mode if propagator is None else propagator)
+    if chosen.semantics is not semantics:
         raise ValueError(f"propagator {chosen.value!r} does not decide {semantics.value!r} instances")
     stats = SearchStats()
     n = store.n

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 
-from regcount import CounterDfa, DomainStore, validate
+from regcount import CounterDfa, DomainStore, SignatureMap, validate
 
 _LETTERS = "abcd"
 
@@ -51,3 +51,16 @@ def dfa_word_pairs(draw, max_states: int = 4, max_symbols: int = 3, max_len: int
     dfa = draw(cdfas(max_states, max_symbols))
     word = draw(st.lists(st.integers(0, dfa.num_symbols - 1), max_size=max_len))
     return dfa, word
+
+
+@st.composite
+def signature_instances(draw, max_states: int = 4, max_symbols: int = 3, max_n: int = 4, max_value: int = 5,
+                        max_counter: int = 8):
+    """(dfa, SignatureMap, native domains, counter values); native domains may repeat a value."""
+    dfa = draw(cdfas(max_states, max_symbols))
+    n = draw(st.integers(0, max_n))
+    natives = [draw(st.lists(st.integers(0, max_value), min_size=1, max_size=4)) for _ in range(n)]
+    symbol = st.integers(0, dfa.num_symbols - 1)
+    sig = SignatureMap([{v: draw(symbol) for v in sorted(set(dom))} for dom in natives])
+    counter = sorted(draw(st.sets(st.integers(0, max_counter), min_size=1)))
+    return dfa, sig, natives, counter

@@ -185,15 +185,19 @@ def _complexity_inputs(n):
     return dfa, store
 
 
-def _time_propagation(n, repeats=5):
-    best = float("inf")
+def _time_propagation(sizes, repeats=5):
+    """Best of ``repeats`` propagation times per size; the sizes take turns in
+    each round, so a drift in CPU speed reaches all of them alike."""
+    best = dict.fromkeys(sizes, float("inf"))
     for _ in range(repeats):
-        dfa, store = _complexity_inputs(n)
-        t0 = time.perf_counter()
-        out = propagate_atmost(dfa, store)
-        best = min(best, time.perf_counter() - t0)
-        assert not out.failed
-    return best
+        for n in sizes:
+            dfa, store = _complexity_inputs(n)
+            t0 = time.perf_counter()
+            out = propagate_atmost(dfa, store)
+            best[n] = min(best[n], time.perf_counter() - t0)
+            assert not out.failed
+    return [best[n] for n in sizes]
+
 
 def _peak_memory(n):
     dfa, store = _complexity_inputs(n)
@@ -206,7 +210,7 @@ def _peak_memory(n):
 
 
 def test_criterion_6_linear_time_and_space():
-    t_small, t_large = _time_propagation(1000), _time_propagation(2000)
+    t_small, t_large = _time_propagation((1000, 2000))
     ratio = t_large / t_small
     assert ratio < 2.5, f"time ratio {ratio:.2f} (t1000={t_small * 1e3:.1f}ms, t2000={t_large * 1e3:.1f}ms)"
 

@@ -1,9 +1,13 @@
+import itertools
+import operator
+
 import pytest
 from hypothesis import given, settings
 
 from regcount import (
     COUNTER_VAR,
     CapExceeded,
+    Mode,
     DomainStore,
     build_subset_sum_dfa,
     catalog,
@@ -14,8 +18,10 @@ from regcount import (
     among_signature,
     propagate_decomposed,
     propagate_exact,
+    run,
 )
-from strategies import dfa_store_pairs
+from regcount.domains import project_store
+from strategies import dfa_store_pairs, signature_instances
 
 B = catalog("B")
 ONE, TWO = B.symbol_id("1"), B.symbol_id("2")
@@ -111,6 +117,45 @@ def test_satisfiable_iff_solutions_iff_full_support(pair):
         assert report.satisfiable == nonempty
 
 
+def _brute_force(dfa, domains, symbol_of, counter_values, mode):
+    """(supported values, supported N, solution count) from every assignment, one by one."""
+    holds = {"atmost": operator.le, "atleast": operator.ge, "exact": operator.eq}[mode]
+    supported = [set() for _ in domains]
+    supported_counter = set()
+    count = 0
+    for word in itertools.product(*(sorted(set(dom)) for dom in domains)):
+        counter = run(dfa, [symbol_of(i, v) for i, v in enumerate(word)]).counter
+        for v in counter_values:
+            if holds(counter, v):
+                count += 1
+                supported_counter.add(v)
+                for i, value in enumerate(word):
+                    supported[i].add(value)
+    return supported, supported_counter, count
+
+
+@given(dfa_store_pairs())
+@settings(max_examples=80, deadline=None)
+def test_all_modes_matches_brute_force(pair):
+    dfa, store = pair
+    reports = enumerate_all_modes(dfa, store)
+    domains = [store.symbols(i) for i in range(store.n)]
+    for mode in ("atmost", "atleast", "exact"):
+        report = reports[mode]
+        got = (report.supported, report.supported_counter, report.solution_count)
+        assert got == _brute_force(dfa, domains, lambda i, s: s, store.counter, mode)
+
+
+@given(signature_instances())
+@settings(max_examples=80, deadline=None)
+def test_native_oracle_matches_brute_force(case):
+    dfa, sig, natives, counter = case
+    for mode in ("atmost", "atleast", "exact"):
+        report = enumerate_support_native(dfa, sig, natives, counter, mode)
+        got = (report.supported, report.supported_counter, report.solution_count)
+        assert got == _brute_force(dfa, natives, sig.symbol_of, counter, mode)
+
+
 # -- check_dc -------------------------------------------------------------------
 
 
@@ -121,6 +166,8 @@ def test_check_dc_flags_the_merged_interval_gap():
     verdict = check_dc(B, before, "exact", out)
     assert verdict.unsound == []
     assert (4, TWO) in verdict.gaps
+    # gaps are allowed to every exact filtering, however the mode is spelled, and to no other
+    assert [verdict.ok(m) for m in ("exact", Mode.EXACT, "decomposed", "atmost")] == [True, True, True, False]
 
 
 def test_check_dc_flags_decomposition_counter_gap():
@@ -159,9 +206,7 @@ def test_native_oracle_agrees_with_symbol_oracle_on_satisfiability():
     sig = among_signature(dfa, {1}, natives)
     for mode in ("atmost", "atleast", "exact"):
         native_report = enumerate_support_native(dfa, sig, natives, [2], mode)
-        masks = [sig.project(i, dom) for i, dom in enumerate(natives)]
-        store = DomainStore(dfa.num_symbols, [], [2])
-        store.domains = list(masks)
+        store = project_store(dfa, sig, natives, [2])
         symbol_report = enumerate_support(dfa, store, mode)
         assert native_report.satisfiable == symbol_report.satisfiable
         for i in range(2):
@@ -175,3 +220,6 @@ def test_native_oracle_cap():
     sig = among_signature(dfa, {0}, natives)
     with pytest.raises(CapExceeded):
         enumerate_support_native(dfa, sig, natives, [1], "exact", cap=15)
+    # a repeated native value is one value: it adds no solution and does not count toward the cap
+    report = enumerate_support_native(dfa, sig, natives, [1], "exact", cap=16)
+    assert enumerate_support_native(dfa, sig, [[0, 0, 1]] + natives[1:], [1], "exact", cap=16) == report

@@ -11,10 +11,6 @@ from regcount import (
     catalog,
     check_dc,
     enumerate_support,
-    feasible_atleast,
-    feasible_atmost,
-    max_cost,
-    min_cost,
     propagate,
     propagate_atleast,
     propagate_atmost,
@@ -23,6 +19,7 @@ from regcount import (
     run,
 )
 from regcount import sweep as sweep_module
+from regcount.propagators import max_cost, min_cost
 from strategies import dfa_store_pairs
 
 B = catalog("B")
@@ -51,12 +48,13 @@ def b_witness_y(counter=(1, 3)):
 
 
 def test_feasible_atmost_on_b():
-    table = SweepTable.compute(B, b_2x2((0, 1, 2)))
-    assert feasible_atmost(table, b_2x2((0, 1, 2)))
+    # Feasibility is the bound propagators' failure test: the least (greatest)
+    # full-string counter against max(dom(N)) (min(dom(N))).
+    assert not propagate_atmost(B, b_2x2((0, 1, 2))).failed
     # the counter can stay at 0 (x = 1), so even a 0 bound is feasible
-    assert feasible_atmost(table, b_2x2((0,)))
-    assert feasible_atleast(table, b_2x2((2,)))
-    assert not feasible_atleast(table, b_2x2((3,)))
+    assert not propagate_atmost(B, b_2x2((0,))).failed
+    assert not propagate_atleast(B, b_2x2((2,))).failed
+    assert propagate_atleast(B, b_2x2((3,))).failed
 
 
 def test_min_cost_on_b_choice_position():

@@ -46,8 +46,11 @@ def test_solve_matches_oracle_on_bound_modes():
 
 
 def test_solve_rejects_mismatched_propagator():
-    with pytest.raises(ValueError):
-        solve(B, b_2x2(), "atmost", "decomposed")
+    free = DomainStore(B.num_symbols, [(ONE, TWO)] * 4, (1,))
+    # atmost filtering under exact semantics would count 12 solutions; the oracle has 8
+    for store, mode, propagator in ((b_2x2(), "atmost", "decomposed"), (free, "exact", "atmost")):
+        with pytest.raises(ValueError):
+            solve(B, store, mode, propagator)
 
 
 def test_solution_sets_match_and_exact_never_expands_the_tree():

@@ -1,0 +1,35 @@
+"""The benchmark's tracer must find every function it wraps.
+
+``perfbench/spans.py`` skips a listed name that regcount lacks, so a rename or
+removal in regcount would silently zero that layer's metrics.  The file is
+read and executed here, never imported, so no bytecode cache is written next
+to it.
+"""
+
+import importlib
+import os
+import types
+
+SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+
+
+def _load_spans():
+    with open(SPANS, encoding="utf-8") as fh:
+        source = fh.read()
+    module = types.ModuleType("perfbench_spans")
+    exec(compile(source, SPANS, "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_function_and_method_exists():
+    spans = _load_spans()
+    missing = []
+    for module_name, attr, *_ in spans.FUNCTIONS:
+        if not callable(getattr(importlib.import_module(module_name), attr, None)):
+            missing.append(f"{module_name}.{attr}")
+    for module_name, cls_name, attr, *_ in spans.METHODS:
+        cls = getattr(importlib.import_module(module_name), cls_name, None)
+        if cls is None or attr not in vars(cls):
+            missing.append(f"{module_name}.{cls_name}.{attr}")
+    assert spans.FUNCTIONS and spans.METHODS
+    assert missing == []
