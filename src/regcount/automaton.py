@@ -7,9 +7,9 @@ Running one on a word therefore never rejects; it just lands in a state and
 produces a counter value.  That counter is what the counting constraints in
 :mod:`regcount.propagators` talk about.
 
-Counter arithmetic is unsigned 64-bit with checked addition: increments are
-user data, and a sum exceeding ``U64_MAX`` raises :class:`OverflowError`
-instead of wrapping.
+Counters are exact integers.  Increments stay validated at ``<= U64_MAX``,
+which keeps every sum far below the float range, so ``inf + x`` in the
+sentinel arithmetic of :mod:`regcount.sweep` stays valid.
 """
 
 from __future__ import annotations
@@ -22,6 +22,11 @@ U64_MAX = 2**64 - 1
 
 #: Catalog keys accepted by :func:`catalog`.
 CATALOG_NAMES = ("AAB", "AMONG", "RST", "B")
+
+
+def is_int(value) -> bool:
+    """True for an integer that is not a ``bool`` (JSON ``true`` is no count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class MalformedAutomaton(ValueError):
@@ -97,7 +102,7 @@ def validate(dfa: CounterDfa) -> None:
         raise MalformedAutomaton("alphabet names must be distinct")
     if any(not isinstance(a, str) or not a for a in dfa.alphabet):
         raise MalformedAutomaton("alphabet names must be nonempty strings")
-    if not 0 <= dfa.start < dfa.num_states:
+    if not is_int(dfa.start) or not 0 <= dfa.start < dfa.num_states:
         raise MalformedAutomaton(f"start state {dfa.start} out of range")
     if len(dfa.next_state) != dfa.num_states or len(dfa.increment) != dfa.num_states:
         raise MalformedAutomaton("transition tables must have one row per state")
@@ -106,10 +111,10 @@ def validate(dfa: CounterDfa) -> None:
             raise MalformedAutomaton(f"state {q}: transition row must cover the whole alphabet")
         for s in range(dfa.num_symbols):
             t = dfa.next_state[q][s]
-            if not isinstance(t, int) or not 0 <= t < dfa.num_states:
+            if not is_int(t) or not 0 <= t < dfa.num_states:
                 raise MalformedAutomaton(f"transition ({q}, {dfa.alphabet[s]!r}): target {t!r} out of range")
             inc = dfa.increment[q][s]
-            if not isinstance(inc, int) or inc < 0:
+            if not is_int(inc) or inc < 0:
                 raise MalformedAutomaton(f"transition ({q}, {dfa.alphabet[s]!r}): increment must be a nonnegative integer")
             if inc > U64_MAX:
                 raise MalformedAutomaton(f"transition ({q}, {dfa.alphabet[s]!r}): increment exceeds 64-bit range")
@@ -131,8 +136,6 @@ def run(dfa: CounterDfa, word: Iterable[int | str]) -> RunResult:
     for sym in word:
         s = sym if isinstance(sym, int) else dfa.symbol_id(sym)
         counter += inc[state][s]
-        if counter > U64_MAX:
-            raise OverflowError("counter exceeds 64-bit unsigned range")
         state = nxt[state][s]
     return RunResult(state, counter)
 
@@ -342,8 +345,9 @@ def automaton_to_json(dfa: CounterDfa) -> dict:
 def automaton_from_json(doc: dict) -> CounterDfa:
     """Build and validate an automaton from its dict form.
 
-    Rejects duplicate or missing (state, symbol) cells, unknown symbols and
-    out-of-range states with a MalformedAutomaton naming the offending cell.
+    Rejects duplicate or missing (state, symbol) cells, unknown symbols,
+    out-of-range states and non-integer numbers (``true`` and ``"0"``
+    included) with a MalformedAutomaton naming the offending field or cell.
     """
     if not isinstance(doc, dict):
         raise MalformedAutomaton("automaton document must be a JSON object")
@@ -354,13 +358,19 @@ def automaton_from_json(doc: dict) -> CounterDfa:
         transitions = doc["transitions"]
     except KeyError as exc:
         raise MalformedAutomaton(f"missing field {exc.args[0]!r}") from None
-    if not isinstance(num_states, int) or num_states <= 0:
+    if not is_int(num_states) or num_states <= 0:
         raise MalformedAutomaton("'states' must be a positive integer")
-    if not isinstance(alphabet, list) or not alphabet:
+    if not isinstance(alphabet, list) or not alphabet or any(not isinstance(a, str) for a in alphabet):
         raise MalformedAutomaton("'alphabet' must be a nonempty array of strings")
+    if not isinstance(transitions, list):
+        raise MalformedAutomaton("'transitions' must be an array of objects")
     symbol_index = {name: i for i, name in enumerate(alphabet)}
     if len(symbol_index) != len(alphabet):
         raise MalformedAutomaton("alphabet names must be distinct")
+    if len(transitions) < num_states * len(alphabet):
+        # Checked before the tables are allocated, so a huge 'states' costs nothing.
+        raise MalformedAutomaton(f"missing transitions: {num_states} states x {len(alphabet)} symbols "
+                                 f"need {num_states * len(alphabet)} entries, got {len(transitions)}")
     nxt: list[list] = [[None] * len(alphabet) for _ in range(num_states)]
     inc: list[list] = [[None] * len(alphabet) for _ in range(num_states)]
     for entry in transitions:
@@ -368,9 +378,9 @@ def automaton_from_json(doc: dict) -> CounterDfa:
             q, sym, t, delta = entry["from"], entry["symbol"], entry["to"], entry["inc"]
         except (KeyError, TypeError):
             raise MalformedAutomaton(f"bad transition entry {entry!r}") from None
-        if not isinstance(q, int) or not 0 <= q < num_states:
+        if not is_int(q) or not 0 <= q < num_states:
             raise MalformedAutomaton(f"transition source {q!r} out of range")
-        if sym not in symbol_index:
+        if not isinstance(sym, str) or sym not in symbol_index:
             raise MalformedAutomaton(f"transition symbol {sym!r} not in alphabet")
         s = symbol_index[sym]
         if nxt[q][s] is not None:
@@ -384,14 +394,14 @@ def automaton_from_json(doc: dict) -> CounterDfa:
     accepting: tuple[bool, ...] = ()
     if "accepting" in doc:
         marked = doc["accepting"]
-        if not isinstance(marked, list) or any(not isinstance(q, int) or not 0 <= q < num_states for q in marked):
+        if not isinstance(marked, list) or any(not is_int(q) or not 0 <= q < num_states for q in marked):
             raise MalformedAutomaton("'accepting' must be an array of state ids")
         accepting = tuple(q in set(marked) for q in range(num_states))
     names: tuple[str, ...] = ()
     if "names" in doc:
+        if not isinstance(doc["names"], list) or len(doc["names"]) != num_states:
+            raise MalformedAutomaton("'names' must be an array with one entry per state")
         names = tuple(doc["names"])
-        if len(names) != num_states:
-            raise MalformedAutomaton("'names' must have one entry per state")
     dfa = CounterDfa(
         num_states=num_states,
         alphabet=tuple(alphabet),

@@ -207,7 +207,9 @@ def _cmd_solve(args) -> int:
     inst = _instance_from_args(args)
     if inst.is_composite:
         raise CliError("solve does not support signature instances; propagate/oracle do")
-    propagator = args.propagator if inst.mode == "exact" else None
+    propagator = args.propagator or args.mode or inst.mode
+    if Mode(propagator).semantics is not Mode(inst.mode):
+        raise CliError(f"propagator {propagator!r} does not decide {inst.mode!r} instances")
     stats = solve(inst.dfa, inst.make_store(), inst.mode, propagator)
     print(f"solutions: {stats.solutions}")
     print(f"failures: {stats.failures}")
@@ -289,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="count solutions/failures/prunings by DFS")
     _add_instance_args(p)
-    p.add_argument("--propagator", choices=["exact", "decomposed"], default="exact",
-                   help="filtering used at each node of an exact instance")
+    p.add_argument("--propagator", choices=["exact", "decomposed"],
+                   help="filtering used at each node of an exact instance (default: the instance's own)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("bench", help="aggregate search stats over a corpus directory")

@@ -11,11 +11,12 @@ from __future__ import annotations
 import enum
 import json
 import os
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .automaton import CounterDfa, MalformedAutomaton, automaton_from_json, automaton_to_json, load_automaton
+from .automaton import CounterDfa, MalformedAutomaton, automaton_from_json, automaton_to_json, is_int, load_automaton
 from .signature import SignatureMap, among_signature
 
 #: Variable key used for the counter variable in removal-log entries.
@@ -225,17 +226,22 @@ def instance_from_json(doc: dict, base_dir: str = ".") -> Instance:
     if mode not in Instance.MODES:
         raise MalformedInstance(f"mode must be one of {Instance.MODES}, got {mode!r}")
     counter = doc["counter"]
-    if not isinstance(counter, list) or not counter or any(not isinstance(v, int) or v < 0 for v in counter):
+    if not isinstance(counter, list) or not counter or any(not is_int(v) or v < 0 for v in counter):
         raise MalformedInstance("'counter' must be a nonempty array of nonnegative integers")
     raw_vars = doc["vars"]
     if not isinstance(raw_vars, list) or any(not isinstance(d, list) or not d for d in raw_vars):
         raise MalformedInstance("'vars' must be an array of nonempty arrays")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise MalformedInstance("'name' must be a string")
 
     if "signature" in doc:
-        native = [[int(v) for v in dom] for dom in raw_vars]
+        if not all(is_int(v) for dom in raw_vars for v in dom):
+            raise MalformedInstance("'vars' of a signature instance must hold integers")
+        native = [list(dom) for dom in raw_vars]
         sig = _signature_from_json(doc["signature"], dfa, native)
         inst = Instance(dfa=dfa, mode=mode, counter_values=sorted(set(counter)),
-                        signature=sig, native_domains=native, name=doc.get("name", ""))
+                        signature=sig, native_domains=native, name=name)
     else:
         var_domains = []
         for dom in raw_vars:
@@ -244,15 +250,19 @@ def instance_from_json(doc: dict, base_dir: str = ".") -> Instance:
             except KeyError as exc:
                 raise MalformedInstance(str(exc)) from None
         inst = Instance(dfa=dfa, mode=mode, var_domains=var_domains,
-                        counter_values=sorted(set(counter)), name=doc.get("name", ""))
+                        counter_values=sorted(set(counter)), name=name)
     return inst
+
+
+#: A signature key: JSON object keys are strings, so native value 5 is "5".
+_INT_KEY = re.compile(r"-?[0-9]+")
 
 
 def _signature_from_json(block, dfa: CounterDfa, native_domains: list[list[int]]) -> SignatureMap:
     if isinstance(block, dict) and "set" in block:
         members = block["set"]
-        if not isinstance(members, list):
-            raise MalformedInstance("'signature.set' must be an array of values")
+        if not isinstance(members, list) or not all(is_int(v) for v in members):
+            raise MalformedInstance("'signature.set' must be an array of integers")
         try:
             return among_signature(dfa, set(members), native_domains)
         except KeyError as exc:
@@ -264,6 +274,9 @@ def _signature_from_json(block, dfa: CounterDfa, native_domains: list[list[int]]
         for i, m in enumerate(block):
             if not isinstance(m, dict):
                 raise MalformedInstance(f"signature entry {i} must be an object")
+            bad = [v for v in m if not (isinstance(v, str) and _INT_KEY.fullmatch(v))]
+            if bad:
+                raise MalformedInstance(f"signature entry {i}: keys {bad} are not integers")
             try:
                 maps.append({int(v): dfa.symbol_id(str(sym)) for v, sym in m.items()})
             except KeyError as exc:

@@ -16,6 +16,7 @@ across workers: instance ``i`` of seed ``s`` is always generated from
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -289,7 +290,11 @@ def run_fuzz(
     cap: int = DEFAULT_CAP,
     threads: int = 1,
 ) -> FuzzReport:
-    """Generate and differentially check ``count`` instances of the seed's stream."""
+    """Generate and differentially check ``count`` instances of the seed's stream.
+
+    With ``threads > 1`` the stream is cut into at most ``threads`` chunks,
+    checked in a process pool of at most one worker per chunk and per CPU.
+    """
     modes = tuple(modes)
     unknown = [m for m in modes if m not in FUZZ_MODES]
     if unknown:
@@ -303,7 +308,7 @@ def run_fuzz(
     else:
         chunk = (count + threads - 1) // threads
         ranges = [(k, min(k + chunk, count)) for k in range(0, count, chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(ranges), os.cpu_count() or 1)) as pool:
             futures = [pool.submit(_fuzz_range, cfg, a, b, modes, cap) for a, b in ranges]
             for future in futures:
                 checked, violations = future.result()

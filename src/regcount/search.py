@@ -129,7 +129,7 @@ def bench(
         row.instances += 1
         outcomes = {}
         for prop in propagators:
-            chosen = prop if inst.mode == "exact" else inst.mode
+            chosen = prop if Mode(prop).semantics is Mode(inst.mode).semantics else inst.mode
             store = inst.make_store()
             started = time.perf_counter()
             outcomes[prop] = propagate(inst.dfa, store, chosen)

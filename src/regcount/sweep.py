@@ -26,14 +26,9 @@ One row costs O(|domain| * |states|), a full table O(n * |alphabet| *
 |states|).  Tables are rebuilt from scratch on every propagator call; nothing
 here is incremental.
 
-Overflow rule: counters are unsigned 64-bit with checked addition.  A sweep
-raises :class:`OverflowError` iff some candidate sum exceeds ``U64_MAX``: a
-reachable entry of the row it extends plus the increment of a transition on
-a symbol of the position's domain, whether or not that candidate wins its
-cell.  Every candidate of a sweep over ``n`` positions is a sum of at most
-``n`` increments, so a sweep first checks ``n * max_increment <= U64_MAX``
-(``max_increment`` is the automaton's largest) and then adds unchecked; only
-when that bound fails does it run the loop that tests every candidate.
+Counters are exact integers, so no sum wraps or raises.  Increments stay
+validated at ``<= U64_MAX``, which keeps every sum far below the float range,
+so ``inf + x`` in the sentinel arithmetic stays valid.
 
 Memoised, and how it is bounded:
 
@@ -41,20 +36,19 @@ Memoised, and how it is bounded:
   through a cache of at most ``SYMBOL_CACHE_SIZE`` masks, which is emptied
   when full.  A propagator pass builds the list once and hands it to its
   sweeps and its filter loop.
-* :func:`columns` keeps the transition columns and the largest increment of
-  one automaton, the last one asked for, compared by identity.  A different
-  automaton replaces the entry, so it holds one automaton at most.
+* :func:`columns` keeps the per-symbol transition columns of one automaton,
+  the last one asked for, compared by identity.  A different automaton
+  replaces the entry, so it holds one automaton at most.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from operator import add
 from typing import Sequence
 
-from .automaton import U64_MAX, CounterDfa
+from .automaton import CounterDfa
 from .domains import DomainStore
 
 #: Sentinel for "no admissible string" in min rows (orders above any value).
@@ -86,19 +80,18 @@ def pass_symbols(store: DomainStore) -> list[tuple[int, ...]]:
 
 
 class Columns:
-    """Per-symbol transition columns of one automaton and its largest increment.
+    """Per-symbol transition columns of one automaton.
 
     ``next_state[s][q]`` is ``dfa.next_state[q][s]`` and ``increment[s][q]``
     is ``dfa.increment[q][s]``.
     """
 
-    __slots__ = ("dfa", "next_state", "increment", "max_increment")
+    __slots__ = ("dfa", "next_state", "increment")
 
     def __init__(self, dfa: CounterDfa):
         self.dfa = dfa
         self.next_state = tuple(zip(*dfa.next_state))
         self.increment = tuple(zip(*dfa.increment))
-        self.max_increment = max(chain.from_iterable(dfa.increment), default=0)
 
 
 _last_columns: Columns | None = None
@@ -113,10 +106,6 @@ def columns(dfa: CounterDfa) -> Columns:
     return cols
 
 
-def _may_overflow(dfa: CounterDfa, n: int) -> bool:
-    return n * columns(dfa).max_increment > U64_MAX
-
-
 def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None) -> list[list[int | float]]:
     """Rows 0..n of per-state extremal prefix counters; row 0 is {start: 0}.
 
@@ -125,8 +114,6 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None) -> lis
     minimize = _minimize(mode)
     if symbols is None:
         symbols = pass_symbols(store)
-    if _may_overflow(dfa, store.n):
-        return _forward_checked(dfa, symbols, minimize)
     sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
     num_states = dfa.num_states
     nxt, inc = dfa.next_state, dfa.increment
@@ -159,37 +146,6 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None) -> lis
     return rows
 
 
-def _forward_checked(dfa: CounterDfa, symbols, minimize: bool) -> list[list[int | float]]:
-    # forward with every candidate sum tested against U64_MAX.
-    sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
-    num_states = dfa.num_states
-    nxt, inc = dfa.next_state, dfa.increment
-    row: list[int | float] = [sent] * num_states
-    row[dfa.start] = 0
-    rows = [row]
-    for syms in symbols:
-        new: list[int | float] = [sent] * num_states
-        for q in range(num_states):
-            c = row[q]
-            if c == sent:
-                continue
-            trow = nxt[q]
-            irow = inc[q]
-            for s in syms:
-                c2 = c + irow[s]
-                if c2 > U64_MAX:
-                    raise OverflowError("prefix counter exceeds 64-bit unsigned range")
-                t = trow[s]
-                if minimize:
-                    if c2 < new[t]:
-                        new[t] = c2
-                elif c2 > new[t]:
-                    new[t] = c2
-        row = new
-        rows.append(new)
-    return rows
-
-
 def backward(dfa: CounterDfa, store: DomainStore, forward_row_n, mode: str, symbols=None) -> list:
     """Rows 1..n+1 of per-state extremal suffix counters (index 0 unused).
 
@@ -204,8 +160,6 @@ def backward(dfa: CounterDfa, store: DomainStore, forward_row_n, mode: str, symb
     n = store.n
     rows: list = [None] * (n + 2)
     rows[n + 1] = [0 if c != sent else sent for c in forward_row_n]
-    if _may_overflow(dfa, n):
-        return _backward_checked(dfa, symbols, rows, minimize)
     cols = columns(dfa)
     next_cols, inc_cols = cols.next_state, cols.increment
     pick = min if minimize else max
@@ -219,37 +173,6 @@ def backward(dfa: CounterDfa, store: DomainStore, forward_row_n, mode: str, symb
             rows[i] = list(map(pick, *[map(add, map(suffix, next_cols[s]), inc_cols[s]) for s in syms]))
         else:
             rows[i] = [sent] * dfa.num_states
-    return rows
-
-
-def _backward_checked(dfa: CounterDfa, symbols, rows: list, minimize: bool) -> list:
-    # backward with every candidate sum tested against U64_MAX; ``rows``
-    # arrives with only its base row n+1 filled in.
-    sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
-    num_states = dfa.num_states
-    nxt, inc = dfa.next_state, dfa.increment
-    for i in range(len(rows) - 2, 0, -1):
-        syms = symbols[i - 1]
-        nxt_row = rows[i + 1]
-        new: list[int | float] = [sent] * num_states
-        for q in range(num_states):
-            best = sent
-            trow = nxt[q]
-            irow = inc[q]
-            for s in syms:
-                c = nxt_row[trow[s]]
-                if c == sent:
-                    continue
-                c2 = c + irow[s]
-                if c2 > U64_MAX:
-                    raise OverflowError("suffix counter exceeds 64-bit unsigned range")
-                if minimize:
-                    if c2 < best:
-                        best = c2
-                elif c2 > best:
-                    best = c2
-            new[q] = best
-        rows[i] = new
     return rows
 
 

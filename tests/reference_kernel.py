@@ -1,14 +1,14 @@
 """The plain per-cell loops that regcount's sweep kernel replaced.
 
 Differential tests compare the kernel against these: the forward and
-backward sweeps that test every candidate sum against U64_MAX, and the
+backward sweeps that visit every (state, symbol) cell, and the
 decomposition loop that always ends with a full atmost+atleast round that
 removes nothing.
 """
 
 from __future__ import annotations
 
-from regcount import U64_MAX, PropagationOutcome, propagate_atleast, propagate_atmost
+from regcount import PropagationOutcome, propagate_atleast, propagate_atmost
 from regcount.propagators import FAILED, FIXPOINT
 from regcount.sweep import UNREACHABLE_MAX, UNREACHABLE_MIN
 
@@ -38,8 +38,6 @@ def forward(dfa, store, mode):
             irow = inc[q]
             for s in syms:
                 c2 = c + irow[s]
-                if c2 > U64_MAX:
-                    raise OverflowError("prefix counter exceeds 64-bit unsigned range")
                 t = trow[s]
                 if minimize:
                     if c2 < new[t]:
@@ -72,8 +70,6 @@ def backward(dfa, store, forward_row_n, mode):
                 if c == sent:
                     continue
                 c2 = c + irow[s]
-                if c2 > U64_MAX:
-                    raise OverflowError("suffix counter exceeds 64-bit unsigned range")
                 if minimize:
                     if c2 < best:
                         best = c2

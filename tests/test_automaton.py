@@ -108,12 +108,11 @@ def test_run_additivity_over_splits(pair, data):
     assert whole.end_state == resumed.end_state
 
 
-def test_run_overflow_is_an_error():
+def test_run_counter_is_an_exact_integer():
     dfa = CounterDfa(1, ("a",), 0, ((0,),), ((U64_MAX,),))
     validate(dfa)
     assert run(dfa, "a").counter == U64_MAX
-    with pytest.raises(OverflowError):
-        run(dfa, "aa")
+    assert run(dfa, "aa").counter == 2 * U64_MAX
 
 
 # -- validate ---------------------------------------------------------------
@@ -129,6 +128,14 @@ def test_validate_rejects_missing_cell():
     doc = automaton_to_json(catalog("AAB"))
     doc["transitions"] = doc["transitions"][:-1]
     with pytest.raises(MalformedAutomaton, match="missing transition"):
+        automaton_from_json(doc)
+
+
+def test_from_json_counts_transitions_before_building_tables():
+    # The message shows the count was checked before any table was built.
+    doc = automaton_to_json(catalog("B"))
+    doc["states"] = 10**6
+    with pytest.raises(MalformedAutomaton, match="need 2000000 entries, got 4"):
         automaton_from_json(doc)
 
 

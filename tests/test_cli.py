@@ -122,6 +122,70 @@ def test_propagate_malformed_instance_exits_2(tmp_path):
     assert "error:" in result.stderr
 
 
+def among_instance_doc(vars, signature):
+    return {
+        "automaton": automaton_to_json(catalog("AMONG")),
+        "vars": vars,
+        "counter": [1],
+        "mode": "atleast",
+        "signature": signature,
+    }
+
+
+def with_automaton_field(key, value):
+    doc = witness_instance_doc()
+    doc["automaton"][key] = value
+    return doc
+
+
+def with_true_increment():
+    doc = witness_instance_doc()
+    doc["automaton"]["transitions"][0]["inc"] = True
+    return doc
+
+
+def with_counter(values):
+    doc = witness_instance_doc()
+    doc["counter"] = values
+    return doc
+
+
+@pytest.mark.parametrize(
+    "make_doc",
+    [
+        lambda: with_automaton_field("start", "0"),
+        lambda: with_automaton_field("transitions", 5),
+        lambda: with_automaton_field("states", True),
+        with_true_increment,
+        lambda: with_counter([True]),
+        lambda: among_instance_doc([[1, 2], ["x"]], {"set": [2]}),
+        lambda: among_instance_doc([[1.5], [2]], {"set": [2]}),
+        lambda: among_instance_doc([[1], [2]], [{"x": "in", "1": "in"}, {"2": "notin"}]),
+        lambda: dict(witness_instance_doc(), name=5),
+    ],
+    ids=["string-start", "scalar-transitions", "true-states", "true-inc", "true-counter",
+         "string-native-value", "float-native-value", "string-signature-key", "number-name"],
+)
+def test_malformed_instance_exits_2_with_one_line(tmp_path, make_doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(make_doc()))
+    for command in ("propagate", "oracle", "solve"):
+        result = run_cli(command, str(path))
+        assert result.returncode == 2, (command, result.stderr)
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+
+
+def test_validate_rejects_true_state_count(tmp_path):
+    doc = automaton_to_json(catalog("B"))
+    doc["states"] = True
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("validate", str(path))
+    assert result.returncode == 2
+    assert result.stderr == "error: 'states' must be a positive integer\n"
+
+
 def test_propagate_signature_instance(tmp_path):
     doc = {
         "automaton": automaton_to_json(catalog("AMONG")),
@@ -213,6 +277,58 @@ def test_solve_with_decomposed_propagator():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "solutions: 2"
+
+
+def test_solve_rejects_a_propagator_of_another_semantics():
+    piped = run_cli("catalog", "B").stdout
+    result = run_cli(
+        "solve", "--automaton", "-", "--vars", "2;1,2;2", "--counter", "0..2",
+        "--mode", "atmost", "--propagator", "decomposed",
+        stdin=piped,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: propagator 'decomposed' does not decide 'atmost' instances\n"
+
+
+# -- counters past U64_MAX ---------------------------------------------------------
+
+
+def u64_max_instance_args():
+    # One state; a adds 2^64 - 1 and b adds nothing.
+    doc = {
+        "states": 1,
+        "alphabet": ["a", "b"],
+        "start": 0,
+        "transitions": [
+            {"from": 0, "symbol": "a", "to": 0, "inc": 2**64 - 1},
+            {"from": 0, "symbol": "b", "to": 0, "inc": 0},
+        ],
+    }
+    return ["--automaton", "-", "--vars", "a,b;a,b;b", "--counter", "0,1"], json.dumps(doc)
+
+
+@pytest.mark.parametrize("mode", ["atmost", "atleast", "exact", "decomposed"])
+def test_counters_past_u64_max_match_the_oracle(mode):
+    args, automaton = u64_max_instance_args()
+    oracle = run_cli("oracle", *args, "--mode", mode, stdin=automaton)
+    assert oracle.returncode == 0, oracle.stderr
+    # "supported: x1 = a,b" -> {"x1": {"a", "b"}}
+    pairs = (line.removeprefix("supported: ").split(" = ") for line in oracle.stdout.splitlines()
+             if line.startswith("supported: "))
+    supported = {var: set(values.split(",")) for var, values in pairs}
+    result = run_cli("propagate", *args, "--mode", mode, stdin=automaton)
+    assert result.returncode == 0, result.stderr
+    removed = {line for line in result.stdout.splitlines() if " != " in line}
+    domains = {"x1": {"a", "b"}, "x2": {"a", "b"}, "x3": {"b"}, "N": {"0", "1"}}
+    kept = {var: {v for v in values if f"{var} != {v}" not in removed} for var, values in domains.items()}
+    assert kept == supported
+    solved = run_cli("solve", *args, "--mode", mode, stdin=automaton)
+    assert solved.returncode == 0, solved.stderr
+    assert solved.stdout.splitlines()[0] == oracle.stdout.splitlines()[1]
+    if mode == "exact":
+        assert removed == {"x1 != a", "x2 != a", "N != 1"}
+        assert oracle.stdout.splitlines()[1] == "solutions: 1"
 
 
 # -- fuzz / solve / bench ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import Future
 
 import pytest
 
@@ -12,6 +13,7 @@ from regcount import (
     random_cdfa,
     random_instance,
     rng_for,
+    U64_MAX,
     run_fuzz,
     validate,
 )
@@ -160,6 +162,50 @@ def test_run_fuzz_threads_match_serial():
     parallel = run_fuzz(cfg, 60, threads=2)
     assert serial.checked == parallel.checked == 60
     assert serial.ok and parallel.ok
+
+
+@pytest.mark.parametrize("increment", [U64_MAX, U64_MAX // 3], ids=["u64-max", "third-of-u64-max"])
+def test_run_fuzz_counters_past_u64_max(increment):
+    # Counters of two or more such increments pass U64_MAX; the propagators
+    # must agree with the oracle's exact integers on them.
+    report = run_fuzz(GenConfig(increment_value=increment, max_n=8, seed=5), 500)
+    assert report.checked == 500
+    assert report.violations == []
+
+
+@pytest.mark.parametrize(
+    "threads, count, cpus, workers",
+    [(64, 200, 3, 3), (64, 200, None, 1), (4, 9, 8, 3), (1000, 20000, 2, 2)],
+    ids=["cpu-bound", "cpu-count-unknown", "chunk-bound", "huge-thread-count"],
+)
+def test_run_fuzz_caps_the_worker_count(monkeypatch, threads, count, cpus, workers):
+    # A fake pool records max_workers and runs each chunk inline, and the
+    # chunks check nothing, so no worker process is ever started.
+    import regcount.generator as generator_module
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(generator_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(generator_module.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(generator_module, "_fuzz_range", lambda cfg, a, b, modes, cap: (b - a, []))
+    report = run_fuzz(GenConfig(), count, threads=threads)
+    assert report.checked == count
+    assert asked == [workers]
 
 
 def test_run_fuzz_rejects_unknown_mode():

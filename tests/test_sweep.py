@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +20,7 @@ from regcount import (
     run,
 )
 from regcount import sweep as sweep_module
+from regcount.oracle import check_dc
 from regcount.sweep import UNREACHABLE_MAX, UNREACHABLE_MIN, pass_symbols
 from strategies import dfa_store_pairs
 
@@ -255,22 +255,31 @@ def one_state_dfa(increments):
     )
 
 
-def test_u64_max_increment_read_twice_overflows():
-    dfa = one_state_dfa([U64_MAX])
+def test_u64_max_increment_read_twice_is_exact():
+    # a adds U64_MAX and b adds nothing: reading a twice gives 2 * U64_MAX,
+    # which the sweeps hold as an exact integer, like the oracle.
+    dfa = one_state_dfa([U64_MAX, 0])
     store = DomainStore(dfa.num_symbols, [(0,), (0,)], (0,))
     for mode in ("min", "max"):
-        with pytest.raises(OverflowError):
-            forward(dfa, store, mode)
-        with pytest.raises(OverflowError):
-            backward(dfa, store, [0], mode)
-    for mode in MODES:
-        with pytest.raises(OverflowError):
-            propagate(dfa, store.copy(), mode)
+        assert forward(dfa, store, mode)[2] == [2 * U64_MAX]
+        assert backward(dfa, store, [0], mode)[1] == [2 * U64_MAX]
+    stores = (
+        store,
+        DomainStore(dfa.num_symbols, [(0, 1), (0, 1), (1,)], (0, 1)),
+        DomainStore(dfa.num_symbols, [(0, 1), (0, 1)], (0, U64_MAX + 1, 2 * U64_MAX)),
+    )
+    for before in stores:
+        for mode in MODES:
+            out = propagate(dfa, before.copy(), mode)
+            assert check_dc(dfa, before, mode, out).ok(mode), (before, mode)
+    # With x3 = b and N in {0, 1}, only bbb solves exact counting.
+    out = propagate(dfa, stores[1].copy(), "exact")
+    assert set(out.removals) == {(0, 0), (1, 0), (COUNTER_VAR, 1)}
 
 
 def test_counter_of_exactly_u64_max_does_not_overflow():
-    # n * max_increment is U64_MAX in the first automaton and above it in the
-    # second, so both the bounded sweep and the checked loop are covered.
+    # The counter reaches exactly U64_MAX in one step in the first automaton
+    # and in two steps in the second.
     one_step = (one_state_dfa([U64_MAX]), 1)
     two_steps = (
         CounterDfa(num_states=2, alphabet=("a",), start=0, next_state=((1,), (1,)), increment=((U64_MAX - 5,), (5,))),
@@ -288,8 +297,8 @@ def test_counter_of_exactly_u64_max_does_not_overflow():
 
 
 def test_u64_max_increment_outside_every_domain_does_not_overflow():
-    # Symbol b adds U64_MAX but no domain holds it: n * max_increment exceeds
-    # U64_MAX, so the sweeps take the checked loop, which must not raise.
+    # Symbol b adds U64_MAX but no domain holds it, so the rows hold only the
+    # small counters that a builds up.
     dfa = one_state_dfa([1, U64_MAX])
     store = DomainStore(dfa.num_symbols, [(0,)] * 3, (2, 3))
     for mode in ("min", "max"):
@@ -304,16 +313,9 @@ def test_u64_max_increment_outside_every_domain_does_not_overflow():
 
 # -- differential: the kernel against the plain per-cell loops ------------------
 
-#: Small increments mixed with ones near U64_MAX, so that some automata fail
-#: the per-sweep bound and take the checked loop, and some overflow.
+#: Small increments mixed with ones near U64_MAX, so that some counters pass
+#: U64_MAX.
 NEAR_U64_MAX = st.one_of(st.integers(0, 2), st.integers(U64_MAX - 2, U64_MAX), st.integers(U64_MAX // 12 - 1, U64_MAX // 11))
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except OverflowError:
-        return OverflowError
 
 
 def assert_reachable_ints(rows, sent):
@@ -328,16 +330,12 @@ def test_kernel_matches_reference_loops(pair):
     dfa, store = pair
     table = {}
     for mode, sent in (("min", UNREACHABLE_MIN), ("max", UNREACHABLE_MAX)):
-        pre = outcome(forward, dfa, store, mode)
-        assert pre == outcome(reference_kernel.forward, dfa, store, mode)
-        if pre is OverflowError:
-            return
+        pre = forward(dfa, store, mode)
+        assert pre == reference_kernel.forward(dfa, store, mode)
         # The backward base row needs a forward row; the reference's is the
         # kernel's, checked just above.
-        suf = outcome(backward, dfa, store, pre[-1], mode)
-        assert suf == outcome(reference_kernel.backward, dfa, store, pre[-1], mode)
-        if suf is OverflowError:
-            return
+        suf = backward(dfa, store, pre[-1], mode)
+        assert suf == reference_kernel.backward(dfa, store, pre[-1], mode)
         assert_reachable_ints(pre, sent)
         assert_reachable_ints(suf, sent)
         table[mode] = pre, suf
