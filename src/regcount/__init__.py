@@ -91,8 +91,6 @@ from .sweep import (
     forward,
     format_row,
     format_rows,
-    row_max,
-    row_min,
 )
 
 __version__ = "0.1.0"

@@ -34,11 +34,16 @@ from .automaton import (
     validate,
 )
 from .domains import COUNTER_VAR, Instance, MalformedInstance, instance_from_json, load_instance
-from .generator import FUZZ_MODES, GenConfig, run_fuzz
+from .generator import GenConfig, run_fuzz
 from .oracle import CapExceeded, cap_from_env, enumerate_support, enumerate_support_native
 from .propagators import Mode, propagate_instance
 from .search import bench, format_bench, solve
 from .sweep import backward, format_rows, forward
+
+
+#: Most counter values, or ``dump-sweep`` positions, one command line may ask
+#: for; checked before anything that size is allocated.
+MAX_SPEC_SIZE = 100_000
 
 
 class CliError(Exception):
@@ -64,16 +69,16 @@ def _parse_domains(spec: str) -> list[list[str]]:
 
 
 def _parse_counter(spec: str) -> list[int]:
-    values: set[int] = set()
+    ranges: list[tuple[int, int]] = []
     try:
         for chunk in spec.split(","):
-            if ".." in chunk:
-                lo, hi = chunk.split("..")
-                values.update(range(int(lo), int(hi) + 1))
-            else:
-                values.add(int(chunk))
+            lo, hi = chunk.split("..") if ".." in chunk else (chunk, chunk)
+            ranges.append((int(lo), int(hi)))
     except ValueError:
         raise CliError(f"bad counter spec {spec!r}; use e.g. '1' or '0,2' or '0..5'") from None
+    if sum(max(hi - lo + 1, 0) for lo, hi in ranges) > MAX_SPEC_SIZE:
+        raise CliError(f"counter spec asks for more than {MAX_SPEC_SIZE} values")
+    values = {v for lo, hi in ranges for v in range(lo, hi + 1)}
     if not values or min(values) < 0:
         raise CliError("counter domain must be nonempty and nonnegative")
     return sorted(values)
@@ -159,8 +164,8 @@ def _cmd_dump_sweep(args) -> int:
         raise CliError("give exactly one of --catalog or --automaton")
     dfa = catalog(args.catalog) if args.catalog else _load_dfa_arg(args.automaton)
     if args.uniform:
-        if not args.n:
-            raise CliError("--uniform needs --n")
+        if not 1 <= args.n <= MAX_SPEC_SIZE:
+            raise CliError(f"--uniform needs --n in 1..{MAX_SPEC_SIZE}")
         groups = [args.uniform.split(",")] * args.n
     elif args.domains:
         groups = _parse_domains(args.domains)
@@ -185,7 +190,7 @@ def _cmd_dump_sweep(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     cfg = GenConfig(max_states=args.max_states, max_n=args.max_n, seed=args.seed)
-    modes = FUZZ_MODES if args.mode == "all" else (args.mode,)
+    modes = Instance.MODES if args.mode == "all" else (args.mode,)
     report = run_fuzz(cfg, args.count, modes, cap=args.cap or cap_from_env(), threads=args.threads)
     print(f"checked: {report.checked}")
     print(f"violations: {len(report.violations)}")
@@ -242,7 +247,7 @@ def _add_instance_args(parser: argparse.ArgumentParser, with_mode: bool = True) 
     parser.add_argument("--vars", help="inline domains, e.g. '2;1,2;1;1,2;1,2'")
     parser.add_argument("--counter", help="inline counter domain, e.g. '1' or '0,2' or '0..5'")
     if with_mode:
-        parser.add_argument("--mode", choices=["atmost", "atleast", "exact", "decomposed"],
+        parser.add_argument("--mode", choices=[mode.value for mode in Mode],
                             help="constraint semantics (overrides the instance file)")
 
 
@@ -281,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="differential-test the propagators on random instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--mode", choices=[*FUZZ_MODES, "all"], default="all")
+    p.add_argument("--mode", choices=[*Instance.MODES, "all"], default="all")
     p.add_argument("--cap", type=int, default=0, help="oracle cap (default: REGCOUNT_CAP or 10^7)")
     p.add_argument("--max-states", type=int, default=5)
     p.add_argument("--max-n", type=int, default=10)

@@ -36,7 +36,6 @@ from .propagators import (
 )
 from .signature import among_signature
 
-FUZZ_MODES = ("atmost", "atleast", "exact")
 
 #: Counter-domain shapes: a single value, two values separated by a hole, and
 #: intervals of two or three consecutive values.
@@ -186,7 +185,7 @@ class FuzzReport:
 def check_instance(
     dfa: CounterDfa,
     inst: Instance,
-    modes: Sequence[str] = FUZZ_MODES,
+    modes: Sequence[str] = Instance.MODES,
     cap: int = DEFAULT_CAP,
     index: int = -1,
 ) -> list[FuzzViolation]:
@@ -286,7 +285,7 @@ def _fuzz_range(cfg: GenConfig, start: int, stop: int, modes: tuple[str, ...], c
 def run_fuzz(
     cfg: GenConfig,
     count: int,
-    modes: Iterable[str] = FUZZ_MODES,
+    modes: Iterable[str] = Instance.MODES,
     cap: int = DEFAULT_CAP,
     threads: int = 1,
 ) -> FuzzReport:
@@ -296,9 +295,9 @@ def run_fuzz(
     checked in a process pool of at most one worker per chunk and per CPU.
     """
     modes = tuple(modes)
-    unknown = [m for m in modes if m not in FUZZ_MODES]
+    unknown = [m for m in modes if m not in Instance.MODES]
     if unknown:
-        raise ValueError(f"unknown fuzz modes {unknown}; choose from {FUZZ_MODES}")
+        raise ValueError(f"unknown fuzz modes {unknown}; choose from {Instance.MODES}")
     started = time.perf_counter()
     report = FuzzReport()
     if threads <= 1 or count < 2 * threads:

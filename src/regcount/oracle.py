@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from math import prod
 
 from .automaton import CounterDfa
-from .domains import COUNTER_VAR, DomainStore
+from .domains import COUNTER_VAR, DomainStore, Instance
 from .propagators import Mode, PropagationOutcome
 from .signature import SignatureMap
 
@@ -57,7 +57,7 @@ def enumerate_support(dfa: CounterDfa, store: DomainStore, mode: str, cap: int =
 
 def enumerate_all_modes(dfa: CounterDfa, store: DomainStore, cap: int = DEFAULT_CAP) -> dict[str, SupportReport]:
     """One enumeration pass, reports for atmost, atleast and exact at once."""
-    return _enumerate(dfa, _store_choices(store), store.counter, ("atmost", "atleast", "exact"), cap)
+    return _enumerate(dfa, _store_choices(store), store.counter, Instance.MODES, cap)
 
 
 def enumerate_support_native(

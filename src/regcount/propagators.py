@@ -1,26 +1,33 @@
 """Constraint propagators for counting constraints over a counter automaton.
 
 Three constraint semantics relate the automaton counter ``c(X)`` to the
-counter variable ``N``:
+counter variable ``N``: ``atmost`` is ``c(X) <= N``, ``atleast`` is
+``c(X) >= N`` and ``exact`` is ``c(X) == N``.
 
-* ``atmost``:  ``c(X) <= N``
-* ``atleast``: ``c(X) >= N``
-* ``exact``:   ``c(X) == N``
+One interval rule filters all three.  A symbol ``s`` at position ``i``
+survives iff, for some state ``q`` reachable there, the interval
+``[cheapest, costliest]`` of the full strings through ``q`` and ``s`` meets
+dom(N); an N-value survives iff some end state's interval holds it.  The
+semantics decides which ends are bounded: atmost bounds the cheapest only
+(the test reads "cheapest <= max(dom(N))"), atleast the costliest only, and
+exact both, the one case in which the holes in dom(N) matter.
+:meth:`regcount.sweep.SweepTable.compute` builds only the bounded sides; an
+unbuilt side reads as unbounded, so the arithmetic is the same for all three.
 
-``propagate_atmost`` and ``propagate_atleast`` achieve domain consistency in
-one pass and are idempotent.  ``propagate_exact`` is the sound-but-incomplete
-interval rule (achieving domain consistency for exact counting is NP-hard,
-see :func:`regcount.automaton.build_subset_sum_dfa`); it loops until a full
+With one end open the rule is domain-consistent and one pass is its
+fixpoint: a removed symbol lies only on strings beyond dom(N)'s far end,
+which support no value, and that far end is never removed, so no survivor
+loses its support; atmost and atleast run once and are idempotent.  With
+both ends bounded the rule is sound but incomplete (domain consistency for
+exact counting is NP-hard, see :func:`regcount.automaton.build_subset_sum_dfa`):
+a removal can narrow other intervals, so ``propagate_exact`` loops until a
 pass removes nothing.  ``propagate_decomposed`` runs atmost and atleast to
-their mutual fixpoint and serves as the baseline the exact rule strictly
-dominates.
+their mutual fixpoint: the baseline the exact rule strictly dominates.
 
 All propagators mutate one store and append every removal to its log.
 ``passes`` counts table builds: one per atmost or atleast run (a forward and
-a backward sweep in one mode) and one per exact round (all four sweeps).
-The decomposition's ``passes`` is the sum over its component runs; it stops
-at the first run that removes nothing once both components have run, so it
-never ends with a whole idle atmost+atleast round.
+a backward sweep in one mode) and one per exact round (all four sweeps);
+the decomposition's ``passes`` sums those of its component runs.
 """
 
 from __future__ import annotations
@@ -32,16 +39,7 @@ from dataclasses import dataclass, field
 from .automaton import CounterDfa
 from .domains import COUNTER_VAR, DomainStore, Instance, RemoveResult, project_store
 from .signature import SignatureMap
-from .sweep import (
-    UNREACHABLE_MAX,
-    UNREACHABLE_MIN,
-    SweepTable,
-    backward,
-    forward,
-    pass_symbols,
-    row_max,
-    row_min,
-)
+from .sweep import UNREACHABLE_MAX, UNREACHABLE_MIN, SweepTable
 
 FIXPOINT = "fixpoint"
 FAILED = "failed"
@@ -85,142 +83,87 @@ class PropagationOutcome:
         return self.status == FAILED
 
 
-def min_cost(dfa: CounterDfa, table: SweepTable, i: int, sym: int):
-    """Least full-string counter over strings with symbol ``sym`` at position ``i`` (1-based).
-
-    Returns UNREACHABLE_MIN when no admissible string puts ``sym`` there.
-    """
-    return _edge_cost(dfa, table.pre_min[i - 1], table.suf_min[i + 1], sym, minimize=True)
-
-
-def max_cost(dfa: CounterDfa, table: SweepTable, i: int, sym: int):
-    """Greatest full-string counter through (i, sym); UNREACHABLE_MAX if none."""
-    return _edge_cost(dfa, table.pre_max[i - 1], table.suf_max[i + 1], sym, minimize=False)
-
-
-def _edge_cost(dfa: CounterDfa, pre_row, suf_row, sym: int, minimize: bool):
-    # Sums involving an unreachable endpoint stay unreachable; min/max simply
-    # skip them.
-    sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
-    nxt, inc = dfa.next_state, dfa.increment
-    best = sent
-    for q, c in enumerate(pre_row):
-        if c == sent:
-            continue
-        cs = suf_row[nxt[q][sym]]
-        if cs == sent:
-            continue
-        total = c + inc[q][sym] + cs
-        if minimize:
-            if total < best:
-                best = total
-        elif total > best:
-            best = total
-    return best
-
-
 def propagate_atmost(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome:
     """Domain-consistent filtering for ``c(X) <= N``; one pass, idempotent.
 
-    A symbol survives iff its least completion cost is at most max(dom(N));
-    an N-value survives iff it is at least the least full-string counter.
+    Keeps the symbols whose cheapest completion is at most max(dom(N)) and
+    the N-values at least the least full-string counter.
     """
-    return _propagate_bound(dfa, store, minimize=True)
+    return _filter(dfa, store, Mode.ATMOST)
 
 
 def propagate_atleast(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome:
     """Domain-consistent filtering for ``c(X) >= N`` (mirror of atmost)."""
-    return _propagate_bound(dfa, store, minimize=False)
-
-
-def _propagate_bound(dfa: CounterDfa, store: DomainStore, minimize: bool) -> PropagationOutcome:
-    mark = len(store.removal_log)
-    if not store.counter or any(store.domains[i] == 0 for i in range(store.n)):
-        return PropagationOutcome(FAILED, [], 0)
-    mode = "min" if minimize else "max"
-    sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
-    symbols = pass_symbols(store)
-    pre = forward(dfa, store, mode, symbols)
-    suf = backward(dfa, store, pre[-1], mode, symbols)
-    extremal = row_min(pre[-1]) if minimize else row_max(pre[-1])
-    bound = store.max_counter() if minimize else store.min_counter()
-    if (extremal > bound) if minimize else (extremal < bound):
-        return PropagationOutcome(FAILED, store.removal_log[mark:], 1)
-    for i, syms in enumerate(symbols, 1):
-        pre_row = pre[i - 1]
-        suf_row = suf[i + 1]
-        for sym in syms:
-            cost = _edge_cost(dfa, pre_row, suf_row, sym, minimize)
-            assert cost != sent, "reachable position lost all completions"
-            if (cost > bound) if minimize else (cost < bound):
-                if store.remove_symbol(i - 1, sym) is RemoveResult.EMPTIED:
-                    return PropagationOutcome(FAILED, store.removal_log[mark:], 1)
-    for v in list(store.counter):
-        if (v < extremal) if minimize else (v > extremal):
-            if store.remove_counter(v) is RemoveResult.EMPTIED:
-                return PropagationOutcome(FAILED, store.removal_log[mark:], 1)
-    return PropagationOutcome(FIXPOINT, store.removal_log[mark:], 1)
+    return _filter(dfa, store, Mode.ATLEAST)
 
 
 def propagate_exact(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome:
-    """Incomplete filtering for ``c(X) == N``: per-state interval intersection.
+    """Sound, incomplete filtering for ``c(X) == N``; loops until a pass removes nothing.
 
-    A symbol at position i is removed when, for every state reachable with
-    i-1 admissible symbols, the interval spanned by the cheapest and the
-    costliest full string through that state and symbol misses dom(N)
-    entirely.  N-values not covered by any end state's [min, max] interval
-    are removed as well.  Unlike the bound propagators this rule can enable
-    further removals after it fires, so it loops until a pass changes
-    nothing.  It never removes a supported value, but may keep unsupported
-    ones (exact counting cannot be made domain-consistent in polynomial
-    time).
+    Removes each symbol whose every reachable state's interval misses dom(N).
     """
+    return _filter(dfa, store, Mode.EXACT)
+
+
+#: The ends of the completion interval each semantics bounds: (cheapest, costliest).
+_BOUNDED_SIDES = {Mode.ATMOST: (True, False), Mode.ATLEAST: (False, True), Mode.EXACT: (True, True)}
+
+
+def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutcome:
+    """The interval rule for ``mode``'s semantics, run to its fixpoint."""
     mark = len(store.removal_log)
-    if not store.counter or any(store.domains[i] == 0 for i in range(store.n)):
+    if not store.counter or not all(store.domains):
         return PropagationOutcome(FAILED, [], 0)
+    min_side, max_side = _BOUNDED_SIDES[mode]
+    two_sided = min_side and max_side
     nxt, inc = dfa.next_state, dfa.increment
     passes = 0
     while True:
         passes += 1
-        table = SweepTable.compute(dfa, store)
-        if __debug__:
+        table = SweepTable.compute(dfa, store, min_side, max_side)
+        if __debug__ and two_sided:
             _assert_matching_support(table)
-        if not store.counter_has_between(table.global_min(), table.global_max()):
+        least, greatest = table.global_min(), table.global_max()
+        if not store.counter_has_between(least, greatest):
             return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
+        bottom, top = store.counter[0], store.counter[-1]
+        # An interval meets dom(N) iff it meets [bottom, top], unless both of
+        # its ends are finite and dom(N) has holes.
+        holes = two_sided and top - bottom >= len(store.counter)
+        # Reachability is read off a built side's prefix rows.
+        reach_rows, sent = (table.pre_min, UNREACHABLE_MIN) if min_side else (table.pre_max, UNREACHABLE_MAX)
         changed = False
         for i, syms in enumerate(table.symbols, 1):
+            reach = reach_rows[i - 1]
             pre_min_row = table.pre_min[i - 1]
             pre_max_row = table.pre_max[i - 1]
             suf_min_row = table.suf_min[i + 1]
             suf_max_row = table.suf_max[i + 1]
             for sym in syms:
-                supported = False
-                for q, lo_pre in enumerate(pre_min_row):
-                    if lo_pre == UNREACHABLE_MIN:
+                for q, c in enumerate(reach):
+                    if c is sent:
                         continue
                     t = nxt[q][sym]
                     step = inc[q][sym]
-                    lo = lo_pre + step + suf_min_row[t]
+                    lo = pre_min_row[q] + step + suf_min_row[t]
                     hi = pre_max_row[q] + step + suf_max_row[t]
-                    assert lo != UNREACHABLE_MIN and hi != UNREACHABLE_MAX
-                    if store.counter_has_between(lo, hi):
-                        supported = True
+                    assert lo != UNREACHABLE_MIN and hi != UNREACHABLE_MAX, "reachable state lost all completions"
+                    if lo <= top and hi >= bottom and (not holes or store.counter_has_between(lo, hi)):
                         break
-                if not supported:
+                else:
                     changed = True
                     if store.remove_symbol(i - 1, sym) is RemoveResult.EMPTIED:
                         return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
-        last_min = table.pre_min[store.n]
-        last_max = table.pre_max[store.n]
-        intervals = [
-            (last_min[q], last_max[q]) for q in range(dfa.num_states) if last_min[q] != UNREACHABLE_MIN
-        ]
+        # One-sided end intervals cover exactly [least, greatest]; two-sided
+        # ones may leave gaps.  An unreachable end state's interval is empty.
+        ends = list(zip(table.pre_min[-1], table.pre_max[-1]))
         for v in list(store.counter):
-            if not any(lo <= v <= hi for lo, hi in intervals):
+            if not (least <= v <= greatest and (not two_sided or any(lo <= v <= hi for lo, hi in ends))):
                 changed = True
                 if store.remove_counter(v) is RemoveResult.EMPTIED:
                     return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
-        if not changed:
+        # One pass is the one-sided rules' fixpoint (see the module docstring).
+        if not changed or not two_sided:
             return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
 
 

@@ -26,6 +26,12 @@ One row costs O(|domain| * |states|), a full table O(n * |alphabet| *
 |states|).  Tables are rebuilt from scratch on every propagator call; nothing
 here is incremental.
 
+:meth:`SweepTable.compute` builds the min side (``pre_min``/``suf_min``), the
+max side, or both, and runs only those sweeps: atmost needs the min side,
+atleast the max side and exact both.  Every entry of an unbuilt side is the
+unbounded end, ``-inf`` for min and ``+inf`` for max, so an interval summed
+over it stays open on that end.
+
 Counters are exact integers, so no sum wraps or raises.  Increments stay
 validated at ``<= U64_MAX``, which keeps every sum far below the float range,
 so ``inf + x`` in the sentinel arithmetic stays valid.
@@ -184,21 +190,13 @@ def _minimize(mode: str) -> bool:
     raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
 
 
-def row_min(row: Sequence) -> int:
-    """Smallest reachable entry of a min row."""
-    return min(c for c in row if c != UNREACHABLE_MIN)
-
-
-def row_max(row: Sequence) -> int:
-    """Largest reachable entry of a max row."""
-    return max(c for c in row if c != UNREACHABLE_MAX)
-
-
 @dataclass
 class SweepTable:
-    """All four vectors for one store: pre/suf in both min and max modes.
+    """The pre/suf vectors of one store in min mode, max mode, or both.
 
-    ``symbols`` is the :func:`pass_symbols` list the four sweeps ran on.
+    ``symbols`` is the :func:`pass_symbols` list the sweeps ran on.  Every
+    row of an unbuilt side is one shared row of its unbounded end (``-inf``
+    for min, ``+inf`` for max), so callers need not know which sides were built.
     """
 
     pre_min: list
@@ -208,25 +206,29 @@ class SweepTable:
     symbols: list
 
     @classmethod
-    def compute(cls, dfa: CounterDfa, store: DomainStore) -> "SweepTable":
+    def compute(cls, dfa: CounterDfa, store: DomainStore, min_side: bool = True,
+                max_side: bool = True) -> "SweepTable":
         symbols = pass_symbols(store)
-        pre_min = forward(dfa, store, "min", symbols)
-        pre_max = forward(dfa, store, "max", symbols)
-        return cls(
-            pre_min=pre_min,
-            pre_max=pre_max,
-            suf_min=backward(dfa, store, pre_min[-1], "min", symbols),
-            suf_max=backward(dfa, store, pre_max[-1], "max", symbols),
-            symbols=symbols,
-        )
+        rows = store.n + 2
+        pre_min = forward(dfa, store, "min", symbols) if min_side else [[-math.inf] * dfa.num_states] * rows
+        pre_max = forward(dfa, store, "max", symbols) if max_side else [[math.inf] * dfa.num_states] * rows
+        suf_min = backward(dfa, store, pre_min[-1], "min", symbols) if min_side else pre_min
+        suf_max = backward(dfa, store, pre_max[-1], "max", symbols) if max_side else pre_max
+        return cls(pre_min, pre_max, suf_min, suf_max, symbols)
 
     def global_min(self) -> int:
-        """Least counter value over admissible full-length strings."""
-        return row_min(self.pre_min[-1])
+        """Least counter value over admissible full-length strings; ``-inf`` if the min side is unbuilt.
+
+        Unreachable states hold ``+inf``, which ``min`` passes over.
+        """
+        return min(self.pre_min[-1])
 
     def global_max(self) -> int:
-        """Greatest counter value over admissible full-length strings."""
-        return row_max(self.pre_max[-1])
+        """Greatest counter value over admissible full-length strings; ``+inf`` if the max side is unbuilt.
+
+        Unreachable states hold ``-inf``, which ``max`` passes over.
+        """
+        return max(self.pre_max[-1])
 
 
 def format_row(row, state_names: Sequence[str]) -> str:

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 
-from regcount import CounterDfa, DomainStore, SignatureMap, validate
+from regcount import U64_MAX, CounterDfa, DomainStore, SignatureMap, validate
 
 _LETTERS = "abcd"
+
+#: Small increments mixed with ones near U64_MAX, so that some counters pass
+#: U64_MAX; an ``increments`` strategy for :func:`cdfas` and :func:`dfa_store_pairs`.
+NEAR_U64_MAX = st.one_of(st.integers(0, 2), st.integers(U64_MAX - 2, U64_MAX), st.integers(U64_MAX // 12 - 1, U64_MAX // 11))
 
 
 @st.composite

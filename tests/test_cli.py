@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regcount import Instance, catalog, save_instance
+from regcount import Instance, catalog, cli, save_instance
 from regcount.automaton import automaton_to_json
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -176,6 +180,58 @@ def test_malformed_instance_exits_2_with_one_line(tmp_path, make_doc):
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
 
 
+def field_paths(doc, prefix=()):
+    """Key paths of every field in a JSON document, nested ones included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def run_main(*args, stdin=""):
+    """``cli.main`` in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(args))
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+VALID_DOCS = (
+    witness_instance_doc(),
+    among_instance_doc([[1, 2], [2], [2, 3]], [{"1": "notin", "2": "in"}, {"2": "in"}, {"2": "in", "3": "notin"}]),
+    among_instance_doc([[1, 2], [2], [2, 3]], {"set": [2]}),
+)
+MUTATIONS = [(doc, path) for doc in VALID_DOCS for path in field_paths(doc)]
+POOL = (True, "0", -1, 1.5, None, [], {}, 2**70)
+
+
+@given(st.sampled_from(MUTATIONS), st.sampled_from(POOL))
+@settings(max_examples=150, deadline=None)
+def test_one_replaced_field_keeps_the_exit_code_contract(mutation, value):
+    doc, path = mutation
+    text = json.dumps(replaced(doc, path, value))
+    for command in ("propagate", "oracle", "solve"):
+        code, out, err = run_main(command, "-", stdin=text)
+        assert code in (0, 1, 2), (command, path, value, code)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (command, path, value, err)
+
+
 def test_validate_rejects_true_state_count(tmp_path):
     doc = automaton_to_json(catalog("B"))
     doc["states"] = True
@@ -253,6 +309,34 @@ def test_dump_sweep_suffix_table():
 def test_dump_sweep_requires_exactly_one_source():
     result = run_cli("dump-sweep", "--mode", "max")
     assert result.returncode == 2
+
+
+PAST_THE_BOUND = cli.MAX_SPEC_SIZE + 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("propagate", "--automaton", "catalog:B", "--vars", "1,2;1,2", "--counter", f"0..{PAST_THE_BOUND - 1}",
+         "--mode", "atmost"),
+        ("propagate", "--automaton", "catalog:B", "--vars", "1,2", "--counter", f"0,2..{PAST_THE_BOUND}",
+         "--mode", "exact"),
+        ("dump-sweep", "--catalog", "B", "--uniform", "1,2", "--n", str(PAST_THE_BOUND), "--mode", "min"),
+        ("dump-sweep", "--catalog", "B", "--uniform", "1,2", "--n", "-3", "--mode", "min"),
+    ],
+    ids=["counter-range", "counter-ranges", "uniform-n", "negative-n"],
+)
+def test_oversized_or_negative_specs_exit_2_before_allocating(args):
+    code, out, err = run_main(*args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_counter_spec_at_the_bound_is_accepted():
+    code, out, err = run_main("propagate", "--automaton", "catalog:B", "--vars", "2;2", "--counter",
+                              f"0..{cli.MAX_SPEC_SIZE - 1}", "--mode", "atmost")
+    assert code == 0, err
+    assert out.splitlines()[:2] == ["status: fixpoint", "N != 0"]
 
 
 def test_dump_sweep_from_automaton_file(tmp_path, aab_path):

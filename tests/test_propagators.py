@@ -1,6 +1,7 @@
 import dataclasses
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_kernel
 from regcount import (
@@ -19,8 +20,7 @@ from regcount import (
     run,
 )
 from regcount import sweep as sweep_module
-from regcount.propagators import max_cost, min_cost
-from strategies import dfa_store_pairs
+from strategies import NEAR_U64_MAX, dfa_store_pairs
 
 B = catalog("B")
 ONE, TWO = B.symbol_id("1"), B.symbol_id("2")
@@ -57,13 +57,21 @@ def test_feasible_atmost_on_b():
     assert propagate_atleast(B, b_2x2((3,))).failed
 
 
+def completion_cost(dfa, table, i, sym, pick):
+    """Least (``pick=min``) or greatest (``pick=max``) full-string counter through
+    symbol ``sym`` at position ``i`` (1-based); the side's sentinel if none."""
+    pre, suf = (table.pre_min, table.suf_min) if pick is min else (table.pre_max, table.suf_max)
+    return pick(pre[i - 1][q] + dfa.increment[q][sym] + suf[i + 1][dfa.next_state[q][sym]]
+                for q in range(dfa.num_states))
+
+
 def test_min_cost_on_b_choice_position():
     store = b_2x2()
     table = SweepTable.compute(B, store)
-    assert min_cost(B, table, 2, TWO) == 2
-    assert min_cost(B, table, 2, ONE) == 0
-    assert max_cost(B, table, 2, ONE) == 0
-    assert max_cost(B, table, 2, TWO) == 2
+    assert completion_cost(B, table, 2, TWO, min) == 2
+    assert completion_cost(B, table, 2, ONE, min) == 0
+    assert completion_cost(B, table, 2, ONE, max) == 0
+    assert completion_cost(B, table, 2, TWO, max) == 2
 
 
 def test_min_cost_on_ground_word_equals_run():
@@ -73,18 +81,18 @@ def test_min_cost_on_ground_word_equals_run():
     table = SweepTable.compute(aab, store)
     counter = run(aab, word).counter
     for i, c in enumerate(word, start=1):
-        assert min_cost(aab, table, i, aab.symbol_id(c)) == counter
-        assert max_cost(aab, table, i, aab.symbol_id(c)) == counter
+        assert completion_cost(aab, table, i, aab.symbol_id(c), min) == counter
+        assert completion_cost(aab, table, i, aab.symbol_id(c), max) == counter
 
 
 def test_min_cost_unreachable_symbol():
     # position 1 is pinned to "2", so "1" there has no admissible completion
     store = b_2x2()
     table = SweepTable.compute(B, store)
-    assert min_cost(B, table, 1, ONE) == 0  # "1" still reaches q with counter 0
+    assert completion_cost(B, table, 1, ONE, min) == 0  # "1" still reaches q with counter 0
     pinned = b_store([(TWO,)], (0,))
     table = SweepTable.compute(B, pinned)
-    assert min_cost(B, table, 1, TWO) == 0
+    assert completion_cost(B, table, 1, TWO, min) == 0
 
 
 # -- atmost -------------------------------------------------------------------
@@ -335,6 +343,20 @@ def test_decomposed_early_stop_matches_full_rounds(pair):
     assert new.removals == old.removals
     assert new_store == old_store
     assert new.passes <= old.passes
+
+
+@given(st.one_of(dfa_store_pairs(max_n=6, max_counter=12), dfa_store_pairs(max_n=6, increments=NEAR_U64_MAX)))
+@settings(max_examples=200, deadline=None)
+def test_interval_filter_matches_reference_loops(pair):
+    # The one interval loop against a plain loop per semantics: the bound
+    # rules' least/greatest edge cost and the exact rule's interval check.
+    dfa, store = pair
+    for mode, reference in reference_kernel.PROPAGATORS.items():
+        new_store, old_store = store.copy(), store.copy()
+        new = propagate(dfa, new_store, mode)
+        old = reference(dfa, old_store)
+        assert (new.status, new.removals, new.passes) == (old.status, old.removals, old.passes), mode
+        assert new_store == old_store
 
 
 def _outcomes(dfa, store):

@@ -22,7 +22,7 @@ from regcount import (
 from regcount import sweep as sweep_module
 from regcount.oracle import check_dc
 from regcount.sweep import UNREACHABLE_MAX, UNREACHABLE_MIN, pass_symbols
-from strategies import dfa_store_pairs
+from strategies import NEAR_U64_MAX, dfa_store_pairs
 
 
 # -- brute-force row oracle (enumeration; shares no sweep code) --------------
@@ -313,11 +313,6 @@ def test_u64_max_increment_outside_every_domain_does_not_overflow():
 
 # -- differential: the kernel against the plain per-cell loops ------------------
 
-#: Small increments mixed with ones near U64_MAX, so that some counters pass
-#: U64_MAX.
-NEAR_U64_MAX = st.one_of(st.integers(0, 2), st.integers(U64_MAX - 2, U64_MAX), st.integers(U64_MAX // 12 - 1, U64_MAX // 11))
-
-
 def assert_reachable_ints(rows, sent):
     for row in rows:
         if row is not None:
@@ -341,6 +336,15 @@ def test_kernel_matches_reference_loops(pair):
         table[mode] = pre, suf
     expected = SweepTable(table["min"][0], table["max"][0], table["min"][1], table["max"][1], pass_symbols(store))
     assert SweepTable.compute(dfa, store) == expected
+    # An unbuilt side reads as unbounded in every entry of every row.
+    for min_side, max_side in ((True, False), (False, True)):
+        one = SweepTable.compute(dfa, store, min_side, max_side)
+        for built, rows, full, unbounded in ((min_side, (one.pre_min, one.suf_min), table["min"], -math.inf),
+                                             (max_side, (one.pre_max, one.suf_max), table["max"], math.inf)):
+            if built:
+                assert rows == full
+            else:
+                assert all(c == unbounded for side in rows for row in side for c in row)
 
 
 def test_empty_domain_rows_match_reference_loops():
