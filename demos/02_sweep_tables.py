@@ -20,7 +20,8 @@ for line in format_rows(table.pre_max, rst.state_names, 0):
     print(" ", line)
 
 print()
-print("matching suffix table (maximum completion cost per state):")
+print("suffix table (maximum counter increase from each state to the end,")
+print("whatever state the suffix ends in; rrs is never reached, yet has a row):")
 for line in format_rows(table.suf_max[1:], rst.state_names, 1):
     print(" ", line)
 

@@ -177,12 +177,11 @@ def _cmd_dump_sweep(args) -> int:
         raise CliError(str(exc)) from None
     inst = Instance(dfa=dfa, mode="exact", var_domains=var_domains, counter_values=[0])
     store = inst.make_store()
-    pre = forward(dfa, store, args.mode)
     if args.table == "pre":
-        lines = format_rows(pre, dfa.state_names, 0)
+        lines = format_rows(forward(dfa, store, args.mode), dfa.state_names, 0)
     else:
-        suf = backward(dfa, store, pre[-1], args.mode)
-        lines = format_rows(suf[1:], dfa.state_names, 1)
+        # Suffix rows cover every state, reachable or not.
+        lines = format_rows(backward(dfa, store, args.mode)[1:], dfa.state_names, 1)
     for line in lines:
         print(line)
     return 0

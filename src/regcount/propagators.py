@@ -27,7 +27,9 @@ their mutual fixpoint: the baseline the exact rule strictly dominates.
 All propagators mutate one store and append every removal to its log.
 ``passes`` counts table builds: one per atmost or atleast run (a forward and
 a backward sweep in one mode) and one per exact round (all four sweeps);
-the decomposition's ``passes`` sums those of its component runs.
+the decomposition's ``passes`` sums those of its component runs.  An exact
+round after the first rebuilds only the rows its predecessor's removals
+reach (see :mod:`regcount.sweep`) and still counts as one pass.
 """
 
 from __future__ import annotations
@@ -118,11 +120,12 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
     two_sided = min_side and max_side
     nxt, inc = dfa.next_state, dfa.increment
     passes = 0
+    table = None
     while True:
         passes += 1
-        table = SweepTable.compute(dfa, store, min_side, max_side)
-        if __debug__ and two_sided:
-            _assert_matching_support(table)
+        # A pass after the first rebuilds only the rows that the previous
+        # pass's removals reach.
+        table = SweepTable.compute(dfa, store, min_side, max_side, table)
         least, greatest = table.global_min(), table.global_max()
         if not store.counter_has_between(least, greatest):
             return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
@@ -167,14 +170,6 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
             return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
 
 
-def _assert_matching_support(table: SweepTable) -> None:
-    # Reachability is domain-driven, so min and max rows must agree on which
-    # states they cover; the exact rule relies on this.
-    for row_min_, row_max_ in zip(table.pre_min, table.pre_max):
-        for cmin, cmax in zip(row_min_, row_max_):
-            assert (cmin == UNREACHABLE_MIN) == (cmax == UNREACHABLE_MAX)
-
-
 def propagate_decomposed(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome:
     """Fixpoint of the atmost and atleast propagators: the baseline for exact.
 
@@ -205,8 +200,17 @@ _PROPAGATORS = {
 
 
 def propagate(dfa: CounterDfa, store: DomainStore, mode: str | Mode) -> PropagationOutcome:
-    """Dispatch to the propagator for ``mode`` and run it to its fixpoint."""
-    return _PROPAGATORS[Mode(mode)](dfa, store)
+    """Dispatch to the propagator for ``mode`` and run it to its fixpoint.
+
+    An unknown ``mode`` raises ``ValueError``.
+    """
+    try:
+        # A Mode member hashes and compares as its value, so a plain string
+        # finds its entry too, without building ``Mode(mode)`` on every call.
+        run = _PROPAGATORS[mode]
+    except (KeyError, TypeError):
+        raise ValueError(f"{mode!r} is not a valid Mode") from None
+    return run(dfa, store)
 
 
 def propagate_composite(

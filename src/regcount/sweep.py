@@ -4,12 +4,16 @@ For each prefix length ``i`` and state ``q``, the forward tables hold the
 minimum (resp. maximum) counter value over all domain-admissible strings
 ``s_1..s_i`` that lead from the start state to ``q``.  The backward tables
 hold, for each suffix start ``i`` and state ``q``, the extremal counter
-increase over admissible suffixes ``s_i..s_n`` that end in a state reachable
-at position ``n``.  Rows are dense per-state arrays; a state no admissible
-string reaches carries ``+inf`` in min rows and ``-inf`` in max rows.  Since
-``inf + x`` stays ``inf``, a sum with an unreachable endpoint stays
-unreachable and min/max pass over it, so the backward gather needs no branch
-for the sentinels.
+increase over admissible suffixes ``s_i..s_n`` read from ``q``, wherever they
+end; the base row n+1 is 0 at every state, so the backward sweep needs no
+forward row.  Every state accepts, so for a state reachable at ``i`` these
+suffixes are exactly the completions of its prefixes: the filter reads the
+same entries it would read with suffixes restricted to the states reachable
+at ``n``.  Rows are dense per-state arrays; a state no admissible string
+reaches carries ``+inf`` in min rows and ``-inf`` in max rows.  Since ``inf +
+x`` stays ``inf``, a sum with an unreachable endpoint stays unreachable and
+min/max pass over it, so the backward gather needs no branch for the
+sentinels.
 
 How a row is built:
 
@@ -23,8 +27,23 @@ How a row is built:
   ``max``) over the domain's symbols gives the row.
 
 One row costs O(|domain| * |states|), a full table O(n * |alphabet| *
-|states|).  Tables are rebuilt from scratch on every propagator call; nothing
-here is incremental.
+|states|).
+
+Partial rebuilds.  Domains only shrink within one propagator call, so a
+table can be rebuilt from the previous one: given the previous rows and the
+ascending positions whose domains changed since, :func:`forward` keeps the
+rows before the first changed position and rebuilds from there, and
+:func:`backward` keeps the rows after the last one and rebuilds towards row
+1.  One cut-off rule ends each rebuilt stretch: a rebuilt row that equals the
+old row plus a constant ``c`` makes every row up to the next changed position
+the old row plus ``c``, since a sweep step (a min or max of entries plus fixed
+increments) commutes with adding ``c`` to every entry, so the sweep jumps to
+that position.  With ``c = 0`` it keeps the old
+row objects; otherwise it builds the offset rows.  Rows are replaced, never
+mutated, so a previous table stays valid.  An offset forward row keeps every
+unreachable entry the sentinel object itself (``inf + c`` would be a new
+float), because the filter and the forward sweep test reachability with
+``is``.
 
 :meth:`SweepTable.compute` builds the min side (``pre_min``/``suf_min``), the
 max side, or both, and runs only those sweeps: atmost needs the min side,
@@ -55,7 +74,7 @@ from operator import add
 from typing import Sequence
 
 from .automaton import CounterDfa
-from .domains import DomainStore
+from .domains import COUNTER_VAR, DomainStore
 
 #: Sentinel for "no admissible string" in min rows (orders above any value).
 UNREACHABLE_MIN = math.inf
@@ -112,10 +131,15 @@ def columns(dfa: CounterDfa) -> Columns:
     return cols
 
 
-def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None) -> list[list[int | float]]:
+def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previous=None,
+            changed: Sequence[int] = ()) -> list[list[int | float]]:
     """Rows 0..n of per-state extremal prefix counters; row 0 is {start: 0}.
 
     ``symbols`` is the pass's :func:`pass_symbols` list, built here if omitted.
+    ``previous``, if given, holds the rows of an earlier build in the same
+    mode, and ``changed`` the ascending positions whose domains have shrunk
+    since; only the rows those positions reach are rebuilt (see the module
+    docstring), and ``previous`` itself is returned if none changed.
     """
     minimize = _minimize(mode)
     if symbols is None:
@@ -123,11 +147,23 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None) -> lis
     sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
     num_states = dfa.num_states
     nxt, inc = dfa.next_state, dfa.increment
-    row: list[int | float] = [sent] * num_states
-    row[dfa.start] = 0
-    rows = [row]
-    for syms in symbols:
+    n = store.n
+    if previous is None:
+        row: list[int | float] = [sent] * num_states
+        row[dfa.start] = 0
+        rows = [row] + [None] * n
+        i = 0
+    elif not changed:
+        return previous
+    else:
+        rows = list(previous)
+        i = changed[0]
+        row = rows[i]
+    k = 0  # changed[k] is the first changed position not yet swept
+    while i < n:
+        syms = symbols[i]
         new: list[int | float] = [sent] * num_states
+        t = -1  # after the loop, a state ``new`` reaches, if it reaches any
         for q, c in enumerate(row):
             # Every row starts as [sent] * num_states and only reachable
             # states write to it, so unreachable entries are ``sent`` itself.
@@ -147,39 +183,96 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None) -> lis
                     t = trow[s]
                     if c2 > new[t]:
                         new[t] = c2
-        row = new
-        rows.append(new)
+        i += 1
+        rows[i] = row = new
+        if previous is not None and t >= 0 and (shift := _offset(new, previous[i], t, sent)) is not None:
+            # Rows i+1 .. stop read unchanged domains, so each is the old row
+            # plus ``shift``; row stop+1 reads the next changed position.
+            while k < len(changed) and changed[k] < i:
+                k += 1
+            stop = changed[k] if k < len(changed) else n
+            if shift == 0:
+                rows[i] = previous[i]
+            else:
+                for j in range(i + 1, stop + 1):
+                    rows[j] = _shifted(previous[j], shift, sent)
+            i = stop
+            row = rows[i]
     return rows
 
 
-def backward(dfa: CounterDfa, store: DomainStore, forward_row_n, mode: str, symbols=None) -> list:
+def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previous=None,
+             changed: Sequence[int] = ()) -> list:
     """Rows 1..n+1 of per-state extremal suffix counters (index 0 unused).
 
-    Row n+1 assigns 0 exactly to the states present in ``forward_row_n``,
-    which must be the matching-mode forward row at position n.  ``symbols``
-    is the pass's :func:`pass_symbols` list, built here if omitted.
+    Entry ``q`` of row ``i`` is the extremal counter increase over the
+    admissible suffixes ``s_i..s_n`` read from ``q``, wherever they end, so
+    row n+1 is 0 at every state.  ``symbols``, ``previous`` and ``changed``
+    work as in :func:`forward`; here the rebuild starts at the last changed
+    position and runs towards row 1.
     """
     minimize = _minimize(mode)
     if symbols is None:
         symbols = pass_symbols(store)
     sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
+    pick = min if minimize else max
     n = store.n
-    rows: list = [None] * (n + 2)
-    rows[n + 1] = [0 if c != sent else sent for c in forward_row_n]
+    if previous is None:
+        rows: list = [None] * (n + 2)
+        rows[n + 1] = [0] * dfa.num_states
+        i = n
+    elif not changed:
+        return previous
+    else:
+        rows = list(previous)
+        i = changed[-1] + 1
     cols = columns(dfa)
     next_cols, inc_cols = cols.next_state, cols.increment
-    pick = min if minimize else max
-    for i in range(n, 0, -1):
+    k = len(changed) - 1  # changed[k] is the last changed position not yet swept
+    while i > 0:
         syms = symbols[i - 1]
         suffix = rows[i + 1].__getitem__
         if len(syms) == 1:
             s = syms[0]
-            rows[i] = list(map(add, map(suffix, next_cols[s]), inc_cols[s]))
+            new = list(map(add, map(suffix, next_cols[s]), inc_cols[s]))
         elif syms:
-            rows[i] = list(map(pick, *[map(add, map(suffix, next_cols[s]), inc_cols[s]) for s in syms]))
+            new = list(map(pick, *[map(add, map(suffix, next_cols[s]), inc_cols[s]) for s in syms]))
         else:
-            rows[i] = [sent] * dfa.num_states
+            new = [sent] * dfa.num_states
+        rows[i] = new
+        # A suffix row is finite at every state or at none, so entry 0 serves.
+        if previous is not None and (shift := _offset(new, previous[i], 0, sent)) is not None:
+            # Rows stop+1 .. i-1 read unchanged domains, so each is the old
+            # row plus ``shift``; row stop reads the next changed position.
+            while k >= 0 and changed[k] > i - 2:
+                k -= 1
+            stop = changed[k] + 1 if k >= 0 else 0
+            if shift == 0:
+                rows[i] = previous[i]
+            else:
+                for j in range(stop + 1, i):
+                    rows[j] = _shifted(previous[j], shift, sent)
+            i = stop
+        else:
+            i -= 1
     return rows
+
+
+def _offset(new: list, old: list, q: int, sent):
+    """The constant ``c`` with ``new == old + c`` entry by entry, or ``None``.
+
+    ``q`` indexes an entry of ``new`` that is reachable whenever any is; an
+    unreachable entry must stay unreachable under ``c``.
+    """
+    if new == old:
+        return 0
+    c = new[q] - old[q]
+    return c if _shifted(old, c, sent) == new else None
+
+
+def _shifted(row: list, c, sent) -> list:
+    """``row`` plus ``c``, keeping every entry that is the sentinel ``sent`` itself."""
+    return [x if x is sent else x + c for x in row]
 
 
 def _minimize(mode: str) -> bool:
@@ -194,7 +287,8 @@ def _minimize(mode: str) -> bool:
 class SweepTable:
     """The pre/suf vectors of one store in min mode, max mode, or both.
 
-    ``symbols`` is the :func:`pass_symbols` list the sweeps ran on.  Every
+    ``symbols`` is the :func:`pass_symbols` list the sweeps ran on and
+    ``mark`` the length of the store's removal log when they ran.  Every
     row of an unbuilt side is one shared row of its unbounded end (``-inf``
     for min, ``+inf`` for max), so callers need not know which sides were built.
     """
@@ -204,17 +298,37 @@ class SweepTable:
     suf_min: list
     suf_max: list
     symbols: list
+    mark: int
 
     @classmethod
     def compute(cls, dfa: CounterDfa, store: DomainStore, min_side: bool = True,
-                max_side: bool = True) -> "SweepTable":
+                max_side: bool = True, previous: "SweepTable | None" = None) -> "SweepTable":
+        """The table of ``store`` now.
+
+        ``previous``, a table of the same store and sides built earlier, makes
+        this a partial rebuild: the positions of the symbol removals logged
+        since ``previous.mark`` are the changed ones.
+        """
+        mark = len(store.removal_log)
         symbols = pass_symbols(store)
         rows = store.n + 2
-        pre_min = forward(dfa, store, "min", symbols) if min_side else [[-math.inf] * dfa.num_states] * rows
-        pre_max = forward(dfa, store, "max", symbols) if max_side else [[math.inf] * dfa.num_states] * rows
-        suf_min = backward(dfa, store, pre_min[-1], "min", symbols) if min_side else pre_min
-        suf_max = backward(dfa, store, pre_max[-1], "max", symbols) if max_side else pre_max
-        return cls(pre_min, pre_max, suf_min, suf_max, symbols)
+        if previous is None:
+            changed: list[int] = []
+            old = (None, None, None, None)
+        else:
+            changed = sorted({var for var, _ in store.removal_log[previous.mark:] if var != COUNTER_VAR})
+            old = (previous.pre_min, previous.pre_max, previous.suf_min, previous.suf_max)
+        if min_side:
+            pre_min = forward(dfa, store, "min", symbols, old[0], changed)
+            suf_min = backward(dfa, store, "min", symbols, old[2], changed)
+        else:
+            pre_min = suf_min = [[-math.inf] * dfa.num_states] * rows
+        if max_side:
+            pre_max = forward(dfa, store, "max", symbols, old[1], changed)
+            suf_max = backward(dfa, store, "max", symbols, old[3], changed)
+        else:
+            pre_max = suf_max = [[math.inf] * dfa.num_states] * rows
+        return cls(pre_min, pre_max, suf_min, suf_max, symbols, mark)
 
     def global_min(self) -> int:
         """Least counter value over admissible full-length strings; ``-inf`` if the min side is unbuilt.

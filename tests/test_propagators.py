@@ -1,5 +1,6 @@
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +9,7 @@ from regcount import (
     COUNTER_VAR,
     CounterDfa,
     DomainStore,
+    Mode,
     SweepTable,
     catalog,
     check_dc,
@@ -242,6 +244,14 @@ def test_dispatch_and_empty_store():
     empty = b_store([(TWO,), ()], (0,))
     for mode in ("atmost", "atleast", "exact"):
         assert propagate(B, empty.copy(), mode).failed
+
+
+def test_dispatch_takes_members_and_values_and_rejects_unknown_modes():
+    for mode in Mode:
+        assert propagate(B, b_2x2(), mode) == propagate(B, b_2x2(), mode.value)
+    for unknown in ("EXACT", "nope", None, ["exact"]):
+        with pytest.raises(ValueError):
+            propagate(B, b_2x2(), unknown)
 
 
 # -- fuzzed invariants ----------------------------------------------------------

@@ -43,18 +43,14 @@ def brute_forward(dfa, store, mode):
 
 
 def brute_backward(dfa, store, mode):
-    """Extremal suffix counters per state, over suffixes ending in a state
-    reachable at position n."""
-    final_support = set(brute_forward(dfa, store, mode)[store.n])
-    rows = {store.n + 1: {q: 0 for q in final_support}}
+    """Extremal suffix counters per state, over admissible suffixes ending anywhere."""
+    rows = {store.n + 1: {q: 0 for q in range(dfa.num_states)}}
     for i in range(store.n, 0, -1):
         best = {}
         for q in range(dfa.num_states):
             from_q = dataclasses.replace(dfa, start=q)
             for word in itertools.product(*(store.symbols(j) for j in range(i - 1, store.n))):
                 result = run(from_q, word)
-                if result.end_state not in final_support:
-                    continue
                 seen = best.get(q)
                 if seen is None or (result.counter < seen if mode == "min" else result.counter > seen):
                     best[q] = result.counter
@@ -122,17 +118,15 @@ def test_ground_sequences_collapse_to_run(pair):
 def test_backward_empty_sequence_base():
     dfa = catalog("B")
     store = DomainStore(dfa.num_symbols, [], (0,))
-    pre = forward(dfa, store, "min")
-    suf = backward(dfa, store, pre[-1], "min")
-    assert as_dict(suf[1]) == {dfa.start: 0}
+    suf = backward(dfa, store, "min")
+    assert as_dict(suf[1]) == {q: 0 for q in range(dfa.num_states)}
 
 
 def test_backward_ground_word_costs_the_run():
     dfa = catalog("AAB")
     word = "aabab"
     store = DomainStore(dfa.num_symbols, [(dfa.symbol_id(c),) for c in word], (0,))
-    pre = forward(dfa, store, "min")
-    suf = backward(dfa, store, pre[-1], "min")
+    suf = backward(dfa, store, "min")
     assert suf[1][dfa.start] == run(dfa, word).counter == 1
 
 
@@ -147,10 +141,8 @@ def test_b_suffix_bounds_from_enumeration():
     # independent expectation: the two ground words give counters {0, 2}
     counters = {run(b, ["2", x, "2"]).counter for x in ("1", "2")}
     assert counters == {0, 2}
-    pre_min = forward(b, store, "min")
-    pre_max = forward(b, store, "max")
-    suf_min = backward(b, store, pre_min[-1], "min")
-    suf_max = backward(b, store, pre_max[-1], "max")
+    suf_min = backward(b, store, "min")
+    suf_max = backward(b, store, "max")
     eps = b.state_names.index("eps")
     assert suf_min[1][eps] == 0
     assert suf_max[1][eps] == 2
@@ -189,8 +181,7 @@ def test_rows_match_brute_force(pair):
     dfa, store = pair
     for mode in ("min", "max"):
         assert [as_dict(r) for r in forward(dfa, store, mode)] == brute_forward(dfa, store, mode)
-        pre = forward(dfa, store, mode)
-        suf = backward(dfa, store, pre[-1], mode)
+        suf = backward(dfa, store, mode)
         got = {i: as_dict(suf[i]) for i in range(1, store.n + 2)}
         assert got == brute_backward(dfa, store, mode)
 
@@ -223,14 +214,15 @@ def test_shrinking_domains_moves_rows_one_way(pair, data):
 
 @given(dfa_store_pairs())
 @settings(max_examples=60)
-def test_suffix_base_row_marks_final_support(pair):
+def test_suffix_base_row_is_zero_at_every_state(pair):
     dfa, store = pair
     table = SweepTable.compute(dfa, store)
     n = store.n
     support = {q for q, c in enumerate(table.pre_min[n]) if c != UNREACHABLE_MIN}
     assert support == {q for q, c in enumerate(table.pre_max[n]) if c != UNREACHABLE_MAX}
-    assert as_dict(table.suf_min[n + 1]) == {q: 0 for q in support}
-    assert as_dict(table.suf_max[n + 1]) == {q: 0 for q in support}
+    every_state = {q: 0 for q in range(dfa.num_states)}
+    assert as_dict(table.suf_min[n + 1]) == every_state
+    assert as_dict(table.suf_max[n + 1]) == every_state
 
 
 def test_format_row_skips_unreachable():
@@ -262,7 +254,7 @@ def test_u64_max_increment_read_twice_is_exact():
     store = DomainStore(dfa.num_symbols, [(0,), (0,)], (0,))
     for mode in ("min", "max"):
         assert forward(dfa, store, mode)[2] == [2 * U64_MAX]
-        assert backward(dfa, store, [0], mode)[1] == [2 * U64_MAX]
+        assert backward(dfa, store, mode)[1] == [2 * U64_MAX]
     stores = (
         store,
         DomainStore(dfa.num_symbols, [(0, 1), (0, 1), (1,)], (0, 1)),
@@ -290,7 +282,7 @@ def test_counter_of_exactly_u64_max_does_not_overflow():
         for mode in ("min", "max"):
             pre = forward(dfa, store, mode)
             assert max(as_dict(pre[n]).values()) == U64_MAX
-            assert backward(dfa, store, pre[n], mode)[1][dfa.start] == U64_MAX
+            assert backward(dfa, store, mode)[1][dfa.start] == U64_MAX
         for mode in MODES:
             out = propagate(dfa, store.copy(), mode)
             assert not out.failed and out.removals == []
@@ -304,7 +296,8 @@ def test_u64_max_increment_outside_every_domain_does_not_overflow():
     for mode in ("min", "max"):
         pre = forward(dfa, store, mode)
         assert pre == reference_kernel.forward(dfa, store, mode)
-        assert backward(dfa, store, pre[-1], mode) == reference_kernel.backward(dfa, store, pre[-1], mode)
+        zero = [0] * dfa.num_states
+        assert backward(dfa, store, mode) == reference_kernel.backward(dfa, store, zero, mode)
     for mode in MODES:
         out = propagate(dfa, store.copy(), mode)
         assert not out.failed
@@ -327,14 +320,14 @@ def test_kernel_matches_reference_loops(pair):
     for mode, sent in (("min", UNREACHABLE_MIN), ("max", UNREACHABLE_MAX)):
         pre = forward(dfa, store, mode)
         assert pre == reference_kernel.forward(dfa, store, mode)
-        # The backward base row needs a forward row; the reference's is the
-        # kernel's, checked just above.
-        suf = backward(dfa, store, pre[-1], mode)
-        assert suf == reference_kernel.backward(dfa, store, pre[-1], mode)
+        # Suffixes may end anywhere: the reference's base row is 0 at every state.
+        suf = backward(dfa, store, mode)
+        assert suf == reference_kernel.backward(dfa, store, [0] * dfa.num_states, mode)
         assert_reachable_ints(pre, sent)
         assert_reachable_ints(suf, sent)
         table[mode] = pre, suf
-    expected = SweepTable(table["min"][0], table["max"][0], table["min"][1], table["max"][1], pass_symbols(store))
+    expected = SweepTable(table["min"][0], table["max"][0], table["min"][1], table["max"][1], pass_symbols(store),
+                          len(store.removal_log))
     assert SweepTable.compute(dfa, store) == expected
     # An unbuilt side reads as unbounded in every entry of every row.
     for min_side, max_side in ((True, False), (False, True)):
@@ -351,11 +344,9 @@ def test_empty_domain_rows_match_reference_loops():
     dfa = catalog("AAB")
     store = DomainStore(dfa.num_symbols, [(0, 1), (), (1,)], (0,))
     for mode in ("min", "max"):
-        pre = forward(dfa, store, mode)
-        assert pre == reference_kernel.forward(dfa, store, mode)
-        assert backward(dfa, store, pre[-1], mode) == reference_kernel.backward(dfa, store, pre[-1], mode)
-        full = [1 if mode == "min" else 0] * dfa.num_states
-        assert backward(dfa, store, full, mode) == reference_kernel.backward(dfa, store, full, mode)
+        assert forward(dfa, store, mode) == reference_kernel.forward(dfa, store, mode)
+        zero = [0] * dfa.num_states
+        assert backward(dfa, store, mode) == reference_kernel.backward(dfa, store, zero, mode)
 
 
 @given(dfa_store_pairs(max_n=6), st.integers(1, 3))
@@ -371,3 +362,92 @@ def test_pass_symbols_match_store_symbols(pair, cache_size):
     finally:
         sweep_module.SYMBOL_CACHE_SIZE = saved
     assert [list(syms) for syms in got] == [store.symbols(i) for i in range(store.n)]
+
+
+# -- incremental rebuilds --------------------------------------------------------
+
+SIDES = ((True, True), (True, False), (False, True))
+#: The unpatched builder, for tests that wrap ``SweepTable.compute``.
+COMPUTE = SweepTable.compute
+
+
+def assert_matching_support(table):
+    """The min and max prefix rows agree on reachability, and every unreachable
+    entry of a built prefix row is its sentinel object."""
+    for row_min, row_max in zip(table.pre_min, table.pre_max):
+        for cmin, cmax in zip(row_min, row_max):
+            if cmin != -math.inf and cmax != math.inf:  # both sides built
+                assert (cmin == UNREACHABLE_MIN) == (cmax == UNREACHABLE_MAX)
+            assert cmin is UNREACHABLE_MIN or cmin != UNREACHABLE_MIN
+            assert cmax is UNREACHABLE_MAX or cmax != UNREACHABLE_MAX
+
+
+def assert_matches_full_rebuild(dfa, store, table, previous, min_side, max_side):
+    full = COMPUTE(dfa, store.copy(), min_side, max_side)
+    assert (table.pre_min, table.pre_max, table.suf_min, table.suf_max) == \
+        (full.pre_min, full.pre_max, full.suf_min, full.suf_max)
+    assert table.mark == len(store.removal_log)
+    assert_matching_support(table)
+    assert_matching_support(full)
+    if previous is None:
+        return
+    # Rows no change reaches are the previous table's row objects.
+    changed = sorted({var for var, _ in store.removal_log[previous.mark:] if var != COUNTER_VAR})
+    first = changed[0] if changed else store.n
+    last = changed[-1] if changed else -1
+    for built, pre, suf in ((min_side, "pre_min", "suf_min"), (max_side, "pre_max", "suf_max")):
+        if built:
+            new_pre, old_pre = getattr(table, pre), getattr(previous, pre)
+            new_suf, old_suf = getattr(table, suf), getattr(previous, suf)
+            assert all(new_pre[i] is old_pre[i] for i in range(first + 1))
+            assert all(new_suf[i] is old_suf[i] for i in range(last + 2, store.n + 2))
+
+
+MIXED_PAIRS = st.one_of(dfa_store_pairs(max_n=12), dfa_store_pairs(max_n=12, increments=NEAR_U64_MAX))
+#: Longer rows, on which exact more often takes several passes that each
+#: remove symbols at several positions.
+LONG_PAIRS = st.one_of(dfa_store_pairs(max_states=5, min_n=6, max_n=16),
+                       dfa_store_pairs(max_states=5, min_n=6, max_n=16, increments=NEAR_U64_MAX))
+
+
+@given(MIXED_PAIRS, st.sampled_from(SIDES), st.data())
+@settings(max_examples=100, deadline=None)
+def test_incremental_tables_match_a_full_rebuild(pair, sides, data):
+    # Rounds of arbitrary removals, some of which empty a domain.
+    dfa, store = pair
+    table = SweepTable.compute(dfa, store, *sides)
+    assert_matches_full_rebuild(dfa, store, table, None, *sides)
+    for _ in range(data.draw(st.integers(1, 4))):
+        cells = [(i, s) for i in range(store.n) for s in store.symbols(i)]
+        if not cells:
+            break
+        for i, s in data.draw(st.lists(st.sampled_from(cells), max_size=6)):
+            store.remove_symbol(i, s)
+        if data.draw(st.booleans()) and len(store.counter) > 1:
+            store.remove_counter(store.counter[-1])
+        previous, table = table, SweepTable.compute(dfa, store, *sides, previous=table)
+        assert_matches_full_rebuild(dfa, store, table, previous, *sides)
+
+
+@given(LONG_PAIRS)
+@settings(max_examples=100, deadline=None)
+def test_incremental_tables_match_a_full_rebuild_after_every_pass(pair):
+    dfa, store = pair
+    descriptor = SweepTable.__dict__["compute"]
+    builds = []
+
+    def checked(cls, dfa, store, min_side=True, max_side=True, previous=None):
+        table = COMPUTE(dfa, store, min_side, max_side, previous)
+        assert_matches_full_rebuild(dfa, store, table, previous, min_side, max_side)
+        builds.append(previous is not None)
+        return table
+
+    SweepTable.compute = classmethod(checked)
+    try:
+        for mode in MODES:
+            builds.clear()
+            out = propagate(dfa, store.copy(), mode)
+            # Each exact pass after the first rebuilds from the previous pass's table.
+            assert builds == [mode == "exact" and i > 0 for i in range(out.passes)]
+    finally:
+        SweepTable.compute = descriptor
