@@ -36,7 +36,6 @@ from .automaton import (
 from .domains import (
     COUNTER_VAR,
     DomainStore,
-    EmptyDomain,
     Instance,
     MalformedInstance,
     RemoveResult,

@@ -3,7 +3,8 @@
 Sequence-variable domains are bitmasks over the automaton alphabet; the
 counter domain is an explicit sorted list of nonnegative integers because the
 exact-counting rule intersects intervals with it and must see holes.  Every
-removal is appended to ``removal_log`` so pruning can be counted and replayed.
+removal is appended to ``removal_log`` so pruning can be counted and a partial
+sweep rebuild can find the positions that changed.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ from .signature import SignatureMap, among_signature
 
 #: Variable key used for the counter variable in removal-log entries.
 COUNTER_VAR = "N"
-
-
-class EmptyDomain(Exception):
-    """min/max asked of an empty counter domain."""
 
 
 class RemoveResult(enum.Enum):
@@ -62,12 +59,6 @@ class DomainStore:
         mask = self.domains[i]
         return [s for s in range(self.alphabet_size) if mask >> s & 1]
 
-    def has_symbol(self, i: int, sym: int) -> bool:
-        return bool(self.domains[i] >> sym & 1)
-
-    def domain_size(self, i: int) -> int:
-        return bin(self.domains[i]).count("1")
-
     def remove_symbol(self, i: int, sym: int) -> RemoveResult:
         bit = 1 << sym
         if not self.domains[i] & bit:
@@ -83,16 +74,6 @@ class DomainStore:
                 self.remove_symbol(i, other)
 
     # -- counter variable ----------------------------------------------------
-
-    def min_counter(self) -> int:
-        if not self.counter:
-            raise EmptyDomain("counter domain is empty")
-        return self.counter[0]
-
-    def max_counter(self) -> int:
-        if not self.counter:
-            raise EmptyDomain("counter domain is empty")
-        return self.counter[-1]
 
     def counter_has_between(self, lo, hi) -> bool:
         """True iff some counter value v satisfies lo <= v <= hi (holes respected)."""
@@ -113,16 +94,6 @@ class DomainStore:
                 self.remove_counter(other)
 
     # -- whole-store helpers ---------------------------------------------
-
-    def is_ground(self) -> bool:
-        return len(self.counter) == 1 and all(self.domain_size(i) == 1 for i in range(self.n))
-
-    def replay(self, removals: Iterable[tuple[int | str, int]]) -> None:
-        for var, value in removals:
-            if var == COUNTER_VAR:
-                self.remove_counter(value)
-            else:
-                self.remove_symbol(var, value)
 
     def copy(self) -> "DomainStore":
         dup = DomainStore.__new__(DomainStore)

@@ -24,12 +24,25 @@ a removal can narrow other intervals, so ``propagate_exact`` loops until a
 pass removes nothing.  ``propagate_decomposed`` runs atmost and atleast to
 their mutual fixpoint: the baseline the exact rule strictly dominates.
 
+Two skips save work and change no removal.  First, every reachable interval
+lies inside ``[least, greatest]``, the range of the full-string counters.
+So, if dom(N) has no holes, the cheapest end can exceed max(dom(N)) only if
+``greatest`` does, and the costliest end can fall below min(dom(N)) only if
+``least`` does.  An exact pass therefore builds the suffix rows of an end
+only where dom(N) cuts into that range (both ends when dom(N) has holes),
+and a pass that builds neither skips the symbol loop.  Second, no pass
+checks a position whose domain is one symbol ``s``.  Through it, the interval
+of ``(i, next_state[q'][s'], s)`` contains that of ``(i - 1, q', s')``, so
+any survivor at ``i - 1`` supports ``s``.  At position 1 the interval is
+``[least, greatest]``, which the global check has already tested.
+
 All propagators mutate one store and append every removal to its log.
 ``passes`` counts table builds: one per atmost or atleast run (a forward and
-a backward sweep in one mode) and one per exact round (all four sweeps);
-the decomposition's ``passes`` sums those of its component runs.  An exact
-round after the first rebuilds only the rows its predecessor's removals
-reach (see :mod:`regcount.sweep`) and still counts as one pass.
+a backward sweep in one mode) and one per exact round (both prefix sweeps
+and the suffix sweeps the round needs); the decomposition's ``passes`` sums
+those of its component runs.  An exact round after the first rebuilds only
+the rows its predecessor's removals reach (see :mod:`regcount.sweep`) and
+still counts as one pass.
 """
 
 from __future__ import annotations
@@ -123,20 +136,25 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
     table = None
     while True:
         passes += 1
-        # A pass after the first rebuilds only the rows that the previous
-        # pass's removals reach.
-        table = SweepTable.compute(dfa, store, min_side, max_side, table)
-        least, greatest = table.global_min(), table.global_max()
-        if not store.counter_has_between(least, greatest):
-            return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
         bottom, top = store.counter[0], store.counter[-1]
         # An interval meets dom(N) iff it meets [bottom, top], unless both of
         # its ends are finite and dom(N) has holes.
         holes = two_sided and top - bottom >= len(store.counter)
+        # A pass after the first rebuilds only the rows that the previous
+        # pass's removals reach.  An end's suffix rows are built only where
+        # dom(N) can bind it (see the module docstring).
+        table = SweepTable.compute(dfa, store, min_side, max_side, table,
+                                   lambda least, greatest: (holes or top < greatest, holes or bottom > least))
+        least, greatest = table.global_min(), table.global_max()
+        if not store.counter_has_between(least, greatest):
+            return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
         # Reachability is read off a built side's prefix rows.
         reach_rows, sent = (table.pre_min, UNREACHABLE_MIN) if min_side else (table.pre_max, UNREACHABLE_MAX)
         changed = False
-        for i, syms in enumerate(table.symbols, 1):
+        # With no suffix side built, no end binds and every symbol survives.
+        for i, syms in enumerate(table.symbols if any(table.suffixes) else (), 1):
+            if len(syms) == 1:
+                continue  # supported by any survivor at i - 1 (see the module docstring)
             reach = reach_rows[i - 1]
             pre_min_row = table.pre_min[i - 1]
             pre_max_row = table.pre_max[i - 1]

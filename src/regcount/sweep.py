@@ -47,9 +47,14 @@ float), because the filter and the forward sweep test reachability with
 
 :meth:`SweepTable.compute` builds the min side (``pre_min``/``suf_min``), the
 max side, or both, and runs only those sweeps: atmost needs the min side,
-atleast the max side and exact both.  Every entry of an unbuilt side is the
-unbounded end, ``-inf`` for min and ``+inf`` for max, so an interval summed
-over it stays open on that end.
+atleast the max side and exact both.  It builds the prefix rows first; a
+caller may then skip the suffix rows of a built side, given the least and
+greatest full-string counters those rows yield (exact skips an end that
+dom(N) cannot bind, see :mod:`regcount.propagators`).  Every entry of an
+unbuilt side or skipped suffix side is the unbounded end, ``-inf`` for min
+and ``+inf`` for max, so an interval summed over it stays open on that end.
+A suffix side that the previous table skipped has no rows to start from, so
+a partial rebuild builds it in full.
 
 Counters are exact integers, so no sum wraps or raises.  Increments stay
 validated at ``<= U64_MAX``, which keeps every sum far below the float range,
@@ -71,7 +76,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import add
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .automaton import CounterDfa
 from .domains import COUNTER_VAR, DomainStore
@@ -288,9 +293,12 @@ class SweepTable:
     """The pre/suf vectors of one store in min mode, max mode, or both.
 
     ``symbols`` is the :func:`pass_symbols` list the sweeps ran on and
-    ``mark`` the length of the store's removal log when they ran.  Every
-    row of an unbuilt side is one shared row of its unbounded end (``-inf``
-    for min, ``+inf`` for max), so callers need not know which sides were built.
+    ``mark`` the length of the store's removal log when they ran.
+    ``suffixes`` says which sides, (min, max), hold built suffix rows: a
+    built side's suffix rows may be skipped (see :meth:`compute`).  Every
+    row of an unbuilt side or skipped suffix side is one shared row of its
+    unbounded end (``-inf`` for min, ``+inf`` for max), so callers need not
+    know which rows were built.
     """
 
     pre_min: list
@@ -299,15 +307,24 @@ class SweepTable:
     suf_max: list
     symbols: list
     mark: int
+    suffixes: tuple[bool, bool]
 
     @classmethod
-    def compute(cls, dfa: CounterDfa, store: DomainStore, min_side: bool = True,
-                max_side: bool = True, previous: "SweepTable | None" = None) -> "SweepTable":
+    def compute(cls, dfa: CounterDfa, store: DomainStore, min_side: bool = True, max_side: bool = True,
+                previous: "SweepTable | None" = None,
+                suffix_sides: Callable[[int, int], tuple[bool, bool]] | None = None) -> "SweepTable":
         """The table of ``store`` now.
+
+        The prefix rows of the chosen sides are built first.  ``suffix_sides``,
+        if given, is then called with the least and greatest full-string
+        counters (as :meth:`global_min` and :meth:`global_max` read them) and
+        returns which sides, (min, max), need suffix rows; by default every
+        built side gets them.
 
         ``previous``, a table of the same store and sides built earlier, makes
         this a partial rebuild: the positions of the symbol removals logged
-        since ``previous.mark`` are the changed ones.
+        since ``previous.mark`` are the changed ones.  A suffix side that
+        ``previous`` skipped is built in full.
         """
         mark = len(store.removal_log)
         symbols = pass_symbols(store)
@@ -317,18 +334,20 @@ class SweepTable:
             old = (None, None, None, None)
         else:
             changed = sorted({var for var, _ in store.removal_log[previous.mark:] if var != COUNTER_VAR})
-            old = (previous.pre_min, previous.pre_max, previous.suf_min, previous.suf_max)
-        if min_side:
-            pre_min = forward(dfa, store, "min", symbols, old[0], changed)
-            suf_min = backward(dfa, store, "min", symbols, old[2], changed)
-        else:
-            pre_min = suf_min = [[-math.inf] * dfa.num_states] * rows
-        if max_side:
-            pre_max = forward(dfa, store, "max", symbols, old[1], changed)
-            suf_max = backward(dfa, store, "max", symbols, old[3], changed)
-        else:
-            pre_max = suf_max = [[math.inf] * dfa.num_states] * rows
-        return cls(pre_min, pre_max, suf_min, suf_max, symbols, mark)
+            built_min, built_max = previous.suffixes
+            old = (previous.pre_min, previous.pre_max, previous.suf_min if built_min else None,
+                   previous.suf_max if built_max else None)
+        open_min = [[-math.inf] * dfa.num_states] * rows
+        open_max = [[math.inf] * dfa.num_states] * rows
+        pre_min = forward(dfa, store, "min", symbols, old[0], changed) if min_side else open_min
+        pre_max = forward(dfa, store, "max", symbols, old[1], changed) if max_side else open_max
+        suffixes = (min_side, max_side)
+        if suffix_sides is not None:
+            need_min, need_max = suffix_sides(min(pre_min[-1]), max(pre_max[-1]))
+            suffixes = (min_side and need_min, max_side and need_max)
+        suf_min = backward(dfa, store, "min", symbols, old[2], changed) if suffixes[0] else open_min
+        suf_max = backward(dfa, store, "max", symbols, old[3], changed) if suffixes[1] else open_max
+        return cls(pre_min, pre_max, suf_min, suf_max, symbols, mark, suffixes)
 
     def global_min(self) -> int:
         """Least counter value over admissible full-length strings; ``-inf`` if the min side is unbuilt.

@@ -133,7 +133,7 @@ def propagate_bound(dfa, store, minimize):
     pre = forward(dfa, store, mode)
     suf = backward(dfa, store, pre[-1], mode)
     extremal = row_min(pre[-1]) if minimize else row_max(pre[-1])
-    bound = store.max_counter() if minimize else store.min_counter()
+    bound = store.counter[-1] if minimize else store.counter[0]
     if (extremal > bound) if minimize else (extremal < bound):
         return PropagationOutcome(FAILED, store.removal_log[mark:], 1)
     for i in range(1, store.n + 1):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 
+import reference_kernel
 from regcount import U64_MAX, CounterDfa, DomainStore, SignatureMap, validate
 
 _LETTERS = "abcd"
@@ -47,6 +48,46 @@ def dfa_store_pairs(
     symbol = st.integers(0, dfa.num_symbols - 1)
     domains = [draw(st.sets(symbol, min_size=1)) for _ in range(n)]
     counter = draw(st.sets(st.integers(0, max_counter), min_size=1))
+    return dfa, DomainStore(dfa.num_symbols, domains, counter)
+
+
+@st.composite
+def windowed(draw, pairs):
+    """A pair drawn from ``pairs`` with dom(N) redrawn against its counter range.
+
+    ``least`` and ``greatest`` are the global minimum and maximum full-string
+    counters, read off the reference sweeps.  dom(N) is an interval covering
+    [least, greatest] ("cover"), an interval that cuts only its low end
+    ("low") or only its high end ("high"), or a random set around it that
+    usually has holes ("holes").  A cut range wider than a few values is
+    windowed near the cut; a range too wide to cover falls back to "low".
+    Half of the pairs have at least half of their positions reduced to one
+    symbol.
+    """
+    dfa, store = draw(pairs)
+    domains = [store.symbols(i) for i in range(store.n)]
+    if draw(st.booleans()):
+        for i in draw(st.sets(st.integers(0, store.n - 1), min_size=(store.n + 1) // 2)) if store.n else ():
+            domains[i] = [draw(st.sampled_from(domains[i]))]
+    store = DomainStore(dfa.num_symbols, domains, (0,))
+    least = min(reference_kernel.forward(dfa, store, "min")[-1])
+    greatest = max(reference_kernel.forward(dfa, store, "max")[-1])
+    slack = st.integers(0, 2)
+    shape = draw(st.sampled_from(("cover", "low", "high", "holes")))
+    if shape == "cover" and greatest - least > 64:
+        shape = "low"
+    if shape in ("low", "high") and greatest == least:
+        shape = "cover"
+    if shape == "cover":
+        counter = range(max(0, least - draw(slack)), greatest + draw(slack) + 1)
+    elif shape == "low":
+        counter = range(max(0, least - draw(slack)), least + draw(st.integers(0, min(greatest - least - 1, 6))) + 1)
+    elif shape == "high":
+        counter = range(greatest - draw(st.integers(0, min(greatest - least - 1, 6))), greatest + draw(slack) + 1)
+    else:
+        around = st.one_of(st.integers(max(0, least - 2), least + 2), st.integers(max(0, greatest - 2), greatest + 2),
+                           st.integers(least, greatest))
+        counter = draw(st.sets(around, min_size=1, max_size=6))
     return dfa, DomainStore(dfa.num_symbols, domains, counter)
 
 

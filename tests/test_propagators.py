@@ -22,7 +22,7 @@ from regcount import (
     run,
 )
 from regcount import sweep as sweep_module
-from strategies import NEAR_U64_MAX, dfa_store_pairs
+from strategies import NEAR_U64_MAX, dfa_store_pairs, windowed
 
 B = catalog("B")
 ONE, TWO = B.symbol_id("1"), B.symbol_id("2")
@@ -229,7 +229,7 @@ def test_decomposed_misses_last_position_inference():
     out = propagate_decomposed(B, store)
     assert not out.failed
     assert (4, TWO) not in out.removals
-    assert store.has_symbol(4, TWO)
+    assert TWO in store.symbols(4)
 
 
 def test_decomposed_ground_satisfiable_is_silent():
@@ -308,7 +308,7 @@ def test_exact_dominates_decomposition(pair):
 @settings(max_examples=60, deadline=None)
 def test_exact_pass_count_is_bounded(pair):
     dfa, store = pair
-    budget = sum(store.domain_size(i) for i in range(store.n)) + len(store.counter)
+    budget = sum(map(int.bit_count, store.domains)) + len(store.counter)
     out = propagate_exact(dfa, store.copy())
     assert out.passes <= max(budget, 1)
 
@@ -355,11 +355,19 @@ def test_decomposed_early_stop_matches_full_rounds(pair):
     assert new.passes <= old.passes
 
 
-@given(st.one_of(dfa_store_pairs(max_n=6, max_counter=12), dfa_store_pairs(max_n=6, increments=NEAR_U64_MAX)))
-@settings(max_examples=200, deadline=None)
+SHORT_PAIRS = st.one_of(dfa_store_pairs(max_n=6, max_counter=12), dfa_store_pairs(max_n=6, increments=NEAR_U64_MAX))
+#: Wider increments spread the counter range, so windows cut into it more often.
+WINDOWED_PAIRS = windowed(st.one_of(dfa_store_pairs(min_n=3, max_n=8, max_increment=3),
+                                    dfa_store_pairs(max_n=6, increments=NEAR_U64_MAX)))
+
+
+@given(st.one_of(SHORT_PAIRS, WINDOWED_PAIRS))
+@settings(max_examples=300, deadline=None)
 def test_interval_filter_matches_reference_loops(pair):
     # The one interval loop against a plain loop per semantics: the bound
     # rules' least/greatest edge cost and the exact rule's interval check.
+    # Windowed stores reach every skip: exact passes that build one suffix
+    # side or none, and positions reduced to one symbol.
     dfa, store = pair
     for mode, reference in reference_kernel.PROPAGATORS.items():
         new_store, old_store = store.copy(), store.copy()

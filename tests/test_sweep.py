@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import itertools
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +24,7 @@ from regcount import (
 from regcount import sweep as sweep_module
 from regcount.oracle import check_dc
 from regcount.sweep import UNREACHABLE_MAX, UNREACHABLE_MIN, pass_symbols
-from strategies import NEAR_U64_MAX, dfa_store_pairs
+from strategies import NEAR_U64_MAX, dfa_store_pairs, windowed
 
 
 # -- brute-force row oracle (enumeration; shares no sweep code) --------------
@@ -327,11 +329,12 @@ def test_kernel_matches_reference_loops(pair):
         assert_reachable_ints(suf, sent)
         table[mode] = pre, suf
     expected = SweepTable(table["min"][0], table["max"][0], table["min"][1], table["max"][1], pass_symbols(store),
-                          len(store.removal_log))
+                          len(store.removal_log), (True, True))
     assert SweepTable.compute(dfa, store) == expected
     # An unbuilt side reads as unbounded in every entry of every row.
     for min_side, max_side in ((True, False), (False, True)):
         one = SweepTable.compute(dfa, store, min_side, max_side)
+        assert one.suffixes == (min_side, max_side)
         for built, rows, full, unbounded in ((min_side, (one.pre_min, one.suf_min), table["min"], -math.inf),
                                              (max_side, (one.pre_max, one.suf_max), table["max"], math.inf)):
             if built:
@@ -384,22 +387,32 @@ def assert_matching_support(table):
 
 def assert_matches_full_rebuild(dfa, store, table, previous, min_side, max_side):
     full = COMPUTE(dfa, store.copy(), min_side, max_side)
-    assert (table.pre_min, table.pre_max, table.suf_min, table.suf_max) == \
-        (full.pre_min, full.pre_max, full.suf_min, full.suf_max)
+    assert (table.pre_min, table.pre_max) == (full.pre_min, full.pre_max)
+    # Every built suffix row equals a full rebuild, also on a side that the
+    # previous table skipped; a skipped side reads as unbounded.
+    assert table.suffixes[0] <= min_side and table.suffixes[1] <= max_side
+    for built, rows, full_rows, unbounded in ((table.suffixes[0], table.suf_min, full.suf_min, -math.inf),
+                                              (table.suffixes[1], table.suf_max, full.suf_max, math.inf)):
+        if built:
+            assert rows == full_rows
+        else:
+            assert all(c == unbounded for row in rows for c in row)
     assert table.mark == len(store.removal_log)
     assert_matching_support(table)
     assert_matching_support(full)
     if previous is None:
         return
-    # Rows no change reaches are the previous table's row objects.
+    # Rows no change reaches are the previous table's row objects, on every
+    # side both tables built.
     changed = sorted({var for var, _ in store.removal_log[previous.mark:] if var != COUNTER_VAR})
     first = changed[0] if changed else store.n
     last = changed[-1] if changed else -1
-    for built, pre, suf in ((min_side, "pre_min", "suf_min"), (max_side, "pre_max", "suf_max")):
-        if built:
+    for side, pre, suf in ((0, "pre_min", "suf_min"), (1, "pre_max", "suf_max")):
+        if (min_side, max_side)[side]:
             new_pre, old_pre = getattr(table, pre), getattr(previous, pre)
-            new_suf, old_suf = getattr(table, suf), getattr(previous, suf)
             assert all(new_pre[i] is old_pre[i] for i in range(first + 1))
+        if table.suffixes[side] and previous.suffixes[side]:
+            new_suf, old_suf = getattr(table, suf), getattr(previous, suf)
             assert all(new_suf[i] is old_suf[i] for i in range(last + 2, store.n + 2))
 
 
@@ -408,14 +421,17 @@ MIXED_PAIRS = st.one_of(dfa_store_pairs(max_n=12), dfa_store_pairs(max_n=12, inc
 #: remove symbols at several positions.
 LONG_PAIRS = st.one_of(dfa_store_pairs(max_states=5, min_n=6, max_n=16),
                        dfa_store_pairs(max_states=5, min_n=6, max_n=16, increments=NEAR_U64_MAX))
+BOOL_PAIRS = st.tuples(st.booleans(), st.booleans())
 
 
 @given(MIXED_PAIRS, st.sampled_from(SIDES), st.data())
 @settings(max_examples=100, deadline=None)
 def test_incremental_tables_match_a_full_rebuild(pair, sides, data):
-    # Rounds of arbitrary removals, some of which empty a domain.
+    # Rounds of arbitrary removals, some of which empty a domain, each
+    # followed by a build of an arbitrary choice of suffix sides.
     dfa, store = pair
-    table = SweepTable.compute(dfa, store, *sides)
+    wanted = data.draw(BOOL_PAIRS)
+    table = SweepTable.compute(dfa, store, *sides, suffix_sides=lambda least, greatest: wanted)
     assert_matches_full_rebuild(dfa, store, table, None, *sides)
     for _ in range(data.draw(st.integers(1, 4))):
         cells = [(i, s) for i in range(store.n) for s in store.symbols(i)]
@@ -425,29 +441,84 @@ def test_incremental_tables_match_a_full_rebuild(pair, sides, data):
             store.remove_symbol(i, s)
         if data.draw(st.booleans()) and len(store.counter) > 1:
             store.remove_counter(store.counter[-1])
-        previous, table = table, SweepTable.compute(dfa, store, *sides, previous=table)
+        wanted = data.draw(BOOL_PAIRS)
+        previous, table = table, SweepTable.compute(dfa, store, *sides, previous=table,
+                                                    suffix_sides=lambda least, greatest: wanted)
+        assert table.suffixes == (sides[0] and wanted[0], sides[1] and wanted[1])
         assert_matches_full_rebuild(dfa, store, table, previous, *sides)
 
 
-@given(LONG_PAIRS)
-@settings(max_examples=100, deadline=None)
-def test_incremental_tables_match_a_full_rebuild_after_every_pass(pair):
-    dfa, store = pair
+#: Long pairs whose dom(N) :func:`strategies.windowed` places against their
+#: counter range, with wider increments so that windows cut into it more often.
+WINDOWED_LONG_PAIRS = windowed(st.one_of(dfa_store_pairs(max_states=5, min_n=6, max_n=16, max_increment=3),
+                                         dfa_store_pairs(max_states=5, min_n=6, max_n=16, increments=NEAR_U64_MAX)))
+
+
+@contextlib.contextmanager
+def checked_builds():
+    """Check every ``SweepTable.compute`` call in the block against a full
+    rebuild and the suffix-side rule; yields the list of (partial rebuild,
+    suffix sides built) per call."""
     descriptor = SweepTable.__dict__["compute"]
     builds = []
 
-    def checked(cls, dfa, store, min_side=True, max_side=True, previous=None):
-        table = COMPUTE(dfa, store, min_side, max_side, previous)
+    def checked(cls, dfa, store, min_side=True, max_side=True, previous=None, suffix_sides=None):
+        bottom, top, size = store.counter[0], store.counter[-1], len(store.counter)
+        table = COMPUTE(dfa, store, min_side, max_side, previous, suffix_sides)
         assert_matches_full_rebuild(dfa, store, table, previous, min_side, max_side)
-        builds.append(previous is not None)
+        # A one-sided rule reads its suffix side in every pass.  Exact reads
+        # both when dom(N) has holes, else only the ends where dom(N) cuts
+        # into [least, greatest].
+        least, greatest = table.global_min(), table.global_max()
+        if not (min_side and max_side):
+            assert table.suffixes == (min_side, max_side)
+        elif top - bottom >= size:
+            assert table.suffixes == (True, True)
+        else:
+            assert table.suffixes == (top < greatest, bottom > least)
+        builds.append((previous is not None, table.suffixes))
         return table
 
     SweepTable.compute = classmethod(checked)
     try:
-        for mode in MODES:
-            builds.clear()
-            out = propagate(dfa, store.copy(), mode)
-            # Each exact pass after the first rebuilds from the previous pass's table.
-            assert builds == [mode == "exact" and i > 0 for i in range(out.passes)]
+        yield builds
     finally:
         SweepTable.compute = descriptor
+
+
+@given(st.one_of(LONG_PAIRS, WINDOWED_LONG_PAIRS))
+@settings(max_examples=150, deadline=None)
+def test_incremental_tables_match_a_full_rebuild_after_every_pass(pair):
+    dfa, store = pair
+    for mode in MODES:
+        with checked_builds() as builds:
+            out = propagate(dfa, store.copy(), mode)
+        # Each exact pass after the first rebuilds from the previous pass's table.
+        assert [partial for partial, _ in builds] == [mode == "exact" and i > 0 for i in range(out.passes)]
+
+
+#: "x" stays in state 0 for free; "y" moves to state 1 for 3.  Over one
+#: position with both symbols, the end intervals are [0, 0] and [3, 3].
+GAP = CounterDfa(num_states=2, alphabet=("x", "y"), start=0, next_state=((0, 1), (1, 1)),
+                 increment=((0, 3), (0, 0)))
+
+
+@pytest.mark.parametrize("counter, removals, builds", [
+    # [0, 3] covers [least, greatest]: pass 1 builds no suffix side and the N
+    # filter opens holes at 1 and 2, so pass 2 builds both sides in full.
+    (range(4), [(COUNTER_VAR, 1), (COUNTER_VAR, 2)], [(False, (False, False)), (True, (True, True))]),
+    # A window at the low end needs only the min side, one at the high end
+    # only the max side; once N is fixed, no side binds.
+    (range(2), [(0, 1), (COUNTER_VAR, 1)], [(False, (True, False)), (True, (False, False))]),
+    (range(2, 6), [(0, 0), (COUNTER_VAR, 2), (COUNTER_VAR, 4), (COUNTER_VAR, 5)],
+     [(False, (False, True)), (True, (False, False))]),
+])
+def test_exact_builds_the_suffix_sides_dom_n_can_bind(counter, removals, builds):
+    store = DomainStore(GAP.num_symbols, [(0, 1)], counter)
+    reference = store.copy()
+    with checked_builds() as built:
+        out = propagate(GAP, store, "exact")
+    assert (out.removals, built) == (removals, builds)
+    expected = reference_kernel.propagate_exact(GAP, reference)
+    assert (out.status, out.removals, out.passes, store) == (expected.status, expected.removals, expected.passes,
+                                                            reference)
