@@ -21,34 +21,48 @@ loses its support; atmost and atleast run once and are idempotent.  With
 both ends bounded the rule is sound but incomplete (domain consistency for
 exact counting is NP-hard, see :func:`regcount.automaton.build_subset_sum_dfa`):
 a removal can narrow other intervals, so ``propagate_exact`` loops until a
-pass removes nothing.  ``propagate_decomposed`` runs atmost and atleast to
-their mutual fixpoint: the baseline the exact rule strictly dominates.
+pass removes nothing.
 
-Two skips save work and change no removal.  First, every reachable interval
-lies inside ``[least, greatest]``, the range of the full-string counters.
-So, if dom(N) has no holes, the cheapest end can exceed max(dom(N)) only if
-``greatest`` does, and the costliest end can fall below min(dom(N)) only if
-``least`` does.  An exact pass therefore builds the suffix rows of an end
-only where dom(N) cuts into that range (both ends when dom(N) has holes),
-and a pass that builds neither skips the symbol loop.  Second, no pass
-checks a position whose domain is one symbol ``s``.  Through it, the interval
-of ``(i, next_state[q'][s'], s)`` contains that of ``(i - 1, q', s')``, so
-any survivor at ``i - 1`` supports ``s``.  At position 1 the interval is
-``[least, greatest]``, which the global check has already tested.
+``propagate_decomposed``, the baseline the exact rule strictly dominates,
+is the decomposition of exact counting into atmost and atleast.  It runs
+the same two-sided passes as exact, but checks each end on its own: a
+symbol survives iff some reachable state's cheapest end is at most
+max(dom(N)) and some state's costliest end, not necessarily the same
+state's, is at least min(dom(N)); holes are ignored, and an N-value
+survives iff it lies in ``[least, greatest]``.  Each one-sided rule only
+removes, and on a smaller store removes at least as much, so any schedule
+that applies both until neither removes anything reaches the same greatest
+common fixpoint: applying both in each pass gives the status, final store
+and removal set of alternating whole atmost and atleast runs, with the
+removals in another order.
+
+Three skips save work and change no fixpoint.  First, every reachable
+interval lies inside ``[least, greatest]``, the range of the full-string
+counters.  So, if dom(N) has no holes (or they are ignored), the cheapest
+end can exceed max(dom(N)) only if ``greatest`` does, and the costliest end
+can fall below min(dom(N)) only if ``least`` does.  A two-sided pass
+therefore builds the suffix rows of an end only where dom(N) cuts into that
+range (both ends when exact's dom(N) has holes), and a pass that builds
+neither skips the symbol loop.  Second, a pass whose dom(N) misses
+``[least, greatest]`` fails before it reads a suffix row, so no semantics
+builds one there.  Third, no pass checks a position whose domain is one
+symbol ``s``.  Through it, the interval of ``(i, next_state[q'][s'], s)``
+contains that of ``(i - 1, q', s')``, so any survivor at ``i - 1`` supports
+``s``, end by end.  At position 1 the interval is ``[least, greatest]``,
+which the global check has already tested.
 
 All propagators mutate one store and append every removal to its log.
 ``passes`` counts table builds: one per atmost or atleast run (a forward and
-a backward sweep in one mode) and one per exact round (both prefix sweeps
-and the suffix sweeps the round needs); the decomposition's ``passes`` sums
-those of its component runs.  An exact round after the first rebuilds only
-the rows its predecessor's removals reach (see :mod:`regcount.sweep`) and
-still counts as one pass.
+a backward sweep in one mode) and one per exact or decomposition round (both
+prefix sweeps and the suffix sweeps the round needs).  A round after the
+first rebuilds only the rows its predecessor's removals reach (see
+:mod:`regcount.sweep`) and still counts as one pass.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
+import math
 from dataclasses import dataclass, field
 
 from .automaton import CounterDfa
@@ -120,17 +134,33 @@ def propagate_exact(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome:
     return _filter(dfa, store, Mode.EXACT)
 
 
-#: The ends of the completion interval each semantics bounds: (cheapest, costliest).
-_BOUNDED_SIDES = {Mode.ATMOST: (True, False), Mode.ATLEAST: (False, True), Mode.EXACT: (True, True)}
+def propagate_decomposed(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome:
+    """Common fixpoint of the atmost and atleast rules: the baseline for exact.
+
+    Two-sided passes that check each end of the interval on its own and
+    ignore holes in dom(N), until a pass removes nothing (see the module
+    docstring).  Sound for exact counting but weaker than
+    :func:`propagate_exact`, whose removal set always contains this one's.
+    """
+    return _filter(dfa, store, Mode.DECOMPOSED_EXACT)
+
+
+#: Per mode: the ends of the completion interval its rule bounds (cheapest,
+#: costliest), and whether both must hold at one state.
+_RULES = {
+    Mode.ATMOST: (True, False, False),
+    Mode.ATLEAST: (False, True, False),
+    Mode.EXACT: (True, True, True),
+    Mode.DECOMPOSED_EXACT: (True, True, False),
+}
 
 
 def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutcome:
-    """The interval rule for ``mode``'s semantics, run to its fixpoint."""
+    """The interval rule for ``mode``, run to its fixpoint."""
     mark = len(store.removal_log)
     if not store.counter or not all(store.domains):
         return PropagationOutcome(FAILED, [], 0)
-    min_side, max_side = _BOUNDED_SIDES[mode]
-    two_sided = min_side and max_side
+    min_side, max_side, joint = _RULES[mode]
     nxt, inc = dfa.next_state, dfa.increment
     passes = 0
     table = None
@@ -139,73 +169,67 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
         bottom, top = store.counter[0], store.counter[-1]
         # An interval meets dom(N) iff it meets [bottom, top], unless both of
         # its ends are finite and dom(N) has holes.
-        holes = two_sided and top - bottom >= len(store.counter)
+        holes = joint and top - bottom >= len(store.counter)
+
+        def suffix_sides(least, greatest):
+            # An end's suffix rows are built only where dom(N) can bind it,
+            # and none for a pass that fails (see the module docstring).
+            if not store.counter_has_between(least, greatest):
+                return False, False
+            return holes or top < greatest, holes or bottom > least
+
         # A pass after the first rebuilds only the rows that the previous
-        # pass's removals reach.  An end's suffix rows are built only where
-        # dom(N) can bind it (see the module docstring).
-        table = SweepTable.compute(dfa, store, min_side, max_side, table,
-                                   lambda least, greatest: (holes or top < greatest, holes or bottom > least))
+        # pass's removals reach.
+        table = SweepTable.compute(dfa, store, min_side, max_side, table, suffix_sides)
         least, greatest = table.global_min(), table.global_max()
         if not store.counter_has_between(least, greatest):
             return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
+        # The windows [floor, ceiling] an interval must meet, one loop each:
+        # one window for both ends at once, or one per end on its own.  An
+        # unbuilt suffix side reads as unbounded, so with none built no end
+        # binds and every symbol survives.
+        if joint:
+            windows = [(bottom, top)] if any(table.suffixes) else []
+        else:
+            windows = [(-math.inf, top)] * table.suffixes[0] + [(bottom, math.inf)] * table.suffixes[1]
         # Reachability is read off a built side's prefix rows.
         reach_rows, sent = (table.pre_min, UNREACHABLE_MIN) if min_side else (table.pre_max, UNREACHABLE_MAX)
         changed = False
-        # With no suffix side built, no end binds and every symbol survives.
-        for i, syms in enumerate(table.symbols if any(table.suffixes) else (), 1):
-            if len(syms) == 1:
-                continue  # supported by any survivor at i - 1 (see the module docstring)
-            reach = reach_rows[i - 1]
-            pre_min_row = table.pre_min[i - 1]
-            pre_max_row = table.pre_max[i - 1]
-            suf_min_row = table.suf_min[i + 1]
-            suf_max_row = table.suf_max[i + 1]
-            for sym in syms:
-                for q, c in enumerate(reach):
-                    if c is sent:
-                        continue
-                    t = nxt[q][sym]
-                    step = inc[q][sym]
-                    lo = pre_min_row[q] + step + suf_min_row[t]
-                    hi = pre_max_row[q] + step + suf_max_row[t]
-                    assert lo != UNREACHABLE_MIN and hi != UNREACHABLE_MAX, "reachable state lost all completions"
-                    if lo <= top and hi >= bottom and (not holes or store.counter_has_between(lo, hi)):
-                        break
-                else:
-                    changed = True
-                    if store.remove_symbol(i - 1, sym) is RemoveResult.EMPTIED:
-                        return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
+        for floor, ceiling in windows:
+            for i, syms in enumerate(table.symbols, 1):
+                if len(syms) == 1:
+                    continue  # supported by any survivor at i - 1 (see the module docstring)
+                reach = reach_rows[i - 1]
+                pre_min_row = table.pre_min[i - 1]
+                pre_max_row = table.pre_max[i - 1]
+                suf_min_row = table.suf_min[i + 1]
+                suf_max_row = table.suf_max[i + 1]
+                for sym in syms:
+                    for q, c in enumerate(reach):
+                        if c is sent:
+                            continue
+                        t = nxt[q][sym]
+                        step = inc[q][sym]
+                        lo = pre_min_row[q] + step + suf_min_row[t]
+                        hi = pre_max_row[q] + step + suf_max_row[t]
+                        assert lo != UNREACHABLE_MIN and hi != UNREACHABLE_MAX, "reachable state lost all completions"
+                        if lo <= ceiling and hi >= floor and (not holes or store.counter_has_between(lo, hi)):
+                            break
+                    else:
+                        # A symbol an earlier window removed is left unchanged.
+                        changed = True
+                        if store.remove_symbol(i - 1, sym) is RemoveResult.EMPTIED:
+                            return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
         # One-sided end intervals cover exactly [least, greatest]; two-sided
         # ones may leave gaps.  An unreachable end state's interval is empty.
         ends = list(zip(table.pre_min[-1], table.pre_max[-1]))
         for v in list(store.counter):
-            if not (least <= v <= greatest and (not two_sided or any(lo <= v <= hi for lo, hi in ends))):
+            if not (least <= v <= greatest and (not joint or any(lo <= v <= hi for lo, hi in ends))):
                 changed = True
                 if store.remove_counter(v) is RemoveResult.EMPTIED:
                     return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
         # One pass is the one-sided rules' fixpoint (see the module docstring).
-        if not changed or not two_sided:
-            return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
-
-
-def propagate_decomposed(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome:
-    """Fixpoint of the atmost and atleast propagators: the baseline for exact.
-
-    Runs atmost and atleast in turn.  Both are idempotent, so once both have
-    run, a run that removes nothing leaves the other one at its fixpoint too
-    and the loop stops there; ``passes`` counts the component runs.  Sound
-    for exact counting but weaker than :func:`propagate_exact`, whose removal
-    set always contains this one's.
-    """
-    mark = len(store.removal_log)
-    passes = 0
-    for runs, component in enumerate(itertools.cycle((propagate_atmost, propagate_atleast)), 1):
-        before = len(store.removal_log)
-        out = component(dfa, store)
-        passes += out.passes
-        if out.failed:
-            return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
-        if runs >= 2 and len(store.removal_log) == before:
+        if not changed or not (min_side and max_side):
             return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
 
 

@@ -47,10 +47,11 @@ float), because the filter and the forward sweep test reachability with
 
 :meth:`SweepTable.compute` builds the min side (``pre_min``/``suf_min``), the
 max side, or both, and runs only those sweeps: atmost needs the min side,
-atleast the max side and exact both.  It builds the prefix rows first; a
-caller may then skip the suffix rows of a built side, given the least and
-greatest full-string counters those rows yield (exact skips an end that
-dom(N) cannot bind, see :mod:`regcount.propagators`).  Every entry of an
+atleast the max side, exact and the decomposition both.  It builds the
+prefix rows first; a caller may then skip the suffix rows of a built side,
+given the least and greatest full-string counters those rows yield (a pass
+skips an end that dom(N) cannot bind, and both when it is bound to fail, see
+:mod:`regcount.propagators`).  Every entry of an
 unbuilt side or skipped suffix side is the unbounded end, ``-inf`` for min
 and ``+inf`` for max, so an interval summed over it stays open on that end.
 A suffix side that the previous table skipped has no rows to start from, so

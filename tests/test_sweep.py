@@ -455,10 +455,10 @@ WINDOWED_LONG_PAIRS = windowed(st.one_of(dfa_store_pairs(max_states=5, min_n=6, 
 
 
 @contextlib.contextmanager
-def checked_builds():
+def checked_builds(mode):
     """Check every ``SweepTable.compute`` call in the block against a full
-    rebuild and the suffix-side rule; yields the list of (partial rebuild,
-    suffix sides built) per call."""
+    rebuild and ``mode``'s suffix-side rule; yields the list of (partial
+    rebuild, suffix sides built) per call."""
     descriptor = SweepTable.__dict__["compute"]
     builds = []
 
@@ -466,13 +466,17 @@ def checked_builds():
         bottom, top, size = store.counter[0], store.counter[-1], len(store.counter)
         table = COMPUTE(dfa, store, min_side, max_side, previous, suffix_sides)
         assert_matches_full_rebuild(dfa, store, table, previous, min_side, max_side)
-        # A one-sided rule reads its suffix side in every pass.  Exact reads
-        # both when dom(N) has holes, else only the ends where dom(N) cuts
-        # into [least, greatest].
+        # A pass whose dom(N) misses [least, greatest] fails before it reads
+        # a suffix row.  Otherwise a one-sided rule reads its suffix side in
+        # every pass.  Exact reads both when dom(N) has holes; else exact, and
+        # the decomposition, which ignores holes, read only the ends where
+        # dom(N) cuts into [least, greatest].
         least, greatest = table.global_min(), table.global_max()
-        if not (min_side and max_side):
+        if not any(least <= v <= greatest for v in store.counter):
+            assert table.suffixes == (False, False)
+        elif not (min_side and max_side):
             assert table.suffixes == (min_side, max_side)
-        elif top - bottom >= size:
+        elif mode == "exact" and top - bottom >= size:
             assert table.suffixes == (True, True)
         else:
             assert table.suffixes == (top < greatest, bottom > least)
@@ -491,10 +495,11 @@ def checked_builds():
 def test_incremental_tables_match_a_full_rebuild_after_every_pass(pair):
     dfa, store = pair
     for mode in MODES:
-        with checked_builds() as builds:
+        with checked_builds(mode) as builds:
             out = propagate(dfa, store.copy(), mode)
-        # Each exact pass after the first rebuilds from the previous pass's table.
-        assert [partial for partial, _ in builds] == [mode == "exact" and i > 0 for i in range(out.passes)]
+        # Each two-sided pass after the first rebuilds from the previous pass's table.
+        two_sided = mode in ("exact", "decomposed")
+        assert [partial for partial, _ in builds] == [two_sided and i > 0 for i in range(out.passes)]
 
 
 #: "x" stays in state 0 for free; "y" moves to state 1 for 3.  Over one
@@ -512,11 +517,13 @@ GAP = CounterDfa(num_states=2, alphabet=("x", "y"), start=0, next_state=((0, 1),
     (range(2), [(0, 1), (COUNTER_VAR, 1)], [(False, (True, False)), (True, (False, False))]),
     (range(2, 6), [(0, 0), (COUNTER_VAR, 2), (COUNTER_VAR, 4), (COUNTER_VAR, 5)],
      [(False, (False, True)), (True, (False, False))]),
+    # dom(N) misses [0, 3]: the pass fails and builds no suffix side.
+    (range(4, 6), [], [(False, (False, False))]),
 ])
 def test_exact_builds_the_suffix_sides_dom_n_can_bind(counter, removals, builds):
     store = DomainStore(GAP.num_symbols, [(0, 1)], counter)
     reference = store.copy()
-    with checked_builds() as built:
+    with checked_builds("exact") as built:
         out = propagate(GAP, store, "exact")
     assert (out.removals, built) == (removals, builds)
     expected = reference_kernel.propagate_exact(GAP, reference)

@@ -10,6 +10,8 @@ import importlib
 import os
 import types
 
+from regcount import propagators
+
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 
 
@@ -33,3 +35,12 @@ def test_every_traced_function_and_method_exists():
             missing.append(f"{module_name}.{cls_name}.{attr}")
     assert spans.FUNCTIONS and spans.METHODS
     assert missing == []
+
+
+def test_every_dispatch_entry_is_its_modes_module_level_propagator():
+    # The tracer rebinds dispatch entries by identity: an entry that wraps
+    # its mode's propagator (a lambda, say) would bypass the wrapper, and
+    # that propagator's metrics would read 0.
+    assert {mode: propagators._PROPAGATORS[mode] for mode in propagators.Mode} == {
+        mode: getattr(propagators, f"propagate_{mode.value}") for mode in propagators.Mode
+    }
