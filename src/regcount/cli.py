@@ -140,9 +140,16 @@ def _cmd_propagate(args) -> int:
     return 1 if result.failed else 0
 
 
+def _cap_arg(cap: int) -> int:
+    """The enumeration cap of ``--cap``: 0 means REGCOUNT_CAP or the default."""
+    if cap < 0:
+        raise CliError(f"--cap must be a positive number of ground sequences, or 0 for the default; got {cap}")
+    return cap or cap_from_env()
+
+
 def _cmd_oracle(args) -> int:
+    cap = _cap_arg(args.cap)
     inst = _instance_from_args(args)
-    cap = args.cap or cap_from_env()
     if inst.is_composite:
         assert inst.signature is not None and inst.native_domains is not None
         report = enumerate_support_native(inst.dfa, inst.signature, inst.native_domains,
@@ -188,9 +195,13 @@ def _cmd_dump_sweep(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    cfg = GenConfig(max_states=args.max_states, max_n=args.max_n, seed=args.seed)
+    cap = _cap_arg(args.cap)
+    try:
+        cfg = GenConfig(max_states=args.max_states, max_n=args.max_n, seed=args.seed)
+    except ValueError as exc:
+        raise CliError(f"--max-states and --max-n must be at least 1 ({exc})") from None
     modes = Instance.MODES if args.mode == "all" else (args.mode,)
-    report = run_fuzz(cfg, args.count, modes, cap=args.cap or cap_from_env(), threads=args.threads)
+    report = run_fuzz(cfg, args.count, modes, cap=cap, threads=args.threads)
     print(f"checked: {report.checked}")
     print(f"violations: {len(report.violations)}")
     print(f"elapsed: {report.elapsed:.1f}s", file=sys.stderr)

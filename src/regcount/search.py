@@ -2,9 +2,15 @@
 
 The branching is deliberately static so node counts are comparable across
 propagators: variables are assigned in order x_1, ..., x_n, N, values
-ascending, and every node (including the root) runs the chosen propagator to
-its fixpoint before branching.  Stores are snapshot-copied per node; instances
-are desk-scale, so trailing machinery would buy nothing.
+ascending, and every node (including the root) is at the chosen propagator's
+fixpoint before branching.  The root, and every child whose assignment
+removed a value, runs the propagator.  A child of a one-value branch is its
+parent's store itself: its assignment removes nothing, and every propagator
+is idempotent at its own fixpoint, so a run on it would remove nothing and
+fail nothing.  It inherits the parent's fixpoint without a propagator call,
+and still counts as one node, so node, failure and pruning counts are those
+of propagating every node.  Stores are snapshot-copied per propagated node;
+instances are desk-scale, so trailing machinery would buy nothing.
 """
 
 from __future__ import annotations
@@ -41,8 +47,11 @@ def solve(
     ``propagator`` selects the filtering run at each node: by default the one
     matching ``mode``; pass ``"decomposed"`` to solve an exact instance with
     the atmost+atleast baseline instead of the exact rule.  A propagator
-    for a semantics other than ``mode``'s raises ``ValueError``.  A solution
-    is a full assignment of the sequence variables and N.
+    for a semantics other than ``mode``'s raises ``ValueError``.  Every node
+    is at that propagator's fixpoint before it branches; a one-value branch
+    inherits its parent's fixpoint without a propagator call, and the counts
+    equal those of running the propagator at every node.  A solution is a
+    full assignment of the sequence variables and N.
     """
     semantics = Mode(mode).semantics
     chosen = Mode(mode if propagator is None else propagator)
@@ -52,13 +61,25 @@ def solve(
     n = store.n
     started = time.perf_counter()
 
-    def descend(node: DomainStore, depth: int) -> None:
+    def visit(node: DomainStore) -> bool:
+        """Propagate a new node; False if it failed."""
         stats.nodes += 1
         outcome = propagate(dfa, node, chosen)
         stats.prunings += len(outcome.removals)
         if outcome.failed:
             stats.failures += 1
-            return
+        return not outcome.failed
+
+    def descend(node: DomainStore, depth: int) -> None:
+        """Branch below ``node``, which is at the propagator's fixpoint."""
+        # One-value branches descend into ``node`` itself (module docstring).
+        domains = node.domains
+        while depth < n and domains[depth] & (domains[depth] - 1) == 0:
+            stats.nodes += 1
+            depth += 1
+        if depth == n and len(node.counter) == 1:
+            stats.nodes += 1
+            depth += 1
         if depth == n + 1:
             stats.solutions += 1
             if on_solution is not None:
@@ -69,14 +90,18 @@ def solve(
             for sym in node.symbols(depth):
                 child = node.copy()
                 child.assign_symbol(depth, sym)
-                descend(child, depth + 1)
+                if visit(child):
+                    descend(child, depth + 1)
         else:
             for value in list(node.counter):
                 child = node.copy()
                 child.assign_counter(value)
-                descend(child, depth + 1)
+                if visit(child):
+                    descend(child, depth + 1)
 
-    descend(store.copy(), 0)
+    root = store.copy()
+    if visit(root):
+        descend(root, 0)
     stats.wall_time = time.perf_counter() - started
     return stats
 

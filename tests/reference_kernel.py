@@ -5,14 +5,16 @@ backward sweeps that visit every (state, symbol) cell, the decomposition
 loop that always ends with a full atmost+atleast round that removes
 nothing, the bound propagators' own loop (the least or greatest cost
 through every reachable state of every (position, symbol) edge against one
-end of dom(N)), and the exact rule's interval loop.
+end of dom(N)), the exact rule's interval loop, and the search that runs the
+propagator at every node.
 """
 
 from __future__ import annotations
 
-from regcount import PropagationOutcome, SweepTable, propagate_atleast, propagate_atmost
+from regcount import PropagationOutcome, SweepTable, propagate, propagate_atleast, propagate_atmost
 from regcount.domains import RemoveResult
 from regcount.propagators import FAILED, FIXPOINT
+from regcount.search import SearchStats
 from regcount.sweep import UNREACHABLE_MAX, UNREACHABLE_MIN
 
 
@@ -200,3 +202,36 @@ PROPAGATORS = {
     "atleast": lambda dfa, store: propagate_bound(dfa, store, minimize=False),
     "exact": propagate_exact,
 }
+
+
+def solve(dfa, store, propagator, on_solution=None):
+    """The search loop that propagates every node, the root and each child alike."""
+    stats = SearchStats()
+    n = store.n
+
+    def descend(node, depth):
+        stats.nodes += 1
+        outcome = propagate(dfa, node, propagator)
+        stats.prunings += len(outcome.removals)
+        if outcome.failed:
+            stats.failures += 1
+            return
+        if depth == n + 1:
+            stats.solutions += 1
+            if on_solution is not None:
+                assignment = tuple(node.symbols(i)[0] for i in range(n))
+                on_solution((assignment, node.counter[0]))
+            return
+        if depth < n:
+            for sym in node.symbols(depth):
+                child = node.copy()
+                child.assign_symbol(depth, sym)
+                descend(child, depth + 1)
+        else:
+            for value in list(node.counter):
+                child = node.copy()
+                child.assign_counter(value)
+                descend(child, depth + 1)
+
+    descend(store.copy(), 0)
+    return stats

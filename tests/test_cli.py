@@ -329,21 +329,29 @@ PAST_THE_BOUND = cli.MAX_SPEC_SIZE + 1
 
 
 @pytest.mark.parametrize(
-    "args",
+    ("args", "named"),
     [
-        ("propagate", "--automaton", "catalog:B", "--vars", "1,2;1,2", "--counter", f"0..{PAST_THE_BOUND - 1}",
-         "--mode", "atmost"),
-        ("propagate", "--automaton", "catalog:B", "--vars", "1,2", "--counter", f"0,2..{PAST_THE_BOUND}",
-         "--mode", "exact"),
-        ("dump-sweep", "--catalog", "B", "--uniform", "1,2", "--n", str(PAST_THE_BOUND), "--mode", "min"),
-        ("dump-sweep", "--catalog", "B", "--uniform", "1,2", "--n", "-3", "--mode", "min"),
+        (("propagate", "--automaton", "catalog:B", "--vars", "1,2;1,2", "--counter", f"0..{PAST_THE_BOUND - 1}",
+          "--mode", "atmost"), "counter spec"),
+        (("propagate", "--automaton", "catalog:B", "--vars", "1,2", "--counter", f"0,2..{PAST_THE_BOUND}",
+          "--mode", "exact"), "counter spec"),
+        (("dump-sweep", "--catalog", "B", "--uniform", "1,2", "--n", str(PAST_THE_BOUND), "--mode", "min"), "--n"),
+        (("dump-sweep", "--catalog", "B", "--uniform", "1,2", "--n", "-3", "--mode", "min"), "--n"),
+        (("fuzz", "--max-n", "0"), "--max-n"),
+        (("fuzz", "--max-n", "-1"), "--max-n"),
+        (("fuzz", "--max-states", "0"), "--max-states"),
+        (("fuzz", "--cap", "-3"), "--cap"),
+        (("oracle", "--automaton", "catalog:B", "--vars", "1,2;2", "--counter", "0..2", "--mode", "exact",
+          "--cap", "-3"), "--cap"),
     ],
-    ids=["counter-range", "counter-ranges", "uniform-n", "negative-n"],
+    ids=["counter-range", "counter-ranges", "uniform-n", "negative-n", "fuzz-max-n-0", "fuzz-negative-max-n",
+         "fuzz-max-states-0", "fuzz-negative-cap", "oracle-negative-cap"],
 )
-def test_oversized_or_negative_specs_exit_2_before_allocating(args):
+def test_oversized_or_negative_specs_exit_2_before_allocating(args, named):
     code, out, err = run_main(*args)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err, err
 
 
 def test_counter_spec_at_the_bound_is_accepted():

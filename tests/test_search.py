@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_kernel
 from regcount import (
     DomainStore,
     GenConfig,
@@ -11,9 +14,12 @@ from regcount import (
     bench,
     propagate_decomposed,
     propagate_exact,
+    run,
     solve,
     solve_collect,
 )
+from regcount import search as search_module
+from strategies import dfa_store_pairs, windowed
 
 B = catalog("B")
 ONE, TWO = B.symbol_id("1"), B.symbol_id("2")
@@ -73,6 +79,46 @@ def test_root_pruning_and_failure_dominance():
             assert exact_out.failed
         elif not exact_out.failed:
             assert len(exact_out.removals) >= len(decomposed_out.removals)
+
+
+#: Windowed stores reduce half the positions to one symbol in half the
+#: pairs, so many branches have one value left.
+SEARCH_PAIRS = st.one_of(dfa_store_pairs(), windowed(dfa_store_pairs(max_n=6, max_increment=3)))
+
+
+@given(SEARCH_PAIRS)
+@settings(max_examples=150, deadline=None)
+def test_solve_matches_the_search_that_propagates_every_node(pair):
+    # One-value branches skip the propagator; every count and the solution
+    # order must equal those of propagating every node.
+    dfa, store = pair
+    for mode, propagator in (("atmost", "atmost"), ("atleast", "atleast"), ("exact", "exact"),
+                             ("exact", "decomposed")):
+        found, expected = [], []
+        stats = solve(dfa, store.copy(), mode, propagator, on_solution=found.append)
+        reference = reference_kernel.solve(dfa, store.copy(), propagator, on_solution=expected.append)
+        counts = (stats.nodes, stats.failures, stats.prunings, stats.solutions)
+        assert counts == (reference.nodes, reference.failures, reference.prunings, reference.solutions), propagator
+        assert found == expected, propagator
+
+
+@pytest.mark.parametrize("word", ["", "2", "21212"])
+def test_ground_store_propagates_only_the_root(monkeypatch, word):
+    calls = []
+    original = search_module.propagate
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(search_module, "propagate", counted)
+    symbols = [(B.symbol_id(ch),) for ch in word]
+    store = DomainStore(B.num_symbols, symbols, (run(B, word).counter,))
+    found = []
+    stats = solve(B, store, "exact", on_solution=found.append)
+    assert (stats.nodes, stats.failures, stats.prunings, stats.solutions) == (len(word) + 2, 0, 0, 1)
+    assert len(calls) == 1
+    assert found == [(tuple(sym for (sym,) in symbols), run(B, word).counter)]
 
 
 # -- bench ----------------------------------------------------------------------
