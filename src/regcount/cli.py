@@ -105,7 +105,7 @@ def _instance_from_args(args) -> Instance:
     try:
         var_domains = [sorted({dfa.symbol_id(name) for name in group}) for group in _parse_domains(args.vars)]
     except KeyError as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(exc.args[0]) from None
     mode = Mode(args.mode).semantics.value
     return Instance(dfa=dfa, mode=mode, var_domains=var_domains, counter_values=_parse_counter(args.counter))
 
@@ -144,7 +144,10 @@ def _cap_arg(cap: int) -> int:
     """The enumeration cap of ``--cap``: 0 means REGCOUNT_CAP or the default."""
     if cap < 0:
         raise CliError(f"--cap must be a positive number of ground sequences, or 0 for the default; got {cap}")
-    return cap or cap_from_env()
+    try:
+        return cap or cap_from_env()
+    except ValueError as exc:
+        raise CliError(exc.args[0]) from None
 
 
 def _cmd_oracle(args) -> int:
@@ -181,7 +184,7 @@ def _cmd_dump_sweep(args) -> int:
     try:
         var_domains = [sorted({dfa.symbol_id(name) for name in group}) for group in groups]
     except KeyError as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(exc.args[0]) from None
     inst = Instance(dfa=dfa, mode="exact", var_domains=var_domains, counter_values=[0])
     store = inst.make_store()
     if args.table == "pre":
@@ -196,6 +199,12 @@ def _cmd_dump_sweep(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     cap = _cap_arg(args.cap)
+    if args.count < 1:
+        raise CliError(f"--count must be at least 1; got {args.count}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be nonnegative; got {args.seed}")
+    if args.threads < 1:
+        raise CliError(f"--threads must be at least 1; got {args.threads}")
     try:
         cfg = GenConfig(max_states=args.max_states, max_n=args.max_n, seed=args.seed)
     except ValueError as exc:
@@ -323,7 +332,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, MalformedAutomaton, MalformedInstance, UnknownAutomaton, CapExceeded, OSError) as exc:
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
+        return 2
+    except (CliError, MalformedAutomaton, MalformedInstance, UnknownAutomaton, CapExceeded) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2

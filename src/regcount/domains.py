@@ -219,7 +219,7 @@ def instance_from_json(doc: dict, base_dir: str = ".") -> Instance:
             try:
                 var_domains.append(sorted({dfa.symbol_id(str(v)) for v in dom}))
             except KeyError as exc:
-                raise MalformedInstance(str(exc)) from None
+                raise MalformedInstance(exc.args[0]) from None
         inst = Instance(dfa=dfa, mode=mode, var_domains=var_domains,
                         counter_values=sorted(set(counter)), name=name)
     return inst
@@ -237,7 +237,7 @@ def _signature_from_json(block, dfa: CounterDfa, native_domains: list[list[int]]
         try:
             return among_signature(dfa, set(members), native_domains)
         except KeyError as exc:
-            raise MalformedInstance(str(exc)) from None
+            raise MalformedInstance(exc.args[0]) from None
     if isinstance(block, list):
         if len(block) != len(native_domains):
             raise MalformedInstance("signature must list one map per position")
@@ -251,7 +251,7 @@ def _signature_from_json(block, dfa: CounterDfa, native_domains: list[list[int]]
             try:
                 maps.append({int(v): dfa.symbol_id(str(sym)) for v, sym in m.items()})
             except KeyError as exc:
-                raise MalformedInstance(str(exc)) from None
+                raise MalformedInstance(exc.args[0]) from None
         sig = SignatureMap(maps)
         for i, dom in enumerate(native_domains):
             missing = [v for v in dom if v not in sig.maps[i]]

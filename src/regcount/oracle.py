@@ -223,12 +223,18 @@ def check_dc(
 
 
 def cap_from_env(default: int = DEFAULT_CAP) -> int:
-    """Enumeration cap, honoring the REGCOUNT_CAP environment variable."""
+    """Enumeration cap, honoring the REGCOUNT_CAP environment variable.
+
+    Unset or empty gives ``default``; any other value must be a positive
+    integer, or ``ValueError`` is raised.
+    """
     raw = os.environ.get("REGCOUNT_CAP", "")
     if not raw:
         return default
     try:
         value = int(raw)
     except ValueError:
-        return default
-    return value if value > 0 else default
+        value = 0
+    if value <= 0:
+        raise ValueError(f"REGCOUNT_CAP must be a positive integer, or unset; got {raw!r}")
+    return value

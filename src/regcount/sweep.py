@@ -34,16 +34,14 @@ table can be rebuilt from the previous one: given the previous rows and the
 ascending positions whose domains changed since, :func:`forward` keeps the
 rows before the first changed position and rebuilds from there, and
 :func:`backward` keeps the rows after the last one and rebuilds towards row
-1.  One cut-off rule ends each rebuilt stretch: a rebuilt row that equals the
-old row plus a constant ``c`` makes every row up to the next changed position
-the old row plus ``c``, since a sweep step (a min or max of entries plus fixed
-increments) commutes with adding ``c`` to every entry, so the sweep jumps to
-that position.  With ``c = 0`` it keeps the old
-row objects; otherwise it builds the offset rows.  Rows are replaced, never
-mutated, so a previous table stays valid.  An offset forward row keeps every
-unreachable entry the sentinel object itself (``inf + c`` would be a new
-float), because the filter and the forward sweep test reachability with
-``is``.
+1.  One cut-off rule ends each rebuilt stretch: a rebuilt row equal to the
+old row keeps the old row object, and since every row up to the next changed
+position reads an unchanged domain, those rows equal the old ones too, so the
+sweep jumps to that position.  Every other row is kept as built.  Rows are
+replaced, never mutated, so a previous table stays valid, and every row is
+either built by the sweep or an unmodified row of the previous table; a
+partial rebuild costs at most a full one plus one list comparison per
+rebuilt row.
 
 :meth:`SweepTable.compute` builds the min side (``pre_min``/``suf_min``), the
 max side, or both, and runs only those sweeps: atmost needs the min side,
@@ -144,8 +142,11 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previo
     ``symbols`` is the pass's :func:`pass_symbols` list, built here if omitted.
     ``previous``, if given, holds the rows of an earlier build in the same
     mode, and ``changed`` the ascending positions whose domains have shrunk
-    since; only the rows those positions reach are rebuilt (see the module
-    docstring), and ``previous`` itself is returned if none changed.
+    since.  Then the rows that read no changed position are kept, and the
+    sweep rebuilds from the first one that does: a rebuilt row equal to the
+    old row at its index keeps the old row object and the sweep jumps to the
+    next changed position (see the module docstring).  ``previous`` itself is
+    returned if none changed.
     """
     minimize = _minimize(mode)
     if symbols is None:
@@ -169,7 +170,6 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previo
     while i < n:
         syms = symbols[i]
         new: list[int | float] = [sent] * num_states
-        t = -1  # after the loop, a state ``new`` reaches, if it reaches any
         for q, c in enumerate(row):
             # Every row starts as [sent] * num_states and only reachable
             # states write to it, so unreachable entries are ``sent`` itself.
@@ -190,20 +190,16 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previo
                     if c2 > new[t]:
                         new[t] = c2
         i += 1
-        rows[i] = row = new
-        if previous is not None and t >= 0 and (shift := _offset(new, previous[i], t, sent)) is not None:
-            # Rows i+1 .. stop read unchanged domains, so each is the old row
-            # plus ``shift``; row stop+1 reads the next changed position.
+        if previous is not None and new == previous[i]:
+            # Row i is the old row, so rows i+1 .. p, which read unchanged
+            # domains, are too, p being the next changed position; the sweep
+            # resumes with row p+1, which reads p.
             while k < len(changed) and changed[k] < i:
                 k += 1
-            stop = changed[k] if k < len(changed) else n
-            if shift == 0:
-                rows[i] = previous[i]
-            else:
-                for j in range(i + 1, stop + 1):
-                    rows[j] = _shifted(previous[j], shift, sent)
-            i = stop
+            i = changed[k] if k < len(changed) else n
             row = rows[i]
+        else:
+            rows[i] = row = new
     return rows
 
 
@@ -214,8 +210,8 @@ def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previ
     Entry ``q`` of row ``i`` is the extremal counter increase over the
     admissible suffixes ``s_i..s_n`` read from ``q``, wherever they end, so
     row n+1 is 0 at every state.  ``symbols``, ``previous`` and ``changed``
-    work as in :func:`forward`; here the rebuild starts at the last changed
-    position and runs towards row 1.
+    work as in :func:`forward`, with the rebuild running from the last changed
+    position towards row 1.
     """
     minimize = _minimize(mode)
     if symbols is None:
@@ -245,40 +241,17 @@ def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previ
             new = list(map(pick, *[map(add, map(suffix, next_cols[s]), inc_cols[s]) for s in syms]))
         else:
             new = [sent] * dfa.num_states
-        rows[i] = new
-        # A suffix row is finite at every state or at none, so entry 0 serves.
-        if previous is not None and (shift := _offset(new, previous[i], 0, sent)) is not None:
-            # Rows stop+1 .. i-1 read unchanged domains, so each is the old
-            # row plus ``shift``; row stop reads the next changed position.
+        if previous is not None and new == previous[i]:
+            # Row i is the old row, so rows p+2 .. i-1, which read unchanged
+            # domains, are too, p being the next changed position towards
+            # row 1; the sweep resumes with row p+1, which reads p.
             while k >= 0 and changed[k] > i - 2:
                 k -= 1
-            stop = changed[k] + 1 if k >= 0 else 0
-            if shift == 0:
-                rows[i] = previous[i]
-            else:
-                for j in range(stop + 1, i):
-                    rows[j] = _shifted(previous[j], shift, sent)
-            i = stop
+            i = changed[k] + 1 if k >= 0 else 0
         else:
+            rows[i] = new
             i -= 1
     return rows
-
-
-def _offset(new: list, old: list, q: int, sent):
-    """The constant ``c`` with ``new == old + c`` entry by entry, or ``None``.
-
-    ``q`` indexes an entry of ``new`` that is reachable whenever any is; an
-    unreachable entry must stay unreachable under ``c``.
-    """
-    if new == old:
-        return 0
-    c = new[q] - old[q]
-    return c if _shifted(old, c, sent) == new else None
-
-
-def _shifted(row: list, c, sent) -> list:
-    """``row`` plus ``c``, keeping every entry that is the sentinel ``sent`` itself."""
-    return [x if x is sent else x + c for x in row]
 
 
 def _minimize(mode: str) -> bool:

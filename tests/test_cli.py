@@ -84,6 +84,8 @@ def test_validate_broken_file_exits_2():
 def test_validate_missing_file_exits_2():
     result = run_cli("validate", "no-such-file.json")
     assert result.returncode == 2
+    # The path and the reason, not the bare errno.
+    assert result.stderr == "error: no-such-file.json: No such file or directory\n"
 
 
 def test_catalog_emits_loadable_json():
@@ -95,6 +97,22 @@ def test_catalog_emits_loadable_json():
 
 def test_catalog_unknown_is_usage_error():
     assert run_process("catalog", "NOPE").returncode == 2
+
+
+@pytest.mark.parametrize(
+    ("args", "stdin"),
+    [
+        (("propagate", "--automaton", "catalog:B", "--vars", "1;z", "--counter", "0", "--mode", "exact"), ""),
+        (("dump-sweep", "--catalog", "B", "--domains", "1;z", "--mode", "min"), ""),
+        (("propagate", "-"), json.dumps({**witness_instance_doc(), "vars": [["1"], ["z"]]})),
+    ],
+    ids=["inline-vars", "dump-sweep", "instance-file"],
+)
+def test_unknown_symbol_message_is_not_a_repr(args, stdin):
+    code, out, err = run_main(*args, stdin=stdin)
+    assert code == 2 and out == ""
+    # The KeyError's message itself, not its quoted repr.
+    assert err == "error: unknown symbol 'z'; alphabet is ['1', '2']\n", err
 
 
 # -- propagate ------------------------------------------------------------------
@@ -341,11 +359,16 @@ PAST_THE_BOUND = cli.MAX_SPEC_SIZE + 1
         (("fuzz", "--max-n", "-1"), "--max-n"),
         (("fuzz", "--max-states", "0"), "--max-states"),
         (("fuzz", "--cap", "-3"), "--cap"),
+        (("fuzz", "--count", "-5"), "--count"),
+        (("fuzz", "--seed", "-1"), "--seed"),
+        (("fuzz", "--threads", "0"), "--threads"),
+        (("fuzz", "--threads", "-3"), "--threads"),
         (("oracle", "--automaton", "catalog:B", "--vars", "1,2;2", "--counter", "0..2", "--mode", "exact",
           "--cap", "-3"), "--cap"),
     ],
     ids=["counter-range", "counter-ranges", "uniform-n", "negative-n", "fuzz-max-n-0", "fuzz-negative-max-n",
-         "fuzz-max-states-0", "fuzz-negative-cap", "oracle-negative-cap"],
+         "fuzz-max-states-0", "fuzz-negative-cap", "fuzz-negative-count", "fuzz-negative-seed", "fuzz-threads-0",
+         "fuzz-negative-threads", "oracle-negative-cap"],
 )
 def test_oversized_or_negative_specs_exit_2_before_allocating(args, named):
     code, out, err = run_main(*args)
@@ -445,6 +468,24 @@ def test_oracle_honors_cap_env_var(monkeypatch):
     result = run_cli("oracle", "--automaton", "catalog:B", "--vars", "1,2;1,2", "--counter", "0", "--mode", "atmost")
     assert result.returncode == 2
     assert "cap" in result.stderr
+
+
+@pytest.mark.parametrize("raw", ["abc", "-4", "0", "1.5"])
+def test_malformed_cap_env_var_exits_2(monkeypatch, raw):
+    monkeypatch.setenv("REGCOUNT_CAP", raw)
+    for args in (("oracle", "--automaton", "catalog:B", "--vars", "1,2;1,2", "--counter", "0", "--mode", "atmost"),
+                 ("fuzz", "--count", "2")):
+        code, out, err = run_main(*args)
+        assert code == 2 and out == ""
+        assert err.startswith("error: REGCOUNT_CAP") and err.count("\n") == 1, err
+
+
+def test_empty_cap_env_var_keeps_the_default(monkeypatch):
+    monkeypatch.setenv("REGCOUNT_CAP", "")
+    code, out, err = run_main("oracle", "--automaton", "catalog:B", "--vars", "1,2;1,2", "--counter", "0",
+                              "--mode", "atmost")
+    assert code == 0, err
+    assert out.splitlines()[:2] == ["status: satisfiable", "solutions: 2"]
 
 
 def test_fuzz_documented_invocation():

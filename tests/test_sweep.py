@@ -402,18 +402,17 @@ def assert_matches_full_rebuild(dfa, store, table, previous, min_side, max_side)
     assert_matching_support(full)
     if previous is None:
         return
-    # Rows no change reaches are the previous table's row objects, on every
-    # side both tables built.
-    changed = sorted({var for var, _ in store.removal_log[previous.mark:] if var != COUNTER_VAR})
-    first = changed[0] if changed else store.n
-    last = changed[-1] if changed else -1
+    # The one cut-off rule: on every side both tables built, a row equal to
+    # the previous table's row at its index is that row object.  Rows no
+    # change reaches are equal, so they are the old objects; a rebuild that
+    # never cuts off builds equal rows anew.
     for side, pre, suf in ((0, "pre_min", "suf_min"), (1, "pre_max", "suf_max")):
-        if (min_side, max_side)[side]:
-            new_pre, old_pre = getattr(table, pre), getattr(previous, pre)
-            assert all(new_pre[i] is old_pre[i] for i in range(first + 1))
+        built = [pre] if (min_side, max_side)[side] else []
         if table.suffixes[side] and previous.suffixes[side]:
-            new_suf, old_suf = getattr(table, suf), getattr(previous, suf)
-            assert all(new_suf[i] is old_suf[i] for i in range(last + 2, store.n + 2))
+            built.append(suf)
+        for name in built:
+            new_rows, old_rows = getattr(table, name), getattr(previous, name)
+            assert all(new is old for new, old in zip(new_rows, old_rows) if new == old), name
 
 
 MIXED_PAIRS = st.one_of(dfa_store_pairs(max_n=12), dfa_store_pairs(max_n=12, increments=NEAR_U64_MAX))
