@@ -26,8 +26,16 @@ for line in format_rows(table.suf_max[1:], rst.state_names, 1):
     print(" ", line)
 
 print()
-print(f"global counter range over all admissible words: "
-      f"[{table.global_min()}, {table.global_max()}]")
+print("each suffix row is a gather over per-symbol columns of the transition")
+print("tables, shown as state -> next state (+increment):")
+names = rst.state_names
+next_cols, inc_cols = tuple(zip(*rst.next_state)), tuple(zip(*rst.increment))
+for sym in (r, t):
+    moves = zip(names, next_cols[sym], inc_cols[sym])
+    print(f"  {rst.alphabet[sym]}:", ", ".join(f"{q}->{names[p]}(+{inc})" for q, p, inc in moves))
+
+print()
+print(f"global counter range over all admissible words: [{table.least}, {table.greatest}]")
 print("consistency: the suffix table at position 1 prices the whole sequence,")
 print(f"  suf_min[1][start] = {table.suf_min[1][rst.start]}, "
       f"suf_max[1][start] = {table.suf_max[1][rst.start]}")

@@ -232,9 +232,10 @@ def _cmd_solve(args) -> int:
     if inst.is_composite:
         raise CliError("solve does not support signature instances; propagate/oracle do")
     propagator = args.propagator or args.mode or inst.mode
-    if Mode(propagator).semantics is not Mode(inst.mode):
-        raise CliError(f"propagator {propagator!r} does not decide {inst.mode!r} instances")
-    stats = solve(inst.dfa, inst.make_store(), inst.mode, propagator)
+    try:
+        stats = solve(inst.dfa, inst.make_store(), inst.mode, propagator)
+    except ValueError as exc:  # a propagator for another semantics
+        raise CliError(exc.args[0]) from None
     print(f"solutions: {stats.solutions}")
     print(f"failures: {stats.failures}")
     print(f"prunings: {stats.prunings}")
@@ -244,6 +245,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if not os.path.isdir(args.corpus):  # os.walk would read it as an empty corpus
+        raise CliError(f"{args.corpus}: not a directory")
     corpus: list[tuple[str, Instance]] = []
     for dirpath, _dirnames, filenames in sorted(os.walk(args.corpus)):
         for filename in sorted(filenames):
@@ -319,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="filtering used at each node of an exact instance (default: the instance's own)")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("bench", help="aggregate search stats over a corpus directory")
+    p = sub.add_parser("bench", help="propagate each corpus instance once at the root; time, failures, prunings")
     p.add_argument("corpus")
     p.add_argument("--format", choices=["table", "tsv"], default="table")
     p.set_defaults(func=_cmd_bench)

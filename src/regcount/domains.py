@@ -4,7 +4,8 @@ Sequence-variable domains are bitmasks over the automaton alphabet; the
 counter domain is an explicit sorted list of nonnegative integers because the
 exact-counting rule intersects intervals with it and must see holes.  Every
 removal is appended to ``removal_log`` so pruning can be counted and a partial
-sweep rebuild can find the positions that changed.
+sweep rebuild can find the positions that changed.  Masks are decoded in one
+place, a cache of at most ``SYMBOL_CACHE_SIZE`` masks emptied when full.
 """
 
 from __future__ import annotations
@@ -37,6 +38,23 @@ def _mask(symbols: Iterable[int]) -> int:
     return mask
 
 
+#: Most domain masks whose symbol tuples are kept.
+SYMBOL_CACHE_SIZE = 1024
+
+
+class _SymbolTuples(dict):
+    """Domain mask -> ascending symbol ids, emptied when it reaches its bound."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        if len(self) >= SYMBOL_CACHE_SIZE:
+            self.clear()
+        syms = self[mask] = tuple(s for s in range(mask.bit_length()) if mask >> s & 1)
+        return syms
+
+
+_symbol_tuples = _SymbolTuples()
+
+
 class DomainStore:
     """Mutable domains for ``x_1 .. x_n`` and the counter variable ``N``."""
 
@@ -56,8 +74,12 @@ class DomainStore:
 
     def symbols(self, i: int) -> list[int]:
         """Symbol ids in dom(x_i), ascending."""
-        mask = self.domains[i]
-        return [s for s in range(self.alphabet_size) if mask >> s & 1]
+        return list(_symbol_tuples[self.domains[i] & ((1 << self.alphabet_size) - 1)])
+
+    def symbol_tuples(self) -> list[tuple[int, ...]]:
+        """Per-position symbol tuples, as :meth:`symbols` lists them; built once per propagator pass."""
+        alphabet = (1 << self.alphabet_size) - 1
+        return list(map(_symbol_tuples.__getitem__, map(alphabet.__and__, self.domains)))
 
     def remove_symbol(self, i: int, sym: int) -> RemoveResult:
         bit = 1 << sym

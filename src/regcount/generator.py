@@ -123,21 +123,19 @@ def _random_counter_domain(cfg: GenConfig, rng: np.random.Generator, n: int) -> 
     return [base, base + 1, base + 2]
 
 
-def random_instance(cfg: GenConfig, dfa: CounterDfa, rng: np.random.Generator, mode: str = "exact") -> Instance:
-    """Random domains for a given automaton; always valid by construction."""
+def random_instance(cfg: GenConfig, dfa: CounterDfa, rng: np.random.Generator) -> Instance:
+    """Random domains for a given automaton, as an exact instance; always valid by construction."""
     n = int(rng.integers(cfg.min_n, cfg.max_n + 1))
     return Instance(
         dfa=dfa,
-        mode=mode,
+        mode="exact",
         var_domains=[_random_symbol_domain(rng, dfa.num_symbols) for _ in range(n)],
         counter_values=_random_counter_domain(cfg, rng, n),
     )
 
 
-def random_among_instance(
-    cfg: GenConfig, rng: np.random.Generator, universe_size: int = 5, mode: str = "atmost"
-) -> Instance:
-    """Membership-counting instance: native integer domains plus the in/notin map."""
+def random_among_instance(cfg: GenConfig, rng: np.random.Generator, universe_size: int = 5) -> Instance:
+    """Atmost membership-counting instance: native integer domains plus the in/notin map."""
     n = int(rng.integers(cfg.min_n, cfg.max_n + 1))
     members = {v for v in range(universe_size) if rng.random() < 0.5}
     natives = []
@@ -147,7 +145,7 @@ def random_among_instance(
     dfa = catalog("AMONG")
     return Instance(
         dfa=dfa,
-        mode=mode,
+        mode="atmost",
         counter_values=_random_counter_domain(cfg, rng, n),
         signature=among_signature(dfa, members, natives),
         native_domains=natives,

@@ -4,13 +4,13 @@ The oracle walks every domain-admissible ground sequence, runs the automaton
 transition by transition, and records which symbols, native values and
 N-values occur in at least one solution under the requested semantics.  It is
 the reference every consistency claim is checked against, so it deliberately
-shares no code with the sweep tables: one plain recursion over positions that
-visits every ground sequence, with no trimming.  A plain store and a
-signature instance differ only in the (reported value, symbol) pairs each
-position offers; a store is the identity signature.  The only thing cached is
-each full-string counter's mode bits (which semantics accept it), computed at
-the first leaf that reaches that counter; every leaf still counts its ground
-sequence.
+shares no code with the sweep tables: one plain recursion over the positions
+with more than one choice (a loop steps through the others) that visits every
+ground sequence, with no trimming.  A plain store and a signature instance
+differ only in the (reported value, symbol) pairs each position offers; a
+store is the identity signature.  The only thing cached is each full-string
+counter's mode bits (which semantics accept it), computed at the first leaf
+that reaches that counter; every leaf still counts its ground sequence.
 """
 
 from __future__ import annotations
@@ -107,35 +107,62 @@ def _enumerate(
             return bisect_right(counter_dom, counter)
         return 1 if counter in counter_set else 0
 
+    def accepted(counter: int) -> int:
+        # Bit k set iff modes[k] accepts a full-string counter.  A generator
+        # inside ``rec`` would turn its loop variables into closure cells.
+        return sum(1 << k for k, m in enumerate(modes) if compatible(m, counter))
+
     hits: dict[int, int] = {}  # full-string counter -> ground sequences ending with it
     leaf_bits: dict[int, int] = {}  # full-string counter -> bit k set iff modes[k] accepts it
     marks: list[dict[int, int]] = [{} for _ in range(n)]  # per position: value -> mode bits
+    # Frames sit at position 0 and at the positions with several choices (at
+    # most log2(cap) of them).  The frame of p steps through the one-choice
+    # positions after p, whose symbols skip[p] lists, and counts leaves itself.
+    skip: dict[int, tuple[list[int], int]] = {}  # p -> (those symbols, the position after them)
+    run: list[int] = []  # symbols of the one-choice positions after p, last first
+    for p in range(n - 1, -1, -1):
+        if p and len(choices[p]) == 1:
+            run.append(choices[p][0][1])
+        else:
+            skip[p] = (run[::-1], p + 1 + len(run))
+            run = []
 
     def rec(pos: int, state: int, counter: int) -> int:
-        if pos == n:
-            try:
-                hits[counter] += 1
-            except KeyError:
-                hits[counter] = 1
-                bits = 0
-                for k, m in enumerate(modes):
-                    if compatible(m, counter):
-                        bits |= 1 << k
-                leaf_bits[counter] = bits
-            return leaf_bits[counter]
         bits = 0
         seen = marks[pos]
+        stepped, stop = skip[pos]
         for value, sym in choices[pos]:
-            sub = rec(pos + 1, nxt[state][sym], counter + inc[state][sym])
+            q, c = nxt[state][sym], counter + inc[state][sym]
+            if stepped:  # an empty loop would still build an iterator
+                for s in stepped:
+                    c += inc[q][s]
+                    q = nxt[q][s]
+            if stop < n:
+                sub = rec(stop, q, c)
+            else:
+                try:
+                    hits[c] += 1
+                except KeyError:
+                    hits[c] = 1
+                    leaf_bits[c] = accepted(c)
+                sub = leaf_bits[c]
             if sub:
                 bits |= sub
                 if value in seen:
                     seen[value] |= sub
                 else:
                     seen[value] = sub
+        if bits and stepped:
+            # Every sequence below this frame runs through each stepped position's one choice.
+            for p in range(pos + 1, stop):
+                value = choices[p][0][0]
+                marks[p][value] = marks[p].get(value, 0) | bits
         return bits
 
-    rec(0, dfa.start, 0)
+    if n:
+        rec(0, dfa.start, 0)
+    else:
+        hits[0] = 1  # the empty sequence
 
     reports = {}
     for k, m in enumerate(modes):
@@ -204,21 +231,14 @@ def check_dc(
         return DcVerdict(failed_on_satisfiable=report.satisfiable)
     removed = set(outcome.removals)
     verdict = DcVerdict()
-    for i in range(store_before.n):
-        for sym in store_before.symbols(i):
-            is_supported = sym in report.supported[i]
-            if (i, sym) in removed:
-                if is_supported:
-                    verdict.unsound.append((i, sym))
-            elif not is_supported:
-                verdict.gaps.append((i, sym))
-    for v in store_before.counter:
-        is_supported = v in report.supported_counter
-        if (COUNTER_VAR, v) in removed:
+    judged = [((i, s), s in report.supported[i]) for i in range(store_before.n) for s in store_before.symbols(i)]
+    judged += [((COUNTER_VAR, v), v in report.supported_counter) for v in store_before.counter]
+    for value, is_supported in judged:
+        if value in removed:
             if is_supported:
-                verdict.unsound.append((COUNTER_VAR, v))
+                verdict.unsound.append(value)
         elif not is_supported:
-            verdict.gaps.append((COUNTER_VAR, v))
+            verdict.gaps.append(value)
     return verdict
 
 

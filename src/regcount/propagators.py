@@ -181,7 +181,7 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
         # A pass after the first rebuilds only the rows that the previous
         # pass's removals reach.
         table = SweepTable.compute(dfa, store, min_side, max_side, table, suffix_sides)
-        least, greatest = table.global_min(), table.global_max()
+        least, greatest = table.least, table.greatest
         if not store.counter_has_between(least, greatest):
             return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
         # The windows [floor, ceiling] an interval must meet, one loop each:

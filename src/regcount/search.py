@@ -127,13 +127,15 @@ class BenchRow:
     prunings: dict[str, int] = field(default_factory=dict)
 
 
-def bench(
-    corpus: Iterable[tuple[str, Instance]],
-    propagators: Sequence[str] = ("exact", "decomposed"),
-) -> list[BenchRow]:
+#: The propagator choices :func:`bench` compares, in column order.
+BENCH_PROPAGATORS = ("exact", "decomposed")
+
+
+def bench(corpus: Iterable[tuple[str, Instance]]) -> list[BenchRow]:
     """Root-propagation comparison over a corpus, aggregated per family.
 
-    Each instance is propagated once per propagator choice; the table
+    Each instance is propagated once per choice in ``BENCH_PROPAGATORS``
+    (an instance of another semantics runs its own propagator); the table
     accumulates wall time, detected failures, and, on instances where every
     choice reaches a fixpoint, the number of pruned values.  Counting only
     mutually-successful instances keeps the pruning columns comparable:
@@ -147,13 +149,13 @@ def bench(
         if row is None:
             row = rows[family] = BenchRow(
                 family,
-                seconds={p: 0.0 for p in propagators},
-                failures={p: 0 for p in propagators},
-                prunings={p: 0 for p in propagators},
+                seconds={p: 0.0 for p in BENCH_PROPAGATORS},
+                failures={p: 0 for p in BENCH_PROPAGATORS},
+                prunings={p: 0 for p in BENCH_PROPAGATORS},
             )
         row.instances += 1
         outcomes = {}
-        for prop in propagators:
+        for prop in BENCH_PROPAGATORS:
             chosen = prop if Mode(prop).semantics is Mode(inst.mode).semantics else inst.mode
             store = inst.make_store()
             started = time.perf_counter()
@@ -161,21 +163,20 @@ def bench(
             row.seconds[prop] += time.perf_counter() - started
             row.failures[prop] += outcomes[prop].failed
         if not any(out.failed for out in outcomes.values()):
-            for prop in propagators:
+            for prop in BENCH_PROPAGATORS:
                 row.prunings[prop] += len(outcomes[prop].removals)
     return list(rows.values())
 
 
-def format_bench(rows: Sequence[BenchRow], propagators: Sequence[str] = ("exact", "decomposed"),
-                 fmt: str = "table") -> str:
+def format_bench(rows: Sequence[BenchRow], fmt: str = "table") -> str:
     """Aligned text table (or TSV) with per-propagator seconds/failures/prunings."""
     header = ["family", "#inst"]
-    for p in propagators:
+    for p in BENCH_PROPAGATORS:
         header += [f"{p}:s", f"{p}:fail", f"{p}:prune"]
     table = [header]
     for row in rows:
         line = [row.family, str(row.instances)]
-        for p in propagators:
+        for p in BENCH_PROPAGATORS:
             line += [f"{row.seconds[p]:.2f}", str(row.failures[p]), str(row.prunings[p])]
         table.append(line)
     if fmt == "tsv":

@@ -21,10 +21,17 @@ How a row is built:
   each reachable ``q`` and each symbol ``s`` of the position's domain, the
   candidate ``row[q] + increment[q][s]`` relaxes ``new[next_state[q][s]]``
   through a running min/max.
-* A backward row is a gather over per-symbol transition columns: for symbol
-  ``s``, ``map(add, map(next_row.__getitem__, next_col[s]), inc_col[s])``
-  gives every state's cost through ``s`` at once, and ``map(min, ...)`` (or
-  ``max``) over the domain's symbols gives the row.
+* A backward row is a gather over per-symbol transition columns, which each
+  backward sweep transposes from the automaton's tables when it starts: for
+  symbol ``s``, ``map(add, map(next_row.__getitem__, next_col[s]),
+  inc_col[s])`` gives every state's cost through ``s`` at once, and
+  ``map(min, ...)`` (or ``max``) over the domain's symbols gives the row.
+  Nothing is kept between sweeps: a transposition reads each transition
+  once, as one row of the sweep does.
+
+Both sweeps read a position's symbols from the pass's
+:meth:`~regcount.domains.DomainStore.symbol_tuples` list, decoded once per
+pass through the store's bounded mask cache.
 
 One row costs O(|domain| * |states|), a full table O(n * |alphabet| *
 |states|).
@@ -46,28 +53,18 @@ rebuilt row.
 :meth:`SweepTable.compute` builds the min side (``pre_min``/``suf_min``), the
 max side, or both, and runs only those sweeps: atmost needs the min side,
 atleast the max side, exact and the decomposition both.  It builds the
-prefix rows first; a caller may then skip the suffix rows of a built side,
-given the least and greatest full-string counters those rows yield (a pass
-skips an end that dom(N) cannot bind, and both when it is bound to fail, see
-:mod:`regcount.propagators`).  Every entry of an
-unbuilt side or skipped suffix side is the unbounded end, ``-inf`` for min
-and ``+inf`` for max, so an interval summed over it stays open on that end.
-A suffix side that the previous table skipped has no rows to start from, so
-a partial rebuild builds it in full.
+prefix rows first and records the least and greatest full-string counters
+they yield; a caller may then skip the suffix rows of a built side, given
+those two (a pass skips an end that dom(N) cannot bind, and both when it is
+bound to fail, see :mod:`regcount.propagators`).  Every entry of an unbuilt
+side or skipped suffix side is the unbounded end, ``-inf`` for min and
+``+inf`` for max, so an interval summed over it stays open on that end.  A
+suffix side that the previous table skipped has no rows to start from, so a
+partial rebuild builds it in full.
 
 Counters are exact integers, so no sum wraps or raises.  Increments stay
 validated at ``<= U64_MAX``, which keeps every sum far below the float range,
 so ``inf + x`` in the sentinel arithmetic stays valid.
-
-Memoised, and how it is bounded:
-
-* :func:`pass_symbols` maps each domain mask to a tuple of its symbol ids
-  through a cache of at most ``SYMBOL_CACHE_SIZE`` masks, which is emptied
-  when full.  A propagator pass builds the list once and hands it to its
-  sweeps and its filter loop.
-* :func:`columns` keeps the per-symbol transition columns of one automaton,
-  the last one asked for, compared by identity.  A different automaton
-  replaces the entry, so it holds one automaton at most.
 """
 
 from __future__ import annotations
@@ -85,61 +82,13 @@ UNREACHABLE_MIN = math.inf
 #: Sentinel for "no admissible string" in max rows (orders below any value).
 UNREACHABLE_MAX = -math.inf
 
-#: Most domain masks :func:`pass_symbols` keeps symbol tuples for.
-SYMBOL_CACHE_SIZE = 1024
-
-
-class _SymbolTuples(dict):
-    """Domain mask -> ascending symbol ids, emptied when it reaches its bound."""
-
-    def __missing__(self, mask: int) -> tuple[int, ...]:
-        if len(self) >= SYMBOL_CACHE_SIZE:
-            self.clear()
-        syms = self[mask] = tuple(s for s in range(mask.bit_length()) if mask >> s & 1)
-        return syms
-
-
-_symbol_tuples = _SymbolTuples()
-
-
-def pass_symbols(store: DomainStore) -> list[tuple[int, ...]]:
-    """Per-position symbol tuples of ``store``: entry ``i`` equals ``store.symbols(i)``."""
-    alphabet = (1 << store.alphabet_size) - 1
-    return list(map(_symbol_tuples.__getitem__, map(alphabet.__and__, store.domains)))
-
-
-class Columns:
-    """Per-symbol transition columns of one automaton.
-
-    ``next_state[s][q]`` is ``dfa.next_state[q][s]`` and ``increment[s][q]``
-    is ``dfa.increment[q][s]``.
-    """
-
-    __slots__ = ("dfa", "next_state", "increment")
-
-    def __init__(self, dfa: CounterDfa):
-        self.dfa = dfa
-        self.next_state = tuple(zip(*dfa.next_state))
-        self.increment = tuple(zip(*dfa.increment))
-
-
-_last_columns: Columns | None = None
-
-
-def columns(dfa: CounterDfa) -> Columns:
-    """The :class:`Columns` of ``dfa``, reused while the same object is asked for."""
-    global _last_columns
-    cols = _last_columns
-    if cols is None or cols.dfa is not dfa:
-        cols = _last_columns = Columns(dfa)
-    return cols
-
 
 def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previous=None,
             changed: Sequence[int] = ()) -> list[list[int | float]]:
     """Rows 0..n of per-state extremal prefix counters; row 0 is {start: 0}.
 
-    ``symbols`` is the pass's :func:`pass_symbols` list, built here if omitted.
+    ``symbols`` is the pass's :meth:`~regcount.domains.DomainStore.symbol_tuples`
+    list, built here if omitted.
     ``previous``, if given, holds the rows of an earlier build in the same
     mode, and ``changed`` the ascending positions whose domains have shrunk
     since.  Then the rows that read no changed position are kept, and the
@@ -150,7 +99,7 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previo
     """
     minimize = _minimize(mode)
     if symbols is None:
-        symbols = pass_symbols(store)
+        symbols = store.symbol_tuples()
     sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
     num_states = dfa.num_states
     nxt, inc = dfa.next_state, dfa.increment
@@ -215,7 +164,7 @@ def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previ
     """
     minimize = _minimize(mode)
     if symbols is None:
-        symbols = pass_symbols(store)
+        symbols = store.symbol_tuples()
     sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
     pick = min if minimize else max
     n = store.n
@@ -228,8 +177,7 @@ def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previ
     else:
         rows = list(previous)
         i = changed[-1] + 1
-    cols = columns(dfa)
-    next_cols, inc_cols = cols.next_state, cols.increment
+    next_cols, inc_cols = tuple(zip(*dfa.next_state)), tuple(zip(*dfa.increment))
     k = len(changed) - 1  # changed[k] is the last changed position not yet swept
     while i > 0:
         syms = symbols[i - 1]
@@ -266,8 +214,12 @@ def _minimize(mode: str) -> bool:
 class SweepTable:
     """The pre/suf vectors of one store in min mode, max mode, or both.
 
-    ``symbols`` is the :func:`pass_symbols` list the sweeps ran on and
-    ``mark`` the length of the store's removal log when they ran.
+    ``symbols`` is the :meth:`~regcount.domains.DomainStore.symbol_tuples`
+    list the sweeps ran on and ``mark`` the length of the store's removal log
+    when they ran.  ``least`` and ``greatest`` are the least and greatest
+    counters over admissible full-length strings, read off the last prefix
+    rows: ``-inf`` and ``+inf`` for an unbuilt side, since unreachable states
+    hold the sentinel that ``min`` (or ``max``) passes over.
     ``suffixes`` says which sides, (min, max), hold built suffix rows: a
     built side's suffix rows may be skipped (see :meth:`compute`).  Every
     row of an unbuilt side or skipped suffix side is one shared row of its
@@ -282,6 +234,8 @@ class SweepTable:
     symbols: list
     mark: int
     suffixes: tuple[bool, bool]
+    least: int | float
+    greatest: int | float
 
     @classmethod
     def compute(cls, dfa: CounterDfa, store: DomainStore, min_side: bool = True, max_side: bool = True,
@@ -290,10 +244,9 @@ class SweepTable:
         """The table of ``store`` now.
 
         The prefix rows of the chosen sides are built first.  ``suffix_sides``,
-        if given, is then called with the least and greatest full-string
-        counters (as :meth:`global_min` and :meth:`global_max` read them) and
-        returns which sides, (min, max), need suffix rows; by default every
-        built side gets them.
+        if given, is then called with the table's ``least`` and ``greatest``
+        and returns which sides, (min, max), need suffix rows; by default
+        every built side gets them.
 
         ``previous``, a table of the same store and sides built earlier, makes
         this a partial rebuild: the positions of the symbol removals logged
@@ -301,7 +254,7 @@ class SweepTable:
         ``previous`` skipped is built in full.
         """
         mark = len(store.removal_log)
-        symbols = pass_symbols(store)
+        symbols = store.symbol_tuples()
         rows = store.n + 2
         if previous is None:
             changed: list[int] = []
@@ -315,27 +268,14 @@ class SweepTable:
         open_max = [[math.inf] * dfa.num_states] * rows
         pre_min = forward(dfa, store, "min", symbols, old[0], changed) if min_side else open_min
         pre_max = forward(dfa, store, "max", symbols, old[1], changed) if max_side else open_max
+        least, greatest = min(pre_min[-1]), max(pre_max[-1])
         suffixes = (min_side, max_side)
         if suffix_sides is not None:
-            need_min, need_max = suffix_sides(min(pre_min[-1]), max(pre_max[-1]))
+            need_min, need_max = suffix_sides(least, greatest)
             suffixes = (min_side and need_min, max_side and need_max)
         suf_min = backward(dfa, store, "min", symbols, old[2], changed) if suffixes[0] else open_min
         suf_max = backward(dfa, store, "max", symbols, old[3], changed) if suffixes[1] else open_max
-        return cls(pre_min, pre_max, suf_min, suf_max, symbols, mark, suffixes)
-
-    def global_min(self) -> int:
-        """Least counter value over admissible full-length strings; ``-inf`` if the min side is unbuilt.
-
-        Unreachable states hold ``+inf``, which ``min`` passes over.
-        """
-        return min(self.pre_min[-1])
-
-    def global_max(self) -> int:
-        """Greatest counter value over admissible full-length strings; ``+inf`` if the max side is unbuilt.
-
-        Unreachable states hold ``-inf``, which ``max`` passes over.
-        """
-        return max(self.pre_max[-1])
+        return cls(pre_min, pre_max, suf_min, suf_max, symbols, mark, suffixes, least, greatest)
 
 
 def format_row(row, state_names: Sequence[str]) -> str:

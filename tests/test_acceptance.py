@@ -34,6 +34,7 @@ from regcount import (
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 SEED_BOUNDS_CORPUS = 20260811
 SEED_SEARCH_CORPUS = 31337
@@ -46,11 +47,14 @@ ONE, TWO = B.symbol_id("1"), B.symbol_id("2")
 
 
 def run_cli(*args, stdin=None):
+    """``python -m regcount ARGS`` in a subprocess that imports regcount from this checkout's ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "regcount", *args],
         capture_output=True,
         text=True,
         input=stdin,
+        env=env,
     )
 
 

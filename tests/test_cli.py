@@ -13,6 +13,7 @@ from regcount import Instance, catalog, cli, save_instance
 from regcount.automaton import automaton_to_json
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_main(*args, stdin=""):
@@ -41,12 +42,17 @@ def run_cli(*args, stdin=None):
 
 
 def run_process(*args, stdin=None):
-    """``python -m regcount ARGS`` in a subprocess: the entry point, real pipes and exit codes."""
+    """``python -m regcount ARGS`` in a subprocess: the entry point, real pipes and exit codes.
+
+    The child imports regcount from this checkout's ``src``, installed or not.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "regcount", *args],
         capture_output=True,
         text=True,
         input=stdin,
+        env=env,
     )
 
 
@@ -306,6 +312,16 @@ def test_oracle_reports_supported_counter_hole():
     assert "supported: N = 0,2" in lines
 
 
+def test_oracle_on_a_long_ground_instance():
+    # One recursion level per position would overflow the stack here.
+    result = run_cli("oracle", "--automaton", "catalog:B", "--vars", ";".join(["2"] * 1500),
+                     "--counter", "0..2000", "--mode", "atmost")
+    assert result.returncode == 0
+    lines = result.stdout.splitlines()
+    assert lines[0] == "status: satisfiable"
+    assert lines[2:-1] == [f"supported: x{i} = 2" for i in range(1, 1501)]
+
+
 def test_oracle_unsatisfiable_exits_1():
     piped = run_cli("catalog", "B").stdout
     result = run_cli(
@@ -536,3 +552,14 @@ def test_bench_over_corpus_directory(tmp_path):
     again = run_cli("bench", str(tmp_path / "corpus"), "--format", "tsv")
     strip = lambda text: [line.split("\t")[3:5] for line in text.splitlines()[1:]]
     assert strip(result.stdout) == strip(again.stdout)
+
+
+@pytest.mark.parametrize("kind", ["missing", "plain file"])
+def test_bench_rejects_a_corpus_that_is_no_directory(tmp_path, kind):
+    path = tmp_path / "corpus"
+    if kind == "plain file":
+        path.write_text("{}")
+    code, out, err = run_main("bench", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1

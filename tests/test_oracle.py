@@ -87,6 +87,19 @@ def test_all_modes_matches_per_mode_calls():
         assert combined[mode] == enumerate_support(B, store, mode)
 
 
+def test_long_ground_instance_reports_its_word():
+    # 1500 one-choice positions, deeper than the default recursion limit.
+    word = [(ONE, TWO)[i % 3 == 0] for i in range(1500)]
+    counter = run(B, word).counter
+    store = b_store([(s,) for s in word], (counter - 1, counter, counter + 1))
+    reports = enumerate_all_modes(B, store)
+    expected_counter = {"atmost": {counter, counter + 1}, "atleast": {counter - 1, counter}, "exact": {counter}}
+    for mode, report in reports.items():
+        assert report.supported == [{s} for s in word]
+        assert report.supported_counter == expected_counter[mode]
+        assert report.solution_count == len(expected_counter[mode])
+
+
 def test_cap_is_enforced():
     store = b_store([(ONE, TWO)] * 3, (0,))
     with pytest.raises(CapExceeded):

@@ -21,7 +21,6 @@ from regcount import (
     propagate_exact,
     run,
 )
-from regcount import sweep as sweep_module
 from regcount.propagators import FIXPOINT
 from strategies import NEAR_U64_MAX, dfa_store_pairs, windowed
 
@@ -391,11 +390,6 @@ def _outcomes(dfa, store):
     return [(mode, propagate(dfa, store.copy(), mode)) for mode in ("atmost", "atleast", "exact", "decomposed")]
 
 
-def _fresh_outcomes(dfa, store):
-    sweep_module._last_columns = None
-    return _outcomes(dfa, store)
-
-
 def test_interleaved_automata_do_not_reuse_stale_tables():
     # Same transitions, different increments: reusing one automaton's columns
     # for the other would change the outcome.
@@ -404,7 +398,7 @@ def test_interleaved_automata_do_not_reuse_stale_tables():
     a_twin = dataclasses.replace(a)
     assert a_twin == a and a_twin is not a
     store = DomainStore(a.num_symbols, [(0, 1), (0,)], (1,))
-    expected = {id(dfa): _fresh_outcomes(dfa, store) for dfa in (a, b, a_twin)}
+    expected = {id(dfa): _outcomes(dfa, store) for dfa in (a, b, a_twin)}
     assert expected[id(a)] != expected[id(b)]
     for dfa in (a, b, a_twin, b, a, a_twin, a):
         assert _outcomes(dfa, store) == expected[id(dfa)]

@@ -21,9 +21,9 @@ from regcount import (
     propagate,
     run,
 )
-from regcount import sweep as sweep_module
+from regcount import domains as domains_module
 from regcount.oracle import check_dc
-from regcount.sweep import UNREACHABLE_MAX, UNREACHABLE_MIN, pass_symbols
+from regcount.sweep import UNREACHABLE_MAX, UNREACHABLE_MIN
 from strategies import NEAR_U64_MAX, dfa_store_pairs, windowed
 
 
@@ -153,16 +153,16 @@ def test_b_suffix_bounds_from_enumeration():
 def test_global_bounds_examples():
     b, store = b_2x2_store()
     table = SweepTable.compute(b, store)
-    assert table.global_min() == 0
-    assert table.global_max() == 2
+    assert table.least == 0
+    assert table.greatest == 2
 
     rst, rstore = rst_store()
-    assert SweepTable.compute(rst, rstore).global_max() == 4
+    assert SweepTable.compute(rst, rstore).greatest == 4
 
     aab = catalog("AAB")
     ground = DomainStore(aab.num_symbols, [(aab.symbol_id(c),) for c in "aab"], (0,))
     table = SweepTable.compute(aab, ground)
-    assert table.global_min() == table.global_max() == 1
+    assert table.least == table.greatest == 1
 
 
 # -- invariants ---------------------------------------------------------------
@@ -173,8 +173,8 @@ def test_global_bounds_examples():
 def test_forward_backward_consistency(pair):
     dfa, store = pair
     table = SweepTable.compute(dfa, store)
-    assert table.global_min() == table.suf_min[1][dfa.start]
-    assert table.global_max() == table.suf_max[1][dfa.start]
+    assert table.least == table.suf_min[1][dfa.start]
+    assert table.greatest == table.suf_max[1][dfa.start]
 
 
 @given(dfa_store_pairs(max_n=4))
@@ -328,13 +328,15 @@ def test_kernel_matches_reference_loops(pair):
         assert_reachable_ints(pre, sent)
         assert_reachable_ints(suf, sent)
         table[mode] = pre, suf
-    expected = SweepTable(table["min"][0], table["max"][0], table["min"][1], table["max"][1], pass_symbols(store),
-                          len(store.removal_log), (True, True))
+    expected = SweepTable(table["min"][0], table["max"][0], table["min"][1], table["max"][1], store.symbol_tuples(),
+                          len(store.removal_log), (True, True), min(table["min"][0][-1]), max(table["max"][0][-1]))
     assert SweepTable.compute(dfa, store) == expected
     # An unbuilt side reads as unbounded in every entry of every row.
     for min_side, max_side in ((True, False), (False, True)):
         one = SweepTable.compute(dfa, store, min_side, max_side)
         assert one.suffixes == (min_side, max_side)
+        assert (one.least, one.greatest) == (expected.least if min_side else -math.inf,
+                                             expected.greatest if max_side else math.inf)
         for built, rows, full, unbounded in ((min_side, (one.pre_min, one.suf_min), table["min"], -math.inf),
                                              (max_side, (one.pre_max, one.suf_max), table["max"], math.inf)):
             if built:
@@ -356,15 +358,19 @@ def test_empty_domain_rows_match_reference_loops():
 @settings(max_examples=60)
 def test_pass_symbols_match_store_symbols(pair, cache_size):
     dfa, store = pair
-    saved = sweep_module.SYMBOL_CACHE_SIZE
-    sweep_module.SYMBOL_CACHE_SIZE = cache_size  # a tiny bound forces evictions
-    sweep_module._symbol_tuples.clear()
+    saved = domains_module.SYMBOL_CACHE_SIZE
+    domains_module.SYMBOL_CACHE_SIZE = cache_size  # a tiny bound forces evictions
+    domains_module._symbol_tuples.clear()
     try:
-        got = pass_symbols(store)
-        assert len(sweep_module._symbol_tuples) <= cache_size
+        got = store.symbol_tuples()
+        assert len(domains_module._symbol_tuples) <= cache_size
+        singles = [store.symbols(i) for i in range(store.n)]
+        assert len(domains_module._symbol_tuples) <= cache_size
     finally:
-        sweep_module.SYMBOL_CACHE_SIZE = saved
-    assert [list(syms) for syms in got] == [store.symbols(i) for i in range(store.n)]
+        domains_module.SYMBOL_CACHE_SIZE = saved
+    # Both read the one decoder; the plain bit test is the reference.
+    expected = [[s for s in range(store.alphabet_size) if mask >> s & 1] for mask in store.domains]
+    assert [list(syms) for syms in got] == singles == expected
 
 
 # -- incremental rebuilds --------------------------------------------------------
@@ -470,7 +476,7 @@ def checked_builds(mode):
         # every pass.  Exact reads both when dom(N) has holes; else exact, and
         # the decomposition, which ignores holes, read only the ends where
         # dom(N) cuts into [least, greatest].
-        least, greatest = table.global_min(), table.global_max()
+        least, greatest = table.least, table.greatest
         if not any(least <= v <= greatest for v in store.counter):
             assert table.suffixes == (False, False)
         elif not (min_side and max_side):
