@@ -64,6 +64,7 @@ from .oracle import (
     SupportReport,
     check_dc,
     enumerate_all_modes,
+    enumerate_all_modes_native,
     enumerate_support,
     enumerate_support_native,
 )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 U64_MAX = 2**64 - 1
@@ -35,6 +36,17 @@ class MalformedAutomaton(ValueError):
 
 class UnknownAutomaton(KeyError):
     """Requested catalog name does not exist."""
+
+
+@lru_cache(maxsize=64)
+def _default_names(num_states: int) -> tuple[str, ...]:
+    """``q0``, ``q1``, ...: one tuple shared by every automaton of this size."""
+    return tuple(f"q{i}" for i in range(num_states))
+
+
+@lru_cache(maxsize=64)
+def _all_accepting(num_states: int) -> tuple[bool, ...]:
+    return (True,) * num_states
 
 
 @dataclass(frozen=True)
@@ -68,11 +80,11 @@ class CounterDfa:
         object.__setattr__(self, "next_state", tuple(tuple(r) for r in self.next_state))
         object.__setattr__(self, "increment", tuple(tuple(r) for r in self.increment))
         if not self.accepting:
-            object.__setattr__(self, "accepting", (True,) * self.num_states)
+            object.__setattr__(self, "accepting", _all_accepting(self.num_states))
         else:
             object.__setattr__(self, "accepting", tuple(bool(b) for b in self.accepting))
         if not self.state_names:
-            object.__setattr__(self, "state_names", tuple(f"q{i}" for i in range(self.num_states)))
+            object.__setattr__(self, "state_names", _default_names(self.num_states))
         else:
             object.__setattr__(self, "state_names", tuple(self.state_names))
 

@@ -26,8 +26,9 @@ import numpy as np
 
 from .automaton import CounterDfa, catalog, validate
 from .domains import Instance, instance_to_json
-from .oracle import DEFAULT_CAP, check_dc, enumerate_all_modes, enumerate_support_native
+from .oracle import DEFAULT_CAP, check_dc, enumerate_all_modes, enumerate_all_modes_native
 from .propagators import (
+    Mode,
     propagate_atleast,
     propagate_atmost,
     propagate_composite,
@@ -252,10 +253,10 @@ def check_among_instance(inst: Instance, modes: Sequence[str] = ("atmost", "atle
                                         signature=inst.signature, native_domains=inst.native_domains))
         violations.append(FuzzViolation(index, mode, kind, detail, doc))
 
+    reports = enumerate_all_modes_native(inst.dfa, inst.signature, inst.native_domains, inst.counter_values, cap)
     for mode in modes:
         result = propagate_composite(inst.dfa, inst.signature, inst.native_domains, inst.counter_values, mode)
-        report = enumerate_support_native(inst.dfa, inst.signature, inst.native_domains,
-                                          inst.counter_values, mode, cap)
+        report = reports[Mode(mode).semantics.value]
         if result.failed:
             if report.satisfiable:
                 bad(mode, "failed-on-satisfiable", "composite propagation failed on a satisfiable instance")

@@ -60,6 +60,22 @@ def enumerate_all_modes(dfa: CounterDfa, store: DomainStore, cap: int = DEFAULT_
     return _enumerate(dfa, _store_choices(store), store.counter, Instance.MODES, cap)
 
 
+def enumerate_all_modes_native(
+    dfa: CounterDfa,
+    sig: SignatureMap,
+    native_domains: list[list[int]],
+    counter_values: list[int],
+    cap: int = DEFAULT_CAP,
+) -> dict[str, SupportReport]:
+    """One enumeration pass over a signature instance, reports for atmost, atleast and exact at once.
+
+    Each position's distinct native values are reported as themselves and
+    stepped through the automaton as their signature symbol.
+    """
+    choices = [[(v, sig.symbol_of(i, v)) for v in sorted(set(dom))] for i, dom in enumerate(native_domains)]
+    return _enumerate(dfa, choices, counter_values, Instance.MODES, cap)
+
+
 def enumerate_support_native(
     dfa: CounterDfa,
     sig: SignatureMap,
@@ -68,14 +84,8 @@ def enumerate_support_native(
     mode: str,
     cap: int = DEFAULT_CAP,
 ) -> SupportReport:
-    """Support report over native values for a signature instance.
-
-    Each position's distinct native values are reported as themselves and
-    stepped through the automaton as their signature symbol.
-    """
-    semantics = Mode(mode).semantics.value
-    choices = [[(v, sig.symbol_of(i, v)) for v in sorted(set(dom))] for i, dom in enumerate(native_domains)]
-    return _enumerate(dfa, choices, counter_values, (semantics,), cap)[semantics]
+    """Support report over native values for a signature instance, under one semantics."""
+    return enumerate_all_modes_native(dfa, sig, native_domains, counter_values, cap)[Mode(mode).semantics.value]
 
 
 def _store_choices(store: DomainStore) -> list[list[tuple[int, int]]]:

@@ -15,19 +15,37 @@ x`` stays ``inf``, a sum with an unreachable endpoint stays unreachable and
 min/max pass over it, so the backward gather needs no branch for the
 sentinels.
 
+Which entries are defined.  Every prefix entry is exact, and an unreachable
+one is its side's sentinel object, so callers test reachability with ``is``.
+A suffix entry is read only where some admissible prefix arrives: the filter
+reads ``suf[i+1][t]`` only for ``t = next_state[q][s]`` with ``q`` reachable
+at prefix row ``i-1``, so ``t`` is reachable at prefix row ``i``, and an
+entry of suffix row ``i`` at a state reachable at prefix row ``i-1`` reads
+only such entries of row ``i+1``.  So, as in Pesant's ``Regular``, the
+suffix sweep of a table builds each row whose position has several symbols
+only at the states the same side's prefix row ``i-1`` reaches, and leaves
+the sentinel elsewhere.  Every suffix entry of a table is then either its
+true value or the sentinel, and every entry the filter reads is true.
+:func:`backward` called without prefix rows builds every entry, which is
+what ``dump-sweep`` prints.
+
 How a row is built:
 
 * A forward row scatters from the reachable states of the previous row: for
   each reachable ``q`` and each symbol ``s`` of the position's domain, the
   candidate ``row[q] + increment[q][s]`` relaxes ``new[next_state[q][s]]``
-  through a running min/max.
-* A backward row is a gather over per-symbol transition columns, which each
-  backward sweep transposes from the automaton's tables when it starts: for
-  symbol ``s``, ``map(add, map(next_row.__getitem__, next_col[s]),
-  inc_col[s])`` gives every state's cost through ``s`` at once, and
-  ``map(min, ...)`` (or ``max``) over the domain's symbols gives the row.
-  Nothing is kept between sweeps: a transposition reads each transition
-  once, as one row of the sweep does.
+  through a running min/max.  A full build of both sides,
+  :func:`forward_pair`, runs one such loop over the states both sides reach
+  and relaxes the min and the max row together.
+* A backward row at a position with one symbol ``s`` is a gather over
+  per-symbol transition columns, which each backward sweep transposes from
+  the automaton's tables when it starts: ``map(add,
+  map(next_row.__getitem__, next_col[s]), inc_col[s])`` gives every state's
+  cost through ``s`` at once.  Nothing is kept between sweeps: a
+  transposition reads each transition once, as one row of the sweep does.
+* A backward row at a position with several symbols is one loop over the
+  states it is built at: entry ``q`` is the best of ``next_row[next_state[q][s]]
+  + increment[q][s]`` over the position's symbols.
 
 Both sweeps read a position's symbols from the pass's
 :meth:`~regcount.domains.DomainStore.symbol_tuples` list, decoded once per
@@ -48,12 +66,18 @@ sweep jumps to that position.  Every other row is kept as built.  Rows are
 replaced, never mutated, so a previous table stays valid, and every row is
 either built by the sweep or an unmodified row of the previous table; a
 partial rebuild costs at most a full one plus one list comparison per
-rebuilt row.
+rebuilt row.  Reachable sets only shrink too, so a kept suffix row is true
+on a superset of the states now reached: it stays sound, but it may differ
+from a row built now at a state no longer reached, and the sweep then goes
+on where a full rebuild would have stopped.  A partial rebuild runs the
+single-side sweeps: a fused one stops only where both sides re-converge,
+and the max side seldom does.
 
 :meth:`SweepTable.compute` builds the min side (``pre_min``/``suf_min``), the
 max side, or both, and runs only those sweeps: atmost needs the min side,
 atleast the max side, exact and the decomposition both.  It builds the
-prefix rows first and records the least and greatest full-string counters
+prefix rows first, in one :func:`forward_pair` sweep when it builds both
+sides without a previous table, and records the least and greatest full-string counters
 they yield; a caller may then skip the suffix rows of a built side, given
 those two (a pass skips an end that dom(N) cannot bind, and both when it is
 bound to fail, see :mod:`regcount.propagators`).  Every entry of an unbuilt
@@ -152,43 +176,106 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previo
     return rows
 
 
+def forward_pair(dfa: CounterDfa, store: DomainStore, symbols=None) -> tuple[list, list]:
+    """Rows 0..n of both prefix sides, ``(pre_min, pre_max)``, in one sweep.
+
+    Equal to ``forward(dfa, store, "min", symbols)`` and ``forward(dfa,
+    store, "max", symbols)``: both sides reach the same states, so one loop
+    over the reachable states, read off the min row, relaxes both.  Every
+    unreachable entry is its side's sentinel object, as in :func:`forward`.
+    There is no partial rebuild: see the module docstring.
+    """
+    if symbols is None:
+        symbols = store.symbol_tuples()
+    num_states = dfa.num_states
+    nxt, inc = dfa.next_state, dfa.increment
+    low: list[int | float] = [UNREACHABLE_MIN] * num_states
+    high: list[int | float] = [UNREACHABLE_MAX] * num_states
+    low[dfa.start] = high[dfa.start] = 0
+    pre_min, pre_max = [low], [high]
+    for syms in symbols:
+        new_low: list[int | float] = [UNREACHABLE_MIN] * num_states
+        new_high: list[int | float] = [UNREACHABLE_MAX] * num_states
+        for q, c in enumerate(low):
+            if c is UNREACHABLE_MIN:
+                continue
+            d = high[q]
+            trow = nxt[q]
+            irow = inc[q]
+            for s in syms:
+                t = trow[s]
+                step = irow[s]
+                lo = c + step
+                if lo < new_low[t]:
+                    new_low[t] = lo
+                hi = d + step
+                if hi > new_high[t]:
+                    new_high[t] = hi
+        pre_min.append(new_low)
+        pre_max.append(new_high)
+        low, high = new_low, new_high
+    return pre_min, pre_max
+
+
 def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previous=None,
-             changed: Sequence[int] = ()) -> list:
+             changed: Sequence[int] = (), reach=None) -> list:
     """Rows 1..n+1 of per-state extremal suffix counters (index 0 unused).
 
     Entry ``q`` of row ``i`` is the extremal counter increase over the
     admissible suffixes ``s_i..s_n`` read from ``q``, wherever they end, so
-    row n+1 is 0 at every state.  ``symbols``, ``previous`` and ``changed``
-    work as in :func:`forward`, with the rebuild running from the last changed
-    position towards row 1.
+    row n+1 is 0 at every state.  ``reach``, if given, holds the prefix rows
+    of the same side: a row whose position has several symbols is then built
+    only at the states ``reach[i-1]`` reaches, and every other entry is the
+    sentinel.  One-symbol rows are built at every state.  So every entry is
+    either its true value or the sentinel, and every reachable entry is true
+    (see the module docstring); without ``reach`` every entry is true.
+    ``symbols``, ``previous`` and ``changed`` work as in :func:`forward`,
+    with the rebuild running from the last changed position towards row 1.
     """
     minimize = _minimize(mode)
     if symbols is None:
         symbols = store.symbol_tuples()
     sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
-    pick = min if minimize else max
+    num_states = dfa.num_states
+    nxt, inc = dfa.next_state, dfa.increment
+    everywhere = [0] * num_states  # stands in for a reach row without ``reach``
     n = store.n
     if previous is None:
         rows: list = [None] * (n + 2)
-        rows[n + 1] = [0] * dfa.num_states
+        rows[n + 1] = [0] * num_states
         i = n
     elif not changed:
         return previous
     else:
         rows = list(previous)
         i = changed[-1] + 1
-    next_cols, inc_cols = tuple(zip(*dfa.next_state)), tuple(zip(*dfa.increment))
+    next_cols, inc_cols = tuple(zip(*nxt)), tuple(zip(*inc))
     k = len(changed) - 1  # changed[k] is the last changed position not yet swept
     while i > 0:
         syms = symbols[i - 1]
-        suffix = rows[i + 1].__getitem__
+        suffix = rows[i + 1]
         if len(syms) == 1:
             s = syms[0]
-            new = list(map(add, map(suffix, next_cols[s]), inc_cols[s]))
-        elif syms:
-            new = list(map(pick, *[map(add, map(suffix, next_cols[s]), inc_cols[s]) for s in syms]))
+            new = list(map(add, map(suffix.__getitem__, next_cols[s]), inc_cols[s]))
         else:
-            new = [sent] * dfa.num_states
+            new = [sent] * num_states
+            for q, c in enumerate(everywhere if reach is None else reach[i - 1]):
+                if c is sent:
+                    continue
+                trow = nxt[q]
+                irow = inc[q]
+                best = sent
+                if minimize:
+                    for s in syms:
+                        cost = suffix[trow[s]] + irow[s]
+                        if cost < best:
+                            best = cost
+                else:
+                    for s in syms:
+                        cost = suffix[trow[s]] + irow[s]
+                        if cost > best:
+                            best = cost
+                new[q] = best
         if previous is not None and new == previous[i]:
             # Row i is the old row, so rows p+2 .. i-1, which read unchanged
             # domains, are too, p being the next changed position towards
@@ -218,13 +305,15 @@ class SweepTable:
     list the sweeps ran on and ``mark`` the length of the store's removal log
     when they ran.  ``least`` and ``greatest`` are the least and greatest
     counters over admissible full-length strings, read off the last prefix
-    rows: ``-inf`` and ``+inf`` for an unbuilt side, since unreachable states
-    hold the sentinel that ``min`` (or ``max``) passes over.
+    rows: ``-inf`` and ``+inf`` for an unbuilt side.
     ``suffixes`` says which sides, (min, max), hold built suffix rows: a
     built side's suffix rows may be skipped (see :meth:`compute`).  Every
     row of an unbuilt side or skipped suffix side is one shared row of its
     unbounded end (``-inf`` for min, ``+inf`` for max), so callers need not
-    know which rows were built.
+    know which rows were built.  Prefix rows are exact.  A built suffix row
+    is exact at the states its side's prefix row one position earlier
+    reaches, and elsewhere holds its true value or the sentinel (see the
+    module docstring): the filter reads no other entry.
     """
 
     pre_min: list
@@ -243,10 +332,12 @@ class SweepTable:
                 suffix_sides: Callable[[int, int], tuple[bool, bool]] | None = None) -> "SweepTable":
         """The table of ``store`` now.
 
-        The prefix rows of the chosen sides are built first.  ``suffix_sides``,
-        if given, is then called with the table's ``least`` and ``greatest``
-        and returns which sides, (min, max), need suffix rows; by default
-        every built side gets them.
+        The prefix rows of the chosen sides are built first: both sides in
+        one :func:`forward_pair` sweep on a full build of both, else one
+        :func:`forward` sweep per side.  ``suffix_sides``, if given, is then
+        called with the table's ``least`` and ``greatest`` and returns which
+        sides, (min, max), need suffix rows; by default every built side gets
+        them.  Each suffix side is built at the states its prefix rows reach.
 
         ``previous``, a table of the same store and sides built earlier, makes
         this a partial rebuild: the positions of the symbol removals logged
@@ -264,18 +355,23 @@ class SweepTable:
             built_min, built_max = previous.suffixes
             old = (previous.pre_min, previous.pre_max, previous.suf_min if built_min else None,
                    previous.suf_max if built_max else None)
-        open_min = [[-math.inf] * dfa.num_states] * rows
-        open_max = [[math.inf] * dfa.num_states] * rows
-        pre_min = forward(dfa, store, "min", symbols, old[0], changed) if min_side else open_min
-        pre_max = forward(dfa, store, "max", symbols, old[1], changed) if max_side else open_max
-        least, greatest = min(pre_min[-1]), max(pre_max[-1])
+        if previous is None and min_side and max_side:
+            pre_min, pre_max = forward_pair(dfa, store, symbols)
+        else:
+            pre_min = forward(dfa, store, "min", symbols, old[0], changed) if min_side else None
+            pre_max = forward(dfa, store, "max", symbols, old[1], changed) if max_side else None
+        least = min(pre_min[-1]) if min_side else -math.inf
+        greatest = max(pre_max[-1]) if max_side else math.inf
         suffixes = (min_side, max_side)
         if suffix_sides is not None:
             need_min, need_max = suffix_sides(least, greatest)
             suffixes = (min_side and need_min, max_side and need_max)
-        suf_min = backward(dfa, store, "min", symbols, old[2], changed) if suffixes[0] else open_min
-        suf_max = backward(dfa, store, "max", symbols, old[3], changed) if suffixes[1] else open_max
-        return cls(pre_min, pre_max, suf_min, suf_max, symbols, mark, suffixes, least, greatest)
+        open_min = None if suffixes[0] else [[-math.inf] * dfa.num_states] * rows
+        open_max = None if suffixes[1] else [[math.inf] * dfa.num_states] * rows
+        suf_min = backward(dfa, store, "min", symbols, old[2], changed, pre_min) if suffixes[0] else open_min
+        suf_max = backward(dfa, store, "max", symbols, old[3], changed, pre_max) if suffixes[1] else open_max
+        return cls(pre_min if min_side else open_min, pre_max if max_side else open_max, suf_min, suf_max, symbols,
+                   mark, suffixes, least, greatest)
 
 
 def format_row(row, state_names: Sequence[str]) -> str:

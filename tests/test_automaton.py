@@ -186,6 +186,24 @@ def test_json_rejects_unknown_symbol():
         automaton_from_json(doc)
 
 
+def test_default_names_and_flags_are_shared_per_state_count():
+    # Automata built without names or flags share one tuple of each per state
+    # count; explicit ones are kept, and equality and JSON are unchanged.
+    def build(**extra):
+        return CounterDfa(num_states=3, alphabet=("a",), start=0, next_state=((1,), (2,), (0,)),
+                          increment=((0,), (1,), (0,)), **extra)
+
+    first, second = build(), build()
+    assert first.state_names is second.state_names and first.accepting is second.accepting
+    assert first.state_names == ("q0", "q1", "q2") and first.accepting == (True, True, True)
+    named = build(state_names=("x", "y", "z"), accepting=(True, False, True))
+    assert (named.state_names, named.accepting) == (("x", "y", "z"), (True, False, True))
+    assert build(state_names=["q0", "q1", "q2"], accepting=[1, 1, 1]) == first
+    assert automaton_from_json(automaton_to_json(first)) == first
+    assert CounterDfa(num_states=2, alphabet=("a",), start=0, next_state=((0,), (1,)),
+                      increment=((0,), (0,))).state_names == ("q0", "q1")
+
+
 def test_json_accepting_round_trip():
     dfa = dataclasses.replace(catalog("AAB"), accepting=(True, False, True))
     again = automaton_from_json(automaton_to_json(dfa))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from regcount import (
     COUNTER_VAR,
+    GenConfig,
     CapExceeded,
     Mode,
     DomainStore,
@@ -13,11 +14,14 @@ from regcount import (
     catalog,
     check_dc,
     enumerate_all_modes,
+    enumerate_all_modes_native,
     enumerate_support,
     enumerate_support_native,
     among_signature,
     propagate_decomposed,
     propagate_exact,
+    random_among_instance,
+    rng_for,
     run,
 )
 from regcount.domains import project_store
@@ -167,6 +171,19 @@ def test_native_oracle_matches_brute_force(case):
         report = enumerate_support_native(dfa, sig, natives, counter, mode)
         got = (report.supported, report.supported_counter, report.solution_count)
         assert got == _brute_force(dfa, natives, sig.symbol_of, counter, mode)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_native_all_modes_report_holds_each_one_mode_report(seed):
+    # The among check enumerates once for every mode; each one-mode report is
+    # the same mode's entry of that one enumeration.
+    for index in range(25):
+        inst = random_among_instance(GenConfig(max_n=6), rng_for(seed, index), universe_size=5)
+        args = (inst.dfa, inst.signature, inst.native_domains, inst.counter_values)
+        reports = enumerate_all_modes_native(*args)
+        assert sorted(reports) == ["atleast", "atmost", "exact"]
+        for mode in ("atmost", "atleast", "exact", "decomposed"):
+            assert enumerate_support_native(*args, mode) == reports[Mode(mode).semantics.value], (index, mode)
 
 
 # -- check_dc -------------------------------------------------------------------

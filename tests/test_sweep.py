@@ -18,12 +18,13 @@ from regcount import (
     catalog,
     forward,
     format_row,
+    generator,
     propagate,
     run,
 )
 from regcount import domains as domains_module
 from regcount.oracle import check_dc
-from regcount.sweep import UNREACHABLE_MAX, UNREACHABLE_MIN
+from regcount.sweep import UNREACHABLE_MAX, UNREACHABLE_MIN, forward_pair
 from strategies import NEAR_U64_MAX, dfa_store_pairs, windowed
 
 
@@ -314,6 +315,24 @@ def assert_reachable_ints(rows, sent):
             assert all(type(c) is int for c in row if c != sent)
 
 
+def assert_true_where_read(suffix_rows, reference_rows, reach_rows, sent):
+    """Suffix row ``i`` is exact at every state that prefix row ``i - 1``
+    reaches, the only entries the filter reads, and holds its true value or
+    the sentinel everywhere else."""
+    assert len(suffix_rows) == len(reference_rows)
+    for i in range(1, len(reference_rows)):
+        for q, (got, want) in enumerate(zip(suffix_rows[i], reference_rows[i])):
+            if reach_rows[i - 1][q] != sent:
+                assert got == want, (i, q)
+            else:
+                assert got == want or got == sent, (i, q)
+
+
+def reference_suffix_rows(dfa, store, mode):
+    # Suffixes may end anywhere: the reference's base row is 0 at every state.
+    return reference_kernel.backward(dfa, store, [0] * dfa.num_states, mode)
+
+
 @given(st.one_of(dfa_store_pairs(max_n=12), dfa_store_pairs(max_n=12, increments=NEAR_U64_MAX)))
 @settings(max_examples=200, deadline=None)
 def test_kernel_matches_reference_loops(pair):
@@ -322,27 +341,73 @@ def test_kernel_matches_reference_loops(pair):
     for mode, sent in (("min", UNREACHABLE_MIN), ("max", UNREACHABLE_MAX)):
         pre = forward(dfa, store, mode)
         assert pre == reference_kernel.forward(dfa, store, mode)
-        # Suffixes may end anywhere: the reference's base row is 0 at every state.
         suf = backward(dfa, store, mode)
-        assert suf == reference_kernel.backward(dfa, store, [0] * dfa.num_states, mode)
+        assert suf == reference_suffix_rows(dfa, store, mode)
         assert_reachable_ints(pre, sent)
         assert_reachable_ints(suf, sent)
         table[mode] = pre, suf
-    expected = SweepTable(table["min"][0], table["max"][0], table["min"][1], table["max"][1], store.symbol_tuples(),
-                          len(store.removal_log), (True, True), min(table["min"][0][-1]), max(table["max"][0][-1]))
-    assert SweepTable.compute(dfa, store) == expected
+    # A built table holds the same prefix rows, and suffix rows that are
+    # exact wherever the filter reads them.
+    built = SweepTable.compute(dfa, store)
+    assert (built.pre_min, built.pre_max, built.symbols, built.mark, built.suffixes, built.least, built.greatest) == (
+        table["min"][0], table["max"][0], store.symbol_tuples(), len(store.removal_log), (True, True),
+        min(table["min"][0][-1]), max(table["max"][0][-1]))
+    assert_true_where_read(built.suf_min, table["min"][1], built.pre_min, UNREACHABLE_MIN)
+    assert_true_where_read(built.suf_max, table["max"][1], built.pre_max, UNREACHABLE_MAX)
     # An unbuilt side reads as unbounded in every entry of every row.
     for min_side, max_side in ((True, False), (False, True)):
         one = SweepTable.compute(dfa, store, min_side, max_side)
         assert one.suffixes == (min_side, max_side)
-        assert (one.least, one.greatest) == (expected.least if min_side else -math.inf,
-                                             expected.greatest if max_side else math.inf)
-        for built, rows, full, unbounded in ((min_side, (one.pre_min, one.suf_min), table["min"], -math.inf),
-                                             (max_side, (one.pre_max, one.suf_max), table["max"], math.inf)):
-            if built:
-                assert rows == full
+        assert (one.least, one.greatest) == (built.least if min_side else -math.inf,
+                                             built.greatest if max_side else math.inf)
+        for side, (pre, suf), full, unbounded, sent in (
+                (min_side, (one.pre_min, one.suf_min), table["min"], -math.inf, UNREACHABLE_MIN),
+                (max_side, (one.pre_max, one.suf_max), table["max"], math.inf, UNREACHABLE_MAX)):
+            if side:
+                assert pre == full[0]
+                assert_true_where_read(suf, full[1], pre, sent)
             else:
-                assert all(c == unbounded for side in rows for row in side for c in row)
+                assert all(c == unbounded for rows in (pre, suf) for row in rows for c in row)
+
+
+@st.composite
+def emptied(draw, pairs):
+    """A pair drawn from ``pairs``, with one position's domain emptied half the time."""
+    dfa, store = draw(pairs)
+    domains = [store.symbols(i) for i in range(store.n)]
+    if domains and draw(st.booleans()):
+        domains[draw(st.integers(0, store.n - 1))] = ()
+    return dfa, DomainStore(dfa.num_symbols, domains, store.counter)
+
+
+#: Pairs with small and near-U64_MAX increments, some with an empty domain.
+EDGE_PAIRS = emptied(st.one_of(dfa_store_pairs(max_n=12), dfa_store_pairs(max_n=12, increments=NEAR_U64_MAX)))
+
+
+@given(EDGE_PAIRS)
+@settings(max_examples=200, deadline=None)
+def test_forward_pair_equals_two_single_side_sweeps(pair):
+    dfa, store = pair
+    pre_min, pre_max = forward_pair(dfa, store)
+    assert pre_min == forward(dfa, store, "min") == reference_kernel.forward(dfa, store, "min")
+    assert pre_max == forward(dfa, store, "max") == reference_kernel.forward(dfa, store, "max")
+    # The filter tests reachability with ``is``: every unreachable entry is
+    # its side's sentinel object, and both sides reach the same states.
+    for low, high in zip(pre_min, pre_max):
+        for c, d in zip(low, high):
+            assert (c is UNREACHABLE_MIN) == (c == UNREACHABLE_MIN) == (d is UNREACHABLE_MAX)
+
+
+@given(EDGE_PAIRS)
+@settings(max_examples=200, deadline=None)
+def test_backward_builds_reachable_entries_exactly(pair):
+    dfa, store = pair
+    for mode, sent in (("min", UNREACHABLE_MIN), ("max", UNREACHABLE_MAX)):
+        reference = reference_suffix_rows(dfa, store, mode)
+        # Without ``reach`` every entry is true, also for dump-sweep.
+        assert backward(dfa, store, mode) == reference
+        pre = forward(dfa, store, mode)
+        assert_true_where_read(backward(dfa, store, mode, reach=pre), reference, pre, sent)
 
 
 def test_empty_domain_rows_match_reference_loops():
@@ -394,13 +459,17 @@ def assert_matching_support(table):
 def assert_matches_full_rebuild(dfa, store, table, previous, min_side, max_side):
     full = COMPUTE(dfa, store.copy(), min_side, max_side)
     assert (table.pre_min, table.pre_max) == (full.pre_min, full.pre_max)
-    # Every built suffix row equals a full rebuild, also on a side that the
-    # previous table skipped; a skipped side reads as unbounded.
+    # Every built suffix row is exact wherever the filter reads it, also on a
+    # side that the previous table skipped, and holds its true value or the
+    # sentinel elsewhere: a kept old row may be exact at states no longer
+    # reached, where a full rebuild holds the sentinel.  A skipped side reads
+    # as unbounded.
     assert table.suffixes[0] <= min_side and table.suffixes[1] <= max_side
-    for built, rows, full_rows, unbounded in ((table.suffixes[0], table.suf_min, full.suf_min, -math.inf),
-                                              (table.suffixes[1], table.suf_max, full.suf_max, math.inf)):
+    for built, rows, pre, mode, sent, unbounded in (
+            (table.suffixes[0], table.suf_min, table.pre_min, "min", UNREACHABLE_MIN, -math.inf),
+            (table.suffixes[1], table.suf_max, table.pre_max, "max", UNREACHABLE_MAX, math.inf)):
         if built:
-            assert rows == full_rows
+            assert_true_where_read(rows, reference_suffix_rows(dfa, store, mode), pre, sent)
         else:
             assert all(c == unbounded for row in rows for c in row)
     assert table.mark == len(store.removal_log)
@@ -534,3 +603,49 @@ def test_exact_builds_the_suffix_sides_dom_n_can_bind(counter, removals, builds)
     expected = reference_kernel.propagate_exact(GAP, reference)
     assert (out.status, out.removals, out.passes, store) == (expected.status, expected.removals, expected.passes,
                                                             reference)
+
+
+# -- root-long-shaped inputs -------------------------------------------------------
+
+#: 20 states and 8 symbols, as in perfbench's root-long workload; at n = 150
+#: most states are unreachable at most positions, unlike in the small strategies.
+ROOT_LONG_CFG = generator.GenConfig(min_states=20, max_states=20, min_symbols=8, max_symbols=8)
+
+
+def root_long_shaped(index, end, n=150, singleton_share=0.75):
+    """A 20x8 automaton over ``n`` positions, three in four of them one
+    symbol, with dom(N) three values around the least full-string counter
+    (``end`` "least", perfbench's recipe) or the greatest one."""
+    rng = generator.rng_for(13, index)
+    dfa = generator.random_cdfa(ROOT_LONG_CFG, rng)
+    alphabet = dfa.num_symbols
+    singles = rng.random(n) < singleton_share
+    symbols = rng.integers(0, alphabet, n)
+    masks = rng.integers(1, 2**alphabet, n)
+    domains = [[int(symbols[i])] if singles[i] else [s for s in range(alphabet) if int(masks[i]) >> s & 1]
+               for i in range(n)]
+    store = DomainStore(alphabet, domains, (0,))
+    if end == "least":
+        middle = min(reference_kernel.forward(dfa, store, "min")[-1])
+    else:
+        middle = max(reference_kernel.forward(dfa, store, "max")[-1])
+    low = max(middle - 1, 0)
+    return dfa, DomainStore(alphabet, domains, range(low, low + 3))
+
+
+@pytest.mark.parametrize("index, end", [(0, "least"), (1, "least"), (2, "greatest"), (3, "greatest")])
+def test_root_long_shaped_inputs_match_reference_loops(index, end):
+    dfa, store = root_long_shaped(index, end)
+    reached = [sum(c != UNREACHABLE_MIN for c in row) for row in forward(dfa, store, "min")]
+    assert sum(reached) < 0.75 * len(reached) * dfa.num_states  # many entries are never read
+    for mode in MODES:
+        reference = reference_kernel.PROPAGATORS.get(mode, reference_kernel.propagate_decomposed)
+        expected = reference(dfa, store.copy())
+        # Every table a pass builds, partial rebuilds included, is exact
+        # wherever the filter reads it.
+        with checked_builds(mode) as builds:
+            out = propagate(dfa, store.copy(), mode)
+        assert (out.status, set(out.removals)) == (expected.status, set(expected.removals)), mode
+        if mode in ("exact", "decomposed"):
+            # dom(N) binds one end, whose suffix side a later pass rebuilds in part.
+            assert (True, (end == "least", end == "greatest")) in builds and out.removals, mode
