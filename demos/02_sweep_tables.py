@@ -21,27 +21,31 @@ for line in format_rows(table.pre_max, rst.state_names, 0):
 
 print()
 print("suffix table (maximum counter increase from each state to the end,")
-print("whatever state the suffix ends in).  The table builds a row at a position")
-print("with several symbols, here every one, only at the states the prefix row one")
-print("position earlier reaches, the only entries the filter reads; so rrs, which")
-print("no prefix reaches, appears only in the base row 7:")
+print("whatever state the suffix ends in).  The forward sweep records which")
+print("states each prefix row reaches, and the table builds each suffix row only")
+print("at the states the prefix row one position earlier reaches, the only")
+print("entries the filter reads; so rrs, which no prefix reaches, appears only in")
+print("the base row 7:")
 for line in format_rows(table.suf_max[1:], rst.state_names, 1):
     print(" ", line)
+print()
+print("states each prefix row reaches, in the order the sweep reached them:")
+for i, states in enumerate(table.live):
+    print(f"  {i}:", ",".join(rst.state_names[q] for q in states))
 
 print()
-print("backward() without prefix rows builds every state, as dump-sweep prints it:")
+print("backward() without those lists builds every state, as dump-sweep prints it:")
 for line in format_rows(backward(rst, store, "max")[1:], rst.state_names, 1):
     print(" ", line)
 
 print()
-print("a suffix row at a one-symbol position is a gather over that symbol's")
-print("column of the transition tables, shown as state -> next state (+increment);")
-print("a row with several symbols takes the best of these columns at each state:")
+print("every row is one loop over the position's symbols, then the listed states,")
+print("reading the automaton's tables row by row, shown as state -> next state")
+print("(+increment); a suffix row takes the best of these moves at each state:")
 names = rst.state_names
-next_cols, inc_cols = tuple(zip(*rst.next_state)), tuple(zip(*rst.increment))
 for sym in (r, t):
-    moves = zip(names, next_cols[sym], inc_cols[sym])
-    print(f"  {rst.alphabet[sym]}:", ", ".join(f"{q}->{names[p]}(+{inc})" for q, p, inc in moves))
+    moves = [f"{q}->{names[rst.next_state[i][sym]]}(+{rst.increment[i][sym]})" for i, q in enumerate(names)]
+    print(f"  {rst.alphabet[sym]}:", ", ".join(moves))
 
 print()
 print(f"global counter range over all admissible words: [{table.least}, {table.greatest}]")

@@ -155,12 +155,33 @@ _RULES = {
 }
 
 
+def _suffix_sides(store: DomainStore, least, greatest) -> tuple[bool, bool]:
+    """The suffix sides, (min, max), a pass that checks each end on its own builds.
+
+    An end's suffix rows are built only where dom(N) can bind it, and none
+    for a pass that fails (see the module docstring).
+    """
+    counter = store.counter
+    if not store.counter_has_between(least, greatest):
+        return False, False
+    return counter[-1] < greatest, counter[0] > least
+
+
+def _joint_suffix_sides(store: DomainStore, least, greatest) -> tuple[bool, bool]:
+    """As :func:`_suffix_sides`, but both sides where dom(N) has holes, which the joint rule reads."""
+    counter = store.counter
+    if counter[-1] - counter[0] >= len(counter) and store.counter_has_between(least, greatest):
+        return True, True
+    return _suffix_sides(store, least, greatest)
+
+
 def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutcome:
     """The interval rule for ``mode``, run to its fixpoint."""
     mark = len(store.removal_log)
     if not store.counter or not all(store.domains):
         return PropagationOutcome(FAILED, [], 0)
     min_side, max_side, joint = _RULES[mode]
+    suffix_sides = _joint_suffix_sides if joint else _suffix_sides
     nxt, inc = dfa.next_state, dfa.increment
     passes = 0
     table = None
@@ -170,14 +191,6 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
         # An interval meets dom(N) iff it meets [bottom, top], unless both of
         # its ends are finite and dom(N) has holes.
         holes = joint and top - bottom >= len(store.counter)
-
-        def suffix_sides(least, greatest):
-            # An end's suffix rows are built only where dom(N) can bind it,
-            # and none for a pass that fails (see the module docstring).
-            if not store.counter_has_between(least, greatest):
-                return False, False
-            return holes or top < greatest, holes or bottom > least
-
         # A pass after the first rebuilds only the rows that the previous
         # pass's removals reach.
         table = SweepTable.compute(dfa, store, min_side, max_side, table, suffix_sides)
@@ -192,22 +205,19 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
             windows = [(bottom, top)] if any(table.suffixes) else []
         else:
             windows = [(-math.inf, top)] * table.suffixes[0] + [(bottom, math.inf)] * table.suffixes[1]
-        # Reachability is read off a built side's prefix rows.
-        reach_rows, sent = (table.pre_min, UNREACHABLE_MIN) if min_side else (table.pre_max, UNREACHABLE_MAX)
+        live = table.live
         changed = False
         for floor, ceiling in windows:
             for i, syms in enumerate(table.symbols, 1):
                 if len(syms) == 1:
                     continue  # supported by any survivor at i - 1 (see the module docstring)
-                reach = reach_rows[i - 1]
+                states = live[i - 1]
                 pre_min_row = table.pre_min[i - 1]
                 pre_max_row = table.pre_max[i - 1]
                 suf_min_row = table.suf_min[i + 1]
                 suf_max_row = table.suf_max[i + 1]
                 for sym in syms:
-                    for q, c in enumerate(reach):
-                        if c is sent:
-                            continue
+                    for q in states:
                         t = nxt[q][sym]
                         step = inc[q][sym]
                         lo = pre_min_row[q] + step + suf_min_row[t]
@@ -222,7 +232,8 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
                             return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
         # One-sided end intervals cover exactly [least, greatest]; two-sided
         # ones may leave gaps.  An unreachable end state's interval is empty.
-        ends = list(zip(table.pre_min[-1], table.pre_max[-1]))
+        if joint:
+            ends = list(zip(table.pre_min[-1], table.pre_max[-1]))
         for v in list(store.counter):
             if not (least <= v <= greatest and (not joint or any(lo <= v <= hi for lo, hi in ends))):
                 changed = True

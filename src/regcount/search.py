@@ -59,6 +59,7 @@ def solve(
         raise ValueError(f"propagator {chosen.value!r} does not decide {semantics.value!r} instances")
     stats = SearchStats()
     n = store.n
+    alphabet = (1 << store.alphabet_size) - 1
     started = time.perf_counter()
 
     def visit(node: DomainStore) -> bool:
@@ -83,7 +84,8 @@ def solve(
         if depth == n + 1:
             stats.solutions += 1
             if on_solution is not None:
-                assignment = tuple(node.symbols(i)[0] for i in range(n))
+                # Every domain is one symbol here: read it off its one-bit mask.
+                assignment = tuple([(mask & alphabet).bit_length() - 1 for mask in domains])
                 on_solution((assignment, node.counter[0]))
             return
         if depth < n:

@@ -12,47 +12,43 @@ same entries it would read with suffixes restricted to the states reachable
 at ``n``.  Rows are dense per-state arrays; a state no admissible string
 reaches carries ``+inf`` in min rows and ``-inf`` in max rows.  Since ``inf +
 x`` stays ``inf``, a sum with an unreachable endpoint stays unreachable and
-min/max pass over it, so the backward gather needs no branch for the
+min/max pass over it, so the backward loop needs no branch for the
 sentinels.
 
 Which entries are defined.  Every prefix entry is exact, and an unreachable
-one is its side's sentinel object, so callers test reachability with ``is``.
-A suffix entry is read only where some admissible prefix arrives: the filter
-reads ``suf[i+1][t]`` only for ``t = next_state[q][s]`` with ``q`` reachable
-at prefix row ``i-1``, so ``t`` is reachable at prefix row ``i``, and an
-entry of suffix row ``i`` at a state reachable at prefix row ``i-1`` reads
-only such entries of row ``i+1``.  So, as in Pesant's ``Regular``, the
-suffix sweep of a table builds each row whose position has several symbols
-only at the states the same side's prefix row ``i-1`` reaches, and leaves
-the sentinel elsewhere.  Every suffix entry of a table is then either its
-true value or the sentinel, and every entry the filter reads is true.
-:func:`backward` called without prefix rows builds every entry, which is
-what ``dump-sweep`` prints.
+one is its side's sentinel object.  The forward sweep records the states
+each prefix row ``i`` reaches as a list, ``live[i]``
+(:attr:`SweepTable.live`); both sides reach the same states.  A suffix entry
+is read only where some admissible prefix arrives: the filter reads
+``suf[i+1][t]`` only for ``t = next_state[q][s]`` with ``q`` in
+``live[i-1]``, so ``t`` is in ``live[i]``, and an entry of suffix row ``i``
+at a state of ``live[i-1]`` reads only entries of row ``i+1`` at states of
+``live[i]``.  So, as in Pesant's ``Regular``, the suffix sweep of a table
+builds each row ``i`` only at the states of ``live[i-1]``, at one-symbol
+positions too, and leaves the sentinel elsewhere.  Every suffix entry of a
+table is then either its true value or the sentinel, and every entry the
+filter reads is true.  :func:`backward` called without ``live`` builds every
+entry, which is what ``dump-sweep`` prints.
 
-How a row is built:
-
-* A forward row scatters from the reachable states of the previous row: for
-  each reachable ``q`` and each symbol ``s`` of the position's domain, the
-  candidate ``row[q] + increment[q][s]`` relaxes ``new[next_state[q][s]]``
-  through a running min/max.  A full build of both sides,
-  :func:`forward_pair`, runs one such loop over the states both sides reach
-  and relaxes the min and the max row together.
-* A backward row at a position with one symbol ``s`` is a gather over
-  per-symbol transition columns, which each backward sweep transposes from
-  the automaton's tables when it starts: ``map(add,
-  map(next_row.__getitem__, next_col[s]), inc_col[s])`` gives every state's
-  cost through ``s`` at once.  Nothing is kept between sweeps: a
-  transposition reads each transition once, as one row of the sweep does.
-* A backward row at a position with several symbols is one loop over the
-  states it is built at: entry ``q`` is the best of ``next_row[next_state[q][s]]
-  + increment[q][s]`` over the position's symbols.
+How a row is built.  Every row of every sweep is one symbol-major loop: for
+each symbol ``s`` of the position's domain, then each state ``q`` of a list,
+it reads ``next_state[q][s]`` and ``increment[q][s]`` straight from the
+automaton's row-major tables, at one-symbol positions too.  A forward row
+loops over the states the previous row reaches, relaxes
+``new[next_state[q][s]]`` by ``row[q] + increment[q][s]`` through a running
+min/max, and appends a state to its own list when the state's entry first
+leaves the sentinel, so no loop scans a dense row for sentinels;
+:func:`forward_pair`, a full build of both sides, relaxes the min and the
+max row in the same loop.  A backward row loops over ``live[i-1]``, or every
+state without ``live``: entry ``q`` is the best of
+``next_row[next_state[q][s]] + increment[q][s]`` over the position's symbols.
 
 Both sweeps read a position's symbols from the pass's
 :meth:`~regcount.domains.DomainStore.symbol_tuples` list, decoded once per
 pass through the store's bounded mask cache.
 
-One row costs O(|domain| * |states|), a full table O(n * |alphabet| *
-|states|).
+One row costs O(|domain| * |states reached|), a full table at most O(n *
+|alphabet| * |states|).
 
 Partial rebuilds.  Domains only shrink within one propagator call, so a
 table can be rebuilt from the previous one: given the previous rows and the
@@ -66,10 +62,13 @@ sweep jumps to that position.  Every other row is kept as built.  Rows are
 replaced, never mutated, so a previous table stays valid, and every row is
 either built by the sweep or an unmodified row of the previous table; a
 partial rebuild costs at most a full one plus one list comparison per
-rebuilt row.  Reachable sets only shrink too, so a kept suffix row is true
-on a superset of the states now reached: it stays sound, but it may differ
-from a row built now at a state no longer reached, and the sweep then goes
-on where a full rebuild would have stopped.  A partial rebuild runs the
+rebuilt row.  The reached-state lists go with the rows: a kept prefix row
+reaches the states it reached, and a rebuild writes the lists of the rows it
+rebuilds into a copy of the previous table's.  Reachable sets only shrink
+too, so a kept suffix row is true on a superset of the states now reached:
+it stays sound, but it may differ from a row built now at a state no longer
+reached, and the sweep then goes on where a full rebuild would have
+stopped.  A partial rebuild runs the
 single-side sweeps: a fused one stops only where both sides re-converge,
 and the max side seldom does.
 
@@ -95,7 +94,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
 from typing import Callable, Sequence
 
 from .automaton import CounterDfa
@@ -108,18 +106,21 @@ UNREACHABLE_MAX = -math.inf
 
 
 def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previous=None,
-            changed: Sequence[int] = ()) -> list[list[int | float]]:
+            changed: Sequence[int] = (), live: list | None = None) -> list[list[int | float]]:
     """Rows 0..n of per-state extremal prefix counters; row 0 is {start: 0}.
 
     ``symbols`` is the pass's :meth:`~regcount.domains.DomainStore.symbol_tuples`
-    list, built here if omitted.
+    list, built here if omitted.  ``live``, if given, receives the states
+    each row reaches: a full build appends one list per row to it.
     ``previous``, if given, holds the rows of an earlier build in the same
-    mode, and ``changed`` the ascending positions whose domains have shrunk
-    since.  Then the rows that read no changed position are kept, and the
-    sweep rebuilds from the first one that does: a rebuilt row equal to the
-    old row at its index keeps the old row object and the sweep jumps to the
-    next changed position (see the module docstring).  ``previous`` itself is
-    returned if none changed.
+    mode, ``changed`` the ascending positions whose domains have shrunk
+    since, and ``live``, which a partial rebuild needs, the lists of
+    ``previous``: the sweep replaces those of the rows it rebuilds.  The rows
+    that read no changed position are kept, and the sweep rebuilds from the
+    first one that does: a rebuilt row equal to the old row at its index
+    keeps the old row object and the sweep jumps to the next changed position
+    (see the module docstring).  ``previous`` itself is returned if none
+    changed.
     """
     minimize = _minimize(mode)
     if symbols is None:
@@ -131,59 +132,74 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previo
     if previous is None:
         row: list[int | float] = [sent] * num_states
         row[dfa.start] = 0
-        rows = [row] + [None] * n
+        states = [dfa.start]
+        rows = [row]
+        if live is None:
+            live = []
+        live.append(states)
         i = 0
     elif not changed:
         return previous
     else:
         rows = list(previous)
         i = changed[0]
-        row = rows[i]
+        row, states = rows[i], live[i]
     k = 0  # changed[k] is the first changed position not yet swept
     while i < n:
         syms = symbols[i]
         new: list[int | float] = [sent] * num_states
-        for q, c in enumerate(row):
-            # Every row starts as [sent] * num_states and only reachable
-            # states write to it, so unreachable entries are ``sent`` itself.
-            if c is sent:
-                continue
-            trow = nxt[q]
-            irow = inc[q]
-            if minimize:
-                for s in syms:
-                    c2 = c + irow[s]
-                    t = trow[s]
-                    if c2 < new[t]:
-                        new[t] = c2
-            else:
-                for s in syms:
-                    c2 = c + irow[s]
-                    t = trow[s]
-                    if c2 > new[t]:
-                        new[t] = c2
+        reached = []
+        # Every row starts as [sent] * num_states and only the states the
+        # previous row reaches write to it, so unreachable entries are
+        # ``sent`` itself, and a state is reached when its entry first moves.
+        if minimize:
+            for s in syms:
+                for q in states:
+                    c = row[q] + inc[q][s]
+                    t = nxt[q][s]
+                    d = new[t]
+                    if c < d:
+                        if d is sent:
+                            reached.append(t)
+                        new[t] = c
+        else:
+            for s in syms:
+                for q in states:
+                    c = row[q] + inc[q][s]
+                    t = nxt[q][s]
+                    d = new[t]
+                    if c > d:
+                        if d is sent:
+                            reached.append(t)
+                        new[t] = c
         i += 1
-        if previous is not None and new == previous[i]:
+        if previous is None:
+            rows.append(new)
+            live.append(reached)
+        elif new == previous[i]:
             # Row i is the old row, so rows i+1 .. p, which read unchanged
-            # domains, are too, p being the next changed position; the sweep
-            # resumes with row p+1, which reads p.
+            # domains, are too and reach the states they reached, p being the
+            # next changed position; the sweep resumes with row p+1, which
+            # reads p.
             while k < len(changed) and changed[k] < i:
                 k += 1
             i = changed[k] if k < len(changed) else n
-            row = rows[i]
+            new, reached = rows[i], live[i]
         else:
-            rows[i] = row = new
+            rows[i] = new
+            live[i] = reached
+        row, states = new, reached
     return rows
 
 
-def forward_pair(dfa: CounterDfa, store: DomainStore, symbols=None) -> tuple[list, list]:
+def forward_pair(dfa: CounterDfa, store: DomainStore, symbols=None, live: list | None = None) -> tuple[list, list]:
     """Rows 0..n of both prefix sides, ``(pre_min, pre_max)``, in one sweep.
 
-    Equal to ``forward(dfa, store, "min", symbols)`` and ``forward(dfa,
-    store, "max", symbols)``: both sides reach the same states, so one loop
-    over the reachable states, read off the min row, relaxes both.  Every
-    unreachable entry is its side's sentinel object, as in :func:`forward`.
-    There is no partial rebuild: see the module docstring.
+    Equal to ``forward(dfa, store, "min", symbols, live=live)`` and
+    ``forward(dfa, store, "max", symbols)``: both sides reach the same
+    states, so one loop over the states the previous row reaches relaxes
+    both.  Every unreachable entry is its side's sentinel object, as in
+    :func:`forward`.  There is no partial rebuild: see the module docstring.
     """
     if symbols is None:
         symbols = store.symbol_tuples()
@@ -192,45 +208,48 @@ def forward_pair(dfa: CounterDfa, store: DomainStore, symbols=None) -> tuple[lis
     low: list[int | float] = [UNREACHABLE_MIN] * num_states
     high: list[int | float] = [UNREACHABLE_MAX] * num_states
     low[dfa.start] = high[dfa.start] = 0
+    states = [dfa.start]
     pre_min, pre_max = [low], [high]
+    if live is None:
+        live = []
+    live.append(states)
     for syms in symbols:
         new_low: list[int | float] = [UNREACHABLE_MIN] * num_states
         new_high: list[int | float] = [UNREACHABLE_MAX] * num_states
-        for q, c in enumerate(low):
-            if c is UNREACHABLE_MIN:
-                continue
-            d = high[q]
-            trow = nxt[q]
-            irow = inc[q]
-            for s in syms:
-                t = trow[s]
-                step = irow[s]
-                lo = c + step
-                if lo < new_low[t]:
+        reached = []
+        for s in syms:
+            for q in states:
+                step = inc[q][s]
+                t = nxt[q][s]
+                lo = low[q] + step
+                d = new_low[t]
+                if lo < d:
+                    if d is UNREACHABLE_MIN:
+                        reached.append(t)
                     new_low[t] = lo
-                hi = d + step
+                hi = high[q] + step
                 if hi > new_high[t]:
                     new_high[t] = hi
         pre_min.append(new_low)
         pre_max.append(new_high)
-        low, high = new_low, new_high
+        live.append(reached)
+        low, high, states = new_low, new_high, reached
     return pre_min, pre_max
 
 
 def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previous=None,
-             changed: Sequence[int] = (), reach=None) -> list:
+             changed: Sequence[int] = (), live=None) -> list:
     """Rows 1..n+1 of per-state extremal suffix counters (index 0 unused).
 
     Entry ``q`` of row ``i`` is the extremal counter increase over the
     admissible suffixes ``s_i..s_n`` read from ``q``, wherever they end, so
-    row n+1 is 0 at every state.  ``reach``, if given, holds the prefix rows
-    of the same side: a row whose position has several symbols is then built
-    only at the states ``reach[i-1]`` reaches, and every other entry is the
-    sentinel.  One-symbol rows are built at every state.  So every entry is
-    either its true value or the sentinel, and every reachable entry is true
-    (see the module docstring); without ``reach`` every entry is true.
-    ``symbols``, ``previous`` and ``changed`` work as in :func:`forward`,
-    with the rebuild running from the last changed position towards row 1.
+    row n+1 is 0 at every state.  ``live``, if given, holds the states each
+    prefix row reaches (see :attr:`SweepTable.live`): row ``i`` is then built
+    only at the states of ``live[i-1]``, and every other entry is the
+    sentinel, so every entry the filter reads is true (see the module
+    docstring); without ``live`` every entry is true.  ``symbols``,
+    ``previous`` and ``changed`` work as in :func:`forward`, with the rebuild
+    running from the last changed position towards row 1.
     """
     minimize = _minimize(mode)
     if symbols is None:
@@ -238,7 +257,6 @@ def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previ
     sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
     num_states = dfa.num_states
     nxt, inc = dfa.next_state, dfa.increment
-    everywhere = [0] * num_states  # stands in for a reach row without ``reach``
     n = store.n
     if previous is None:
         rows: list = [None] * (n + 2)
@@ -249,33 +267,26 @@ def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previ
     else:
         rows = list(previous)
         i = changed[-1] + 1
-    next_cols, inc_cols = tuple(zip(*nxt)), tuple(zip(*inc))
+    if live is None:
+        live = [range(num_states)] * n  # every state, as dump-sweep prints them
     k = len(changed) - 1  # changed[k] is the last changed position not yet swept
     while i > 0:
         syms = symbols[i - 1]
         suffix = rows[i + 1]
-        if len(syms) == 1:
-            s = syms[0]
-            new = list(map(add, map(suffix.__getitem__, next_cols[s]), inc_cols[s]))
+        states = live[i - 1]
+        new = [sent] * num_states
+        if minimize:
+            for s in syms:
+                for q in states:
+                    c = suffix[nxt[q][s]] + inc[q][s]
+                    if c < new[q]:
+                        new[q] = c
         else:
-            new = [sent] * num_states
-            for q, c in enumerate(everywhere if reach is None else reach[i - 1]):
-                if c is sent:
-                    continue
-                trow = nxt[q]
-                irow = inc[q]
-                best = sent
-                if minimize:
-                    for s in syms:
-                        cost = suffix[trow[s]] + irow[s]
-                        if cost < best:
-                            best = cost
-                else:
-                    for s in syms:
-                        cost = suffix[trow[s]] + irow[s]
-                        if cost > best:
-                            best = cost
-                new[q] = best
+            for s in syms:
+                for q in states:
+                    c = suffix[nxt[q][s]] + inc[q][s]
+                    if c > new[q]:
+                        new[q] = c
         if previous is not None and new == previous[i]:
             # Row i is the old row, so rows p+2 .. i-1, which read unchanged
             # domains, are too, p being the next changed position towards
@@ -303,7 +314,9 @@ class SweepTable:
 
     ``symbols`` is the :meth:`~regcount.domains.DomainStore.symbol_tuples`
     list the sweeps ran on and ``mark`` the length of the store's removal log
-    when they ran.  ``least`` and ``greatest`` are the least and greatest
+    when they ran.  ``live[i]`` lists the states prefix row ``i`` reaches, in
+    the order the forward sweep reached them; both sides reach the same
+    states.  ``least`` and ``greatest`` are the least and greatest
     counters over admissible full-length strings, read off the last prefix
     rows: ``-inf`` and ``+inf`` for an unbuilt side.
     ``suffixes`` says which sides, (min, max), hold built suffix rows: a
@@ -321,6 +334,7 @@ class SweepTable:
     suf_min: list
     suf_max: list
     symbols: list
+    live: list
     mark: int
     suffixes: tuple[bool, bool]
     least: int | float
@@ -329,15 +343,16 @@ class SweepTable:
     @classmethod
     def compute(cls, dfa: CounterDfa, store: DomainStore, min_side: bool = True, max_side: bool = True,
                 previous: "SweepTable | None" = None,
-                suffix_sides: Callable[[int, int], tuple[bool, bool]] | None = None) -> "SweepTable":
+                suffix_sides: Callable[[DomainStore, int, int], tuple[bool, bool]] | None = None) -> "SweepTable":
         """The table of ``store`` now.
 
         The prefix rows of the chosen sides are built first: both sides in
         one :func:`forward_pair` sweep on a full build of both, else one
-        :func:`forward` sweep per side.  ``suffix_sides``, if given, is then
-        called with the table's ``least`` and ``greatest`` and returns which
-        sides, (min, max), need suffix rows; by default every built side gets
-        them.  Each suffix side is built at the states its prefix rows reach.
+        :func:`forward` sweep per side, which record :attr:`live`.
+        ``suffix_sides``, if given, is then called with ``store`` and the
+        table's ``least`` and ``greatest`` and returns which sides, (min,
+        max), need suffix rows; by default every built side gets them.  Each
+        suffix side is built at the states of :attr:`live`.
 
         ``previous``, a table of the same store and sides built earlier, makes
         this a partial rebuild: the positions of the symbol removals logged
@@ -350,28 +365,32 @@ class SweepTable:
         if previous is None:
             changed: list[int] = []
             old = (None, None, None, None)
+            live: list = []
         else:
             changed = sorted({var for var, _ in store.removal_log[previous.mark:] if var != COUNTER_VAR})
             built_min, built_max = previous.suffixes
             old = (previous.pre_min, previous.pre_max, previous.suf_min if built_min else None,
                    previous.suf_max if built_max else None)
+            # Both sides' sweeps write equal lists at the rows they rebuild,
+            # and a kept row reaches the states it reached.
+            live = list(previous.live)
         if previous is None and min_side and max_side:
-            pre_min, pre_max = forward_pair(dfa, store, symbols)
+            pre_min, pre_max = forward_pair(dfa, store, symbols, live)
         else:
-            pre_min = forward(dfa, store, "min", symbols, old[0], changed) if min_side else None
-            pre_max = forward(dfa, store, "max", symbols, old[1], changed) if max_side else None
+            pre_min = forward(dfa, store, "min", symbols, old[0], changed, live) if min_side else None
+            pre_max = forward(dfa, store, "max", symbols, old[1], changed, live) if max_side else None
         least = min(pre_min[-1]) if min_side else -math.inf
         greatest = max(pre_max[-1]) if max_side else math.inf
         suffixes = (min_side, max_side)
         if suffix_sides is not None:
-            need_min, need_max = suffix_sides(least, greatest)
+            need_min, need_max = suffix_sides(store, least, greatest)
             suffixes = (min_side and need_min, max_side and need_max)
         open_min = None if suffixes[0] else [[-math.inf] * dfa.num_states] * rows
         open_max = None if suffixes[1] else [[math.inf] * dfa.num_states] * rows
-        suf_min = backward(dfa, store, "min", symbols, old[2], changed, pre_min) if suffixes[0] else open_min
-        suf_max = backward(dfa, store, "max", symbols, old[3], changed, pre_max) if suffixes[1] else open_max
+        suf_min = backward(dfa, store, "min", symbols, old[2], changed, live) if suffixes[0] else open_min
+        suf_max = backward(dfa, store, "max", symbols, old[3], changed, live) if suffixes[1] else open_max
         return cls(pre_min if min_side else open_min, pre_max if max_side else open_max, suf_min, suf_max, symbols,
-                   mark, suffixes, least, greatest)
+                   live, mark, suffixes, least, greatest)
 
 
 def format_row(row, state_names: Sequence[str]) -> str:

@@ -328,6 +328,15 @@ def assert_true_where_read(suffix_rows, reference_rows, reach_rows, sent):
                 assert got == want or got == sent, (i, q)
 
 
+def assert_live_matches_reference(live, dfa, store):
+    """``live[i]`` lists, once each, the states the reference prefix row ``i`` reaches."""
+    reference = reference_kernel.forward(dfa, store, "min")
+    assert len(live) == len(reference)
+    for states, row in zip(live, reference):
+        assert len(states) == len(set(states))
+        assert set(states) == {q for q, c in enumerate(row) if c != UNREACHABLE_MIN}
+
+
 def reference_suffix_rows(dfa, store, mode):
     # Suffixes may end anywhere: the reference's base row is 0 at every state.
     return reference_kernel.backward(dfa, store, [0] * dfa.num_states, mode)
@@ -388,9 +397,13 @@ EDGE_PAIRS = emptied(st.one_of(dfa_store_pairs(max_n=12), dfa_store_pairs(max_n=
 @settings(max_examples=200, deadline=None)
 def test_forward_pair_equals_two_single_side_sweeps(pair):
     dfa, store = pair
-    pre_min, pre_max = forward_pair(dfa, store)
-    assert pre_min == forward(dfa, store, "min") == reference_kernel.forward(dfa, store, "min")
-    assert pre_max == forward(dfa, store, "max") == reference_kernel.forward(dfa, store, "max")
+    pair_live, min_live, max_live = [], [], []
+    pre_min, pre_max = forward_pair(dfa, store, live=pair_live)
+    assert pre_min == forward(dfa, store, "min", live=min_live) == reference_kernel.forward(dfa, store, "min")
+    assert pre_max == forward(dfa, store, "max", live=max_live) == reference_kernel.forward(dfa, store, "max")
+    # All three record the states each row reaches, in the same order.
+    assert pair_live == min_live == max_live
+    assert_live_matches_reference(pair_live, dfa, store)
     # The filter tests reachability with ``is``: every unreachable entry is
     # its side's sentinel object, and both sides reach the same states.
     for low, high in zip(pre_min, pre_max):
@@ -398,16 +411,23 @@ def test_forward_pair_equals_two_single_side_sweeps(pair):
             assert (c is UNREACHABLE_MIN) == (c == UNREACHABLE_MIN) == (d is UNREACHABLE_MAX)
 
 
-@given(EDGE_PAIRS)
+@given(st.one_of(EDGE_PAIRS, windowed(dfa_store_pairs(max_n=12))))
 @settings(max_examples=200, deadline=None)
 def test_backward_builds_reachable_entries_exactly(pair):
+    # ``windowed`` reduces half the positions of half its pairs to one symbol.
     dfa, store = pair
     for mode, sent in (("min", UNREACHABLE_MIN), ("max", UNREACHABLE_MAX)):
         reference = reference_suffix_rows(dfa, store, mode)
-        # Without ``reach`` every entry is true, also for dump-sweep.
+        # Without ``live`` every entry is true, also for dump-sweep.
         assert backward(dfa, store, mode) == reference
-        pre = forward(dfa, store, mode)
-        assert_true_where_read(backward(dfa, store, mode, reach=pre), reference, pre, sent)
+        live = []
+        pre = forward(dfa, store, mode, live=live)
+        suffix = backward(dfa, store, mode, live=live)
+        assert_true_where_read(suffix, reference, pre, sent)
+        # Every row, at one-symbol positions too, is built exactly at the
+        # states the prefix row one position earlier reaches.
+        for i in range(1, store.n + 1):
+            assert all(suffix[i][q] is sent for q in range(dfa.num_states) if q not in live[i - 1])
 
 
 def test_empty_domain_rows_match_reference_loops():
@@ -473,6 +493,7 @@ def assert_matches_full_rebuild(dfa, store, table, previous, min_side, max_side)
         else:
             assert all(c == unbounded for row in rows for c in row)
     assert table.mark == len(store.removal_log)
+    assert_live_matches_reference(table.live, dfa, store)
     assert_matching_support(table)
     assert_matching_support(full)
     if previous is None:
@@ -505,7 +526,7 @@ def test_incremental_tables_match_a_full_rebuild(pair, sides, data):
     # followed by a build of an arbitrary choice of suffix sides.
     dfa, store = pair
     wanted = data.draw(BOOL_PAIRS)
-    table = SweepTable.compute(dfa, store, *sides, suffix_sides=lambda least, greatest: wanted)
+    table = SweepTable.compute(dfa, store, *sides, suffix_sides=lambda store, least, greatest: wanted)
     assert_matches_full_rebuild(dfa, store, table, None, *sides)
     for _ in range(data.draw(st.integers(1, 4))):
         cells = [(i, s) for i in range(store.n) for s in store.symbols(i)]
@@ -517,7 +538,7 @@ def test_incremental_tables_match_a_full_rebuild(pair, sides, data):
             store.remove_counter(store.counter[-1])
         wanted = data.draw(BOOL_PAIRS)
         previous, table = table, SweepTable.compute(dfa, store, *sides, previous=table,
-                                                    suffix_sides=lambda least, greatest: wanted)
+                                                    suffix_sides=lambda store, least, greatest: wanted)
         assert table.suffixes == (sides[0] and wanted[0], sides[1] and wanted[1])
         assert_matches_full_rebuild(dfa, store, table, previous, *sides)
 
