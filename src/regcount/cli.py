@@ -62,10 +62,10 @@ def _load_dfa_arg(spec: str) -> CounterDfa:
 
 
 def _parse_domains(spec: str) -> list[list[str]]:
-    positions = [chunk for chunk in spec.split(";")]
-    if not positions or any(not chunk for chunk in positions):
+    groups = [[name for name in chunk.split(",") if name] for chunk in spec.split(";")]
+    if not all(groups):  # a group of bare commas names no symbol, as an empty one
         raise CliError("domain spec must be ';'-separated nonempty groups, e.g. '2;1,2;1'")
-    return [[name for name in chunk.split(",") if name] for chunk in positions]
+    return groups
 
 
 def _parse_counter(spec: str) -> list[int]:

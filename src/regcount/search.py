@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .automaton import CounterDfa
 from .domains import DomainStore, Instance
@@ -71,8 +71,15 @@ def solve(
             stats.failures += 1
         return not outcome.failed
 
-    def descend(node: DomainStore, depth: int) -> None:
-        """Branch below ``node``, which is at the propagator's fixpoint."""
+    # The open branchings, deepest last: a node, the position it branches on
+    # and the values not tried yet.  Only the deepest one branches, so the
+    # walk is depth-first, and its depth is bounded by n, not by Python's
+    # recursion limit.
+    branchings: list[tuple[DomainStore, int, Iterator[int]]] = []
+
+    def settle(node: DomainStore, depth: int) -> None:
+        """Skip the one-value positions below ``node``, which is at the
+        propagator's fixpoint, then count a solution or open a branching."""
         # One-value branches descend into ``node`` itself (module docstring).
         domains = node.domains
         while depth < n and domains[depth] & (domains[depth] - 1) == 0:
@@ -87,23 +94,26 @@ def solve(
                 # Every domain is one symbol here: read it off its one-bit mask.
                 assignment = tuple([(mask & alphabet).bit_length() - 1 for mask in domains])
                 on_solution((assignment, node.counter[0]))
-            return
-        if depth < n:
-            for sym in node.symbols(depth):
-                child = node.copy()
-                child.assign_symbol(depth, sym)
-                if visit(child):
-                    descend(child, depth + 1)
         else:
-            for value in list(node.counter):
-                child = node.copy()
-                child.assign_counter(value)
-                if visit(child):
-                    descend(child, depth + 1)
+            values = node.symbols(depth) if depth < n else list(node.counter)
+            branchings.append((node, depth, iter(values)))
 
     root = store.copy()
     if visit(root):
-        descend(root, 0)
+        settle(root, 0)
+    while branchings:
+        node, depth, values = branchings[-1]
+        value = next(values, None)
+        if value is None:
+            branchings.pop()
+            continue
+        child = node.copy()
+        if depth < n:
+            child.assign_symbol(depth, value)
+        else:
+            child.assign_counter(value)
+        if visit(child):
+            settle(child, depth + 1)
     stats.wall_time = time.perf_counter() - started
     return stats
 

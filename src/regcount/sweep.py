@@ -50,27 +50,31 @@ pass through the store's bounded mask cache.
 One row costs O(|domain| * |states reached|), a full table at most O(n *
 |alphabet| * |states|).
 
-Partial rebuilds.  Domains only shrink within one propagator call, so a
-table can be rebuilt from the previous one: given the previous rows and the
-ascending positions whose domains changed since, :func:`forward` keeps the
-rows before the first changed position and rebuilds from there, and
-:func:`backward` keeps the rows after the last one and rebuilds towards row
-1.  One cut-off rule ends each rebuilt stretch: a rebuilt row equal to the
-old row keeps the old row object, and since every row up to the next changed
-position reads an unchanged domain, those rows equal the old ones too, so the
-sweep jumps to that position.  Every other row is kept as built.  Rows are
-replaced, never mutated, so a previous table stays valid, and every row is
-either built by the sweep or an unmodified row of the previous table; a
-partial rebuild costs at most a full one plus one list comparison per
-rebuilt row.  The reached-state lists go with the rows: a kept prefix row
-reaches the states it reached, and a rebuild writes the lists of the rows it
-rebuilds into a copy of the previous table's.  Reachable sets only shrink
-too, so a kept suffix row is true on a superset of the states now reached:
-it stays sound, but it may differ from a row built now at a state no longer
-reached, and the sweep then goes on where a full rebuild would have
-stopped.  A partial rebuild runs the
-single-side sweeps: a fused one stops only where both sides re-converge,
-and the max side seldom does.
+Partial rebuilds, and full builds as rebuilds.  Domains only shrink within
+one propagator call, so a table can be rebuilt from the previous one: given
+the previous rows and the ascending positions whose domains changed since,
+:func:`forward` keeps the rows before the first changed position and
+rebuilds from there, and :func:`backward` keeps the rows after the last one
+and rebuilds towards row 1.  One cut-off rule ends each rebuilt stretch: a
+rebuilt row equal to the old row keeps the old row object, and since every
+row up to the next changed position reads an unchanged domain, those rows
+equal the old ones too, so the sweep jumps to that position.  Every other
+row is stored at its index as built.  A full build is the same rebuild
+against placeholder old rows, ``None``, that equal no built row: the forward
+sweep starts from row 0 with position 0 changed, the backward sweep from the
+base row n+1 with position n-1 changed, and no row is cut off, so one row
+loop serves both.  Rows are replaced, never mutated, so a previous table
+stays valid, and every row is either built by the sweep or an unmodified row
+of the previous table; a partial rebuild costs at most a full one plus one
+list comparison per rebuilt row.  The reached-state lists go with the rows:
+a kept prefix row reaches the states it reached, and a rebuild writes the
+lists of the rows it rebuilds into a copy of the previous table's.
+Reachable sets only shrink too, so a kept suffix row is true on a superset
+of the states now reached: it stays sound, but it may differ from a row
+built now at a state no longer reached, and the sweep then goes on where a
+full rebuild would have stopped.  A partial rebuild runs the single-side
+sweeps: a fused one stops only where both sides re-converge, and the max
+side seldom does.
 
 :meth:`SweepTable.compute` builds the min side (``pre_min``/``suf_min``), the
 max side, or both, and runs only those sweeps: atmost needs the min side,
@@ -93,6 +97,7 @@ so ``inf + x`` in the sentinel arithmetic stays valid.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -111,7 +116,8 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previo
 
     ``symbols`` is the pass's :meth:`~regcount.domains.DomainStore.symbol_tuples`
     list, built here if omitted.  ``live``, if given, receives the states
-    each row reaches: a full build appends one list per row to it.
+    each row reaches: a full build fills it in place with one list per row,
+    rows 0..n, replacing whatever it held, and is not appended to.
     ``previous``, if given, holds the rows of an earlier build in the same
     mode, ``changed`` the ascending positions whose domains have shrunk
     since, and ``live``, which a partial rebuild needs, the lists of
@@ -120,7 +126,8 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previo
     first one that does: a rebuilt row equal to the old row at its index
     keeps the old row object and the sweep jumps to the next changed position
     (see the module docstring).  ``previous`` itself is returned if none
-    changed.
+    changed.  Without ``previous`` the sweep is that rebuild from row 0
+    against placeholder rows that no row equals.
     """
     minimize = _minimize(mode)
     if symbols is None:
@@ -130,21 +137,18 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previo
     nxt, inc = dfa.next_state, dfa.increment
     n = store.n
     if previous is None:
-        row: list[int | float] = [sent] * num_states
-        row[dfa.start] = 0
-        states = [dfa.start]
-        rows = [row]
+        # A full build rebuilds from row 0 against old rows that equal no row.
+        row0: list[int | float] = [sent] * num_states
+        row0[dfa.start] = 0
+        previous, changed = [row0] + [None] * n, (0,)
         if live is None:
             live = []
-        live.append(states)
-        i = 0
+        live[:] = [[dfa.start]] + [None] * n
     elif not changed:
         return previous
-    else:
-        rows = list(previous)
-        i = changed[0]
-        row, states = rows[i], live[i]
-    k = 0  # changed[k] is the first changed position not yet swept
+    rows = list(previous)
+    i = changed[0]
+    row, states = rows[i], live[i]
     while i < n:
         syms = symbols[i]
         new: list[int | float] = [sent] * num_states
@@ -173,16 +177,12 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previo
                             reached.append(t)
                         new[t] = c
         i += 1
-        if previous is None:
-            rows.append(new)
-            live.append(reached)
-        elif new == previous[i]:
+        if new == previous[i]:
             # Row i is the old row, so rows i+1 .. p, which read unchanged
             # domains, are too and reach the states they reached, p being the
             # next changed position; the sweep resumes with row p+1, which
             # reads p.
-            while k < len(changed) and changed[k] < i:
-                k += 1
+            k = bisect_left(changed, i)
             i = changed[k] if k < len(changed) else n
             new, reached = rows[i], live[i]
         else:
@@ -244,12 +244,15 @@ def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previ
     Entry ``q`` of row ``i`` is the extremal counter increase over the
     admissible suffixes ``s_i..s_n`` read from ``q``, wherever they end, so
     row n+1 is 0 at every state.  ``live``, if given, holds the states each
-    prefix row reaches (see :attr:`SweepTable.live`): row ``i`` is then built
-    only at the states of ``live[i-1]``, and every other entry is the
-    sentinel, so every entry the filter reads is true (see the module
-    docstring); without ``live`` every entry is true.  ``symbols``,
-    ``previous`` and ``changed`` work as in :func:`forward`, with the rebuild
-    running from the last changed position towards row 1.
+    prefix row reaches, as :func:`forward` fills it (see
+    :attr:`SweepTable.live`); this sweep only reads it, and neither fills
+    nor appends to it.  Row ``i`` is then built only at the states of
+    ``live[i-1]``, and every other entry is the sentinel, so every entry the
+    filter reads is true (see the module docstring); without ``live`` every
+    entry is true.  ``symbols``, ``previous`` and ``changed`` work as in
+    :func:`forward`, with the rebuild running from the last changed position
+    towards row 1; without ``previous`` the sweep is that rebuild from row
+    n against placeholder rows, with position n-1 changed.
     """
     minimize = _minimize(mode)
     if symbols is None:
@@ -259,17 +262,14 @@ def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previ
     nxt, inc = dfa.next_state, dfa.increment
     n = store.n
     if previous is None:
-        rows: list = [None] * (n + 2)
-        rows[n + 1] = [0] * num_states
-        i = n
+        # A full build rebuilds from row n against old rows that equal no row.
+        previous, changed = [None] * (n + 1) + [[0] * num_states], (n - 1,)
     elif not changed:
         return previous
-    else:
-        rows = list(previous)
-        i = changed[-1] + 1
     if live is None:
         live = [range(num_states)] * n  # every state, as dump-sweep prints them
-    k = len(changed) - 1  # changed[k] is the last changed position not yet swept
+    rows = list(previous)
+    i = changed[-1] + 1
     while i > 0:
         syms = symbols[i - 1]
         suffix = rows[i + 1]
@@ -287,12 +287,11 @@ def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previ
                     c = suffix[nxt[q][s]] + inc[q][s]
                     if c > new[q]:
                         new[q] = c
-        if previous is not None and new == previous[i]:
+        if new == previous[i]:
             # Row i is the old row, so rows p+2 .. i-1, which read unchanged
             # domains, are too, p being the next changed position towards
             # row 1; the sweep resumes with row p+1, which reads p.
-            while k >= 0 and changed[k] > i - 2:
-                k -= 1
+            k = bisect_left(changed, i - 1) - 1
             i = changed[k] + 1 if k >= 0 else 0
         else:
             rows[i] = new

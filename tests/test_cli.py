@@ -359,6 +359,20 @@ def test_dump_sweep_requires_exactly_one_source():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("spec", ["a;,;b", "a;;b", ",", "a,b;,,"])
+@pytest.mark.parametrize("command", [
+    ("propagate", "--automaton", "catalog:AAB", "--counter", "0", "--mode", "atmost", "--vars"),
+    ("dump-sweep", "--catalog", "AAB", "--mode", "min", "--domains"),
+], ids=["propagate", "dump-sweep"])
+def test_a_domain_group_naming_no_symbol_exits_2(command, spec):
+    # An instance file with an empty domain exits 2 too: no command reads
+    # a group of bare commas as an empty domain.
+    code, out, err = run_main(*command, spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "nonempty groups" in err, err
+
+
 PAST_THE_BOUND = cli.MAX_SPEC_SIZE + 1
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from regcount import (
     format_bench,
     generate_corpus,
     bench,
+    build_subset_sum_dfa,
     propagate_decomposed,
     propagate_exact,
     run,
@@ -119,6 +122,34 @@ def test_ground_store_propagates_only_the_root(monkeypatch, word):
     assert (stats.nodes, stats.failures, stats.prunings, stats.solutions) == (len(word) + 2, 0, 0, 1)
     assert len(calls) == 1
     assert found == [(tuple(sym for (sym,) in symbols), run(B, word).counter)]
+
+
+class FirstSolution(Exception):
+    """Ends a search at its first solution."""
+
+
+def test_solve_finds_a_first_solution_deeper_than_the_recursion_limit():
+    # N <= n prunes nothing, so every position branches and the first
+    # solution lies n propagated levels below the root: a walk that took a
+    # Python frame per level would raise RecursionError long before it.
+    n = 400
+    dfa = build_subset_sum_dfa([1])
+    store = DomainStore(dfa.num_symbols, [(0, 1)] * n, [n])
+    found = []
+
+    def first(solution):
+        found.append(solution)
+        raise FirstSolution
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        with pytest.raises(FirstSolution):
+            solve(dfa, store, "atmost", on_solution=first)
+    finally:
+        sys.setrecursionlimit(limit)
+    # Values go ascending, so the first solution takes symbol 0 everywhere.
+    assert found == [((0,) * n, n)]
 
 
 # -- bench ----------------------------------------------------------------------

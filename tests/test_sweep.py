@@ -543,6 +543,44 @@ def test_incremental_tables_match_a_full_rebuild(pair, sides, data):
         assert_matches_full_rebuild(dfa, store, table, previous, *sides)
 
 
+#: Removals on six RST positions that each hold r, s and t: at the first
+#: position only, at the last only, at two adjacent ones, and at four whose
+#: first rebuilt row equals the old one in both sweeps while later changed
+#: positions still move rows.
+RST_EDGE_REMOVALS = {
+    "first": [(0, "r")],
+    "last": [(5, "s"), (5, "t")],
+    "adjacent": [(2, "r"), (3, "s"), (3, "t")],
+    "equal-then-change": [(0, "s"), (1, "r"), (3, "r"), (4, "s")],
+}
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+@pytest.mark.parametrize("case", list(RST_EDGE_REMOVALS))
+def test_partial_rebuilds_at_the_edges_equal_a_full_rebuild(case, mode):
+    rst = catalog("RST")
+    store = DomainStore(rst.num_symbols, [range(rst.num_symbols)] * 6, (0,))
+    live = []
+    old = forward(rst, store, mode, live=live), backward(rst, store, mode)
+    for position, name in RST_EDGE_REMOVALS[case]:
+        store.remove_symbol(position, rst.symbol_id(name))
+    changed = sorted({position for position, _ in RST_EDGE_REMOVALS[case]})
+    rebuilt_live, full_live = list(live), []
+    rebuilt = (forward(rst, store, mode, previous=old[0], changed=changed, live=rebuilt_live),
+               backward(rst, store, mode, previous=old[1], changed=changed))
+    assert rebuilt == (forward(rst, store, mode, live=full_live), backward(rst, store, mode))
+    assert [set(states) for states in rebuilt_live] == [set(states) for states in full_live]
+    # The one cut-off rule: every row equal to the old row is that object.
+    for new_rows, old_rows in zip(rebuilt, old):
+        assert all(new is old_row for new, old_row in zip(new_rows, old_rows) if new == old_row)
+    if case == "equal-then-change":
+        # Each sweep's first rebuilt row is the old one, so it must jump to
+        # the next changed position, and the forward rows move after it.
+        assert rebuilt[0][changed[0] + 1] is old[0][changed[0] + 1]
+        assert rebuilt[1][changed[-1] + 1] is old[1][changed[-1] + 1]
+        assert rebuilt[0] != old[0]
+
+
 #: Long pairs whose dom(N) :func:`strategies.windowed` places against their
 #: counter range, with wider increments so that windows cut into it more often.
 WINDOWED_LONG_PAIRS = windowed(st.one_of(dfa_store_pairs(max_states=5, min_n=6, max_n=16, max_increment=3),

@@ -1,0 +1,61 @@
+"""Line counts of the modules of ``src/regcount``, with and without docs.
+
+    python3 tools/code_lines.py
+
+Prints one row per module of ``src/regcount`` and a total row: ``lines``
+counts every line of the file, ``code`` only the lines that hold a token of
+code, so blank lines, comments and docstrings (the string that opens a
+module, class or function body) do not count.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import os
+import sys
+import tokenize
+
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "regcount")
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def docstring_lines(tree: ast.Module) -> set[int]:
+    """The line numbers that docstrings span."""
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def count(source: str) -> tuple[int, int]:
+    """(all lines, code lines) of one module's source."""
+    docs = docstring_lines(ast.parse(source))
+    code: set[int] = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in NOT_CODE:
+            code.update(line for line in range(token.start[0], token.end[0] + 1) if line not in docs)
+    return len(source.splitlines()), len(code)
+
+
+def main() -> int:
+    names = sorted(name for name in os.listdir(SOURCE) if name.endswith(".py"))
+    rows = []
+    for name in names:
+        with open(os.path.join(SOURCE, name), encoding="utf-8") as fh:
+            rows.append((name, *count(fh.read())))
+    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    width = max(len(r[0]) for r in rows)
+    print(f"{'module':<{width}}  {'lines':>5}  {'code':>5}")
+    for name, lines, code in rows:
+        print(f"{name:<{width}}  {lines:>5}  {code:>5}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
