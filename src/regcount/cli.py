@@ -31,11 +31,11 @@ from .automaton import (
     automaton_to_json,
     catalog,
     load_automaton,
-    validate,
 )
-from .domains import COUNTER_VAR, Instance, MalformedInstance, instance_from_json, load_instance
+from .domains import (COUNTER_VAR, DomainStore, Instance, MalformedInstance, instance_from_json, load_instance,
+                      symbol_ids)
 from .generator import GenConfig, run_fuzz
-from .oracle import CapExceeded, cap_from_env, enumerate_support, enumerate_support_native
+from .oracle import DEFAULT_CAP, CapExceeded, enumerate_support, enumerate_support_native
 from .propagators import Mode, propagate_instance
 from .search import bench, format_bench, solve
 from .sweep import backward, format_rows, forward
@@ -50,22 +50,27 @@ class CliError(Exception):
     """Bad input reported to the user; maps to exit code 2."""
 
 
+def _stdin_json():
+    try:
+        return json.load(sys.stdin)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"stdin: not valid JSON ({exc})") from None
+
+
 def _load_dfa_arg(spec: str) -> CounterDfa:
     if spec == "-":
-        try:
-            return automaton_from_json(json.load(sys.stdin))
-        except json.JSONDecodeError as exc:
-            raise CliError(f"stdin: not valid JSON ({exc})") from None
+        return automaton_from_json(_stdin_json())
     if spec.startswith("catalog:"):
         return catalog(spec.split(":", 1)[1])
     return load_automaton(spec)
 
 
-def _parse_domains(spec: str) -> list[list[str]]:
+def _parse_domains(dfa: CounterDfa, spec: str) -> list[list[int]]:
+    """Per-position symbol ids of a ``';'``-separated list of ``','``-separated name groups."""
     groups = [[name for name in chunk.split(",") if name] for chunk in spec.split(";")]
     if not all(groups):  # a group of bare commas names no symbol, as an empty one
         raise CliError("domain spec must be ';'-separated nonempty groups, e.g. '2;1,2;1'")
-    return groups
+    return [sorted(set(symbol_ids(dfa, group))) for group in groups]
 
 
 def _parse_counter(spec: str) -> list[int]:
@@ -86,26 +91,16 @@ def _parse_counter(spec: str) -> list[int]:
 
 def _instance_from_args(args) -> Instance:
     if args.instance is not None:
-        if args.instance == "-":
-            try:
-                doc = json.load(sys.stdin)
-            except json.JSONDecodeError as exc:
-                raise CliError(f"stdin: not valid JSON ({exc})") from None
-            inst = instance_from_json(doc)
-        else:
-            inst = load_instance(args.instance)
-        if getattr(args, "mode", None):
+        inst = instance_from_json(_stdin_json()) if args.instance == "-" else load_instance(args.instance)
+        if args.mode:
             inst.mode = Mode(args.mode).semantics.value
         return inst
     if not (args.automaton and args.vars and args.counter):
         raise CliError("give an instance file, or --automaton with --vars and --counter")
-    if not getattr(args, "mode", None):
+    if not args.mode:
         raise CliError("--mode is required with inline --vars/--counter")
     dfa = _load_dfa_arg(args.automaton)
-    try:
-        var_domains = [sorted({dfa.symbol_id(name) for name in group}) for group in _parse_domains(args.vars)]
-    except KeyError as exc:
-        raise CliError(exc.args[0]) from None
+    var_domains = _parse_domains(dfa, args.vars)
     mode = Mode(args.mode).semantics.value
     return Instance(dfa=dfa, mode=mode, var_domains=var_domains, counter_values=_parse_counter(args.counter))
 
@@ -119,7 +114,6 @@ def _format_removal(inst: Instance, var, value) -> str:
 
 def _cmd_validate(args) -> int:
     dfa = load_automaton(args.automaton)
-    validate(dfa)
     print(f"ok: {dfa.num_states} states, {dfa.num_symbols} symbols")
     return 0
 
@@ -141,13 +135,20 @@ def _cmd_propagate(args) -> int:
 
 
 def _cap_arg(cap: int) -> int:
-    """The enumeration cap of ``--cap``: 0 means REGCOUNT_CAP or the default."""
+    """The enumeration cap of ``--cap``: 0 means REGCOUNT_CAP, or DEFAULT_CAP when that is unset or empty."""
     if cap < 0:
         raise CliError(f"--cap must be a positive number of ground sequences, or 0 for the default; got {cap}")
+    if cap:
+        return cap
+    raw = os.environ.get("REGCOUNT_CAP", "")
+    if not raw:
+        return DEFAULT_CAP
     try:
-        return cap or cap_from_env()
-    except ValueError as exc:
-        raise CliError(exc.args[0]) from None
+        if int(raw) > 0:
+            return int(raw)
+    except ValueError:
+        pass
+    raise CliError(f"REGCOUNT_CAP must be a positive integer, or unset; got {raw!r}")
 
 
 def _cmd_oracle(args) -> int:
@@ -176,17 +177,15 @@ def _cmd_dump_sweep(args) -> int:
     if args.uniform:
         if not 1 <= args.n <= MAX_SPEC_SIZE:
             raise CliError(f"--uniform needs --n in 1..{MAX_SPEC_SIZE}")
-        groups = [args.uniform.split(",")] * args.n
+        groups = _parse_domains(dfa, args.uniform)
+        if len(groups) != 1:
+            raise CliError("--uniform takes one group, e.g. 'r,t'; give per-position groups with --domains")
+        groups *= args.n
     elif args.domains:
-        groups = _parse_domains(args.domains)
+        groups = _parse_domains(dfa, args.domains)
     else:
         raise CliError("give --domains or --uniform with --n")
-    try:
-        var_domains = [sorted({dfa.symbol_id(name) for name in group}) for group in groups]
-    except KeyError as exc:
-        raise CliError(exc.args[0]) from None
-    inst = Instance(dfa=dfa, mode="exact", var_domains=var_domains, counter_values=[0])
-    store = inst.make_store()
+    store = DomainStore(dfa.num_symbols, groups, [0])
     if args.table == "pre":
         lines = format_rows(forward(dfa, store, args.mode), dfa.state_names, 0)
     else:
@@ -263,14 +262,13 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _add_instance_args(parser: argparse.ArgumentParser, with_mode: bool = True) -> None:
+def _add_instance_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("instance", nargs="?", help="instance JSON file, or '-' for stdin")
     parser.add_argument("--automaton", help="automaton JSON path, '-' for stdin, or 'catalog:NAME'")
     parser.add_argument("--vars", help="inline domains, e.g. '2;1,2;1;1,2;1,2'")
     parser.add_argument("--counter", help="inline counter domain, e.g. '1' or '0,2' or '0..5'")
-    if with_mode:
-        parser.add_argument("--mode", choices=[mode.value for mode in Mode],
-                            help="constraint semantics (overrides the instance file)")
+    parser.add_argument("--mode", choices=[mode.value for mode in Mode],
+                        help="constraint semantics (overrides the instance file)")
 
 
 def build_parser() -> argparse.ArgumentParser:

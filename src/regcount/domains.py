@@ -204,6 +204,14 @@ class MalformedInstance(ValueError):
     """An instance document is structurally invalid."""
 
 
+def symbol_ids(dfa: CounterDfa, names: Iterable) -> list[int]:
+    """Alphabet ids of ``names``, in order; an unknown name raises MalformedInstance."""
+    try:
+        return [dfa.symbol_id(str(name)) for name in names]
+    except KeyError as exc:
+        raise MalformedInstance(exc.args[0]) from None
+
+
 def instance_from_json(doc: dict, base_dir: str = ".") -> Instance:
     if not isinstance(doc, dict):
         raise MalformedInstance("instance document must be a JSON object")
@@ -236,12 +244,7 @@ def instance_from_json(doc: dict, base_dir: str = ".") -> Instance:
         inst = Instance(dfa=dfa, mode=mode, counter_values=sorted(set(counter)),
                         signature=sig, native_domains=native, name=name)
     else:
-        var_domains = []
-        for dom in raw_vars:
-            try:
-                var_domains.append(sorted({dfa.symbol_id(str(v)) for v in dom}))
-            except KeyError as exc:
-                raise MalformedInstance(exc.args[0]) from None
+        var_domains = [sorted(set(symbol_ids(dfa, dom))) for dom in raw_vars]
         inst = Instance(dfa=dfa, mode=mode, var_domains=var_domains,
                         counter_values=sorted(set(counter)), name=name)
     return inst
@@ -270,10 +273,7 @@ def _signature_from_json(block, dfa: CounterDfa, native_domains: list[list[int]]
             bad = [v for v in m if not (isinstance(v, str) and _INT_KEY.fullmatch(v))]
             if bad:
                 raise MalformedInstance(f"signature entry {i}: keys {bad} are not integers")
-            try:
-                maps.append({int(v): dfa.symbol_id(str(sym)) for v, sym in m.items()})
-            except KeyError as exc:
-                raise MalformedInstance(exc.args[0]) from None
+            maps.append(dict(zip(map(int, m), symbol_ids(dfa, m.values()))))
         sig = SignatureMap(maps)
         for i, dom in enumerate(native_domains):
             missing = [v for v in dom if v not in sig.maps[i]]

@@ -15,7 +15,6 @@ that reaches that counter; every leaf still counts its ground sequence.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import prod
@@ -25,8 +24,9 @@ from .domains import COUNTER_VAR, DomainStore, Instance
 from .propagators import Mode, PropagationOutcome
 from .signature import SignatureMap
 
-#: Default ceiling on the number of ground sequences; override per call or
-#: via the REGCOUNT_CAP environment variable (used by the CLI).
+#: Default ceiling on the number of ground sequences; override it per call.
+#: The CLI's ``--cap`` and its REGCOUNT_CAP environment variable set the cap
+#: of the oracle-backed commands.
 DEFAULT_CAP = 10**7
 
 
@@ -250,21 +250,3 @@ def check_dc(
         elif not is_supported:
             verdict.gaps.append(value)
     return verdict
-
-
-def cap_from_env(default: int = DEFAULT_CAP) -> int:
-    """Enumeration cap, honoring the REGCOUNT_CAP environment variable.
-
-    Unset or empty gives ``default``; any other value must be a positive
-    integer, or ``ValueError`` is raised.
-    """
-    raw = os.environ.get("REGCOUNT_CAP", "")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise ValueError(f"REGCOUNT_CAP must be a positive integer, or unset; got {raw!r}")
-    return value

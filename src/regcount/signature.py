@@ -23,10 +23,6 @@ class SignatureMap:
     def __init__(self, maps: Sequence[dict[int, int]]):
         object.__setattr__(self, "maps", tuple(dict(m) for m in maps))
 
-    @property
-    def n(self) -> int:
-        return len(self.maps)
-
     def symbol_of(self, i: int, value: int) -> int:
         try:
             return self.maps[i][value]

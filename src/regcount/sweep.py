@@ -400,9 +400,4 @@ def format_row(row, state_names: Sequence[str]) -> str:
 
 def format_rows(rows, state_names: Sequence[str], first_index: int) -> list[str]:
     """One ``i: name=value,...`` line per row, numbering from ``first_index``."""
-    lines = []
-    for offset, row in enumerate(rows):
-        if row is None:
-            continue
-        lines.append(f"{first_index + offset}: {format_row(row, state_names)}")
-    return lines
+    return [f"{first_index + offset}: {format_row(row, state_names)}" for offset, row in enumerate(rows)]

@@ -1,7 +1,9 @@
 import contextlib
 import io
+import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -9,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regcount import Instance, catalog, cli, save_instance
+from regcount import Instance, catalog, cli, instance_to_json, load_instance, save_instance
 from regcount.automaton import automaton_to_json
+from regcount.generator import FuzzReport, FuzzViolation
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def run_main(*args, stdin=""):
@@ -354,6 +358,22 @@ def test_dump_sweep_suffix_table():
     assert lines[-1] == "4: eps=0,q=0"
 
 
+@pytest.mark.parametrize("group", ["r,t", "r,", ",t"])
+def test_uniform_reads_its_group_as_domains_does(group):
+    uniform = run_main("dump-sweep", "--catalog", "RST", "--uniform", group, "--n", "3", "--mode", "min")
+    domains = run_main("dump-sweep", "--catalog", "RST", "--domains", ";".join([group] * 3), "--mode", "min")
+    assert uniform == domains
+    assert uniform[0] == 0 and uniform[1].count("\n") == 4
+
+
+@pytest.mark.parametrize(("group", "named"), [(",", "nonempty groups"), ("r;t", "one group")])
+def test_uniform_takes_one_group_naming_a_symbol(group, named):
+    code, out, err = run_main("dump-sweep", "--catalog", "RST", "--uniform", group, "--n", "3", "--mode", "min")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err, err
+
+
 def test_dump_sweep_requires_exactly_one_source():
     result = run_cli("dump-sweep", "--mode", "max")
     assert result.returncode == 2
@@ -425,6 +445,25 @@ def test_instance_on_stdin():
     result = run_cli("propagate", "-", stdin=json.dumps(witness_instance_doc()))
     assert result.returncode == 0
     assert "x5 != 2" in result.stdout.splitlines()
+
+
+INLINE = ("--vars", "1,2;1,2", "--counter", "0", "--mode", "exact")
+
+
+@pytest.mark.parametrize("args", [
+    ("propagate", "-"),
+    ("oracle", "-"),
+    ("solve", "-"),
+    ("propagate", "--automaton", "-", *INLINE),
+    ("oracle", "--automaton", "-", *INLINE),
+    ("solve", "--automaton", "-", *INLINE),
+    ("dump-sweep", "--automaton", "-", "--domains", "1;2", "--mode", "min"),
+], ids=lambda args: " ".join(args[:3]))
+def test_invalid_json_on_stdin_exits_2_with_one_line(args):
+    code, out, err = run_main(*args, stdin='{"states": 2,')
+    assert code == 2 and out == ""
+    assert err.startswith("error: stdin: not valid JSON (") and err.endswith(")\n"), err
+    assert err.count("\n") == 1, err
 
 
 def test_solve_with_decomposed_propagator():
@@ -534,6 +573,20 @@ def test_fuzz_small_run_is_clean(tmp_path):
     assert not (tmp_path / "failures").exists()
 
 
+def test_fuzz_writes_each_violation_as_a_loadable_instance(tmp_path, monkeypatch):
+    doc = witness_instance_doc()
+    violation = FuzzViolation(index=7, mode="exact", kind="unsound", detail="removed supported x1=2",
+                              instance_doc=doc)
+    monkeypatch.setattr(cli, "run_fuzz", lambda *args, **kwargs: FuzzReport(checked=9, violations=[violation]))
+    out_dir = tmp_path / "failures"
+    code, out, err = run_main("fuzz", "--count", "9", "--out", str(out_dir))
+    assert code == 1, err
+    assert out.splitlines() == ["checked: 9", "violations: 1", "violation[7]: exact unsound: removed supported x1=2"]
+    assert os.listdir(out_dir) == ["violation-000007-exact-unsound.json"]
+    written = load_instance(str(out_dir / "violation-000007-exact-unsound.json"))
+    assert instance_to_json(written) == doc
+
+
 def test_solve_counts_solutions():
     piped = run_cli("catalog", "B").stdout
     result = run_cli(
@@ -577,3 +630,35 @@ def test_bench_rejects_a_corpus_that_is_no_directory(tmp_path, kind):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+# -- README --------------------------------------------------------------------
+
+
+SUBCOMMANDS = {"validate", "catalog", "propagate", "oracle", "dump-sweep", "fuzz", "solve", "bench"}
+
+
+def readme_cli_commands():
+    """The argument lists of every ``regcount`` command in README's CLI block."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        for is_pipe, stage in itertools.groupby(shlex.split(line, comments=True), key="|".__eq__):
+            stage = list(stage)
+            if not is_pipe and stage[0] == "regcount":
+                commands.append(stage[1:])
+    return commands
+
+
+def test_every_readme_cli_command_parses():
+    commands = readme_cli_commands()
+    parser = cli.build_parser()
+    unparsed = []
+    for words in commands:
+        try:
+            parser.parse_args(words)
+        except SystemExit:
+            unparsed.append(" ".join(words))
+    assert unparsed == []
+    assert {words[0] for words in commands} == SUBCOMMANDS

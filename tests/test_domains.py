@@ -16,6 +16,7 @@ from regcount import (
     save_instance,
 )
 from regcount.automaton import automaton_to_json
+from regcount.domains import symbol_ids
 
 
 def make_store(domains=((0, 1), (1,), (0, 1, 2)), counter=(0, 1, 2), k=3):
@@ -218,3 +219,10 @@ def test_signature_must_cover_the_domain():
     }
     with pytest.raises(MalformedInstance, match="cover"):
         instance_from_json(doc)
+
+
+def test_symbol_ids_keep_order_and_reject_an_unknown_name():
+    b = catalog("B")
+    assert symbol_ids(b, ["2", 1, "2"]) == [1, 0, 1]
+    with pytest.raises(MalformedInstance, match=r"^unknown symbol 'z'; alphabet is \['1', '2'\]$"):
+        symbol_ids(b, ["1", "z"])
