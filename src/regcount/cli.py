@@ -33,7 +33,7 @@ from .automaton import (
     load_automaton,
 )
 from .domains import (COUNTER_VAR, DomainStore, Instance, MalformedInstance, instance_from_json, load_instance,
-                      symbol_ids)
+                      save_instance, symbol_ids)
 from .generator import GenConfig, run_fuzz
 from .oracle import DEFAULT_CAP, CapExceeded, enumerate_support, enumerate_support_native
 from .propagators import Mode, propagate_instance
@@ -91,6 +91,8 @@ def _parse_counter(spec: str) -> list[int]:
 
 def _instance_from_args(args) -> Instance:
     if args.instance is not None:
+        if (args.automaton, args.vars, args.counter) != (None, None, None):
+            raise CliError("give an instance file or --automaton/--vars/--counter, not both")
         inst = instance_from_json(_stdin_json()) if args.instance == "-" else load_instance(args.instance)
         if args.mode:
             inst.mode = Mode(args.mode).semantics.value
@@ -174,6 +176,8 @@ def _cmd_dump_sweep(args) -> int:
     if bool(args.catalog) == bool(args.automaton):
         raise CliError("give exactly one of --catalog or --automaton")
     dfa = catalog(args.catalog) if args.catalog else _load_dfa_arg(args.automaton)
+    if bool(args.uniform) == bool(args.domains):
+        raise CliError("give exactly one of --domains or --uniform with --n")
     if args.uniform:
         if not 1 <= args.n <= MAX_SPEC_SIZE:
             raise CliError(f"--uniform needs --n in 1..{MAX_SPEC_SIZE}")
@@ -181,10 +185,8 @@ def _cmd_dump_sweep(args) -> int:
         if len(groups) != 1:
             raise CliError("--uniform takes one group, e.g. 'r,t'; give per-position groups with --domains")
         groups *= args.n
-    elif args.domains:
-        groups = _parse_domains(dfa, args.domains)
     else:
-        raise CliError("give --domains or --uniform with --n")
+        groups = _parse_domains(dfa, args.domains)
     store = DomainStore(dfa.num_symbols, groups, [0])
     if args.table == "pre":
         lines = format_rows(forward(dfa, store, args.mode), dfa.state_names, 0)
@@ -218,10 +220,7 @@ def _cmd_fuzz(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for v in report.violations:
         print(f"violation[{v.index}]: {v.mode} {v.kind}: {v.detail}")
-        path = os.path.join(args.out, f"violation-{v.index:06d}-{v.mode}-{v.kind}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(v.instance_doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_instance(v.instance, os.path.join(args.out, f"violation-{v.index:06d}-{v.mode}-{v.kind}.json"))
     print(f"wrote {len(report.violations)} failing instances to {args.out}", file=sys.stderr)
     return 1
 

@@ -19,14 +19,14 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .automaton import CounterDfa, catalog, validate
-from .domains import Instance, instance_to_json
-from .oracle import DEFAULT_CAP, check_dc, enumerate_all_modes, enumerate_all_modes_native
+from .domains import Instance
+from .oracle import DEFAULT_CAP, DcVerdict, check_dc, enumerate_all_modes, enumerate_all_modes_native, judge
 from .propagators import (
     Mode,
     propagate_atleast,
@@ -163,11 +163,13 @@ def generate_corpus(cfg: GenConfig, count: int, start: int = 0) -> Iterator[tupl
 
 @dataclass
 class FuzzViolation:
+    """One failed check; ``instance`` is the failing instance, with the semantics of ``mode`` as its mode."""
+
     index: int
     mode: str
     kind: str
     detail: str
-    instance_doc: dict
+    instance: Instance
 
 
 @dataclass
@@ -181,6 +183,25 @@ class FuzzReport:
         return not self.violations
 
 
+def _violations(inst: Instance, mode: str, index: int, verdict: DcVerdict,
+                more: Sequence[tuple[str, str]] = ()) -> list[FuzzViolation]:
+    """A verdict's violations of ``mode``, then the (kind, detail) pairs of ``more``.
+
+    Gaps count only under atmost and atleast, by :meth:`DcVerdict.ok`'s rule.
+    """
+    found = []
+    if verdict.failed_on_satisfiable:
+        found.append(("failed-on-satisfiable", f"{'exact ' if mode == 'exact' else ''}propagator failed "
+                      "but the oracle found solutions"))
+    if verdict.unsound:
+        found.append(("unsound", f"removed supported values {verdict.unsound}"))
+    gaps = verdict.counted_gaps(mode)
+    if gaps:
+        found.append(("dc-gap", f"kept unsupported values {gaps}"))
+    return [FuzzViolation(index, mode, kind, detail, replace(inst, mode=Mode(mode).semantics.value))
+            for kind, detail in [*found, *more]]
+
+
 def check_instance(
     dfa: CounterDfa,
     inst: Instance,
@@ -190,85 +211,56 @@ def check_instance(
 ) -> list[FuzzViolation]:
     """Differential checks for one instance; empty list means all clear.
 
-    atmost/atleast: the propagator must agree with the oracle exactly (no
-    unsound removal, no missed value, failure iff unsatisfiable) and a second
-    run must remove nothing.  exact: no unsound removal, no failure on a
-    satisfiable instance, and the removal set must contain the decomposition
-    baseline's (a failed run counts as removing everything).
+    Each propagator's outcome is judged against the oracle with
+    :func:`regcount.oracle.check_dc`: no unsound removal and no failure on a
+    satisfiable instance, and under atmost and atleast no kept unsupported
+    value either.  A second atmost or atleast run must remove nothing, and
+    exact's removals must contain the decomposition baseline's (a failed run
+    counts as removing everything).
     """
     violations: list[FuzzViolation] = []
     reports = enumerate_all_modes(dfa, inst.make_store(), cap)
-
-    def bad(mode: str, kind: str, detail: str) -> None:
-        doc = instance_to_json(Instance(dfa=dfa, mode=mode, var_domains=inst.var_domains,
-                                        counter_values=inst.counter_values))
-        violations.append(FuzzViolation(index, mode, kind, detail, doc))
-
-    for mode, propagator in (("atmost", propagate_atmost), ("atleast", propagate_atleast)):
+    for mode, propagator in (("atmost", propagate_atmost), ("atleast", propagate_atleast),
+                             ("exact", propagate_exact)):
         if mode not in modes:
             continue
         store = inst.make_store()
         before = store.copy()
         out = propagator(dfa, store)
         verdict = check_dc(dfa, before, mode, out, cap, report=reports[mode])
-        if verdict.failed_on_satisfiable:
-            bad(mode, "failed-on-satisfiable", "propagator failed but the oracle found solutions")
-        if verdict.unsound:
-            bad(mode, "unsound", f"removed supported values {verdict.unsound}")
-        if verdict.gaps:
-            bad(mode, "dc-gap", f"kept unsupported values {verdict.gaps}")
-        if not out.failed:
+        more = []
+        if mode == "exact":
+            dout = propagate_decomposed(dfa, inst.make_store())
+            if dout.failed and not out.failed:
+                more.append(("dominance", "decomposition failed but the exact propagator did not"))
+            elif not dout.failed and not out.failed and not set(out.removals) >= set(dout.removals):
+                missing = set(dout.removals) - set(out.removals)
+                more.append(("dominance", f"exact removals miss decomposition removals {sorted(map(str, missing))}"))
+        elif not out.failed:
             second = propagator(dfa, store)
             if second.removals or second.failed:
-                bad(mode, "not-idempotent", f"second run removed {second.removals}")
-
-    if "exact" in modes:
-        store = inst.make_store()
-        before = store.copy()
-        out = propagate_exact(dfa, store)
-        verdict = check_dc(dfa, before, "exact", out, cap, report=reports["exact"])
-        if verdict.failed_on_satisfiable:
-            bad("exact", "failed-on-satisfiable", "exact propagator failed but the oracle found solutions")
-        if verdict.unsound:
-            bad("exact", "unsound", f"removed supported values {verdict.unsound}")
-        dstore = inst.make_store()
-        dout = propagate_decomposed(dfa, dstore)
-        if dout.failed and not out.failed:
-            bad("exact", "dominance", "decomposition failed but the exact propagator did not")
-        elif not dout.failed and not out.failed and not set(out.removals) >= set(dout.removals):
-            missing = set(dout.removals) - set(out.removals)
-            bad("exact", "dominance", f"exact removals miss decomposition removals {sorted(map(str, missing))}")
+                more.append(("not-idempotent", f"second run removed {second.removals}"))
+        violations += _violations(inst, mode, index, verdict, more)
     return violations
 
 
 def check_among_instance(inst: Instance, modes: Sequence[str] = ("atmost", "atleast"), cap: int = DEFAULT_CAP,
                          index: int = -1) -> list[FuzzViolation]:
-    """Composite channeling check: propagated native domains must equal the
-    native oracle's supported sets exactly under each bound semantics."""
+    """Composite channeling check, judged as :func:`check_instance` judges a propagator.
+
+    The native removals of :func:`regcount.propagators.propagate_composite`
+    are judged against the native oracle with :func:`regcount.oracle.judge`,
+    under each mode's semantics: kinds ``failed-on-satisfiable``, ``unsound``
+    and, except under exact, ``dc-gap`` (which also flags a fixpoint on an
+    unsatisfiable instance).
+    """
     assert inst.signature is not None and inst.native_domains is not None
     violations: list[FuzzViolation] = []
-
-    def bad(mode: str, kind: str, detail: str) -> None:
-        doc = instance_to_json(Instance(dfa=inst.dfa, mode=mode, counter_values=inst.counter_values,
-                                        signature=inst.signature, native_domains=inst.native_domains))
-        violations.append(FuzzViolation(index, mode, kind, detail, doc))
-
     reports = enumerate_all_modes_native(inst.dfa, inst.signature, inst.native_domains, inst.counter_values, cap)
     for mode in modes:
-        result = propagate_composite(inst.dfa, inst.signature, inst.native_domains, inst.counter_values, mode)
-        report = reports[Mode(mode).semantics.value]
-        if result.failed:
-            if report.satisfiable:
-                bad(mode, "failed-on-satisfiable", "composite propagation failed on a satisfiable instance")
-            continue
-        if not report.satisfiable:
-            bad(mode, "missed-failure", "oracle found no solutions but propagation reached a fixpoint")
-            continue
-        got = [set(d) for d in result.native_domains]
-        want = [set(s) for s in report.supported]
-        if got != want or set(result.counter_values) != report.supported_counter:
-            bad(mode, "composite-dc", f"native domains {got} vs supported {want}; "
-                f"N {result.counter_values} vs {sorted(report.supported_counter)}")
+        out = propagate_composite(inst.dfa, inst.signature, inst.native_domains, inst.counter_values, mode)
+        verdict = judge(reports[Mode(mode).semantics.value], inst.native_domains, inst.counter_values, out)
+        violations += _violations(inst, mode, index, verdict)
     return violations
 
 

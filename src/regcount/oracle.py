@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import prod
+from typing import Iterable, Sequence
 
 from .automaton import CounterDfa
 from .domains import COUNTER_VAR, DomainStore, Instance
@@ -212,15 +213,41 @@ class DcVerdict:
     gaps: list[tuple[int | str, int]] = field(default_factory=list)
     failed_on_satisfiable: bool = False
 
+    def counted_gaps(self, mode: str) -> list[tuple[int | str, int]]:
+        """The gaps that count against ``mode``: none under exact semantics, however it is spelled."""
+        return self.gaps if self.gaps and Mode(mode).semantics is not Mode.EXACT else []
+
     def ok(self, mode: str) -> bool:
-        if self.failed_on_satisfiable or self.unsound:
-            return False
-        if Mode(mode).semantics is Mode.EXACT:
-            return True
-        return not self.gaps
+        return not (self.failed_on_satisfiable or self.unsound or self.counted_gaps(mode))
 
     def __bool__(self) -> bool:  # truthy when something is wrong
         return bool(self.unsound or self.gaps or self.failed_on_satisfiable)
+
+
+def judge(
+    report: SupportReport,
+    domains: Sequence[Iterable[int]],
+    counter_values: Iterable[int],
+    outcome: PropagationOutcome,
+) -> DcVerdict:
+    """Judge an outcome against ``report`` on the per-position values and N-values it started from.
+
+    The values are symbol ids for a plain store and native values for a
+    signature instance, as in the outcome's removals.
+    """
+    if outcome.failed:
+        return DcVerdict(failed_on_satisfiable=report.satisfiable)
+    removed = set(outcome.removals)
+    verdict = DcVerdict()
+    judged = [((i, v), v in report.supported[i]) for i, dom in enumerate(domains) for v in dom]
+    judged += [((COUNTER_VAR, v), v in report.supported_counter) for v in counter_values]
+    for value, is_supported in judged:
+        if value in removed:
+            if is_supported:
+                verdict.unsound.append(value)
+        elif not is_supported:
+            verdict.gaps.append(value)
+    return verdict
 
 
 def check_dc(
@@ -231,22 +258,13 @@ def check_dc(
     cap: int = DEFAULT_CAP,
     report: SupportReport | None = None,
 ) -> DcVerdict:
-    """Judge an outcome against the oracle run on the pre-propagation store.
+    """Judge an outcome on a store against the oracle run on the pre-propagation store.
 
-    Pass ``report`` to reuse an existing enumeration of ``store_before``.
+    This is :func:`judge` on ``store_before``'s symbols and N-values.  Pass
+    ``report`` to reuse an existing enumeration of ``store_before``; without
+    one, this enumerates it under ``mode``'s semantics.  ``mode`` picks
+    nothing else: read the verdict with :meth:`DcVerdict.ok`.
     """
     if report is None:
         report = enumerate_support(dfa, store_before, mode, cap)
-    if outcome.failed:
-        return DcVerdict(failed_on_satisfiable=report.satisfiable)
-    removed = set(outcome.removals)
-    verdict = DcVerdict()
-    judged = [((i, s), s in report.supported[i]) for i in range(store_before.n) for s in store_before.symbols(i)]
-    judged += [((COUNTER_VAR, v), v in report.supported_counter) for v in store_before.counter]
-    for value, is_supported in judged:
-        if value in removed:
-            if is_supported:
-                verdict.unsound.append(value)
-        elif not is_supported:
-            verdict.gaps.append(value)
-    return verdict
+    return judge(report, [store_before.symbols(i) for i in range(store_before.n)], store_before.counter, outcome)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regcount import Instance, catalog, cli, instance_to_json, load_instance, save_instance
+from regcount import Instance, catalog, cli, instance_from_json, instance_to_json, load_instance, save_instance
 from regcount.automaton import automaton_to_json
 from regcount.generator import FuzzReport, FuzzViolation
 
@@ -415,16 +415,57 @@ PAST_THE_BOUND = cli.MAX_SPEC_SIZE + 1
         (("fuzz", "--threads", "-3"), "--threads"),
         (("oracle", "--automaton", "catalog:B", "--vars", "1,2;2", "--counter", "0..2", "--mode", "exact",
           "--cap", "-3"), "--cap"),
+        (("oracle", "--automaton", "catalog:B", "--vars", "1,2;1,2", "--counter", "0", "--mode", "atmost",
+          "--cap", "1"), "cap of 1 "),
+        (("propagate", "--automaton", "catalog:B", "--vars", "1,2", "--counter", "0..x", "--mode", "atmost"),
+         "counter spec"),
+        (("propagate", "--automaton", "catalog:B", "--vars", "1,2", "--counter", "-1", "--mode", "atmost"),
+         "nonnegative"),
+        (("propagate", "--automaton", "catalog:B", "--vars", "1,2", "--counter", "0"), "--mode"),
+        (("propagate", "--automaton", "catalog:B", "--vars", "1,2", "--mode", "atmost"), "--counter"),
+        (("dump-sweep", "--catalog", "RST", "--uniform", "r", "--n", "2", "--domains", "t;t;t", "--mode", "min"),
+         "--domains or --uniform"),
     ],
     ids=["counter-range", "counter-ranges", "uniform-n", "negative-n", "fuzz-max-n-0", "fuzz-negative-max-n",
          "fuzz-max-states-0", "fuzz-negative-cap", "fuzz-negative-count", "fuzz-negative-seed", "fuzz-threads-0",
-         "fuzz-negative-threads", "oracle-negative-cap"],
+         "fuzz-negative-threads", "oracle-negative-cap", "oracle-cap-exceeded", "malformed-counter",
+         "negative-counter", "inline-without-mode", "inline-without-counter", "uniform-with-domains"],
 )
 def test_oversized_or_negative_specs_exit_2_before_allocating(args, named):
     code, out, err = run_main(*args)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert named in err, err
+
+
+@pytest.mark.parametrize("inline", [
+    ("--automaton", "catalog:RST"),
+    ("--vars", "r;r"),
+    ("--counter", "0"),
+    ("--automaton", "catalog:RST", "--vars", "r;r", "--counter", "0"),
+], ids=["automaton", "vars", "counter", "all-three"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_an_instance_with_inline_options_exits_2(tmp_path, inline, source):
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness_instance_doc()))
+    instance = str(path) if source == "file" else "-"
+    code, out, err = run_main("propagate", instance, *inline, stdin=json.dumps(witness_instance_doc()))
+    assert code == 2 and out == ""
+    assert err.startswith("error: give an instance file or --automaton") and err.count("\n") == 1, err
+    assert inline[0] in err, err
+
+
+def test_a_cap_at_the_ground_sequence_count_runs(tmp_path):
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness_instance_doc()))  # 1 * 2 * 1 * 2 * 2 = 8 ground sequences
+    uncapped = run_main("oracle", str(path))
+    assert uncapped[0] == 0 and uncapped[1].startswith("status: satisfiable\n")
+    assert run_main("oracle", str(path), "--cap", "8") == uncapped
+    assert run_main("oracle", str(path), "--cap", "9") == uncapped
+    for cap in ("1", "7"):
+        code, out, err = run_main("oracle", str(path), "--cap", cap)
+        assert code == 2 and out == ""
+        assert err == f"error: instance exceeds the enumeration cap of {cap} ground sequences\n"
 
 
 def test_counter_spec_at_the_bound_is_accepted():
@@ -576,7 +617,7 @@ def test_fuzz_small_run_is_clean(tmp_path):
 def test_fuzz_writes_each_violation_as_a_loadable_instance(tmp_path, monkeypatch):
     doc = witness_instance_doc()
     violation = FuzzViolation(index=7, mode="exact", kind="unsound", detail="removed supported x1=2",
-                              instance_doc=doc)
+                              instance=instance_from_json(doc))
     monkeypatch.setattr(cli, "run_fuzz", lambda *args, **kwargs: FuzzReport(checked=9, violations=[violation]))
     out_dir = tmp_path / "failures"
     code, out, err = run_main("fuzz", "--count", "9", "--out", str(out_dir))

@@ -1,12 +1,21 @@
 import math
+import pickle
 from concurrent.futures import Future
 
 import pytest
 
 from regcount import (
+    FAILED,
+    FIXPOINT,
+    FuzzViolation,
     GenConfig,
+    Instance,
+    PropagationOutcome,
+    SignatureMap,
+    among_signature,
     catalog,
     check_among_instance,
+    check_instance,
     generate_corpus,
     instance_to_json,
     random_among_instance,
@@ -14,6 +23,8 @@ from regcount import (
     random_instance,
     rng_for,
     U64_MAX,
+    propagate_composite,
+    propagate_exact,
     run_fuzz,
     validate,
 )
@@ -219,3 +230,107 @@ def test_check_among_instance_clean():
     for _ in range(50):
         inst = random_among_instance(cfg, rng, universe_size=4)
         assert check_among_instance(inst) == []
+
+
+# -- planted bugs: every kind each checker reports fires ---------------------------------
+
+B = catalog("B")
+ONE, TWO = B.symbol_id("1"), B.symbol_id("2")
+# <2, x, y> with N = {0}: satisfiable under every semantics, x1 = 2 is
+# supported, and the decomposition removes x2 = 2.
+PLAIN = Instance(dfa=B, mode="exact", var_domains=[[TWO], [ONE, TWO], [ONE, TWO]], counter_values=[0])
+
+
+def failing(*args):
+    return PropagationOutcome(FAILED)
+
+
+def idle(*args):
+    return PropagationOutcome(FIXPOINT)
+
+
+def exact_dropping_x1(dfa, store):
+    out = propagate_exact(dfa, store)
+    return PropagationOutcome(out.status, out.removals + [(0, TWO)], out.passes)
+
+
+@pytest.mark.parametrize(
+    ("name", "planted", "mode", "kind"),
+    [
+        ("propagate_atmost", failing, "atmost", "failed-on-satisfiable"),
+        ("propagate_atleast", failing, "atleast", "failed-on-satisfiable"),
+        ("propagate_exact", failing, "exact", "failed-on-satisfiable"),
+        ("propagate_exact", exact_dropping_x1, "exact", "unsound"),
+        ("propagate_decomposed", failing, "exact", "dominance"),
+        ("propagate_exact", idle, "exact", "dominance"),
+    ],
+    ids=["atmost-fails", "atleast-fails", "exact-fails", "exact-unsound", "decomposition-fails",
+         "exact-misses-decomposition"],
+)
+def test_check_instance_reports_each_planted_bug(monkeypatch, name, planted, mode, kind):
+    import regcount.generator as generator_module
+
+    monkeypatch.setattr(generator_module, name, planted)
+    violations = check_instance(B, PLAIN, modes=(mode,), index=3)
+    assert [(v.index, v.mode, v.kind) for v in violations] == [(3, mode, kind)]
+
+
+# x2 = 2 is "in" at every solution; under N in {1, 2} both bounds are satisfiable.
+AMONG = catalog("AMONG")
+NATIVES = [[1, 2], [2], [2, 3]]
+AMONG_INST = Instance(dfa=AMONG, mode="atmost", counter_values=[1, 2],
+                      signature=among_signature(AMONG, {2}, NATIVES), native_domains=NATIVES)
+
+
+def composite_dropping_a_kept_value(dfa, sig, natives, counter, mode):
+    out = propagate_composite(dfa, sig, natives, counter, mode)
+    value = out.native_domains[0].pop(0)
+    out.removals.append((0, value))
+    return out
+
+
+def composite_idle(dfa, sig, natives, counter, mode):
+    return PropagationOutcome(FIXPOINT, [], 1, [sorted(d) for d in natives], sorted(counter))
+
+
+@pytest.mark.parametrize(
+    ("planted", "inst", "kind"),
+    [
+        (failing, AMONG_INST, "failed-on-satisfiable"),
+        (composite_dropping_a_kept_value, AMONG_INST, "unsound"),
+        # "in" twice, so c = 2 > max(N) = 0: no atmost solution.
+        (composite_idle, Instance(dfa=AMONG, mode="atmost", counter_values=[0],
+                                  signature=among_signature(AMONG, {2}, [[2], [2]]), native_domains=[[2], [2]]),
+         "dc-gap"),
+    ],
+    ids=["fails", "drops-a-supported-value", "fixpoint-on-unsatisfiable"],
+)
+def test_check_among_instance_reports_each_planted_bug(monkeypatch, planted, inst, kind):
+    import regcount.generator as generator_module
+
+    assert check_among_instance(inst, modes=("atmost",)) == []
+    monkeypatch.setattr(generator_module, "propagate_composite", planted)
+    violations = check_among_instance(inst, modes=("atmost",), index=4)
+    assert [(v.index, v.mode, v.kind) for v in violations] == [(4, "atmost", kind)]
+
+
+# The merged-interval gap instance <2, 2, x, 2, y>, N in {1, 3}, written over
+# native values 1 and 2 that map to the symbols of the same name.
+B_GAP = Instance(dfa=B, mode="exact", counter_values=[1, 3],
+                 signature=SignatureMap([{1: ONE, 2: TWO}] * 5), native_domains=[[2], [2], [1, 2], [2], [1, 2]])
+
+
+def test_check_among_instance_allows_exact_its_gaps():
+    # Exact keeps the unsupported y = 2, which its only-sound rule allows.
+    out = propagate_composite(B, B_GAP.signature, B_GAP.native_domains, B_GAP.counter_values, "exact")
+    assert 2 in out.native_domains[4]
+    assert check_among_instance(B_GAP, modes=("exact",)) == []
+    assert check_among_instance(B_GAP, modes=("decomposed",)) == []
+
+
+def test_a_violation_survives_a_pickle_round_trip():
+    # run_fuzz --threads sends violations back from its worker processes.
+    violation = FuzzViolation(index=5, mode="exact", kind="unsound", detail="removed supported values", instance=B_GAP)
+    copy = pickle.loads(pickle.dumps(violation))
+    assert (copy.index, copy.mode, copy.kind, copy.detail) == (5, "exact", "unsound", "removed supported values")
+    assert instance_to_json(copy.instance) == instance_to_json(B_GAP)
