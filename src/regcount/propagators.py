@@ -20,8 +20,8 @@ which support no value, and that far end is never removed, so no survivor
 loses its support; atmost and atleast run once and are idempotent.  With
 both ends bounded the rule is sound but incomplete (domain consistency for
 exact counting is NP-hard, see :func:`regcount.automaton.build_subset_sum_dfa`):
-a removal can narrow other intervals, so ``propagate_exact`` loops until a
-pass removes nothing.
+a removal can narrow other intervals, so ``propagate_exact`` loops to a
+fixpoint (see the certificates below).
 
 ``propagate_decomposed``, the baseline the exact rule strictly dominates,
 is the decomposition of exact counting into atmost and atleast.  It runs
@@ -51,12 +51,38 @@ contains that of ``(i - 1, q', s')``, so any survivor at ``i - 1`` supports
 ``s``, end by end.  At position 1 the interval is ``[least, greatest]``,
 which the global check has already tested.
 
+A two-sided loop ends when a pass removes nothing, or after a pass that
+certifies that the next would remove nothing.  Two certificates do, both
+checked after the pass's N filter.
+
+The first is for a pass that builds only the min suffix side; the max side
+is the mirror image, with costliest ends, ``greatest`` and min(dom(N)).
+Exact builds one side only when dom(N) has no holes, and the decomposition
+ignores them, so such a pass removes a symbol iff every string through it
+costs more than top = max(dom(N)).  The cheapest string through a survivor
+costs at most top, so it keeps all its symbols.  The next pass therefore
+finds the same cheapest ends and the same ``least``, and while top stays it
+removes no symbol.  Every support the pass finds has a ``lo`` at most top,
+the counter of such a surviving string, and ``least`` is one too.  So if
+dom(N) is now exactly ``least..top``, the next pass builds no max side, and
+its N filter keeps every value that is ``least`` or a support's ``lo``.
+Exact certifies when every value is one of these.  The decomposition's N
+filter keeps ``[least, greatest]``, so it needs only top to be one: a
+surviving string then costs top, and the next ``greatest`` is at least top.
+
+The second is for a pass that builds no suffix side.  It removes no symbol,
+so the next pass would build the same table.  If ``suffix_sides`` now
+builds no side either, the next pass would only repeat the N filter on that
+table, and a repeat removes nothing.
+
 All propagators mutate one store and append every removal to its log.
 ``passes`` counts table builds: one per atmost or atleast run (a forward and
 a backward sweep in one mode) and one per exact or decomposition round (both
 prefix sweeps and the suffix sweeps the round needs).  A round after the
 first rebuilds only the rows its predecessor's removals reach (see
-:mod:`regcount.sweep`) and still counts as one pass.
+:mod:`regcount.sweep`) and still counts as one pass; a certified fixpoint
+saves the round that would confirm it, so it counts one pass fewer than a
+loop that runs until a pass removes nothing.
 """
 
 from __future__ import annotations
@@ -127,9 +153,11 @@ def propagate_atleast(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome
 
 
 def propagate_exact(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome:
-    """Sound, incomplete filtering for ``c(X) == N``; loops until a pass removes nothing.
+    """Sound, incomplete filtering for ``c(X) == N``; loops to a fixpoint.
 
-    Removes each symbol whose every reachable state's interval misses dom(N).
+    Removes each symbol whose every reachable state's interval misses dom(N),
+    pass by pass, until a pass removes nothing or certifies that the next
+    would not (see the module docstring).
     """
     return _filter(dfa, store, Mode.EXACT)
 
@@ -138,9 +166,10 @@ def propagate_decomposed(dfa: CounterDfa, store: DomainStore) -> PropagationOutc
     """Common fixpoint of the atmost and atleast rules: the baseline for exact.
 
     Two-sided passes that check each end of the interval on its own and
-    ignore holes in dom(N), until a pass removes nothing (see the module
-    docstring).  Sound for exact counting but weaker than
-    :func:`propagate_exact`, whose removal set always contains this one's.
+    ignore holes in dom(N), until a pass removes nothing or certifies that
+    the next would not (see the module docstring).  Sound for exact counting
+    but weaker than :func:`propagate_exact`, whose removal set always
+    contains this one's.
     """
     return _filter(dfa, store, Mode.DECOMPOSED_EXACT)
 
@@ -207,6 +236,10 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
             windows = [(-math.inf, top)] * table.suffixes[0] + [(bottom, math.inf)] * table.suffixes[1]
         live = table.live
         changed = False
+        # A pass of a two-sided mode that builds one suffix side records the
+        # counter of each support it finds, the witnesses of its certificate.
+        seen = set() if min_side and max_side and table.suffixes[0] != table.suffixes[1] else None
+        min_only = table.suffixes[0]
         for floor, ceiling in windows:
             for i, syms in enumerate(table.symbols, 1):
                 if len(syms) == 1:
@@ -224,6 +257,8 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
                         hi = pre_max_row[q] + step + suf_max_row[t]
                         assert lo != UNREACHABLE_MIN and hi != UNREACHABLE_MAX, "reachable state lost all completions"
                         if lo <= ceiling and hi >= floor and (not holes or store.counter_has_between(lo, hi)):
+                            if seen is not None:
+                                seen.add(lo if min_only else hi)
                             break
                     else:
                         # A symbol an earlier window removed is left unchanged.
@@ -239,8 +274,21 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
                 changed = True
                 if store.remove_counter(v) is RemoveResult.EMPTIED:
                     return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
-        # One pass is the one-sided rules' fixpoint (see the module docstring).
+        # One pass is the one-sided rules' fixpoint; a two-sided pass may
+        # certify that the next one would remove nothing (see the module
+        # docstring).
         if not changed or not (min_side and max_side):
+            return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
+        counter = store.counter
+        if seen is not None:
+            # dom(N) must be exactly the range from the bound end's counter,
+            # near, to far, and each value (the decomposition's far) near or
+            # a witness.
+            near, far = (least, top) if min_only else (greatest, bottom)
+            if ({counter[0], counter[-1]} == {near, far} and counter[-1] - counter[0] < len(counter)
+                    and all(v == near or v in seen for v in (counter if joint else (far,)))):
+                return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
+        elif not any(table.suffixes) and suffix_sides(store, least, greatest) == (False, False):
             return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
 
 

@@ -161,6 +161,15 @@ def test_propagate_decomposed_misses_the_inference(tmp_path):
     assert "x5 != 2" not in result.stdout.splitlines()
 
 
+@pytest.mark.parametrize("mode", ["exact", "decomposed"])
+def test_propagate_certifies_the_fixpoint_in_one_pass(mode):
+    # "rr" counts 1: the first pass builds no suffix side and removes N = 0,
+    # after which dom(N) binds neither end, so no second pass confirms it.
+    code, out, err = run_main("propagate", "--automaton", "catalog:RST", "--vars", "r;r", "--counter", "0..1",
+                              "--mode", mode)
+    assert (code, out, err) == (0, "status: fixpoint\nN != 0\npasses: 1\n", "")
+
+
 def test_propagate_failure_exits_1():
     piped = run_process("catalog", "B").stdout
     result = run_process(

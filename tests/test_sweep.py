@@ -671,10 +671,11 @@ def test_exact_builds_the_suffix_sides_dom_n_can_bind(counter, removals, builds)
 ROOT_LONG_CFG = generator.GenConfig(min_states=20, max_states=20, min_symbols=8, max_symbols=8)
 
 
-def root_long_shaped(index, end, n=150, singleton_share=0.75):
+def root_long_shaped(index, end, holed=False, n=150, singleton_share=0.75):
     """A 20x8 automaton over ``n`` positions, three in four of them one
     symbol, with dom(N) three values around the least full-string counter
-    (``end`` "least", perfbench's recipe) or the greatest one."""
+    (``end`` "least", perfbench's recipe) or the greatest one; ``holed``,
+    the two values either side of that counter instead."""
     rng = generator.rng_for(13, index)
     dfa = generator.random_cdfa(ROOT_LONG_CFG, rng)
     alphabet = dfa.num_symbols
@@ -688,15 +689,19 @@ def root_long_shaped(index, end, n=150, singleton_share=0.75):
         middle = min(reference_kernel.forward(dfa, store, "min")[-1])
     else:
         middle = max(reference_kernel.forward(dfa, store, "max")[-1])
+    if holed:
+        return dfa, DomainStore(alphabet, domains, (middle - 1, middle + 1))
     low = max(middle - 1, 0)
     return dfa, DomainStore(alphabet, domains, range(low, low + 3))
 
 
-@pytest.mark.parametrize("index, end", [(0, "least"), (1, "least"), (2, "greatest"), (3, "greatest")])
-def test_root_long_shaped_inputs_match_reference_loops(index, end):
-    dfa, store = root_long_shaped(index, end)
+def propagate_root_long_shaped(index, end, holed):
+    """Check every mode on a root-long-shaped input against the reference
+    loops; returns the passes and table builds of exact and the decomposition."""
+    dfa, store = root_long_shaped(index, end, holed)
     reached = [sum(c != UNREACHABLE_MIN for c in row) for row in forward(dfa, store, "min")]
     assert sum(reached) < 0.75 * len(reached) * dfa.num_states  # many entries are never read
+    two_sided = {}
     for mode in MODES:
         reference = reference_kernel.PROPAGATORS.get(mode, reference_kernel.propagate_decomposed)
         expected = reference(dfa, store.copy())
@@ -706,5 +711,30 @@ def test_root_long_shaped_inputs_match_reference_loops(index, end):
             out = propagate(dfa, store.copy(), mode)
         assert (out.status, set(out.removals)) == (expected.status, set(expected.removals)), mode
         if mode in ("exact", "decomposed"):
-            # dom(N) binds one end, whose suffix side a later pass rebuilds in part.
-            assert (True, (end == "least", end == "greatest")) in builds and out.removals, mode
+            assert out.removals, mode
+            two_sided[mode] = out.passes, builds
+    return two_sided
+
+
+ROOT_LONG_CASES = [(0, "least"), (1, "least"), (2, "greatest"), (3, "greatest")]
+
+
+@pytest.mark.parametrize("index, end", ROOT_LONG_CASES)
+def test_root_long_shaped_inputs_match_reference_loops(index, end):
+    # dom(N) binds one end and has no holes: the first pass builds that
+    # end's suffix side alone and certifies the fixpoint, so no pass
+    # confirms it.
+    bound = (end == "least", end == "greatest")
+    for mode, (passes, builds) in propagate_root_long_shaped(index, end, holed=False).items():
+        assert (passes, builds) == (1, [(False, bound)]), mode
+
+
+@pytest.mark.parametrize("index, end", ROOT_LONG_CASES)
+def test_holed_root_long_shaped_inputs_rebuild_the_bound_side_in_part(index, end):
+    # dom(N) is {c - 1, c + 1} around the bound end's counter c.  The first
+    # pass leaves only the value inside [least, greatest], which binds both
+    # ends, so no certificate fires and the second pass rebuilds the bound
+    # end's suffix side in part.
+    side = 0 if end == "least" else 1
+    for mode, (passes, builds) in propagate_root_long_shaped(index, end, holed=True).items():
+        assert passes == 2 and any(partial and sides[side] for partial, sides in builds), mode
