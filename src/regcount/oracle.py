@@ -220,9 +220,6 @@ class DcVerdict:
     def ok(self, mode: str) -> bool:
         return not (self.failed_on_satisfiable or self.unsound or self.counted_gaps(mode))
 
-    def __bool__(self) -> bool:  # truthy when something is wrong
-        return bool(self.unsound or self.gaps or self.failed_on_satisfiable)
-
 
 def judge(
     report: SupportReport,

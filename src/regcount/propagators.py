@@ -21,7 +21,7 @@ loses its support; atmost and atleast run once and are idempotent.  With
 both ends bounded the rule is sound but incomplete (domain consistency for
 exact counting is NP-hard, see :func:`regcount.automaton.build_subset_sum_dfa`):
 a removal can narrow other intervals, so ``propagate_exact`` loops to a
-fixpoint (see the certificates below).
+fixpoint (see the stop rule below).
 
 ``propagate_decomposed``, the baseline the exact rule strictly dominates,
 is the decomposition of exact counting into atmost and atleast.  It runs
@@ -36,53 +36,60 @@ common fixpoint: applying both in each pass gives the status, final store
 and removal set of alternating whole atmost and atleast runs, with the
 removals in another order.
 
+Each pass builds the prefix rows, applies the N rule to them, chooses the
+suffix sides from the narrowed dom(N), and only then builds the suffix rows
+and checks the symbols.  So, as the paper's atmost and atleast rules do,
+and as CostRegular narrows its cost variable to the range of path costs
+before it filters arcs, a pass bounds N by the full-string counters before
+it filters symbols against dom(N).
+
 Three skips save work and change no fixpoint.  First, every reachable
 interval lies inside ``[least, greatest]``, the range of the full-string
-counters.  So, if dom(N) has no holes (or they are ignored), the cheapest
-end can exceed max(dom(N)) only if ``greatest`` does, and the costliest end
-can fall below min(dom(N)) only if ``least`` does.  A two-sided pass
-therefore builds the suffix rows of an end only where dom(N) cuts into that
-range (both ends when exact's dom(N) has holes), and a pass that builds
-neither skips the symbol loop.  Second, a pass whose dom(N) misses
-``[least, greatest]`` fails before it reads a suffix row, so no semantics
-builds one there.  Third, no pass checks a position whose domain is one
-symbol ``s``.  Through it, the interval of ``(i, next_state[q'][s'], s)``
-contains that of ``(i - 1, q', s')``, so any survivor at ``i - 1`` supports
-``s``, end by end.  At position 1 the interval is ``[least, greatest]``,
-which the global check has already tested.
+counters, and after the N rule so does dom(N).  So, if dom(N) has no holes
+(or they are ignored), the cheapest end can exceed max(dom(N)) only if
+``greatest`` does, and the costliest end can fall below min(dom(N)) only
+if ``least`` does.  A two-sided pass therefore builds the suffix rows of an
+end only where dom(N) cuts into that range (both ends when exact's dom(N)
+has holes), and a pass that builds neither skips the symbol loop.  Second,
+a pass whose dom(N) misses ``[least, greatest]`` fails before it removes a
+value or reads a suffix row, so no semantics builds one there.  Third, no
+pass checks a position whose domain is one symbol ``s``.  Through it, the
+interval of ``(i, next_state[q'][s'], s)`` contains that of ``(i - 1, q',
+s')``, so any survivor at ``i - 1`` supports ``s``, end by end.  At
+position 1 the interval is ``[least, greatest]``, which the global check
+has already tested.
 
-A two-sided loop ends when a pass removes nothing, or after a pass that
-certifies that the next would remove nothing.  Two certificates do, both
-checked after the pass's N filter.
+A two-sided loop ends with a pass that removes no symbol.  The N rule reads
+only prefix rows, which only symbol removals change, so the next pass would
+build the same table, its N rule would keep dom(N) whole, and its symbol
+loop would check the same symbols against the same dom(N).
 
-The first is for a pass that builds only the min suffix side; the max side
-is the mirror image, with costliest ends, ``greatest`` and min(dom(N)).
-Exact builds one side only when dom(N) has no holes, and the decomposition
-ignores them, so such a pass removes a symbol iff every string through it
-costs more than top = max(dom(N)).  The cheapest string through a survivor
-costs at most top, so it keeps all its symbols.  The next pass therefore
-finds the same cheapest ends and the same ``least``, and while top stays it
-removes no symbol.  Every support the pass finds has a ``lo`` at most top,
-the counter of such a surviving string, and ``least`` is one too.  So if
-dom(N) is now exactly ``least..top``, the next pass builds no max side, and
-its N filter keeps every value that is ``least`` or a support's ``lo``.
-Exact certifies when every value is one of these.  The decomposition's N
-filter keeps ``[least, greatest]``, so it needs only top to be one: a
-surviving string then costs top, and the next ``greatest`` is at least top.
-
-The second is for a pass that builds no suffix side.  It removes no symbol,
-so the next pass would build the same table.  If ``suffix_sides`` now
-builds no side either, the next pass would only repeat the N filter on that
-table, and a repeat removes nothing.
+A pass that removes a symbol ends the loop too when it certifies that the
+next would remove nothing.  Only a pass that builds one suffix side can.
+Take the min side; the max side is the mirror image, with costliest ends,
+``greatest`` and min(dom(N)).  After the N rule, such a pass has min(dom(N))
+= ``least`` and top = max(dom(N)) < ``greatest``.  Exact builds one side
+only when dom(N) has no holes, and the decomposition ignores them, so the
+pass removes a symbol iff every string through it costs more than top.  The
+cheapest string through a survivor costs at most top, so it keeps all its
+symbols.  The next pass therefore finds the same cheapest ends and the same
+``least``, and while top stays it builds no max side and removes no symbol.
+Every support the pass finds has a ``lo`` at most top, the counter of such a
+surviving string, and ``least`` is one too.  Exact's N rule keeps the
+counter of every surviving string, so exact certifies when every value of
+dom(N) is ``least`` or a support's ``lo``: the next N rule then removes
+nothing.  The decomposition's N rule keeps ``[least, greatest]``, so it
+needs only top to be one: a surviving string then costs top, and the next
+``greatest`` is at least top.
 
 All propagators mutate one store and append every removal to its log.
 ``passes`` counts table builds: one per atmost or atleast run (a forward and
 a backward sweep in one mode) and one per exact or decomposition round (both
 prefix sweeps and the suffix sweeps the round needs).  A round after the
-first rebuilds only the rows its predecessor's removals reach (see
-:mod:`regcount.sweep`) and still counts as one pass; a certified fixpoint
-saves the round that would confirm it, so it counts one pass fewer than a
-loop that runs until a pass removes nothing.
+first rebuilds only the rows its predecessor's symbol removals reach (see
+:mod:`regcount.sweep`) and still counts as one pass.  A loop that ran until
+a pass removes nothing would take one more pass after a pass that removes
+only N-values or certifies.
 """
 
 from __future__ import annotations
@@ -155,9 +162,10 @@ def propagate_atleast(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome
 def propagate_exact(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome:
     """Sound, incomplete filtering for ``c(X) == N``; loops to a fixpoint.
 
-    Removes each symbol whose every reachable state's interval misses dom(N),
-    pass by pass, until a pass removes nothing or certifies that the next
-    would not (see the module docstring).
+    Each pass first removes the N-values no end state's interval holds, then
+    each symbol whose every reachable state's interval misses dom(N), until
+    a pass removes no symbol or certifies that the next would remove nothing
+    (see the module docstring).
     """
     return _filter(dfa, store, Mode.EXACT)
 
@@ -165,9 +173,10 @@ def propagate_exact(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome:
 def propagate_decomposed(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome:
     """Common fixpoint of the atmost and atleast rules: the baseline for exact.
 
-    Two-sided passes that check each end of the interval on its own and
-    ignore holes in dom(N), until a pass removes nothing or certifies that
-    the next would not (see the module docstring).  Sound for exact counting
+    Two-sided passes that first keep the N-values in ``[least, greatest]``,
+    then check each end of the interval on its own and ignore holes in
+    dom(N), until a pass removes no symbol or certifies that the next would
+    remove nothing (see the module docstring).  Sound for exact counting
     but weaker than :func:`propagate_exact`, whose removal set always
     contains this one's.
     """
@@ -184,48 +193,56 @@ _RULES = {
 }
 
 
-def _suffix_sides(store: DomainStore, least, greatest) -> tuple[bool, bool]:
-    """The suffix sides, (min, max), a pass that checks each end on its own builds.
-
-    An end's suffix rows are built only where dom(N) can bind it, and none
-    for a pass that fails (see the module docstring).
-    """
-    counter = store.counter
-    if not store.counter_has_between(least, greatest):
-        return False, False
-    return counter[-1] < greatest, counter[0] > least
-
-
-def _joint_suffix_sides(store: DomainStore, least, greatest) -> tuple[bool, bool]:
-    """As :func:`_suffix_sides`, but both sides where dom(N) has holes, which the joint rule reads."""
-    counter = store.counter
-    if counter[-1] - counter[0] >= len(counter) and store.counter_has_between(least, greatest):
-        return True, True
-    return _suffix_sides(store, least, greatest)
-
-
 def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutcome:
     """The interval rule for ``mode``, run to its fixpoint."""
     mark = len(store.removal_log)
     if not store.counter or not all(store.domains):
         return PropagationOutcome(FAILED, [], 0)
     min_side, max_side, joint = _RULES[mode]
-    suffix_sides = _joint_suffix_sides if joint else _suffix_sides
+
+    def n_rule(store: DomainStore, table: SweepTable) -> tuple[bool, bool]:
+        """Apply the N rule to a pass's prefix rows; return the suffix sides, (min, max), to build.
+
+        An N-value survives iff some end state's interval holds it.  A side
+        is built only where the narrowed dom(N) can bind its end, both where
+        exact's has holes, and none for a pass that fails (see the module
+        docstring).
+        """
+        least, greatest = table.least, table.greatest
+        if not store.counter_has_between(least, greatest):
+            return False, False
+        # One-sided end intervals cover exactly [least, greatest]; two-sided
+        # ones may leave gaps.  An unreachable end state's interval is empty.
+        if joint:
+            ends = list(zip(table.pre_min[-1], table.pre_max[-1]))
+        for v in list(store.counter):
+            if not (least <= v <= greatest and (not joint or any(lo <= v <= hi for lo, hi in ends))):
+                store.remove_counter(v)
+        counter = store.counter
+        if not counter:
+            return False, False
+        if joint and counter[-1] - counter[0] >= len(counter):
+            return True, True
+        return counter[-1] < greatest, counter[0] > least
+
     nxt, inc = dfa.next_state, dfa.increment
     passes = 0
     table = None
     while True:
         passes += 1
-        bottom, top = store.counter[0], store.counter[-1]
+        # A pass after the first rebuilds only the rows that the previous
+        # pass's symbol removals reach, and applies the N rule between its
+        # prefix and suffix sweeps.
+        table = SweepTable.compute(dfa, store, min_side, max_side, table, n_rule)
+        # Either dom(N) missed [least, greatest] and the N rule left it as it
+        # was, or the N rule emptied it.
+        if not store.counter_has_between(table.least, table.greatest):
+            return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
+        counter = store.counter
+        bottom, top = counter[0], counter[-1]
         # An interval meets dom(N) iff it meets [bottom, top], unless both of
         # its ends are finite and dom(N) has holes.
-        holes = joint and top - bottom >= len(store.counter)
-        # A pass after the first rebuilds only the rows that the previous
-        # pass's removals reach.
-        table = SweepTable.compute(dfa, store, min_side, max_side, table, suffix_sides)
-        least, greatest = table.least, table.greatest
-        if not store.counter_has_between(least, greatest):
-            return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
+        holes = joint and top - bottom >= len(counter)
         # The windows [floor, ceiling] an interval must meet, one loop each:
         # one window for both ends at once, or one per end on its own.  An
         # unbuilt suffix side reads as unbounded, so with none built no end
@@ -234,7 +251,6 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
             windows = [(bottom, top)] if any(table.suffixes) else []
         else:
             windows = [(-math.inf, top)] * table.suffixes[0] + [(bottom, math.inf)] * table.suffixes[1]
-        live = table.live
         changed = False
         # A pass of a two-sided mode that builds one suffix side records the
         # counter of each support it finds, the witnesses of its certificate.
@@ -244,7 +260,7 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
             for i, syms in enumerate(table.symbols, 1):
                 if len(syms) == 1:
                     continue  # supported by any survivor at i - 1 (see the module docstring)
-                states = live[i - 1]
+                states = table.live[i - 1]
                 pre_min_row = table.pre_min[i - 1]
                 pre_max_row = table.pre_max[i - 1]
                 suf_min_row = table.suf_min[i + 1]
@@ -265,31 +281,18 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
                         changed = True
                         if store.remove_symbol(i - 1, sym) is RemoveResult.EMPTIED:
                             return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
-        # One-sided end intervals cover exactly [least, greatest]; two-sided
-        # ones may leave gaps.  An unreachable end state's interval is empty.
-        if joint:
-            ends = list(zip(table.pre_min[-1], table.pre_max[-1]))
-        for v in list(store.counter):
-            if not (least <= v <= greatest and (not joint or any(lo <= v <= hi for lo, hi in ends))):
-                changed = True
-                if store.remove_counter(v) is RemoveResult.EMPTIED:
-                    return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
-        # One pass is the one-sided rules' fixpoint; a two-sided pass may
-        # certify that the next one would remove nothing (see the module
-        # docstring).
+        # A pass that removes no symbol leaves the next one the same table
+        # and nothing to remove; one pass is the one-sided rules' fixpoint;
+        # a two-sided pass that builds one suffix side may certify that the
+        # next one would remove nothing (see the module docstring).
         if not changed or not (min_side and max_side):
             return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
-        counter = store.counter
         if seen is not None:
-            # dom(N) must be exactly the range from the bound end's counter,
-            # near, to far, and each value (the decomposition's far) near or
-            # a witness.
-            near, far = (least, top) if min_only else (greatest, bottom)
-            if ({counter[0], counter[-1]} == {near, far} and counter[-1] - counter[0] < len(counter)
-                    and all(v == near or v in seen for v in (counter if joint else (far,)))):
+            # Each value (the decomposition's far end) is the bound end's
+            # counter, near, or a witness.
+            near, far = (table.least, top) if min_only else (table.greatest, bottom)
+            if all(v == near or v in seen for v in (counter if joint else (far,))):
                 return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
-        elif not any(table.suffixes) and suffix_sides(store, least, greatest) == (False, False):
-            return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
 
 
 _PROPAGATORS = {

@@ -80,14 +80,15 @@ side seldom does.
 max side, or both, and runs only those sweeps: atmost needs the min side,
 atleast the max side, exact and the decomposition both.  It builds the
 prefix rows first, in one :func:`forward_pair` sweep when it builds both
-sides without a previous table, and records the least and greatest full-string counters
-they yield; a caller may then skip the suffix rows of a built side, given
-those two (a pass skips an end that dom(N) cannot bind, and both when it is
-bound to fail, see :mod:`regcount.propagators`).  Every entry of an unbuilt
-side or skipped suffix side is the unbounded end, ``-inf`` for min and
-``+inf`` for max, so an interval summed over it stays open on that end.  A
-suffix side that the previous table skipped has no rows to start from, so a
-partial rebuild builds it in full.
+sides without a previous table, and records the least and greatest
+full-string counters they yield.  A caller's hook may then read these prefix
+rows, remove N-values, and skip the suffix rows of a built side (a pass
+applies its N rule there, skips an end that the narrowed dom(N) cannot bind,
+and both when it is bound to fail, see :mod:`regcount.propagators`).  Every
+entry of an unbuilt side or skipped suffix side is the unbounded end,
+``-inf`` for min and ``+inf`` for max, so an interval summed over it stays
+open on that end.  A suffix side that the previous table skipped has no rows
+to start from, so a partial rebuild builds it in full.
 
 Counters are exact integers, so no sum wraps or raises.  Increments stay
 validated at ``<= U64_MAX``, which keeps every sum far below the float range,
@@ -313,11 +314,12 @@ class SweepTable:
 
     ``symbols`` is the :meth:`~regcount.domains.DomainStore.symbol_tuples`
     list the sweeps ran on and ``mark`` the length of the store's removal log
-    when they ran.  ``live[i]`` lists the states prefix row ``i`` reaches, in
-    the order the forward sweep reached them; both sides reach the same
-    states.  ``least`` and ``greatest`` are the least and greatest
-    counters over admissible full-length strings, read off the last prefix
-    rows: ``-inf`` and ``+inf`` for an unbuilt side.
+    when the suffix sweeps ran, after :meth:`compute`'s hook.  ``live[i]``
+    lists the states prefix row ``i`` reaches, in the order the forward sweep
+    reached them; both sides reach the same states.  ``least`` and
+    ``greatest`` are the least and greatest counters over admissible
+    full-length strings, read off the last prefix rows: ``-inf`` and
+    ``+inf`` for an unbuilt side.
     ``suffixes`` says which sides, (min, max), hold built suffix rows: a
     built side's suffix rows may be skipped (see :meth:`compute`).  Every
     row of an unbuilt side or skipped suffix side is one shared row of its
@@ -342,23 +344,24 @@ class SweepTable:
     @classmethod
     def compute(cls, dfa: CounterDfa, store: DomainStore, min_side: bool = True, max_side: bool = True,
                 previous: "SweepTable | None" = None,
-                suffix_sides: Callable[[DomainStore, int, int], tuple[bool, bool]] | None = None) -> "SweepTable":
+                after_prefix: Callable[[DomainStore, "SweepTable"], tuple[bool, bool]] | None = None) -> "SweepTable":
         """The table of ``store`` now.
 
         The prefix rows of the chosen sides are built first: both sides in
         one :func:`forward_pair` sweep on a full build of both, else one
         :func:`forward` sweep per side, which record :attr:`live`.
-        ``suffix_sides``, if given, is then called with ``store`` and the
-        table's ``least`` and ``greatest`` and returns which sides, (min,
-        max), need suffix rows; by default every built side gets them.  Each
-        suffix side is built at the states of :attr:`live`.
+        ``after_prefix``, if given, is then called with ``store`` and the
+        table's prefix half, whose suffix rows all read as unbounded.  It may
+        remove N-values, but no symbol, and returns which sides, (min, max),
+        need suffix rows; by default every built side gets them.
+        :attr:`mark` is taken after it returns, and each suffix side is then
+        built at the states of :attr:`live`.
 
         ``previous``, a table of the same store and sides built earlier, makes
         this a partial rebuild: the positions of the symbol removals logged
         since ``previous.mark`` are the changed ones.  A suffix side that
         ``previous`` skipped is built in full.
         """
-        mark = len(store.removal_log)
         symbols = store.symbol_tuples()
         rows = store.n + 2
         if previous is None:
@@ -380,16 +383,19 @@ class SweepTable:
             pre_max = forward(dfa, store, "max", symbols, old[1], changed, live) if max_side else None
         least = min(pre_min[-1]) if min_side else -math.inf
         greatest = max(pre_max[-1]) if max_side else math.inf
-        suffixes = (min_side, max_side)
-        if suffix_sides is not None:
-            need_min, need_max = suffix_sides(store, least, greatest)
-            suffixes = (min_side and need_min, max_side and need_max)
-        open_min = None if suffixes[0] else [[-math.inf] * dfa.num_states] * rows
-        open_max = None if suffixes[1] else [[math.inf] * dfa.num_states] * rows
-        suf_min = backward(dfa, store, "min", symbols, old[2], changed, live) if suffixes[0] else open_min
-        suf_max = backward(dfa, store, "max", symbols, old[3], changed, live) if suffixes[1] else open_max
-        return cls(pre_min if min_side else open_min, pre_max if max_side else open_max, suf_min, suf_max, symbols,
-                   live, mark, suffixes, least, greatest)
+        open_min = [[-math.inf] * dfa.num_states] * rows
+        open_max = [[math.inf] * dfa.num_states] * rows
+        table = cls(pre_min if min_side else open_min, pre_max if max_side else open_max, open_min, open_max,
+                    symbols, live, 0, (min_side, max_side), least, greatest)
+        if after_prefix is not None:
+            need_min, need_max = after_prefix(store, table)
+            table.suffixes = (min_side and need_min, max_side and need_max)
+        table.mark = len(store.removal_log)
+        if table.suffixes[0]:
+            table.suf_min = backward(dfa, store, "min", symbols, old[2], changed, live)
+        if table.suffixes[1]:
+            table.suf_max = backward(dfa, store, "max", symbols, old[3], changed, live)
+        return table
 
 
 def format_row(row, state_names: Sequence[str]) -> str:

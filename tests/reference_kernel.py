@@ -138,6 +138,10 @@ def propagate_bound(dfa, store, minimize):
     bound = store.counter[-1] if minimize else store.counter[0]
     if (extremal > bound) if minimize else (extremal < bound):
         return PropagationOutcome(FAILED, store.removal_log[mark:], 1)
+    for v in list(store.counter):
+        if (v < extremal) if minimize else (v > extremal):
+            if store.remove_counter(v) is RemoveResult.EMPTIED:
+                return PropagationOutcome(FAILED, store.removal_log[mark:], 1)
     for i in range(1, store.n + 1):
         for sym in store.symbols(i - 1):
             cost = edge_cost(dfa, pre[i - 1], suf[i + 1], sym, minimize)
@@ -145,10 +149,6 @@ def propagate_bound(dfa, store, minimize):
             if (cost > bound) if minimize else (cost < bound):
                 if store.remove_symbol(i - 1, sym) is RemoveResult.EMPTIED:
                     return PropagationOutcome(FAILED, store.removal_log[mark:], 1)
-    for v in list(store.counter):
-        if (v < extremal) if minimize else (v > extremal):
-            if store.remove_counter(v) is RemoveResult.EMPTIED:
-                return PropagationOutcome(FAILED, store.removal_log[mark:], 1)
     return PropagationOutcome(FIXPOINT, store.removal_log[mark:], 1)
 
 
@@ -164,6 +164,16 @@ def propagate_exact(dfa, store):
         if not store.counter_has_between(row_min(table.pre_min[-1]), row_max(table.pre_max[-1])):
             return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
         changed = False
+        last_min = table.pre_min[store.n]
+        last_max = table.pre_max[store.n]
+        intervals = [
+            (last_min[q], last_max[q]) for q in range(dfa.num_states) if last_min[q] != UNREACHABLE_MIN
+        ]
+        for v in list(store.counter):
+            if not any(lo <= v <= hi for lo, hi in intervals):
+                changed = True
+                if store.remove_counter(v) is RemoveResult.EMPTIED:
+                    return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
         for i, syms in enumerate(table.symbols, 1):
             for sym in syms:
                 supported = False
@@ -182,16 +192,6 @@ def propagate_exact(dfa, store):
                     changed = True
                     if store.remove_symbol(i - 1, sym) is RemoveResult.EMPTIED:
                         return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
-        last_min = table.pre_min[store.n]
-        last_max = table.pre_max[store.n]
-        intervals = [
-            (last_min[q], last_max[q]) for q in range(dfa.num_states) if last_min[q] != UNREACHABLE_MIN
-        ]
-        for v in list(store.counter):
-            if not any(lo <= v <= hi for lo, hi in intervals):
-                changed = True
-                if store.remove_counter(v) is RemoveResult.EMPTIED:
-                    return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
         if not changed:
             return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
 

@@ -124,7 +124,7 @@ def test_criterion_2_witness_triple():
 @pytest.fixture(scope="module")
 def fuzz_report():
     cfg = GenConfig(max_n=6, seed=SEED_BOUNDS_CORPUS)  # 5 states, 4 symbols max
-    return run_fuzz(cfg, 10_000)
+    return run_fuzz(cfg, 10_000, threads=2)
 
 
 def test_criterion_3_bound_propagators_fuzz(fuzz_report):

@@ -163,11 +163,19 @@ def test_propagate_decomposed_misses_the_inference(tmp_path):
 
 @pytest.mark.parametrize("mode", ["exact", "decomposed"])
 def test_propagate_certifies_the_fixpoint_in_one_pass(mode):
-    # "rr" counts 1: the first pass builds no suffix side and removes N = 0,
-    # after which dom(N) binds neither end, so no second pass confirms it.
+    # "rr" counts 1: the first pass's N rule removes N = 0, after which
+    # dom(N) binds neither end, so the pass removes no symbol and ends.
     code, out, err = run_main("propagate", "--automaton", "catalog:RST", "--vars", "r;r", "--counter", "0..1",
                               "--mode", mode)
     assert (code, out, err) == (0, "status: fixpoint\nN != 0\npasses: 1\n", "")
+
+
+def test_propagate_lists_the_n_rule_removals_of_a_pass_first():
+    # "r" counts 1 and "s" 0: the N rule removes N = 2 before the symbol
+    # loop, which then checks the low end alone, removes r and certifies.
+    code, out, err = run_main("propagate", "--automaton", "catalog:RST", "--vars", "r,s", "--counter", "0,2",
+                              "--mode", "exact")
+    assert (code, out, err) == (0, "status: fixpoint\nN != 2\nx1 != r\npasses: 1\n", "")
 
 
 def test_propagate_failure_exits_1():

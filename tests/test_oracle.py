@@ -212,7 +212,8 @@ def test_check_dc_clean_on_failed_unsatisfiable():
     before = b_store([(TWO,), (TWO,)], (5,))
     out = propagate_exact(B, before.copy())
     verdict = check_dc(B, before, "exact", out)
-    assert not verdict and verdict.ok("exact")
+    assert (verdict.unsound, verdict.gaps, verdict.failed_on_satisfiable) == ([], [], False)
+    assert verdict.ok("exact")
 
 
 # -- native-value oracle ----------------------------------------------------------

@@ -366,8 +366,9 @@ def test_interval_filter_matches_reference_loops(pair):
         old = reference(dfa, old_store)
         assert (new.status, new.removals) == (old.status, old.removals), mode
         assert new_store == old_store
-        # A certified fixpoint skips the reference's last pass, which removed
-        # nothing on the same store.
+        # A certified fixpoint, or one whose last pass removed only N-values,
+        # skips the reference's last pass, which removed nothing on the same
+        # store.
         certified = old.status == FIXPOINT and old.passes >= 2 and new.passes == old.passes - 1
         assert new.passes == old.passes or certified, mode
 
@@ -394,14 +395,13 @@ def test_decomposed_reaches_the_fixpoint_of_alternating_runs(pair):
 @contextlib.contextmanager
 def recorded_builds():
     """Record, per ``SweepTable.compute`` call in the block, the store's
-    removal-log length before the build and the suffix sides it built."""
+    removal-log length after the pass's N rule and the suffix sides it built."""
     descriptor = SweepTable.__dict__["compute"]
     builds = []
 
     def recording(cls, dfa, store, *args):
-        mark = len(store.removal_log)
         table = descriptor.__func__(cls, dfa, store, *args)
-        builds.append((mark, table.suffixes))
+        builds.append((table.mark, table.suffixes))
         return table
 
     SweepTable.compute = classmethod(recording)
@@ -414,11 +414,11 @@ def recorded_builds():
 @given(st.one_of(SHORT_PAIRS, WINDOWED_PAIRS))
 @settings(max_examples=300, deadline=None)
 def test_certified_fixpoints_remove_nothing_more(pair):
-    # Exact and the decomposition return after a pass that removed something
-    # when that pass certifies that the next one would remove nothing: a
-    # pass that built one suffix side by its supports' counters, one that
-    # built none by the suffix sides the next would build.  On such a call's
-    # result, a fresh run and the plain reference loop remove nothing.
+    # Exact and the decomposition return after a pass that removed a symbol
+    # when that pass certifies that the next one would remove nothing: only
+    # a pass that built one suffix side can, by its supports' counters.  On
+    # such a call's result, a fresh run and the plain reference loop remove
+    # nothing.
     dfa, store = pair
     for mode, reference in (("exact", reference_kernel.propagate_exact),
                             ("decomposed", reference_kernel.propagate_decomposed)):
@@ -426,7 +426,8 @@ def test_certified_fixpoints_remove_nothing_more(pair):
         with recorded_builds() as builds:
             out = propagate(dfa, work, mode)
         if out.failed or len(work.removal_log) == builds[-1][0]:
-            continue  # no pass certified: the last one removed nothing
+            continue  # no pass certified: the last one removed no symbol
+        assert builds[-1][1] in ((True, False), (False, True)), mode
         event(f"{mode} certified after a pass with suffix sides {builds[-1][1]}")
         again = propagate(dfa, work.copy(), mode)
         assert (again.status, again.removals) == (FIXPOINT, []), mode

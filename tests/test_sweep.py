@@ -24,6 +24,7 @@ from regcount import (
 )
 from regcount import domains as domains_module
 from regcount.oracle import check_dc
+from regcount.propagators import FIXPOINT
 from regcount.sweep import UNREACHABLE_MAX, UNREACHABLE_MIN, forward_pair
 from strategies import NEAR_U64_MAX, dfa_store_pairs, windowed
 
@@ -526,7 +527,7 @@ def test_incremental_tables_match_a_full_rebuild(pair, sides, data):
     # followed by a build of an arbitrary choice of suffix sides.
     dfa, store = pair
     wanted = data.draw(BOOL_PAIRS)
-    table = SweepTable.compute(dfa, store, *sides, suffix_sides=lambda store, least, greatest: wanted)
+    table = SweepTable.compute(dfa, store, *sides, after_prefix=lambda store, table: wanted)
     assert_matches_full_rebuild(dfa, store, table, None, *sides)
     for _ in range(data.draw(st.integers(1, 4))):
         cells = [(i, s) for i in range(store.n) for s in store.symbols(i)]
@@ -538,7 +539,7 @@ def test_incremental_tables_match_a_full_rebuild(pair, sides, data):
             store.remove_counter(store.counter[-1])
         wanted = data.draw(BOOL_PAIRS)
         previous, table = table, SweepTable.compute(dfa, store, *sides, previous=table,
-                                                    suffix_sides=lambda store, least, greatest: wanted)
+                                                    after_prefix=lambda store, table: wanted)
         assert table.suffixes == (sides[0] and wanted[0], sides[1] and wanted[1])
         assert_matches_full_rebuild(dfa, store, table, previous, *sides)
 
@@ -595,24 +596,24 @@ def checked_builds(mode):
     descriptor = SweepTable.__dict__["compute"]
     builds = []
 
-    def checked(cls, dfa, store, min_side=True, max_side=True, previous=None, suffix_sides=None):
-        bottom, top, size = store.counter[0], store.counter[-1], len(store.counter)
-        table = COMPUTE(dfa, store, min_side, max_side, previous, suffix_sides)
+    def checked(cls, dfa, store, min_side=True, max_side=True, previous=None, after_prefix=None):
+        table = COMPUTE(dfa, store, min_side, max_side, previous, after_prefix)
         assert_matches_full_rebuild(dfa, store, table, previous, min_side, max_side)
-        # A pass whose dom(N) misses [least, greatest] fails before it reads
-        # a suffix row.  Otherwise a one-sided rule reads its suffix side in
-        # every pass.  Exact reads both when dom(N) has holes; else exact, and
-        # the decomposition, which ignores holes, read only the ends where
-        # dom(N) cuts into [least, greatest].
-        least, greatest = table.least, table.greatest
-        if not any(least <= v <= greatest for v in store.counter):
+        # The sides are chosen from dom(N) as the N rule leaves it.  A pass
+        # whose dom(N) misses [least, greatest], or which the N rule empties,
+        # fails before it reads a suffix row.  Otherwise a one-sided rule
+        # reads its suffix side in every pass.  Exact reads both when dom(N)
+        # has holes; else exact, and the decomposition, which ignores holes,
+        # read only the ends where dom(N) cuts into [least, greatest].
+        least, greatest, counter = table.least, table.greatest, store.counter
+        if not any(least <= v <= greatest for v in counter):
             assert table.suffixes == (False, False)
         elif not (min_side and max_side):
             assert table.suffixes == (min_side, max_side)
-        elif mode == "exact" and top - bottom >= size:
+        elif mode == "exact" and counter[-1] - counter[0] >= len(counter):
             assert table.suffixes == (True, True)
         else:
-            assert table.suffixes == (top < greatest, bottom > least)
+            assert table.suffixes == (counter[-1] < greatest, counter[0] > least)
         builds.append((previous is not None, table.suffixes))
         return table
 
@@ -642,14 +643,15 @@ GAP = CounterDfa(num_states=2, alphabet=("x", "y"), start=0, next_state=((0, 1),
 
 
 @pytest.mark.parametrize("counter, removals, builds", [
-    # [0, 3] covers [least, greatest]: pass 1 builds no suffix side and the N
-    # filter opens holes at 1 and 2, so pass 2 builds both sides in full.
-    (range(4), [(COUNTER_VAR, 1), (COUNTER_VAR, 2)], [(False, (False, False)), (True, (True, True))]),
-    # A window at the low end needs only the min side, one at the high end
-    # only the max side; once N is fixed, no side binds.
-    (range(2), [(0, 1), (COUNTER_VAR, 1)], [(False, (True, False)), (True, (False, False))]),
-    (range(2, 6), [(0, 0), (COUNTER_VAR, 2), (COUNTER_VAR, 4), (COUNTER_VAR, 5)],
-     [(False, (False, True)), (True, (False, False))]),
+    # The N rule leaves {0, 3} of [0, 3]: with holes, pass 1 builds both
+    # sides, removes no symbol and so ends the loop.
+    (range(4), [(COUNTER_VAR, 1), (COUNTER_VAR, 2)], [(False, (True, True))]),
+    # The N rule leaves a window at the low end, which needs only the min
+    # side, or at the high end, which needs only the max side.  The pass
+    # removes a symbol and certifies the fixpoint: N is fixed at the bound
+    # end's counter.
+    (range(2), [(COUNTER_VAR, 1), (0, 1)], [(False, (True, False))]),
+    (range(2, 6), [(COUNTER_VAR, 2), (COUNTER_VAR, 4), (COUNTER_VAR, 5), (0, 0)], [(False, (False, True))]),
     # dom(N) misses [0, 3]: the pass fails and builds no suffix side.
     (range(4, 6), [], [(False, (False, False))]),
 ])
@@ -660,8 +662,22 @@ def test_exact_builds_the_suffix_sides_dom_n_can_bind(counter, removals, builds)
         out = propagate(GAP, store, "exact")
     assert (out.removals, built) == (removals, builds)
     expected = reference_kernel.propagate_exact(GAP, reference)
-    assert (out.status, out.removals, out.passes, store) == (expected.status, expected.removals, expected.passes,
-                                                            reference)
+    assert (out.status, out.removals, store) == (expected.status, expected.removals, reference)
+    # The reference loop ends a fixpoint with a pass that removes nothing.
+    assert out.passes == expected.passes - (out.status == FIXPOINT)
+
+
+@pytest.mark.parametrize("mode", ["exact", "decomposed"])
+def test_the_n_rule_narrows_dom_n_before_the_symbol_loop(mode):
+    # dom(N) = {0, 5} against the end intervals [0, 0] and [3, 3]: the N rule
+    # removes 5 first, so the one pass checks the low end alone, removes y
+    # and certifies.  Applied after the symbol loop, the N rule would leave
+    # the decomposition's first pass no side to check (it could stop there,
+    # keeping y) and exact's first pass the holes of {0, 5}.
+    store = DomainStore(GAP.num_symbols, [(0, 1)], (0, 5))
+    out = propagate(GAP, store, mode)
+    assert (out.status, out.removals, out.passes) == (FIXPOINT, [(COUNTER_VAR, 5), (0, 1)], 1)
+    assert (store.symbols(0), store.counter) == ([0], [0])
 
 
 # -- root-long-shaped inputs -------------------------------------------------------
@@ -732,9 +748,9 @@ def test_root_long_shaped_inputs_match_reference_loops(index, end):
 @pytest.mark.parametrize("index, end", ROOT_LONG_CASES)
 def test_holed_root_long_shaped_inputs_rebuild_the_bound_side_in_part(index, end):
     # dom(N) is {c - 1, c + 1} around the bound end's counter c.  The first
-    # pass leaves only the value inside [least, greatest], which binds both
-    # ends, so no certificate fires and the second pass rebuilds the bound
-    # end's suffix side in part.
+    # pass's N rule leaves only the value inside [least, greatest], which
+    # binds both ends, so no certificate fires and the second pass rebuilds
+    # the bound end's suffix side in part.
     side = 0 if end == "least" else 1
     for mode, (passes, builds) in propagate_root_long_shaped(index, end, holed=True).items():
         assert passes == 2 and any(partial and sides[side] for partial, sides in builds), mode
