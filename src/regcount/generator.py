@@ -81,23 +81,23 @@ def rng_for(seed: int, index: int | None = None) -> np.random.Generator:
 
 
 _SYMBOL_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+#: The among automaton every membership-counting instance shares; a CounterDfa is frozen.
+_AMONG = catalog("AMONG")
 
 
 def random_cdfa(cfg: GenConfig, rng: np.random.Generator) -> CounterDfa:
     """Uniform total transition table with Bernoulli increments; start state 0."""
     num_states = int(rng.integers(cfg.min_states, cfg.max_states + 1))
     num_symbols = int(rng.integers(cfg.min_symbols, cfg.max_symbols + 1))
-    targets = rng.integers(0, num_states, size=(num_states, num_symbols))
-    carries = rng.random((num_states, num_symbols)) < cfg.increment_probability
+    targets = rng.integers(0, num_states, size=(num_states, num_symbols)).tolist()
+    carries = (rng.random((num_states, num_symbols)) < cfg.increment_probability).tolist()
+    value = cfg.increment_value
     dfa = CounterDfa(
         num_states=num_states,
         alphabet=tuple(_SYMBOL_LETTERS[s] for s in range(num_symbols)),
         start=0,
-        next_state=tuple(tuple(int(t) for t in row) for row in targets),
-        increment=tuple(
-            tuple(cfg.increment_value if carries[q][s] else 0 for s in range(num_symbols))
-            for q in range(num_states)
-        ),
+        next_state=tuple(map(tuple, targets)),
+        increment=tuple(tuple([value if carry else 0 for carry in row]) for row in carries),
     )
     validate(dfa)
     return dfa
@@ -143,12 +143,11 @@ def random_among_instance(cfg: GenConfig, rng: np.random.Generator, universe_siz
     for _ in range(n):
         mask = int(rng.integers(1, 2**universe_size))
         natives.append([v for v in range(universe_size) if mask >> v & 1])
-    dfa = catalog("AMONG")
     return Instance(
-        dfa=dfa,
+        dfa=_AMONG,
         mode="atmost",
         counter_values=_random_counter_domain(cfg, rng, n),
-        signature=among_signature(dfa, members, natives),
+        signature=among_signature(_AMONG, members, natives),
         native_domains=natives,
     )
 

@@ -4,13 +4,25 @@ The oracle walks every domain-admissible ground sequence, runs the automaton
 transition by transition, and records which symbols, native values and
 N-values occur in at least one solution under the requested semantics.  It is
 the reference every consistency claim is checked against, so it deliberately
-shares no code with the sweep tables: one plain recursion over the positions
-with more than one choice (a loop steps through the others) that visits every
-ground sequence, with no trimming.  A plain store and a signature instance
-differ only in the (reported value, symbol) pairs each position offers; a
-store is the identity signature.  The only thing cached is each full-string
-counter's mode bits (which semantics accept it), computed at the first leaf
-that reaches that counter; every leaf still counts its ground sequence.
+shares no code with the sweep tables and trims nothing.  A plain store and a
+signature instance differ only in the (reported value, symbol) pairs each
+position offers; a store is the identity signature.
+
+One recursion walks the frames: position 0 and every position with more than
+one choice.  At most log2(cap) positions have several choices, so the
+recursion is at most log2(cap) + 1 deep.  A frame's step list for one entry
+state holds one step per choice: the choice's slot in the mode-bit marks, the
+next frame's step list for the state the step ends in, and the counter that
+the choice and the run of one-choice positions after it add.  A list is
+composed once, through its frame's run, when a step first reaches its
+(frame, state), so no sequence walks a run again, and every list composed is
+entered.  The lists are kept per (frame, state) and never per counter, so
+every ground sequence is still one path from the root to a leaf: the
+recursion over all frames but the last, then the last frame's steps, whose
+leaves their parent's loop counts.  Each leaf makes one lookup of its
+full-string counter, which gives the counter's hit count and mode bits (which
+semantics accept it, computed at the first leaf that reaches it), and adds 1
+to the hits.
 """
 
 from __future__ import annotations
@@ -102,7 +114,8 @@ def _enumerate(
     cap: int,
 ) -> dict[str, SupportReport]:
     """The one recursion: ``choices[i]`` lists position i's (reported value, symbol) pairs."""
-    if prod(map(len, choices)) > cap:
+    total = prod(map(len, choices))
+    if total > cap:
         raise CapExceeded(f"instance exceeds the enumeration cap of {cap} ground sequences")
     n = len(choices)
     counter_dom = sorted(set(counter_values))
@@ -119,78 +132,112 @@ def _enumerate(
         return 1 if counter in counter_set else 0
 
     def accepted(counter: int) -> int:
-        # Bit k set iff modes[k] accepts a full-string counter.  A generator
-        # inside ``rec`` would turn its loop variables into closure cells.
-        return sum(1 << k for k, m in enumerate(modes) if compatible(m, counter))
-
-    hits: dict[int, int] = {}  # full-string counter -> ground sequences ending with it
-    leaf_bits: dict[int, int] = {}  # full-string counter -> bit k set iff modes[k] accepts it
-    marks: list[dict[int, int]] = [{} for _ in range(n)]  # per position: value -> mode bits
-    # Frames sit at position 0 and at the positions with several choices (at
-    # most log2(cap) of them).  The frame of p steps through the one-choice
-    # positions after p, whose symbols skip[p] lists, and counts leaves itself.
-    skip: dict[int, tuple[list[int], int]] = {}  # p -> (those symbols, the position after them)
-    run: list[int] = []  # symbols of the one-choice positions after p, last first
-    for p in range(n - 1, -1, -1):
-        if p and len(choices[p]) == 1:
-            run.append(choices[p][0][1])
-        else:
-            skip[p] = (run[::-1], p + 1 + len(run))
-            run = []
-
-    def rec(pos: int, state: int, counter: int) -> int:
-        bits = 0
-        seen = marks[pos]
-        stepped, stop = skip[pos]
-        for value, sym in choices[pos]:
-            q, c = nxt[state][sym], counter + inc[state][sym]
-            if stepped:  # an empty loop would still build an iterator
-                for s in stepped:
-                    c += inc[q][s]
-                    q = nxt[q][s]
-            if stop < n:
-                sub = rec(stop, q, c)
-            else:
-                try:
-                    hits[c] += 1
-                except KeyError:
-                    hits[c] = 1
-                    leaf_bits[c] = accepted(c)
-                sub = leaf_bits[c]
-            if sub:
-                bits |= sub
-                if value in seen:
-                    seen[value] |= sub
-                else:
-                    seen[value] = sub
-        if bits and stepped:
-            # Every sequence below this frame runs through each stepped position's one choice.
-            for p in range(pos + 1, stop):
-                value = choices[p][0][0]
-                marks[p][value] = marks[p].get(value, 0) | bits
+        """Bit k set iff modes[k] accepts a full-string counter."""
+        bits, bit = 0, 1
+        for m in modes:
+            if compatible(m, counter):
+                bits |= bit
+            bit <<= 1
         return bits
 
-    if n:
-        rec(0, dfa.start, 0)
-    else:
-        hits[0] = 1  # the empty sequence
+    # Frames sit at position 0 and at each position with several choices.
+    # Frame k sits at position at[k], runs[k] lists the symbols of the
+    # one-choice positions after it, and marks[base[k] + i] holds the mode
+    # bits of its choice i; marks[0] is the root step's.
+    at: list[int] = []
+    runs: list[list[int]] = []
+    base: list[int] = []
+    size = 1
+    for p, row in enumerate(choices):
+        if p and len(row) == 1:
+            run.append(row[0][1])
+        else:
+            run = []
+            at.append(p)
+            runs.append(run)
+            base.append(size)
+            size += len(row)
+    frames = len(at)
+    last = frames - 1
+    marks = [0] * size
+    # The step list of frame k entered in state q sits at key q * frames + k.
+    steps_of: dict[int, list] = {}
+    tally: dict[int, list[int]] = {}  # full-string counter -> [ground sequences ending with it, mode bits]
 
+    def build(k: int, state: int) -> list:
+        """Frame k's step list from ``state``: (mark slot, next frame's step list, counter delta) per choice."""
+        key = state * frames + k
+        steps = steps_of.get(key)
+        if steps is None:
+            run = runs[k]
+            slot = base[k]
+            steps = steps_of[key] = []
+            for _, sym in choices[at[k]]:
+                q, d = nxt[state][sym], inc[state][sym]
+                for s in run:
+                    d += inc[q][s]
+                    q = nxt[q][s]
+                steps.append((slot, build(k + 1, q) if k < last else None, d))
+                slot += 1
+        return steps
+
+    def rec(k: int, steps: list, counter: int) -> int:
+        """Marks the choices of the sequences that go on from frame k's ``steps``; returns their mode bits."""
+        bits = 0
+        if k + 1 < last:
+            for slot, child, d in steps:
+                sub = rec(k + 1, child, counter + d)
+                marks[slot] |= sub
+                bits |= sub
+            return bits
+        for slot, leaves, d in steps:
+            c = counter + d
+            sub = 0
+            for leaf_slot, _, e in leaves:
+                try:
+                    cell = tally[c + e]
+                except KeyError:
+                    cell = tally[c + e] = [0, accepted(c + e)]
+                cell[0] += 1
+                leaf = cell[1]
+                marks[leaf_slot] |= leaf
+                sub |= leaf
+            marks[slot] |= sub
+            bits |= sub
+        return bits
+
+    if not n:
+        tally[0] = [1, 0]  # the empty sequence; no position reads its mode bits
+    # A root step enters frame 0, so even a single frame's leaves have a parent loop.
+    everywhere = rec(-1, [(0, build(0, dfa.start), 0)], 0) if n and total else 0
+    del rec, build  # each refers to itself: free the cycles now, not at the next garbage collection
+
+    # Every ground sequence runs through each one-choice position, so its one
+    # value holds the bits of all of them (as a one-choice frame's mark does);
+    # the frames' values are read in one pass over marks.
+    supported = [[{row[0][0]} if len(row) == 1 and everywhere >> k & 1 else set() for row in choices]
+                 for k in range(len(modes))]
+    for p, slot in zip(at, base):
+        for (v, _), b in zip(choices[p], marks[slot:]):
+            for sets in supported:
+                if b & 1:
+                    sets[p].add(v)
+                b >>= 1
     reports = {}
     for k, m in enumerate(modes):
-        if not hits:
+        if not tally:
             n_support = set()
         elif m == "atmost":
-            least = min(hits)
+            least = min(tally)
             n_support = {v for v in counter_dom if v >= least}
         elif m == "atleast":
-            most = max(hits)
+            most = max(tally)
             n_support = {v for v in counter_dom if v <= most}
         else:
-            n_support = counter_set.intersection(hits)
-        count = sum(h * compatible(m, c) for c, h in hits.items())
-        bit = 1 << k
+            n_support = counter_set.intersection(tally)
+        count = sum(cell[0] * compatible(m, c) for c, cell in tally.items())
         reports[m] = SupportReport(
-            supported=[{v for v, b in seen.items() if b & bit} for seen in marks],
+            supported=supported[k],
             supported_counter=n_support,
             solution_count=count,
             satisfiable=count > 0,

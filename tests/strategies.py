@@ -100,12 +100,38 @@ def dfa_word_pairs(draw, max_states: int = 4, max_symbols: int = 3, max_len: int
 
 @st.composite
 def signature_instances(draw, max_states: int = 4, max_symbols: int = 3, max_n: int = 4, max_value: int = 5,
-                        max_counter: int = 8):
+                        max_counter: int = 8, increments=None):
     """(dfa, SignatureMap, native domains, counter values); native domains may repeat a value."""
-    dfa = draw(cdfas(max_states, max_symbols))
+    dfa = draw(cdfas(max_states, max_symbols, increments=increments))
     n = draw(st.integers(0, max_n))
     natives = [draw(st.lists(st.integers(0, max_value), min_size=1, max_size=4)) for _ in range(n)]
     symbol = st.integers(0, dfa.num_symbols - 1)
     sig = SignatureMap([{v: draw(symbol) for v in sorted(set(dom))} for dom in natives])
     counter = sorted(draw(st.sets(st.integers(0, max_counter), min_size=1)))
     return dfa, sig, natives, counter
+
+
+def _one_choice_mostly(draw, domains: list, max_multi: int) -> list[list[int]]:
+    """``domains`` with all but at most ``max_multi`` positions cut to one value, sometimes repeated."""
+    keep = draw(st.sets(st.integers(0, len(domains) - 1), max_size=max_multi)) if domains else set()
+    return [list(dom) if i in keep else [draw(st.sampled_from(sorted(dom)))] * draw(st.integers(1, 2))
+            for i, dom in enumerate(domains)]
+
+
+@st.composite
+def few_choice_pairs(draw, pairs, max_multi: int = 2):
+    """A pair drawn from ``pairs`` with at most ``max_multi`` positions left with several symbols.
+
+    Runs of one-choice positions then sit between the positions with several
+    choices and after the last one, and some rows have one such position or none.
+    """
+    dfa, store = draw(pairs)
+    domains = _one_choice_mostly(draw, [store.symbols(i) for i in range(store.n)], max_multi)
+    return dfa, DomainStore(dfa.num_symbols, domains, store.counter)
+
+
+@st.composite
+def few_choice_signature_instances(draw, cases, max_multi: int = 2):
+    """:func:`few_choice_pairs` for a signature instance drawn from ``cases``; a cut position may repeat its value."""
+    dfa, sig, natives, counter = draw(cases)
+    return dfa, sig, _one_choice_mostly(draw, natives, max_multi), counter

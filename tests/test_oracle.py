@@ -2,7 +2,8 @@ import itertools
 import operator
 
 import pytest
-from hypothesis import given, settings
+import hypothesis.strategies as st
+from hypothesis import example, given, settings
 
 from regcount import (
     COUNTER_VAR,
@@ -25,7 +26,7 @@ from regcount import (
     run,
 )
 from regcount.domains import project_store
-from strategies import dfa_store_pairs, signature_instances
+from strategies import NEAR_U64_MAX, dfa_store_pairs, few_choice_pairs, few_choice_signature_instances, signature_instances
 
 B = catalog("B")
 ONE, TWO = B.symbol_id("1"), B.symbol_id("2")
@@ -151,8 +152,24 @@ def _brute_force(dfa, domains, symbol_of, counter_values, mode):
     return supported, supported_counter, count
 
 
-@given(dfa_store_pairs())
-@settings(max_examples=80, deadline=None)
+AMONG = catalog("AMONG")
+
+
+def among_case(members, natives, counter):
+    return AMONG, among_signature(AMONG, members, natives), natives, counter
+
+
+# Inputs: small random rows; rows of up to 10 positions of which at most two
+# have several choices, so that one-choice runs sit between the oracle's frames
+# and after the last one; huge increments.  The examples pin n = 0, exactly one
+# position with several choices, and none.  The native test draws the same shapes.
+@given(st.one_of(dfa_store_pairs(), few_choice_pairs(dfa_store_pairs(max_n=10)),
+                 few_choice_pairs(dfa_store_pairs(max_n=10, increments=NEAR_U64_MAX)),
+                 dfa_store_pairs(increments=NEAR_U64_MAX)))
+@example((B, b_store([], (0, 2))))
+@example((B, b_store([(TWO,), (ONE,), (ONE, TWO), (TWO,), (ONE,)], (1, 2, 3))))
+@example((B, b_store([(TWO,), (ONE,), (TWO,)], (0, 1))))
+@settings(max_examples=120, deadline=None)
 def test_all_modes_matches_brute_force(pair):
     dfa, store = pair
     reports = enumerate_all_modes(dfa, store)
@@ -163,8 +180,13 @@ def test_all_modes_matches_brute_force(pair):
         assert got == _brute_force(dfa, domains, lambda i, s: s, store.counter, mode)
 
 
-@given(signature_instances())
-@settings(max_examples=80, deadline=None)
+@given(st.one_of(signature_instances(), few_choice_signature_instances(signature_instances(max_n=10)),
+                 few_choice_signature_instances(signature_instances(max_n=10, increments=NEAR_U64_MAX)),
+                 signature_instances(increments=NEAR_U64_MAX)))
+@example(among_case({1}, [], [0, 2]))
+@example(among_case({1, 4}, [[1], [2, 2], [1, 3], [4], [0]], [1, 2]))
+@example(among_case({1}, [[0], [1, 1], [2]], [0, 1]))
+@settings(max_examples=120, deadline=None)
 def test_native_oracle_matches_brute_force(case):
     dfa, sig, natives, counter = case
     for mode in ("atmost", "atleast", "exact"):
