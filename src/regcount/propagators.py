@@ -43,7 +43,7 @@ and as CostRegular narrows its cost variable to the range of path costs
 before it filters arcs, a pass bounds N by the full-string counters before
 it filters symbols against dom(N).
 
-Three skips save work and change no fixpoint.  First, every reachable
+Four skips save work and change no fixpoint.  First, every reachable
 interval lies inside ``[least, greatest]``, the range of the full-string
 counters, and after the N rule so does dom(N).  So, if dom(N) has no holes
 (or they are ignored), the cheapest end can exceed max(dom(N)) only if
@@ -57,7 +57,15 @@ pass checks a position whose domain is one symbol ``s``.  Through it, the
 interval of ``(i, next_state[q'][s'], s)`` contains that of ``(i - 1, q',
 s')``, so any survivor at ``i - 1`` supports ``s``, end by end.  At
 position 1 the interval is ``[least, greatest]``, which the global check
-has already tested.
+has already tested.  Fourth, a ground store, one symbol at every position,
+has one word, so every built side's ``least`` and ``greatest`` is that
+word's counter ``c`` and the one end interval is ``[c, c]``.  Its one pass
+runs the word through the automaton, applies the N rule, and builds no
+table: the third skip leaves no position to check, and a pass that removes
+no symbol ends the loop, so the status, the removals and ``passes`` are
+those of a table-building pass.  Groundness is read on the alphabet-masked
+domains, as :meth:`~regcount.domains.DomainStore.symbol_tuples` decodes
+them; a position with no symbol left makes a store not ground.
 
 A two-sided loop ends with a pass that removes no symbol.  The N rule reads
 only prefix rows, which only symbol removals change, so the next pass would
@@ -83,13 +91,16 @@ needs only top to be one: a surviving string then costs top, and the next
 ``greatest`` is at least top.
 
 All propagators mutate one store and append every removal to its log.
-``passes`` counts table builds: one per atmost or atleast run (a forward and
-a backward sweep in one mode) and one per exact or decomposition round (both
-prefix sweeps and the suffix sweeps the round needs).  A round after the
-first rebuilds only the rows its predecessor's symbol removals reach (see
-:mod:`regcount.sweep`) and still counts as one pass.  A loop that ran until
-a pass removes nothing would take one more pass after a pass that removes
-only N-values or certifies.
+``passes`` counts passes: one per atmost or atleast run and one per exact
+or decomposition round.  Every pass builds one table, except a ground
+store's, which builds none: an atmost or atleast table is a forward and a
+backward sweep in one mode, and a round's table both prefix sweeps and the
+suffix sweeps the round needs.  A round after the first rebuilds only the
+rows its predecessor's symbol removals reach (see :mod:`regcount.sweep`)
+and still counts as one pass.  So a per-call count of table builds cannot
+be read off ``passes``; it has to be counted on its own.  A loop that ran
+until a pass removes nothing would take one more pass after a pass that
+removes only N-values or certifies.
 """
 
 from __future__ import annotations
@@ -98,7 +109,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .automaton import CounterDfa
+from .automaton import CounterDfa, run
 from .domains import COUNTER_VAR, DomainStore, Instance, RemoveResult, project_store
 from .signature import SignatureMap
 from .sweep import UNREACHABLE_MAX, UNREACHABLE_MIN, SweepTable
@@ -193,14 +204,63 @@ _RULES = {
 }
 
 
+def _n_rule(store: DomainStore, least: int | float, greatest: int | float, ends: list | None) -> bool:
+    """Keep the N-values in ``[least, greatest]`` that some ``(lo, hi)`` of ``ends`` holds; False if none is left.
+
+    ``ends`` holds the end states' intervals where both ends bind at one
+    state (exact), and is ``None`` where ``[least, greatest]`` alone decides.
+    A dom(N) that misses ``[least, greatest]`` is left as it is, and False
+    is returned.
+    """
+    if not store.counter_has_between(least, greatest):
+        return False
+    for v in list(store.counter):
+        if not (least <= v <= greatest and (ends is None or any(lo <= v <= hi for lo, hi in ends))):
+            store.remove_counter(v)
+    return bool(store.counter)
+
+
+def _ground_word(store: DomainStore) -> list[int] | None:
+    """The one word of a store whose every domain holds one symbol, else ``None``.
+
+    Domains are read through the alphabet mask, as
+    :meth:`~regcount.domains.DomainStore.symbol_tuples` decodes them; the
+    scan stops at the first position with no symbol or several.
+    """
+    alphabet = (1 << store.alphabet_size) - 1
+    word = []
+    for domain in store.domains:
+        mask = domain & alphabet
+        if not mask or mask & (mask - 1):
+            return None
+        word.append(mask.bit_length() - 1)
+    return word
+
+
 def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutcome:
-    """The interval rule for ``mode``, run to its fixpoint."""
+    """The interval rule for ``mode``, run to its fixpoint.
+
+    A ground store takes one pass that runs its word and applies the N rule
+    to the word's counter, and builds no table.  Every other store takes
+    passes that each build a table, apply the N rule to its prefix rows and
+    check the symbols, until a pass removes no symbol or certifies the
+    fixpoint (see the module docstring).
+    """
     mark = len(store.removal_log)
     if not store.counter or not all(store.domains):
         return PropagationOutcome(FAILED, [], 0)
     min_side, max_side, joint = _RULES[mode]
+    word = _ground_word(store)
+    if word is not None:
+        # Every built side's least and greatest is the word's counter, and
+        # no position has a symbol to check (see the module docstring).
+        c = run(dfa, word).counter
+        least = c if min_side else -math.inf
+        greatest = c if max_side else math.inf
+        status = FIXPOINT if _n_rule(store, least, greatest, [(c, c)] if joint else None) else FAILED
+        return PropagationOutcome(status, store.removal_log[mark:], 1)
 
-    def n_rule(store: DomainStore, table: SweepTable) -> tuple[bool, bool]:
+    def after_prefix(store: DomainStore, table: SweepTable) -> tuple[bool, bool]:
         """Apply the N rule to a pass's prefix rows; return the suffix sides, (min, max), to build.
 
         An N-value survives iff some end state's interval holds it.  A side
@@ -209,18 +269,11 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
         docstring).
         """
         least, greatest = table.least, table.greatest
-        if not store.counter_has_between(least, greatest):
-            return False, False
         # One-sided end intervals cover exactly [least, greatest]; two-sided
         # ones may leave gaps.  An unreachable end state's interval is empty.
-        if joint:
-            ends = list(zip(table.pre_min[-1], table.pre_max[-1]))
-        for v in list(store.counter):
-            if not (least <= v <= greatest and (not joint or any(lo <= v <= hi for lo, hi in ends))):
-                store.remove_counter(v)
-        counter = store.counter
-        if not counter:
+        if not _n_rule(store, least, greatest, list(zip(table.pre_min[-1], table.pre_max[-1])) if joint else None):
             return False, False
+        counter = store.counter
         if joint and counter[-1] - counter[0] >= len(counter):
             return True, True
         return counter[-1] < greatest, counter[0] > least
@@ -233,7 +286,7 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
         # A pass after the first rebuilds only the rows that the previous
         # pass's symbol removals reach, and applies the N rule between its
         # prefix and suffix sweeps.
-        table = SweepTable.compute(dfa, store, min_side, max_side, table, n_rule)
+        table = SweepTable.compute(dfa, store, min_side, max_side, table, after_prefix)
         # Either dom(N) missed [least, greatest] and the N rule left it as it
         # was, or the N rule emptied it.
         if not store.counter_has_between(table.least, table.greatest):
@@ -311,10 +364,10 @@ def propagate(dfa: CounterDfa, store: DomainStore, mode: str | Mode) -> Propagat
     try:
         # A Mode member hashes and compares as its value, so a plain string
         # finds its entry too, without building ``Mode(mode)`` on every call.
-        run = _PROPAGATORS[mode]
+        propagator = _PROPAGATORS[mode]
     except (KeyError, TypeError):
         raise ValueError(f"{mode!r} is not a valid Mode") from None
-    return run(dfa, store)
+    return propagator(dfa, store)
 
 
 def propagate_composite(

@@ -4,12 +4,15 @@ The branching is deliberately static so node counts are comparable across
 propagators: variables are assigned in order x_1, ..., x_n, N, values
 ascending, and every node (including the root) is at the chosen propagator's
 fixpoint before branching.  The root, and every child whose assignment
-removed a value, runs the propagator.  A child of a one-value branch is its
-parent's store itself: its assignment removes nothing, and every propagator
-is idempotent at its own fixpoint, so a run on it would remove nothing and
-fail nothing.  It inherits the parent's fixpoint without a propagator call,
-and still counts as one node, so node, failure and pruning counts are those
-of propagating every node.  Stores are snapshot-copied per propagated node;
+removed a value, runs the propagator.  A child whose assignment fixes the
+last choice, at the last sequence position with several symbols or at N,
+is ground, so its call costs one word run and the N rule and builds no
+sweep table (see :mod:`regcount.propagators`).  A child of a one-value
+branch is its parent's store itself: its assignment removes nothing, and
+every propagator is idempotent at its own fixpoint, so a run on it would
+remove nothing and fail nothing.  It inherits the parent's fixpoint without
+a propagator call, and still counts as one node, so node, failure and
+pruning counts are those of propagating every node.  Stores are snapshot-copied per propagated node;
 instances are desk-scale, so trailing machinery would buy nothing.
 """
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import reference_kernel
 from regcount import (
     COUNTER_VAR,
+    U64_MAX,
     CounterDfa,
     DomainStore,
     Mode,
@@ -22,8 +23,9 @@ from regcount import (
     propagate_exact,
     run,
 )
+from regcount import sweep
 from regcount.propagators import FIXPOINT
-from strategies import NEAR_U64_MAX, dfa_store_pairs, windowed
+from strategies import NEAR_U64_MAX, cdfas, dfa_store_pairs, windowed
 
 B = catalog("B")
 ONE, TWO = B.symbol_id("1"), B.symbol_id("2")
@@ -352,14 +354,11 @@ def test_propagators_are_idempotent(pair):
             assert work == settled and work.removal_log == settled.removal_log
 
 
-@given(st.one_of(SHORT_PAIRS, WINDOWED_PAIRS))
-@settings(max_examples=300, deadline=None)
-def test_interval_filter_matches_reference_loops(pair):
+def _matches_the_plain_loops(dfa, store):
     # The one interval loop against a plain loop per semantics: the bound
     # rules' least/greatest edge cost and the exact rule's interval check.
     # Windowed stores reach every skip: exact passes that build one suffix
     # side or none, and positions reduced to one symbol.
-    dfa, store = pair
     for mode, reference in reference_kernel.PROPAGATORS.items():
         new_store, old_store = store.copy(), store.copy()
         new = propagate(dfa, new_store, mode)
@@ -373,16 +372,13 @@ def test_interval_filter_matches_reference_loops(pair):
         assert new.passes == old.passes or certified, mode
 
 
-@given(st.one_of(SHORT_PAIRS, WINDOWED_PAIRS))
-@settings(max_examples=300, deadline=None)
-def test_decomposed_reaches_the_fixpoint_of_alternating_runs(pair):
+def _decomposed_reaches_the_fixpoint_of_alternating_runs(dfa, store):
     # One two-sided run per round against the reference loop, which
     # alternates whole atmost and atleast runs: the same status, and at a
     # fixpoint the same final store and removal set.  Removal order and
     # passes differ by design.  Windowed stores reach passes in which both
     # ends bind, the only ones where checking each end on its own differs
     # from exact's check of both ends at one state.
-    dfa, store = pair
     new_store, old_store = store.copy(), store.copy()
     new = propagate_decomposed(dfa, new_store)
     old = reference_kernel.propagate_decomposed(dfa, old_store)
@@ -411,28 +407,117 @@ def recorded_builds():
         SweepTable.compute = descriptor
 
 
-@given(st.one_of(SHORT_PAIRS, WINDOWED_PAIRS))
-@settings(max_examples=300, deadline=None)
-def test_certified_fixpoints_remove_nothing_more(pair):
+def _certified_fixpoints_remove_nothing_more(dfa, store):
     # Exact and the decomposition return after a pass that removed a symbol
     # when that pass certifies that the next one would remove nothing: only
     # a pass that built one suffix side can, by its supports' counters.  On
     # such a call's result, a fresh run and the plain reference loop remove
     # nothing.
-    dfa, store = pair
     for mode, reference in (("exact", reference_kernel.propagate_exact),
                             ("decomposed", reference_kernel.propagate_decomposed)):
         work = store.copy()
         with recorded_builds() as builds:
             out = propagate(dfa, work, mode)
-        if out.failed or len(work.removal_log) == builds[-1][0]:
-            continue  # no pass certified: the last one removed no symbol
+        if out.failed or not builds or len(work.removal_log) == builds[-1][0]:
+            continue  # no pass certified: none built a table, or the last one removed no symbol
         assert builds[-1][1] in ((True, False), (False, True)), mode
         event(f"{mode} certified after a pass with suffix sides {builds[-1][1]}")
         again = propagate(dfa, work.copy(), mode)
         assert (again.status, again.removals) == (FIXPOINT, []), mode
         confirmed = reference(dfa, work.copy())
         assert (confirmed.status, confirmed.removals) == (FIXPOINT, []), mode
+
+
+@given(st.one_of(SHORT_PAIRS, WINDOWED_PAIRS))
+@settings(max_examples=300, deadline=None)
+def test_interval_filter_matches_reference_loops(pair):
+    _matches_the_plain_loops(*pair)
+
+
+@given(st.one_of(SHORT_PAIRS, WINDOWED_PAIRS))
+@settings(max_examples=300, deadline=None)
+def test_decomposed_reaches_the_fixpoint_of_alternating_runs(pair):
+    _decomposed_reaches_the_fixpoint_of_alternating_runs(*pair)
+
+
+@given(st.one_of(SHORT_PAIRS, WINDOWED_PAIRS))
+@settings(max_examples=300, deadline=None)
+def test_certified_fixpoints_remove_nothing_more(pair):
+    _certified_fixpoints_remove_nothing_more(*pair)
+
+
+@contextlib.contextmanager
+def recorded_sweeps():
+    """Record the name of every ``SweepTable.compute`` and sweep kernel call in the block."""
+    kernels = {name: getattr(sweep, name) for name in ("forward", "forward_pair", "backward")}
+    descriptor = SweepTable.__dict__["compute"]
+    calls = []
+
+    def recording(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name, kernel in kernels.items():
+        setattr(sweep, name, recording(name, kernel))
+    SweepTable.compute = classmethod(recording("compute", descriptor.__func__))
+    try:
+        yield calls
+    finally:
+        for name, kernel in kernels.items():
+            setattr(sweep, name, kernel)
+        SweepTable.compute = descriptor
+
+
+@st.composite
+def ground_pairs(draw):
+    """A store with one symbol per position, n = 0..12, and a dom(N) drawn
+    around its word's counter, near 0 or anywhere up to 2 * U64_MAX."""
+    dfa = draw(st.one_of(cdfas(), cdfas(increments=NEAR_U64_MAX)))
+    word = draw(st.lists(st.integers(0, dfa.num_symbols - 1), max_size=12))
+    c = run(dfa, word).counter
+    value = st.one_of(st.integers(max(0, c - 2), c + 2), st.integers(0, 12), st.integers(0, 2 * U64_MAX))
+    counter = draw(st.sets(value, min_size=1, max_size=6))
+    return dfa, DomainStore(dfa.num_symbols, [[s] for s in word], counter)
+
+
+@given(ground_pairs())
+@settings(max_examples=150, deadline=None)
+def test_ground_stores_take_one_pass_without_a_table(pair):
+    # A ground store has one word: its one pass runs the word and applies
+    # the N rule, and builds no table.  The outcome is the plain loops':
+    # status, removals in order and final store, and for the decomposition
+    # the status, and at a fixpoint the final store and removal set.
+    dfa, store = pair
+    for mode, reference in reference_kernel.PROPAGATORS.items():
+        new_store, old_store = store.copy(), store.copy()
+        with recorded_sweeps() as calls:
+            new = propagate(dfa, new_store, mode)
+        assert (calls, new.passes) == ([], 1), mode
+        old = reference(dfa, old_store)
+        assert (new.status, new.removals, new_store) == (old.status, old.removals, old_store), mode
+    with recorded_sweeps() as calls:
+        passes = propagate_decomposed(dfa, store.copy()).passes
+    assert (calls, passes) == ([], 1)
+    _decomposed_reaches_the_fixpoint_of_alternating_runs(dfa, store)
+
+
+def test_groundness_reads_the_alphabet_masked_domain():
+    # A bit outside B's two symbols is not a symbol, as symbol_tuples decodes
+    # it: {1, bit 5} is ground, and a domain of that bit alone is empty, not
+    # ground, so that store takes a table-building pass and fails.
+    stray = 1 << 5
+    for mode in ("atmost", "atleast", "exact", "decomposed"):
+        store, plain = DomainStore(2, [[ONE, 5]], [0, 1]), DomainStore(2, [[ONE]], [0, 1])
+        with recorded_sweeps() as calls:
+            out = propagate(B, store, mode)
+        assert (calls, out) == ([], propagate(B, plain, mode)), mode
+        assert store.domains == [plain.domains[0] | stray]
+        empty = DomainStore(2, [[ONE], [5]], [0, 1])
+        with recorded_sweeps() as calls:
+            out = propagate(B, empty, mode)
+        assert out.failed and calls and calls[0] == "compute", mode
 
 
 def _outcomes(dfa, store):
