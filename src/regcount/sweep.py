@@ -12,8 +12,10 @@ same entries it would read with suffixes restricted to the states reachable
 at ``n``.  Rows are dense per-state arrays; a state no admissible string
 reaches carries ``+inf`` in min rows and ``-inf`` in max rows.  Since ``inf +
 x`` stays ``inf``, a sum with an unreachable endpoint stays unreachable and
-min/max pass over it, so the backward loop needs no branch for the
-sentinels.
+min/max pass over it.  The sweeps of a table never form such a sum, though
+(see "How a row is built"): it is left to the open rows of unbuilt or
+skipped sides, which the filter sums over, and to :func:`backward` without
+``live``, which ``dump-sweep`` runs.
 
 Which entries are defined.  Every prefix entry is exact, and an unreachable
 one is its side's sentinel object.  The forward sweep records the states
@@ -42,6 +44,22 @@ leaves the sentinel, so no loop scans a dense row for sentinels;
 max row in the same loop.  A backward row loops over ``live[i-1]``, or every
 state without ``live``: entry ``q`` is the best of
 ``next_row[next_state[q][s]] + increment[q][s]`` over the position's symbols.
+
+The speed of these loops rests on one invariant: in a row of a table, a
+reached entry is an ``int`` and an unreached one is its side's sentinel
+object.  A forward row reads ``row[q]`` only at reached states, and a
+backward row built with ``live`` reads ``next_row`` only at states of
+``live[i]``, which row ``i + 1`` holds as ints, so every sum is of two ints.
+Each relax tests identity before it compares, so every compare is of two
+ints too; on CPython 3.11 an int compared with a float costs 1.6–2 times as
+much.  A forward relax writes the sum at an entry that ``is`` the sentinel,
+listing the state as reached, and compares only with an entry already
+written; :func:`forward_pair` writes both sides at a first reach and
+otherwise makes two compares; a backward row writes its first symbol's sums
+at the listed states and compares only the other symbols' sums, and a
+position with no symbol keeps the all-sentinel row.  Without ``live``,
+:func:`backward` also sums over unreached entries, and its rows hold ``inf``
+values that equal the sentinel but need not be that object.
 
 Both sweeps read a position's symbols from the pass's
 :meth:`~regcount.domains.DomainStore.symbol_tuples` list, decoded once per
@@ -129,6 +147,11 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previo
     (see the module docstring).  ``previous`` itself is returned if none
     changed.  Without ``previous`` the sweep is that rebuild from row 0
     against placeholder rows that no row equals.
+
+    A reached entry is an ``int`` and an unreached one the sentinel object,
+    ``UNREACHABLE_MIN`` or ``UNREACHABLE_MAX``.  Each relax tests
+    ``new[t] is sent`` first, writing the sum and listing ``t`` as reached,
+    and otherwise compares two ints (see the module docstring).
     """
     minimize = _minimize(mode)
     if symbols is None:
@@ -156,16 +179,18 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previo
         reached = []
         # Every row starts as [sent] * num_states and only the states the
         # previous row reaches write to it, so unreachable entries are
-        # ``sent`` itself, and a state is reached when its entry first moves.
+        # ``sent`` itself; a state is reached when its entry is first written,
+        # and holds an int from then on.
         if minimize:
             for s in syms:
                 for q in states:
                     c = row[q] + inc[q][s]
                     t = nxt[q][s]
                     d = new[t]
-                    if c < d:
-                        if d is sent:
-                            reached.append(t)
+                    if d is sent:
+                        reached.append(t)
+                        new[t] = c
+                    elif c < d:
                         new[t] = c
         else:
             for s in syms:
@@ -173,9 +198,10 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previo
                     c = row[q] + inc[q][s]
                     t = nxt[q][s]
                     d = new[t]
-                    if c > d:
-                        if d is sent:
-                            reached.append(t)
+                    if d is sent:
+                        reached.append(t)
+                        new[t] = c
+                    elif c > d:
                         new[t] = c
         i += 1
         if new == previous[i]:
@@ -199,14 +225,18 @@ def forward_pair(dfa: CounterDfa, store: DomainStore, symbols=None, live: list |
     Equal to ``forward(dfa, store, "min", symbols, live=live)`` and
     ``forward(dfa, store, "max", symbols)``: both sides reach the same
     states, so one loop over the states the previous row reaches relaxes
-    both.  Every unreachable entry is its side's sentinel object, as in
-    :func:`forward`.  There is no partial rebuild: see the module docstring.
+    both.  Every reachable entry is an ``int`` and every unreachable one its
+    side's sentinel object, as in :func:`forward`.  A state's first reach,
+    found by identity on the min side, writes both sides' sums; a later one
+    makes two int compares.  There is no partial rebuild: see the module
+    docstring.
     """
     if symbols is None:
         symbols = store.symbol_tuples()
     num_states = dfa.num_states
     nxt, inc = dfa.next_state, dfa.increment
-    low: list[int | float] = [UNREACHABLE_MIN] * num_states
+    sent = UNREACHABLE_MIN  # the min side tells a first reach
+    low: list[int | float] = [sent] * num_states
     high: list[int | float] = [UNREACHABLE_MAX] * num_states
     low[dfa.start] = high[dfa.start] = 0
     states = [dfa.start]
@@ -215,7 +245,7 @@ def forward_pair(dfa: CounterDfa, store: DomainStore, symbols=None, live: list |
         live = []
     live.append(states)
     for syms in symbols:
-        new_low: list[int | float] = [UNREACHABLE_MIN] * num_states
+        new_low: list[int | float] = [sent] * num_states
         new_high: list[int | float] = [UNREACHABLE_MAX] * num_states
         reached = []
         for s in syms:
@@ -223,14 +253,17 @@ def forward_pair(dfa: CounterDfa, store: DomainStore, symbols=None, live: list |
                 step = inc[q][s]
                 t = nxt[q][s]
                 lo = low[q] + step
-                d = new_low[t]
-                if lo < d:
-                    if d is UNREACHABLE_MIN:
-                        reached.append(t)
-                    new_low[t] = lo
                 hi = high[q] + step
-                if hi > new_high[t]:
+                d = new_low[t]
+                if d is sent:
+                    reached.append(t)
+                    new_low[t] = lo
                     new_high[t] = hi
+                else:
+                    if lo < d:
+                        new_low[t] = lo
+                    if hi > new_high[t]:
+                        new_high[t] = hi
         pre_min.append(new_low)
         pre_max.append(new_high)
         live.append(reached)
@@ -250,7 +283,12 @@ def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previ
     nor appends to it.  Row ``i`` is then built only at the states of
     ``live[i-1]``, and every other entry is the sentinel, so every entry the
     filter reads is true (see the module docstring); without ``live`` every
-    entry is true.  ``symbols``, ``previous`` and ``changed`` work as in
+    entry is true.  A row writes its position's first symbol's sums at its
+    listed states and compares only the other symbols' sums; with ``live``
+    each sum and compare is of two ints, and every entry is an ``int`` or
+    the sentinel object.  Without ``live``, an unreachable entry is ``inf``
+    or ``-inf``, equal to the sentinel but not always that object.
+    ``symbols``, ``previous`` and ``changed`` work as in
     :func:`forward`, with the rebuild running from the last changed position
     towards row 1; without ``previous`` the sweep is that rebuild from row
     n against placeholder rows, with position n-1 changed.
@@ -276,14 +314,20 @@ def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previ
         suffix = rows[i + 1]
         states = live[i - 1]
         new = [sent] * num_states
+        if syms:
+            # The first symbol seeds every listed entry, so the others only
+            # compare; a position with no symbol keeps the all-sentinel row.
+            s = syms[0]
+            for q in states:
+                new[q] = suffix[nxt[q][s]] + inc[q][s]
         if minimize:
-            for s in syms:
+            for s in syms[1:]:
                 for q in states:
                     c = suffix[nxt[q][s]] + inc[q][s]
                     if c < new[q]:
                         new[q] = c
         else:
-            for s in syms:
+            for s in syms[1:]:
                 for q in states:
                     c = suffix[nxt[q][s]] + inc[q][s]
                     if c > new[q]:

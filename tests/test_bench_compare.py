@@ -1,0 +1,76 @@
+"""``tools/bench_compare.py`` reproduces the figures that CHANGES.md cites from committed BENCH files."""
+
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import sys
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+TOOL = os.path.join(ROOT, "tools", "bench_compare.py")
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_compare", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def end_to_end():
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)["end_to_end"]
+
+
+def rows_of(tool, name):
+    runs = tool.read_runs(os.path.join(ROOT, name))
+    return {(row.workload, row.metric): row for row in tool.compare(runs, end_to_end())}
+
+
+def figures(row, digits=2):
+    return round(row.base_median, digits), round(row.change_median, digits), row.wins, row.pairs
+
+
+def test_committed_bench_files_give_their_cited_figures():
+    tool = load_tool()
+    step_lists = rows_of(tool, "BENCH_20-step-lists.json")
+    fuzz = step_lists["fuzz-oracle", "ops_per_s"]
+    assert figures(fuzz, 1) == (649.8, 911.5, 10, 10)
+    assert (fuzz.base, fuzz.change) == ("parent", "change")
+    assert round(fuzz.base_iqr, 1) == 24.6 and fuzz.beyond_iqr and fuzz.inside_bound
+    # root-long lost 3.3% there (1 of 10 pairs), inside its 20% bound.
+    slower = step_lists["root-long", "ops_per_s"]
+    assert (round(slower.relative, 3), slower.wins, slower.inside_bound) == (-0.033, 1, True)
+    certified = rows_of(tool, "BENCH_18-certified-fixpoint.json")["root-long", "ops_per_s"]
+    assert figures(certified) == (22.62, 29.95, 10, 10)
+    # The A/A run names its sides parent and parent-copy.
+    aa = rows_of(tool, "BENCH_21-aa-root-long.json")["root-long", "ops_per_s"]
+    assert figures(aa) == (31.44, 32.11, 7, 10)
+    assert (aa.base, aa.change, round(aa.base_iqr, 2)) == ("parent", "parent-copy", 0.52)
+
+
+def test_wins_follow_the_better_direction_and_the_bound_is_relative():
+    tool = load_tool()
+    runs = [{"workload": "w", "seed": seed, "side": side, "position": 1,
+             "result": {"correct": True, "attempted": 10, "failed": 0,
+                        "metrics": {"ops_per_s": {"value": speed}, "op_ms.p50": {"value": 1000 / speed}}}}
+            for seed, (old, new) in enumerate([(100, 79), (100, 90), (100, 120)])
+            for side, speed in (("change", new), ("parent", old))]
+    specs = [{"name": "ops_per_s", "better": "higher", "bound": 0.05},
+             {"name": "op_ms.p50", "better": "lower", "bound": 0.15}]
+    speed, latency = tool.compare(runs, specs)
+    # The base is the side named parent, though the change comes first.
+    assert (speed.base, speed.change, speed.base_iqr) == ("parent", "change", 0.0)
+    assert (speed.wins, speed.pairs, speed.inside_bound) == (1, 3, False)  # median 90: -10%
+    assert (latency.wins, latency.pairs, latency.inside_bound) == (1, 3, True)  # median 11.1 ms: +11%
+    runs.append({"workload": "w", "seed": 3, "side": "change", "position": 1, "result": {"error": "worker died"}})
+    assert tool.failures(runs)["w", "change"] == (4, 1, 31)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert tool.main([os.path.join(ROOT, "BENCH_21-aa-root-long.json")]) == 0
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 + len(end_to_end()) + 1
+    assert lines[1].split()[:4] == ["root-long", "ops_per_s", "31.44", "32.11"]
+    assert lines[-1] == "root-long: parent 10 runs, 0 of 2000 ops failed; parent-copy 10 runs, 0 of 2000 ops failed"

@@ -405,6 +405,8 @@ def test_forward_pair_equals_two_single_side_sweeps(pair):
     # All three record the states each row reaches, in the same order.
     assert pair_live == min_live == max_live
     assert_live_matches_reference(pair_live, dfa, store)
+    assert_reachable_ints(pre_min, UNREACHABLE_MIN)
+    assert_reachable_ints(pre_max, UNREACHABLE_MAX)
     # The filter tests reachability with ``is``: every unreachable entry is
     # its side's sentinel object, and both sides reach the same states.
     for low, high in zip(pre_min, pre_max):
@@ -425,6 +427,7 @@ def test_backward_builds_reachable_entries_exactly(pair):
         pre = forward(dfa, store, mode, live=live)
         suffix = backward(dfa, store, mode, live=live)
         assert_true_where_read(suffix, reference, pre, sent)
+        assert_reachable_ints(suffix, sent)
         # Every row, at one-symbol positions too, is built exactly at the
         # states the prefix row one position earlier reaches.
         for i in range(1, store.n + 1):
@@ -486,11 +489,16 @@ def assert_matches_full_rebuild(dfa, store, table, previous, min_side, max_side)
     # reached, where a full rebuild holds the sentinel.  A skipped side reads
     # as unbounded.
     assert table.suffixes[0] <= min_side and table.suffixes[1] <= max_side
-    for built, rows, pre, mode, sent, unbounded in (
-            (table.suffixes[0], table.suf_min, table.pre_min, "min", UNREACHABLE_MIN, -math.inf),
-            (table.suffixes[1], table.suf_max, table.pre_max, "max", UNREACHABLE_MAX, math.inf)):
+    for side, built, rows, pre, mode, sent, unbounded in (
+            (min_side, table.suffixes[0], table.suf_min, table.pre_min, "min", UNREACHABLE_MIN, -math.inf),
+            (max_side, table.suffixes[1], table.suf_max, table.pre_max, "max", UNREACHABLE_MAX, math.inf)):
+        # The kernels compare two ints in every relax: a built entry is an
+        # int or its side's sentinel, in kept and rebuilt rows alike.
+        if side:
+            assert_reachable_ints(pre, sent)
         if built:
             assert_true_where_read(rows, reference_suffix_rows(dfa, store, mode), pre, sent)
+            assert_reachable_ints(rows, sent)
         else:
             assert all(c == unbounded for row in rows for c in row)
     assert table.mark == len(store.removal_log)
