@@ -79,7 +79,8 @@ class DomainStore:
     def symbol_tuples(self) -> list[tuple[int, ...]]:
         """Per-position symbol tuples, as :meth:`symbols` lists them; built once per propagator pass."""
         alphabet = (1 << self.alphabet_size) - 1
-        return list(map(_symbol_tuples.__getitem__, map(alphabet.__and__, self.domains)))
+        cache = _symbol_tuples
+        return [cache[d & alphabet] for d in self.domains]
 
     def remove_symbol(self, i: int, sym: int) -> RemoveResult:
         bit = 1 << sym
@@ -90,10 +91,18 @@ class DomainStore:
         return RemoveResult.EMPTIED if self.domains[i] == 0 else RemoveResult.CHANGED
 
     def assign_symbol(self, i: int, sym: int) -> None:
-        """Branching helper: reduce dom(x_i) to {sym}, logging the removals."""
-        for other in self.symbols(i):
-            if other != sym:
-                self.remove_symbol(i, other)
+        """Branching helper: reduce dom(x_i) to {sym}, logging the removals.
+
+        One mask write clears every other symbol of the alphabet; the log gets
+        one ``(i, s)`` entry per cleared symbol, in ascending order, as
+        :meth:`remove_symbol` would have logged them one by one.  Bits outside
+        the alphabet stay, and a ``sym`` not in dom(x_i) leaves none of its
+        symbols.
+        """
+        others = self.domains[i] & ((1 << self.alphabet_size) - 1) & ~(1 << sym)
+        if others:
+            self.domains[i] &= ~others
+            self.removal_log.extend([(i, s) for s in _symbol_tuples[others]])
 
     # -- counter variable ----------------------------------------------------
 

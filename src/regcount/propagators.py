@@ -50,22 +50,24 @@ counters, and after the N rule so does dom(N).  So, if dom(N) has no holes
 ``greatest`` does, and the costliest end can fall below min(dom(N)) only
 if ``least`` does.  A two-sided pass therefore builds the suffix rows of an
 end only where dom(N) cuts into that range (both ends when exact's dom(N)
-has holes), and a pass that builds neither skips the symbol loop.  Second,
-a pass whose dom(N) misses ``[least, greatest]`` fails before it removes a
-value or reads a suffix row, so no semantics builds one there.  Third, no
-pass checks a position whose domain is one symbol ``s``.  Through it, the
-interval of ``(i, next_state[q'][s'], s)`` contains that of ``(i - 1, q',
-s')``, so any survivor at ``i - 1`` supports ``s``, end by end.  At
-position 1 the interval is ``[least, greatest]``, which the global check
-has already tested.  Fourth, a ground store, one symbol at every position,
-has one word, so every built side's ``least`` and ``greatest`` is that
-word's counter ``c`` and the one end interval is ``[c, c]``.  Its one pass
-runs the word through the automaton, applies the N rule, and builds no
-table: the third skip leaves no position to check, and a pass that removes
-no symbol ends the loop, so the status, the removals and ``passes`` are
-those of a table-building pass.  Groundness is read on the alphabet-masked
-domains, as :meth:`~regcount.domains.DomainStore.symbol_tuples` decodes
-them; a position with no symbol left makes a store not ground.
+has holes), and a pass that builds neither removes no symbol: it ends after
+its N rule.  Second, a pass whose dom(N) misses ``[least, greatest]`` fails
+before it removes a value or reads a suffix row, so no semantics builds one
+there.  Third, no pass checks a position whose domain is one symbol ``s``.
+Through it, the interval of ``(i, next_state[q'][s'], s)`` contains that
+of ``(i - 1, q', s')``, so any survivor at ``i - 1`` supports ``s``, end
+by end.  At position 1 the interval is ``[least, greatest]``, which the
+global check has already tested.  Fourth, a ground store, one symbol at
+every position, has one word, so every built side's ``least`` and
+``greatest`` is that word's counter ``c`` and the one end interval is
+``[c, c]``.  Its one pass is one scan over the domains, which decides
+groundness and runs the word through the automaton as it goes, then the N
+rule, and it builds no table: the third skip leaves no position to check,
+and a pass that removes no symbol ends the loop, so the status, the
+removals and ``passes`` are those of a table-building pass.  Groundness is
+read on the alphabet-masked domains, as
+:meth:`~regcount.domains.DomainStore.symbol_tuples` decodes them; a
+position with no symbol left makes a store not ground.
 
 A two-sided loop ends with a pass that removes no symbol.  The N rule reads
 only prefix rows, which only symbol removals change, so the next pass would
@@ -109,7 +111,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .automaton import CounterDfa, run
+from .automaton import CounterDfa
 from .domains import COUNTER_VAR, DomainStore, Instance, RemoveResult, project_store
 from .signature import SignatureMap
 from .sweep import UNREACHABLE_MAX, UNREACHABLE_MIN, SweepTable
@@ -205,59 +207,75 @@ _RULES = {
 
 
 def _n_rule(store: DomainStore, least: int | float, greatest: int | float, ends: list | None) -> bool:
-    """Keep the N-values in ``[least, greatest]`` that some ``(lo, hi)`` of ``ends`` holds; False if none is left.
+    """Keep the N-values that some ``(lo, hi)`` of ``ends`` holds; False if none is left.
 
     ``ends`` holds the end states' intervals where both ends bind at one
-    state (exact), and is ``None`` where ``[least, greatest]`` alone decides.
-    A dom(N) that misses ``[least, greatest]`` is left as it is, and False
-    is returned.
+    state (exact), each inside ``[least, greatest]``; it is ``None`` where
+    ``[least, greatest]`` alone decides, and that is then the one interval,
+    so a dom(N) inside it is kept without a scan.  A dom(N) that misses
+    ``[least, greatest]`` is left as it is, and False is returned.  Removals
+    are logged in ascending order.
     """
+    counter = store.counter
     if not store.counter_has_between(least, greatest):
         return False
-    for v in list(store.counter):
-        if not (least <= v <= greatest and (ends is None or any(lo <= v <= hi for lo, hi in ends))):
+    if ends is None:
+        if least <= counter[0] and counter[-1] <= greatest:
+            return True
+        ends = [(least, greatest)]
+    for v in list(counter):
+        for lo, hi in ends:
+            if lo <= v <= hi:
+                break
+        else:
             store.remove_counter(v)
-    return bool(store.counter)
+    return bool(counter)
 
 
-def _ground_word(store: DomainStore) -> list[int] | None:
-    """The one word of a store whose every domain holds one symbol, else ``None``.
+def _ground_counter(dfa: CounterDfa, store: DomainStore) -> int | None:
+    """The counter of a ground store's one word, else ``None``.
 
-    Domains are read through the alphabet mask, as
-    :meth:`~regcount.domains.DomainStore.symbol_tuples` decodes them; the
-    scan stops at the first position with no symbol or several.
+    One scan reads each domain through the alphabet mask, as
+    :meth:`~regcount.domains.DomainStore.symbol_tuples` decodes them, and
+    runs the word as it goes; it stops at the first position with no symbol
+    or several.
     """
     alphabet = (1 << store.alphabet_size) - 1
-    word = []
+    nxt, inc = dfa.next_state, dfa.increment
+    state, counter = dfa.start, 0
     for domain in store.domains:
         mask = domain & alphabet
         if not mask or mask & (mask - 1):
             return None
-        word.append(mask.bit_length() - 1)
-    return word
+        sym = mask.bit_length() - 1
+        counter += inc[state][sym]
+        state = nxt[state][sym]
+    return counter
 
 
 def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutcome:
     """The interval rule for ``mode``, run to its fixpoint.
 
-    A ground store takes one pass that runs its word and applies the N rule
-    to the word's counter, and builds no table.  Every other store takes
-    passes that each build a table, apply the N rule to its prefix rows and
-    check the symbols, until a pass removes no symbol or certifies the
-    fixpoint (see the module docstring).
+    A ground store takes one pass: one scan finds it ground and runs its
+    word, the N rule is applied to the word's counter, and no table is
+    built.  Every other store takes passes that each build a table, apply
+    the N rule to its prefix rows and check the symbols, until a pass removes
+    no symbol or certifies the fixpoint (see the module docstring).  A pass
+    that builds no suffix side checks no symbol: it ends the loop after its
+    N rule.
     """
     mark = len(store.removal_log)
     if not store.counter or not all(store.domains):
         return PropagationOutcome(FAILED, [], 0)
     min_side, max_side, joint = _RULES[mode]
-    word = _ground_word(store)
-    if word is not None:
-        # Every built side's least and greatest is the word's counter, and
-        # no position has a symbol to check (see the module docstring).
-        c = run(dfa, word).counter
+    c = _ground_counter(dfa, store)
+    if c is not None:
+        # Every built side's least and greatest is the word's counter, so
+        # exact's one end interval is [least, greatest], and no position has
+        # a symbol to check (see the module docstring).
         least = c if min_side else -math.inf
         greatest = c if max_side else math.inf
-        status = FIXPOINT if _n_rule(store, least, greatest, [(c, c)] if joint else None) else FAILED
+        status = FIXPOINT if _n_rule(store, least, greatest, None) else FAILED
         return PropagationOutcome(status, store.removal_log[mark:], 1)
 
     def after_prefix(store: DomainStore, table: SweepTable) -> tuple[bool, bool]:
@@ -291,17 +309,19 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
         # was, or the N rule emptied it.
         if not store.counter_has_between(table.least, table.greatest):
             return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
+        # An unbuilt suffix side reads as unbounded, so with none built no
+        # end binds, every symbol survives, and the pass is a fixpoint.
+        if not any(table.suffixes):
+            return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
         counter = store.counter
         bottom, top = counter[0], counter[-1]
         # An interval meets dom(N) iff it meets [bottom, top], unless both of
         # its ends are finite and dom(N) has holes.
         holes = joint and top - bottom >= len(counter)
         # The windows [floor, ceiling] an interval must meet, one loop each:
-        # one window for both ends at once, or one per end on its own.  An
-        # unbuilt suffix side reads as unbounded, so with none built no end
-        # binds and every symbol survives.
+        # one window for both ends at once, or one per built end on its own.
         if joint:
-            windows = [(bottom, top)] if any(table.suffixes) else []
+            windows = [(bottom, top)]
         else:
             windows = [(-math.inf, top)] * table.suffixes[0] + [(bottom, math.inf)] * table.suffixes[1]
         changed = False

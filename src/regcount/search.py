@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .automaton import CounterDfa
 from .domains import DomainStore, Instance
@@ -60,65 +60,52 @@ def solve(
     chosen = Mode(mode if propagator is None else propagator)
     if chosen.semantics is not semantics:
         raise ValueError(f"propagator {chosen.value!r} does not decide {semantics.value!r} instances")
-    stats = SearchStats()
     n = store.n
     alphabet = (1 << store.alphabet_size) - 1
     started = time.perf_counter()
-
-    def visit(node: DomainStore) -> bool:
-        """Propagate a new node; False if it failed."""
-        stats.nodes += 1
+    nodes = failures = prunings = solutions = 0
+    # The children not made yet, the next one last: a node, the position it
+    # branches on and a value.  A branching pushes its values in reverse, so
+    # the walk is depth-first with values ascending, and its depth is bounded
+    # by n, not by Python's recursion limit.
+    pending: list[tuple[DomainStore, int, int]] = []
+    node, depth = store.copy(), 0
+    while True:
+        # Propagate the new node, then skip the one-value positions below it,
+        # which descend into ``node`` itself (module docstring).
+        nodes += 1
         outcome = propagate(dfa, node, chosen)
-        stats.prunings += len(outcome.removals)
+        prunings += len(outcome.removals)
         if outcome.failed:
-            stats.failures += 1
-        return not outcome.failed
-
-    # The open branchings, deepest last: a node, the position it branches on
-    # and the values not tried yet.  Only the deepest one branches, so the
-    # walk is depth-first, and its depth is bounded by n, not by Python's
-    # recursion limit.
-    branchings: list[tuple[DomainStore, int, Iterator[int]]] = []
-
-    def settle(node: DomainStore, depth: int) -> None:
-        """Skip the one-value positions below ``node``, which is at the
-        propagator's fixpoint, then count a solution or open a branching."""
-        # One-value branches descend into ``node`` itself (module docstring).
-        domains = node.domains
-        while depth < n and domains[depth] & (domains[depth] - 1) == 0:
-            stats.nodes += 1
-            depth += 1
-        if depth == n and len(node.counter) == 1:
-            stats.nodes += 1
-            depth += 1
-        if depth == n + 1:
-            stats.solutions += 1
-            if on_solution is not None:
-                # Every domain is one symbol here: read it off its one-bit mask.
-                assignment = tuple([(mask & alphabet).bit_length() - 1 for mask in domains])
-                on_solution((assignment, node.counter[0]))
+            failures += 1
         else:
-            values = node.symbols(depth) if depth < n else list(node.counter)
-            branchings.append((node, depth, iter(values)))
-
-    root = store.copy()
-    if visit(root):
-        settle(root, 0)
-    while branchings:
-        node, depth, values = branchings[-1]
-        value = next(values, None)
-        if value is None:
-            branchings.pop()
-            continue
-        child = node.copy()
+            domains = node.domains
+            while depth < n and domains[depth] & (domains[depth] - 1) == 0:
+                nodes += 1
+                depth += 1
+            if depth == n and len(node.counter) == 1:
+                nodes += 1
+                depth += 1
+            if depth == n + 1:
+                solutions += 1
+                if on_solution is not None:
+                    # Every domain is one symbol here: read it off its one-bit mask.
+                    assignment = tuple([(mask & alphabet).bit_length() - 1 for mask in domains])
+                    on_solution((assignment, node.counter[0]))
+            else:
+                values = node.symbols(depth) if depth < n else node.counter
+                pending.extend([(node, depth, value) for value in reversed(values)])
+        if not pending:
+            break
+        parent, depth, value = pending.pop()
+        node = parent.copy()
         if depth < n:
-            child.assign_symbol(depth, value)
+            node.assign_symbol(depth, value)
         else:
-            child.assign_counter(value)
-        if visit(child):
-            settle(child, depth + 1)
-    stats.wall_time = time.perf_counter() - started
-    return stats
+            node.assign_counter(value)
+        depth += 1
+    return SearchStats(failures=failures, prunings=prunings, solutions=solutions, nodes=nodes,
+                       wall_time=time.perf_counter() - started)
 
 
 def solve_collect(

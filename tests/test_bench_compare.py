@@ -74,3 +74,17 @@ def test_wins_follow_the_better_direction_and_the_bound_is_relative():
     assert len(lines) == 1 + len(end_to_end()) + 1
     assert lines[1].split()[:4] == ["root-long", "ops_per_s", "31.44", "32.11"]
     assert lines[-1] == "root-long: parent 10 runs, 0 of 2000 ops failed; parent-copy 10 runs, 0 of 2000 ops failed"
+
+
+def test_aa_option_prints_the_noise_rows_next_to_each_claim():
+    tool = load_tool()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert tool.main([os.path.join(ROOT, "BENCH_22-identity-first.json"),
+                          "--aa", os.path.join(ROOT, "BENCH_21-aa-root-long.json")]) == 0
+    rows = {tuple(line.split()[:2]): line.split() for line in out.getvalue().splitlines()[1:]}
+    # The claim's own columns are unchanged; the A/A gap and wins follow them.
+    assert rows["root-long", "ops_per_s"][2:6] == ["31.2", "34.36", "+10.1%", "9/10"]
+    assert rows["root-long", "ops_per_s"][-2:] == ["+2.1%", "7/10"]
+    # The A/A file has no search-dfs runs, so those rows end at the bound check.
+    assert rows["search-dfs", "ops_per_s"][-1] == "yes" and len(rows["search-dfs", "ops_per_s"]) == 10

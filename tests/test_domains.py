@@ -114,6 +114,25 @@ def test_assign_goes_through_the_log():
     assert store.symbols(0) == [0, 1]  # untouched
 
 
+def test_assign_symbol_logs_what_the_per_symbol_removals_log():
+    # Every mask of a 3-symbol alphabet, with and without a bit outside it,
+    # and every symbol up to one outside it, so some are not in the domain.
+    for mask in range(8):
+        for outside in (0, 1 << 3):
+            for sym in range(4):
+                store = DomainStore(3, [(0, 2), ()], (0,))
+                store.domains[1] = mask | outside
+                store.removal_log.append((0, 1))
+                reference = store.copy()
+                store.assign_symbol(1, sym)
+                for other in reference.symbols(1):
+                    if other != sym:
+                        reference.remove_symbol(1, other)
+                case = (mask, outside, sym)
+                assert store.domains == reference.domains, case
+                assert store.removal_log == reference.removal_log, case
+
+
 # -- instance files -----------------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 """Compare the two sides of a BENCH file, one row per workload and metric.
 
-    python3 tools/bench_compare.py BENCH_<pr>-<label>.json
+    python3 tools/bench_compare.py BENCH_<pr>-<label>.json [--aa BENCH_<pr>-aa.json]
 
 A BENCH file holds one JSON line per ``perfbench/run.py --trace 0`` run:
 ``workload``, ``seed``, ``side``, ``position`` (the run's place in its pair)
@@ -20,6 +20,11 @@ For each workload and each end-to-end metric of the repository's
 - whether the median's gap is larger than that IQR;
 - whether the change's median stays inside the metric's bound, a relative
   loss of at most ``bound`` against the base median.
+
+With ``--aa``, each row also gives the same workload's and metric's figures
+from an A/A file, runs of one commit against itself: its change in percent
+and its pair wins, the gap and the win count that noise alone reached.  Both
+are blank for a workload that the A/A file lacks.
 
 One line per workload gives each side's runs, failed ops and attempted ops.
 A run without ``metrics`` (one that gave no result) counts as failed.
@@ -138,16 +143,28 @@ def failures(runs: list[dict]) -> dict[tuple[str, str], tuple[int, int, int]]:
     return {key: tuple(value) for key, value in totals.items()}
 
 
-def report(runs: list[dict], end_to_end: list[dict]) -> list[str]:
-    """The printed lines: a header, the metric rows, then one failure line per workload."""
+def report(runs: list[dict], end_to_end: list[dict], aa_runs: list[dict] | None = None) -> list[str]:
+    """The printed lines: a header, the metric rows, then one failure line per workload.
+
+    With ``aa_runs``, each metric row ends with the A/A file's change in
+    percent and pair wins for its workload and metric, blank where the A/A
+    file lacks the workload.
+    """
     rows = compare(runs, end_to_end)
     lines = [f"{'workload':<12} {'metric':<12} {'base':>10} {'change':>10} {'change%':>8} {'wins':>6} "
              f"{'base IQR':>10} {'>IQR':>5} {'bound':>6} {'inside':>6}"]
+    if aa_runs is not None:
+        aa = {(row.workload, row.metric): row for row in compare(aa_runs, end_to_end)}
+        lines[0] += f" {'A/A%':>8} {'A/A wins':>8}"
     for row in rows:
-        lines.append(f"{row.workload:<12} {row.metric:<12} {row.base_median:>10.4g} {row.change_median:>10.4g} "
-                     f"{row.relative:>+8.1%} {f'{row.wins}/{row.pairs}':>6} {row.base_iqr:>10.4g} "
-                     f"{'yes' if row.beyond_iqr else 'no':>5} {row.bound:>6.0%} "
-                     f"{'yes' if row.inside_bound else 'NO':>6}")
+        line = (f"{row.workload:<12} {row.metric:<12} {row.base_median:>10.4g} {row.change_median:>10.4g} "
+                f"{row.relative:>+8.1%} {f'{row.wins}/{row.pairs}':>6} {row.base_iqr:>10.4g} "
+                f"{'yes' if row.beyond_iqr else 'no':>5} {row.bound:>6.0%} "
+                f"{'yes' if row.inside_bound else 'NO':>6}")
+        if aa_runs is not None:
+            noise = aa.get((row.workload, row.metric))
+            line += f" {noise.relative:>+8.1%} {f'{noise.wins}/{noise.pairs}':>8}" if noise else f" {'':>8} {'':>8}"
+        lines.append(line.rstrip())
     counts = failures(runs)
     for workload, sides in sides_of(runs).items():
         parts = []
@@ -161,10 +178,12 @@ def report(runs: list[dict], end_to_end: list[dict]) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Compare the two sides of a BENCH file.")
     parser.add_argument("bench", help="a BENCH_<pr>-<label>.json file")
+    parser.add_argument("--aa", metavar="FILE", help="an A/A BENCH file whose gaps and wins to print on each row")
     args = parser.parse_args(argv)
     with open(BENCHMARK, encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]
-    print("\n".join(report(read_runs(args.bench), end_to_end)))
+    aa_runs = read_runs(args.aa) if args.aa else None
+    print("\n".join(report(read_runs(args.bench), end_to_end, aa_runs)))
     return 0
 
 
