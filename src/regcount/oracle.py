@@ -10,19 +10,32 @@ position offers; a store is the identity signature.
 
 One recursion walks the frames: position 0 and every position with more than
 one choice.  At most log2(cap) positions have several choices, so the
-recursion is at most log2(cap) + 1 deep.  A frame's step list for one entry
-state holds one step per choice: the choice's slot in the mode-bit marks, the
-next frame's step list for the state the step ends in, and the counter that
-the choice and the run of one-choice positions after it add.  A list is
-composed once, through its frame's run, when a step first reaches its
-(frame, state), so no sequence walks a run again, and every list composed is
-entered.  The lists are kept per (frame, state) and never per counter, so
-every ground sequence is still one path from the root to a leaf: the
-recursion over all frames but the last, then the last frame's steps, whose
-leaves their parent's loop counts.  Each leaf makes one lookup of its
-full-string counter, which gives the counter's hit count and mode bits (which
-semantics accept it, computed at the first leaf that reaches it), and adds 1
-to the hits.
+recursion is at most log2(cap) + 1 deep.  A choice at a frame ends in the state
+and adds the counter delta that it and the run of one-choice positions after
+it reach.  A frame's step list for one entry state holds one step per distinct
+(end state, delta) among its choices; the last frame has no next frame, so
+there the delta alone tells steps apart.  Choices that share a step have the
+same continuations, so one walk serves them all.  A step carries its number of
+choices, the recursion passes down the product of these counts along its path
+as a multiplicity, and a leaf adds that multiplicity to its full-string
+counter's hits.  Each step also ORs the mode bits of the sequences through it
+(which semantics accept some full string through it) into an accumulator of
+its own, and after the walk each accumulator is written to the mark slot of
+every choice of its step, so no walk loops over slots.  A list is composed
+once, through its frame's run, when a step first reaches its (frame, state),
+so no sequence walks a run again, and every list composed is entered.
+
+Every ground sequence is still counted exactly once.  Each choice lies in
+exactly one step of every list it belongs to, so a sequence takes exactly one
+path from the root to a leaf, and a path stands for the product of its steps'
+counts of sequences, which differ only in the choices they take within a step
+and all end with the path's counter.  Nothing is skipped: every step of every
+list entered is walked.  The lists are kept per (frame, state) and never per
+counter, so two paths that enter one list with different counters are walked
+apart: merging those would make the oracle a DP over counters, the kind of
+reasoning it is there to check.  Each leaf makes one lookup of its full-string
+counter, which gives the counter's hit count and mode bits (computed at the
+first leaf that reaches it).
 """
 
 from __future__ import annotations
@@ -143,11 +156,11 @@ def _enumerate(
     # Frames sit at position 0 and at each position with several choices.
     # Frame k sits at position at[k], runs[k] lists the symbols of the
     # one-choice positions after it, and marks[base[k] + i] holds the mode
-    # bits of its choice i; marks[0] is the root step's.
+    # bits of its choice i.
     at: list[int] = []
     runs: list[list[int]] = []
     base: list[int] = []
-    size = 1
+    size = 0
     for p, row in enumerate(choices):
         if p and len(row) == 1:
             run.append(row[0][1])
@@ -162,55 +175,68 @@ def _enumerate(
     marks = [0] * size
     # The step list of frame k entered in state q sits at key q * frames + k.
     steps_of: dict[int, list] = {}
+    # Step j's choices' mark slots, and the mode bits of the sequences through it;
+    # step 0 is the root step, which enters frame 0 and marks no choice.
+    slots_of: list[list[int]] = [[]]
+    bits_of = [0]
     tally: dict[int, list[int]] = {}  # full-string counter -> [ground sequences ending with it, mode bits]
 
     def build(k: int, state: int) -> list:
-        """Frame k's step list from ``state``: (mark slot, next frame's step list, counter delta) per choice."""
+        """Frame k's step list from ``state``: (step id, next frame's step list, counter delta, number of choices) per step."""
         key = state * frames + k
         steps = steps_of.get(key)
         if steps is None:
             run = runs[k]
-            slot = base[k]
-            steps = steps_of[key] = []
-            for _, sym in choices[at[k]]:
+            ends: dict[tuple, list[int]] = {}  # (end state, counter delta) -> mark slots
+            for slot, (_, sym) in enumerate(choices[at[k]], base[k]):
                 q, d = nxt[state][sym], inc[state][sym]
                 for s in run:
                     d += inc[q][s]
                     q = nxt[q][s]
-                steps.append((slot, build(k + 1, q) if k < last else None, d))
-                slot += 1
+                # The last frame's choices have no next frame, so they merge on the delta alone.
+                ends.setdefault((q if k < last else None, d), []).append(slot)
+            steps = steps_of[key] = []
+            for (q, d), slots in ends.items():
+                child = None if q is None else build(k + 1, q)
+                steps.append((len(slots_of), child, d, len(slots)))
+                slots_of.append(slots)
+                bits_of.append(0)
         return steps
 
-    def rec(k: int, steps: list, counter: int) -> int:
-        """Marks the choices of the sequences that go on from frame k's ``steps``; returns their mode bits."""
+    def rec(k: int, steps: list, counter: int, mult: int) -> int:
+        """Counts the sequences that go on from frame k's ``steps``, each path ``mult`` times; returns their mode bits."""
         bits = 0
         if k + 1 < last:
-            for slot, child, d in steps:
-                sub = rec(k + 1, child, counter + d)
-                marks[slot] |= sub
+            for j, child, d, m in steps:
+                sub = rec(k + 1, child, counter + d, mult * m)
+                bits_of[j] |= sub
                 bits |= sub
             return bits
-        for slot, leaves, d in steps:
+        for j, leaves, d, m in steps:
             c = counter + d
+            m *= mult
             sub = 0
-            for leaf_slot, _, e in leaves:
+            for leaf, _, e, lm in leaves:
                 try:
                     cell = tally[c + e]
                 except KeyError:
                     cell = tally[c + e] = [0, accepted(c + e)]
-                cell[0] += 1
-                leaf = cell[1]
-                marks[leaf_slot] |= leaf
-                sub |= leaf
-            marks[slot] |= sub
+                cell[0] += m * lm
+                b = cell[1]
+                bits_of[leaf] |= b
+                sub |= b
+            bits_of[j] |= sub
             bits |= sub
         return bits
 
     if not n:
         tally[0] = [1, 0]  # the empty sequence; no position reads its mode bits
     # A root step enters frame 0, so even a single frame's leaves have a parent loop.
-    everywhere = rec(-1, [(0, build(0, dfa.start), 0)], 0) if n and total else 0
+    everywhere = rec(-1, [(0, build(0, dfa.start), 0, 1)], 0, 1) if n and total else 0
     del rec, build  # each refers to itself: free the cycles now, not at the next garbage collection
+    for slots, b in zip(slots_of, bits_of):
+        for slot in slots:
+            marks[slot] |= b
 
     # Every ground sequence runs through each one-choice position, so its one
     # value holds the bits of all of them (as a one-choice frame's mark does);
@@ -277,14 +303,15 @@ def judge(
     """Judge an outcome against ``report`` on the per-position values and N-values it started from.
 
     The values are symbol ids for a plain store and native values for a
-    signature instance, as in the outcome's removals.
+    signature instance, as in the outcome's removals.  A value that a native
+    domain or the N-values repeat is judged once, where it first occurs.
     """
     if outcome.failed:
         return DcVerdict(failed_on_satisfiable=report.satisfiable)
     removed = set(outcome.removals)
     verdict = DcVerdict()
-    judged = [((i, v), v in report.supported[i]) for i, dom in enumerate(domains) for v in dom]
-    judged += [((COUNTER_VAR, v), v in report.supported_counter) for v in counter_values]
+    judged = [((i, v), v in report.supported[i]) for i, dom in enumerate(domains) for v in dict.fromkeys(dom)]
+    judged += [((COUNTER_VAR, v), v in report.supported_counter) for v in dict.fromkeys(counter_values)]
     for value, is_supported in judged:
         if value in removed:
             if is_supported:

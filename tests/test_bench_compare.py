@@ -88,3 +88,30 @@ def test_aa_option_prints_the_noise_rows_next_to_each_claim():
     assert rows["root-long", "ops_per_s"][-2:] == ["+2.1%", "7/10"]
     # The A/A file has no search-dfs runs, so those rows end at the bound check.
     assert rows["search-dfs", "ops_per_s"][-1] == "yes" and len(rows["search-dfs", "ops_per_s"]) == 10
+
+
+def test_repeated_aa_option_prints_the_widest_noise_over_the_files_holding_each_workload():
+    tool = load_tool()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert tool.main([os.path.join(ROOT, "BENCH_23-cheaper-nodes.json"),
+                          "--aa", os.path.join(ROOT, "BENCH_21-aa-root-long.json"),
+                          "--aa", os.path.join(ROOT, "BENCH_23-aa.json")]) == 0
+    rows = {tuple(line.split()[:2]): line.split() for line in out.getvalue().splitlines()[1:]}
+    # Each workload's noise comes from the one file that holds it.
+    assert rows["root-long", "ops_per_s"][-2:] == ["+2.1%", "7/10"]
+    assert rows["search-dfs", "ops_per_s"][-2:] == ["+1.2%", "6/10"]
+    assert rows["search-dfs", "setup_s"][-2:] == ["+5.8%", "4/10"]
+    assert rows["fuzz-oracle", "ops_per_s"][-2:] == ["-0.7%", "4/10"]
+    # Where two files hold a workload, the gap is the larger in size, sign
+    # kept, and the wins the farther from half the pairs, each taken apart.
+    def aa_file(pairs):
+        return [{"workload": "w", "seed": seed, "side": side, "position": 1,
+                 "result": {"correct": True, "attempted": 10, "failed": 0,
+                            "metrics": {"ops_per_s": {"value": speed}}}}
+                for seed, (old, new) in enumerate(pairs) for side, speed in (("parent", old), ("parent-copy", new))]
+    specs = [{"name": "ops_per_s", "better": "higher", "bound": 0.2}]
+    narrow = aa_file([(100, 101), (100, 101), (100, 101), (100, 99)])  # +1%, 3 of 4 pairs
+    wide = aa_file([(100, 95), (100, 95), (100, 101), (100, 102)])  # -2%, 2 of 4 pairs
+    assert tool.noise([narrow, wide], specs) == {("w", "ops_per_s"): (-0.02, 3, 4)}
+    assert tool.noise([wide, narrow], specs) == {("w", "ops_per_s"): (-0.02, 3, 4)}

@@ -7,10 +7,13 @@ from hypothesis import example, given, settings
 
 from regcount import (
     COUNTER_VAR,
+    FIXPOINT,
     GenConfig,
     CapExceeded,
+    CounterDfa,
     Mode,
     DomainStore,
+    PropagationOutcome,
     build_subset_sum_dfa,
     catalog,
     check_dc,
@@ -26,6 +29,7 @@ from regcount import (
     run,
 )
 from regcount.domains import project_store
+from regcount.oracle import judge
 from strategies import NEAR_U64_MAX, dfa_store_pairs, few_choice_pairs, few_choice_signature_instances, signature_instances
 
 B = catalog("B")
@@ -159,16 +163,30 @@ def among_case(members, natives, counter):
     return AMONG, among_signature(AMONG, members, natives), natives, counter
 
 
+# From state 0, a and b both step to state 1 and add 1; from state 1 they both
+# step to state 0, adding 0 and 2.
+MERGING = CounterDfa(2, ("a", "b", "c"), 0, ((1, 1, 0), (0, 0, 1)), ((1, 1, 0), (0, 2, 1)))
+
+
+def merging_store(domains, counter):
+    return DomainStore(3, [tuple(MERGING.symbol_id(s) for s in dom) for dom in domains], counter)
+
+
 # Inputs: small random rows; rows of up to 10 positions of which at most two
 # have several choices, so that one-choice runs sit between the oracle's frames
 # and after the last one; huge increments.  The examples pin n = 0, exactly one
-# position with several choices, and none.  The native test draws the same shapes.
+# position with several choices, and none.  The last example merges a and b
+# into one step at position 0, a frame that is not the last, and again at
+# position 3, the last frame, when it is entered in state 0; position 2's a and
+# b end in one state with different counters and stay apart.  Their supports
+# differ between the modes.  The native test draws the same shapes.
 @given(st.one_of(dfa_store_pairs(), few_choice_pairs(dfa_store_pairs(max_n=10)),
                  few_choice_pairs(dfa_store_pairs(max_n=10, increments=NEAR_U64_MAX)),
                  dfa_store_pairs(increments=NEAR_U64_MAX)))
 @example((B, b_store([], (0, 2))))
 @example((B, b_store([(TWO,), (ONE,), (ONE, TWO), (TWO,), (ONE,)], (1, 2, 3))))
 @example((B, b_store([(TWO,), (ONE,), (TWO,)], (0, 1))))
+@example((MERGING, merging_store(["ab", "c", "abc", "ab"], (3, 6))))
 @settings(max_examples=120, deadline=None)
 def test_all_modes_matches_brute_force(pair):
     dfa, store = pair
@@ -186,6 +204,10 @@ def test_all_modes_matches_brute_force(pair):
 @example(among_case({1}, [], [0, 2]))
 @example(among_case({1, 4}, [[1], [2, 2], [1, 3], [4], [0]], [1, 2]))
 @example(among_case({1}, [[0], [1, 1], [2]], [0, 1]))
+# Members merge, and so do non-members: position 0 holds all five values
+# (two steps, a frame that is not the last), and the last frame's 0 and 2.
+# Only the members of the first frame support N = 3 under atleast.
+@example(among_case({1, 4}, [[0, 1, 2, 3, 4], [2], [1, 3], [4, 0, 4, 2]], [3]))
 @settings(max_examples=120, deadline=None)
 def test_native_oracle_matches_brute_force(case):
     dfa, sig, natives, counter = case
@@ -209,6 +231,15 @@ def test_native_all_modes_report_holds_each_one_mode_report(seed):
 
 
 # -- check_dc -------------------------------------------------------------------
+
+
+def test_judge_names_a_repeated_native_value_once():
+    # The shape the native brute-force test draws: a value may repeat in its domain.
+    natives = [[1, 1, 3], [2, 2]]
+    report = enumerate_support_native(AMONG, among_signature(AMONG, {1}, natives), natives, [0], "atmost")
+    assert report.supported == [{3}, {2}]
+    verdict = judge(report, natives, [0, 0], PropagationOutcome(FIXPOINT, [(1, 2)]))
+    assert (verdict.unsound, verdict.gaps) == ([(1, 2)], [(0, 1)])
 
 
 def test_check_dc_flags_the_merged_interval_gap():

@@ -1,6 +1,6 @@
 """Compare the two sides of a BENCH file, one row per workload and metric.
 
-    python3 tools/bench_compare.py BENCH_<pr>-<label>.json [--aa BENCH_<pr>-aa.json]
+    python3 tools/bench_compare.py BENCH_<pr>-<label>.json [--aa BENCH_<pr>-aa.json ...]
 
 A BENCH file holds one JSON line per ``perfbench/run.py --trace 0`` run:
 ``workload``, ``seed``, ``side``, ``position`` (the run's place in its pair)
@@ -22,9 +22,11 @@ For each workload and each end-to-end metric of the repository's
   loss of at most ``bound`` against the base median.
 
 With ``--aa``, each row also gives the same workload's and metric's figures
-from an A/A file, runs of one commit against itself: its change in percent
-and its pair wins, the gap and the win count that noise alone reached.  Both
-are blank for a workload that the A/A file lacks.
+from A/A files, runs of one commit against itself: the gap and the win count
+that noise alone reached.  ``--aa`` may be given more than once; a row then
+gives the largest change in percent (by size, with its sign) and the most
+lopsided pair wins (farthest from half the pairs) over every A/A file that
+holds its workload.  Both are blank for a workload that no A/A file holds.
 
 One line per workload gives each side's runs, failed ops and attempted ops.
 A run without ``metrics`` (one that gave no result) counts as failed.
@@ -143,27 +145,46 @@ def failures(runs: list[dict]) -> dict[tuple[str, str], tuple[int, int, int]]:
     return {key: tuple(value) for key, value in totals.items()}
 
 
-def report(runs: list[dict], end_to_end: list[dict], aa_runs: list[dict] | None = None) -> list[str]:
+def noise(aa_files: list[list[dict]], end_to_end: list[dict]) -> dict[tuple[str, str], tuple[float, int, int]]:
+    """``(relative gap, wins, pairs)`` per (workload, metric): the widest that the A/A files holding it reach.
+
+    The gap is the largest in size, sign kept; the wins are the most
+    lopsided, farthest from half their pairs.  Each is the first file's on a tie.
+    """
+    widest: dict[tuple[str, str], tuple[float, int, int]] = {}
+    for aa_runs in aa_files:
+        for row in compare(aa_runs, end_to_end):
+            key = row.workload, row.metric
+            gap, wins, pairs = widest.get(key, (row.relative, row.wins, row.pairs))
+            if abs(row.relative) > abs(gap):
+                gap = row.relative
+            if abs(row.wins / row.pairs - 0.5) > abs(wins / pairs - 0.5):
+                wins, pairs = row.wins, row.pairs
+            widest[key] = gap, wins, pairs
+    return widest
+
+
+def report(runs: list[dict], end_to_end: list[dict], aa_files: list[list[dict]] | None = None) -> list[str]:
     """The printed lines: a header, the metric rows, then one failure line per workload.
 
-    With ``aa_runs``, each metric row ends with the A/A file's change in
-    percent and pair wins for its workload and metric, blank where the A/A
-    file lacks the workload.
+    With ``aa_files``, each metric row ends with the widest A/A change in
+    percent and pair wins of its workload and metric (see :func:`noise`),
+    blank where no A/A file holds the workload.
     """
     rows = compare(runs, end_to_end)
     lines = [f"{'workload':<12} {'metric':<12} {'base':>10} {'change':>10} {'change%':>8} {'wins':>6} "
              f"{'base IQR':>10} {'>IQR':>5} {'bound':>6} {'inside':>6}"]
-    if aa_runs is not None:
-        aa = {(row.workload, row.metric): row for row in compare(aa_runs, end_to_end)}
+    if aa_files is not None:
+        aa = noise(aa_files, end_to_end)
         lines[0] += f" {'A/A%':>8} {'A/A wins':>8}"
     for row in rows:
         line = (f"{row.workload:<12} {row.metric:<12} {row.base_median:>10.4g} {row.change_median:>10.4g} "
                 f"{row.relative:>+8.1%} {f'{row.wins}/{row.pairs}':>6} {row.base_iqr:>10.4g} "
                 f"{'yes' if row.beyond_iqr else 'no':>5} {row.bound:>6.0%} "
                 f"{'yes' if row.inside_bound else 'NO':>6}")
-        if aa_runs is not None:
-            noise = aa.get((row.workload, row.metric))
-            line += f" {noise.relative:>+8.1%} {f'{noise.wins}/{noise.pairs}':>8}" if noise else f" {'':>8} {'':>8}"
+        if aa_files is not None:
+            widest = aa.get((row.workload, row.metric))
+            line += f" {widest[0]:>+8.1%} {f'{widest[1]}/{widest[2]}':>8}" if widest else f" {'':>8} {'':>8}"
         lines.append(line.rstrip())
     counts = failures(runs)
     for workload, sides in sides_of(runs).items():
@@ -178,12 +199,13 @@ def report(runs: list[dict], end_to_end: list[dict], aa_runs: list[dict] | None 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Compare the two sides of a BENCH file.")
     parser.add_argument("bench", help="a BENCH_<pr>-<label>.json file")
-    parser.add_argument("--aa", metavar="FILE", help="an A/A BENCH file whose gaps and wins to print on each row")
+    parser.add_argument("--aa", metavar="FILE", action="append",
+                        help="an A/A BENCH file whose gaps and wins to print on each row; repeatable, widest shown")
     args = parser.parse_args(argv)
     with open(BENCHMARK, encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]
-    aa_runs = read_runs(args.aa) if args.aa else None
-    print("\n".join(report(read_runs(args.bench), end_to_end, aa_runs)))
+    aa_files = [read_runs(path) for path in args.aa] if args.aa else None
+    print("\n".join(report(read_runs(args.bench), end_to_end, aa_files)))
     return 0
 
 
