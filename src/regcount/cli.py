@@ -50,6 +50,13 @@ class CliError(Exception):
     """Bad input reported to the user; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose every error is one ``error:`` line and exit code 2, without the usage block."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _stdin_json():
     try:
         return json.load(sys.stdin)
@@ -179,13 +186,15 @@ def _cmd_dump_sweep(args) -> int:
     if bool(args.uniform) == bool(args.domains):
         raise CliError("give exactly one of --domains or --uniform with --n")
     if args.uniform:
-        if not 1 <= args.n <= MAX_SPEC_SIZE:
+        if args.n is None or not 1 <= args.n <= MAX_SPEC_SIZE:
             raise CliError(f"--uniform needs --n in 1..{MAX_SPEC_SIZE}")
         groups = _parse_domains(dfa, args.uniform)
         if len(groups) != 1:
             raise CliError("--uniform takes one group, e.g. 'r,t'; give per-position groups with --domains")
         groups *= args.n
     else:
+        if args.n is not None:
+            raise CliError("give --n only with --uniform; --domains gives one group per position")
         groups = _parse_domains(dfa, args.domains)
     store = DomainStore(dfa.num_symbols, groups, [0])
     if args.table == "pre":
@@ -271,8 +280,7 @@ def _add_instance_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="regcount",
-                                     description="Counting constraints over counter automata")
+    parser = _Parser(prog="regcount", description="Counting constraints over counter automata")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check an automaton file")
@@ -297,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--automaton", help="automaton JSON path or '-' for stdin")
     p.add_argument("--domains", help="per-position domains, e.g. 'r,t;r,t;r'")
     p.add_argument("--uniform", help="same domain for every position, e.g. 'r,t'")
-    p.add_argument("--n", type=int, default=0, help="sequence length for --uniform")
+    p.add_argument("--n", type=int, help="sequence length for --uniform")
     p.add_argument("--mode", choices=["min", "max"], required=True)
     p.add_argument("--table", choices=["pre", "suf"], default="pre")
     p.set_defaults(func=_cmd_dump_sweep)

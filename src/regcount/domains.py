@@ -1,11 +1,14 @@
 """Finite-domain store for a sequence of symbol variables plus one counter variable.
 
-Sequence-variable domains are bitmasks over the automaton alphabet; the
-counter domain is an explicit sorted list of nonnegative integers because the
-exact-counting rule intersects intervals with it and must see holes.  Every
-removal is appended to ``removal_log`` so pruning can be counted and a partial
-sweep rebuild can find the positions that changed.  Masks are decoded in one
-place, a cache of at most ``SYMBOL_CACHE_SIZE`` masks emptied when full.
+Sequence-variable domains are bitmasks over the automaton alphabet, and a
+mask holds alphabet bits only: a store is checked once, when it is built,
+and a domain that names a symbol outside the alphabet raises
+``ValueError``.  The counter domain is an explicit sorted list of
+nonnegative integers because the exact-counting rule intersects intervals
+with it and must see holes.  Every removal is appended to ``removal_log``
+so pruning can be counted and a partial sweep rebuild can find the
+positions that changed.  Masks are decoded in one place, a cache of at most
+``SYMBOL_CACHE_SIZE`` masks emptied when full.
 """
 
 from __future__ import annotations
@@ -58,11 +61,12 @@ _symbol_tuples = _SymbolTuples()
 class DomainStore:
     """Mutable domains for ``x_1 .. x_n`` and the counter variable ``N``."""
 
-    __slots__ = ("alphabet_size", "domains", "counter", "removal_log")
+    __slots__ = ("domains", "counter", "removal_log")
 
     def __init__(self, alphabet_size: int, var_domains: Sequence[Iterable[int]], counter_values: Iterable[int]):
-        self.alphabet_size = alphabet_size
         self.domains: list[int] = [_mask(d) for d in var_domains]
+        if max(self.domains, default=0) >> alphabet_size:
+            raise ValueError(f"a domain names a symbol outside the alphabet of {alphabet_size} symbols")
         self.counter: list[int] = sorted(set(counter_values))
         self.removal_log: list[tuple[int | str, int]] = []
 
@@ -74,13 +78,12 @@ class DomainStore:
 
     def symbols(self, i: int) -> list[int]:
         """Symbol ids in dom(x_i), ascending."""
-        return list(_symbol_tuples[self.domains[i] & ((1 << self.alphabet_size) - 1)])
+        return list(_symbol_tuples[self.domains[i]])
 
     def symbol_tuples(self) -> list[tuple[int, ...]]:
         """Per-position symbol tuples, as :meth:`symbols` lists them; built once per propagator pass."""
-        alphabet = (1 << self.alphabet_size) - 1
         cache = _symbol_tuples
-        return [cache[d & alphabet] for d in self.domains]
+        return [cache[d] for d in self.domains]
 
     def remove_symbol(self, i: int, sym: int) -> RemoveResult:
         bit = 1 << sym
@@ -93,13 +96,12 @@ class DomainStore:
     def assign_symbol(self, i: int, sym: int) -> None:
         """Branching helper: reduce dom(x_i) to {sym}, logging the removals.
 
-        One mask write clears every other symbol of the alphabet; the log gets
-        one ``(i, s)`` entry per cleared symbol, in ascending order, as
-        :meth:`remove_symbol` would have logged them one by one.  Bits outside
-        the alphabet stay, and a ``sym`` not in dom(x_i) leaves none of its
-        symbols.
+        One mask write clears every other symbol; the log gets one ``(i, s)``
+        entry per cleared symbol, in ascending order, as :meth:`remove_symbol`
+        would have logged them one by one.  A ``sym`` not in dom(x_i) leaves
+        none of its symbols.
         """
-        others = self.domains[i] & ((1 << self.alphabet_size) - 1) & ~(1 << sym)
+        others = self.domains[i] & ~(1 << sym)
         if others:
             self.domains[i] &= ~others
             self.removal_log.extend([(i, s) for s in _symbol_tuples[others]])
@@ -128,7 +130,6 @@ class DomainStore:
 
     def copy(self) -> "DomainStore":
         dup = DomainStore.__new__(DomainStore)
-        dup.alphabet_size = self.alphabet_size
         dup.domains = list(self.domains)
         dup.counter = list(self.counter)
         dup.removal_log = list(self.removal_log)
@@ -137,11 +138,7 @@ class DomainStore:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DomainStore):
             return NotImplemented
-        return (
-            self.alphabet_size == other.alphabet_size
-            and self.domains == other.domains
-            and self.counter == other.counter
-        )
+        return self.domains == other.domains and self.counter == other.counter
 
     def __repr__(self) -> str:
         doms = ["{" + ",".join(map(str, self.symbols(i))) + "}" for i in range(self.n)]
@@ -154,6 +151,8 @@ def project_store(
     """Symbol-level store whose dom(x_i) holds the signature images of native dom(x_i)."""
     store = DomainStore(dfa.num_symbols, [], counter_values)
     store.domains = [sig.project(i, dom) for i, dom in enumerate(native_domains)]
+    if max(store.domains, default=0) >> dfa.num_symbols:
+        raise ValueError(f"a signature maps a value to a symbol outside the alphabet of {dfa.num_symbols} symbols")
     return store
 
 

@@ -20,13 +20,15 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .automaton import CounterDfa, catalog, validate
 from .domains import Instance
-from .oracle import DEFAULT_CAP, DcVerdict, check_dc, enumerate_all_modes, enumerate_all_modes_native, judge
+from .oracle import (DEFAULT_CAP, DcVerdict, SupportReport, check_dc, enumerate_all_modes,
+                     enumerate_all_modes_native, judge)
 from .propagators import (
     Mode,
     propagate_atleast,
@@ -201,6 +203,23 @@ def _violations(inst: Instance, mode: str, index: int, verdict: DcVerdict,
             for kind, detail in [*found, *more]]
 
 
+def _count_violations(inst: Instance, index: int, reports: dict[str, SupportReport],
+                      ground: int, values: int) -> list[FuzzViolation]:
+    """An ``oracle-count`` violation, under the instance's own mode, if the oracle's solution counts disagree.
+
+    Per ground sequence with full-string counter c, atmost counts the
+    ``values`` N-values at least c, atleast those at most c, and exact one
+    if c is an N-value; these sum to ``values`` + [c in dom(N)].  So over
+    the ``ground`` sequences, atmost + atleast = ground × values + exact.
+    """
+    atmost, atleast, exact = (reports[m].solution_count for m in Instance.MODES)
+    if atmost + atleast == ground * values + exact:
+        return []
+    detail = (f"atmost {atmost} + atleast {atleast} solutions, not {ground} ground sequences × {values} "
+              f"N-values + exact {exact}")
+    return [FuzzViolation(index, inst.mode, "oracle-count", detail, inst)]
+
+
 def check_instance(
     dfa: CounterDfa,
     inst: Instance,
@@ -215,10 +234,13 @@ def check_instance(
     satisfiable instance, and under atmost and atleast no kept unsupported
     value either.  A second atmost or atleast run must remove nothing, and
     exact's removals must contain the decomposition baseline's (a failed run
-    counts as removing everything).
+    counts as removing everything).  Whatever ``modes`` holds, the oracle's
+    three solution counts must meet the identity of :func:`_count_violations`.
     """
-    violations: list[FuzzViolation] = []
-    reports = enumerate_all_modes(dfa, inst.make_store(), cap)
+    store = inst.make_store()
+    reports = enumerate_all_modes(dfa, store, cap)
+    violations = _count_violations(inst, index, reports, prod([d.bit_count() for d in store.domains]),
+                                   len(store.counter))
     for mode, propagator in (("atmost", propagate_atmost), ("atleast", propagate_atleast),
                              ("exact", propagate_exact)):
         if mode not in modes:
@@ -251,11 +273,13 @@ def check_among_instance(inst: Instance, modes: Sequence[str] = ("atmost", "atle
     are judged against the native oracle with :func:`regcount.oracle.judge`,
     under each mode's semantics: kinds ``failed-on-satisfiable``, ``unsound``
     and, except under exact, ``dc-gap`` (which also flags a fixpoint on an
-    unsatisfiable instance).
+    unsatisfiable instance).  The oracle's solution counts are checked as
+    :func:`check_instance` checks them.
     """
     assert inst.signature is not None and inst.native_domains is not None
-    violations: list[FuzzViolation] = []
     reports = enumerate_all_modes_native(inst.dfa, inst.signature, inst.native_domains, inst.counter_values, cap)
+    violations = _count_violations(inst, index, reports, prod([len(set(d)) for d in inst.native_domains]),
+                                   len(set(inst.counter_values)))
     for mode in modes:
         out = propagate_composite(inst.dfa, inst.signature, inst.native_domains, inst.counter_values, mode)
         verdict = judge(reports[Mode(mode).semantics.value], inst.native_domains, inst.counter_values, out)

@@ -64,10 +64,7 @@ every position, has one word, so every built side's ``least`` and
 groundness and runs the word through the automaton as it goes, then the N
 rule, and it builds no table: the third skip leaves no position to check,
 and a pass that removes no symbol ends the loop, so the status, the
-removals and ``passes`` are those of a table-building pass.  Groundness is
-read on the alphabet-masked domains, as
-:meth:`~regcount.domains.DomainStore.symbol_tuples` decodes them; a
-position with no symbol left makes a store not ground.
+removals and ``passes`` are those of a table-building pass.
 
 A two-sided loop ends with a pass that removes no symbol.  The N rule reads
 only prefix rows, which only symbol removals change, so the next pass would
@@ -235,16 +232,12 @@ def _n_rule(store: DomainStore, least: int | float, greatest: int | float, ends:
 def _ground_counter(dfa: CounterDfa, store: DomainStore) -> int | None:
     """The counter of a ground store's one word, else ``None``.
 
-    One scan reads each domain through the alphabet mask, as
-    :meth:`~regcount.domains.DomainStore.symbol_tuples` decodes them, and
-    runs the word as it goes; it stops at the first position with no symbol
-    or several.
+    One scan runs the word as it goes; it stops at the first position with
+    no symbol or several.
     """
-    alphabet = (1 << store.alphabet_size) - 1
     nxt, inc = dfa.next_state, dfa.increment
     state, counter = dfa.start, 0
-    for domain in store.domains:
-        mask = domain & alphabet
+    for mask in store.domains:
         if not mask or mask & (mask - 1):
             return None
         sym = mask.bit_length() - 1

@@ -61,7 +61,6 @@ def solve(
     if chosen.semantics is not semantics:
         raise ValueError(f"propagator {chosen.value!r} does not decide {semantics.value!r} instances")
     n = store.n
-    alphabet = (1 << store.alphabet_size) - 1
     started = time.perf_counter()
     nodes = failures = prunings = solutions = 0
     # The children not made yet, the next one last: a node, the position it
@@ -90,7 +89,7 @@ def solve(
                 solutions += 1
                 if on_solution is not None:
                     # Every domain is one symbol here: read it off its one-bit mask.
-                    assignment = tuple([(mask & alphabet).bit_length() - 1 for mask in domains])
+                    assignment = tuple([mask.bit_length() - 1 for mask in domains])
                     on_solution((assignment, node.counter[0]))
             else:
                 values = node.symbols(depth) if depth < n else node.counter

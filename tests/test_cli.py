@@ -106,7 +106,22 @@ def test_catalog_emits_loadable_json():
 
 
 def test_catalog_unknown_is_usage_error():
-    assert run_process("catalog", "NOPE").returncode == 2
+    result = run_process("catalog", "NOPE")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    (),
+    ("catalog", "NOPE"),
+    ("fuzz", "--count", "abc"),
+    ("propagate", "--mode", "bogus", "x.json"),
+], ids=["no-subcommand", "unknown-choice", "not-an-int", "unknown-mode"])
+def test_a_parse_error_exits_2_with_one_line(args):
+    # argparse's own errors drop the usage block, as every other error does.
+    code, out, err = run_main(*args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
@@ -442,11 +457,13 @@ PAST_THE_BOUND = cli.MAX_SPEC_SIZE + 1
         (("propagate", "--automaton", "catalog:B", "--vars", "1,2", "--mode", "atmost"), "--counter"),
         (("dump-sweep", "--catalog", "RST", "--uniform", "r", "--n", "2", "--domains", "t;t;t", "--mode", "min"),
          "--domains or --uniform"),
+        (("dump-sweep", "--catalog", "B", "--domains", "1;2", "--mode", "min", "--n", "5"), "--n only with --uniform"),
     ],
     ids=["counter-range", "counter-ranges", "uniform-n", "negative-n", "fuzz-max-n-0", "fuzz-negative-max-n",
          "fuzz-max-states-0", "fuzz-negative-cap", "fuzz-negative-count", "fuzz-negative-seed", "fuzz-threads-0",
          "fuzz-negative-threads", "oracle-negative-cap", "oracle-cap-exceeded", "malformed-counter",
-         "negative-counter", "inline-without-mode", "inline-without-counter", "uniform-with-domains"],
+         "negative-counter", "inline-without-mode", "inline-without-counter", "uniform-with-domains",
+         "n-without-uniform"],
 )
 def test_oversized_or_negative_specs_exit_2_before_allocating(args, named):
     code, out, err = run_main(*args)

@@ -9,6 +9,7 @@ from regcount import (
     DomainStore,
     MalformedInstance,
     RemoveResult,
+    SignatureMap,
     catalog,
     instance_from_json,
     instance_to_json,
@@ -16,7 +17,7 @@ from regcount import (
     save_instance,
 )
 from regcount.automaton import automaton_to_json
-from regcount.domains import symbol_ids
+from regcount.domains import project_store, symbol_ids
 
 
 def make_store(domains=((0, 1), (1,), (0, 1, 2)), counter=(0, 1, 2), k=3):
@@ -115,22 +116,33 @@ def test_assign_goes_through_the_log():
 
 
 def test_assign_symbol_logs_what_the_per_symbol_removals_log():
-    # Every mask of a 3-symbol alphabet, with and without a bit outside it,
-    # and every symbol up to one outside it, so some are not in the domain.
+    # Every mask of a 3-symbol alphabet, and every symbol up to one outside
+    # it, so some are not in the domain.
     for mask in range(8):
-        for outside in (0, 1 << 3):
-            for sym in range(4):
-                store = DomainStore(3, [(0, 2), ()], (0,))
-                store.domains[1] = mask | outside
-                store.removal_log.append((0, 1))
-                reference = store.copy()
-                store.assign_symbol(1, sym)
-                for other in reference.symbols(1):
-                    if other != sym:
-                        reference.remove_symbol(1, other)
-                case = (mask, outside, sym)
-                assert store.domains == reference.domains, case
-                assert store.removal_log == reference.removal_log, case
+        for sym in range(4):
+            store = DomainStore(3, [(0, 2), ()], (0,))
+            store.domains[1] = mask
+            store.removal_log.append((0, 1))
+            reference = store.copy()
+            store.assign_symbol(1, sym)
+            for other in reference.symbols(1):
+                if other != sym:
+                    reference.remove_symbol(1, other)
+            case = (mask, sym)
+            assert store.domains == reference.domains, case
+            assert store.removal_log == reference.removal_log, case
+
+
+def test_stores_reject_a_symbol_outside_the_alphabet():
+    # B has two symbols, so symbol 5 is outside it, whichever way the store is built.
+    dfa = catalog("B")
+    with pytest.raises(ValueError):
+        DomainStore(2, [[0, 5]], [0])
+    sig = SignatureMap([{1: 0, 2: 5}])
+    with pytest.raises(ValueError):
+        project_store(dfa, sig, [[1, 2]], [0])
+    assert project_store(dfa, sig, [[1]], [0]) == DomainStore(2, [[0]], [0])
+    assert DomainStore(2, [[0, 1], []], [0]).domains == [0b11, 0]
 
 
 # -- instance files -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 from concurrent.futures import Future
@@ -28,7 +29,7 @@ from regcount import (
     run_fuzz,
     validate,
 )
-from regcount.oracle import DEFAULT_CAP
+from regcount.oracle import DEFAULT_CAP, enumerate_all_modes, enumerate_all_modes_native
 
 
 def test_config_rejects_bad_ranges():
@@ -254,6 +255,15 @@ def exact_dropping_x1(dfa, store):
     return PropagationOutcome(out.status, out.removals + [(0, TWO)], out.passes)
 
 
+def miscounting(enumerate_reports):
+    """``enumerate_reports`` with one more exact solution counted, as a miscounting leaf would add."""
+    def enumerate_and_miscount(*args):
+        reports = enumerate_reports(*args)
+        reports["exact"] = dataclasses.replace(reports["exact"], solution_count=reports["exact"].solution_count + 1)
+        return reports
+    return enumerate_and_miscount
+
+
 @pytest.mark.parametrize(
     ("name", "planted", "mode", "kind"),
     [
@@ -263,9 +273,11 @@ def exact_dropping_x1(dfa, store):
         ("propagate_exact", exact_dropping_x1, "exact", "unsound"),
         ("propagate_decomposed", failing, "exact", "dominance"),
         ("propagate_exact", idle, "exact", "dominance"),
+        # Reported under the instance's own mode, whatever modes are checked.
+        ("enumerate_all_modes", miscounting(enumerate_all_modes), "exact", "oracle-count"),
     ],
     ids=["atmost-fails", "atleast-fails", "exact-fails", "exact-unsound", "decomposition-fails",
-         "exact-misses-decomposition"],
+         "exact-misses-decomposition", "oracle-miscounts"],
 )
 def test_check_instance_reports_each_planted_bug(monkeypatch, name, planted, mode, kind):
     import regcount.generator as generator_module
@@ -294,22 +306,24 @@ def composite_idle(dfa, sig, natives, counter, mode):
 
 
 @pytest.mark.parametrize(
-    ("planted", "inst", "kind"),
+    ("name", "planted", "inst", "kind"),
     [
-        (failing, AMONG_INST, "failed-on-satisfiable"),
-        (composite_dropping_a_kept_value, AMONG_INST, "unsound"),
+        ("propagate_composite", failing, AMONG_INST, "failed-on-satisfiable"),
+        ("propagate_composite", composite_dropping_a_kept_value, AMONG_INST, "unsound"),
         # "in" twice, so c = 2 > max(N) = 0: no atmost solution.
-        (composite_idle, Instance(dfa=AMONG, mode="atmost", counter_values=[0],
-                                  signature=among_signature(AMONG, {2}, [[2], [2]]), native_domains=[[2], [2]]),
+        ("propagate_composite", composite_idle,
+         Instance(dfa=AMONG, mode="atmost", counter_values=[0],
+                  signature=among_signature(AMONG, {2}, [[2], [2]]), native_domains=[[2], [2]]),
          "dc-gap"),
+        ("enumerate_all_modes_native", miscounting(enumerate_all_modes_native), AMONG_INST, "oracle-count"),
     ],
-    ids=["fails", "drops-a-supported-value", "fixpoint-on-unsatisfiable"],
+    ids=["fails", "drops-a-supported-value", "fixpoint-on-unsatisfiable", "oracle-miscounts"],
 )
-def test_check_among_instance_reports_each_planted_bug(monkeypatch, planted, inst, kind):
+def test_check_among_instance_reports_each_planted_bug(monkeypatch, name, planted, inst, kind):
     import regcount.generator as generator_module
 
     assert check_among_instance(inst, modes=("atmost",)) == []
-    monkeypatch.setattr(generator_module, "propagate_composite", planted)
+    monkeypatch.setattr(generator_module, name, planted)
     violations = check_among_instance(inst, modes=("atmost",), index=4)
     assert [(v.index, v.mode, v.kind) for v in violations] == [(4, "atmost", kind)]
 

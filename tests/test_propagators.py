@@ -503,23 +503,6 @@ def test_ground_stores_take_one_pass_without_a_table(pair):
     _decomposed_reaches_the_fixpoint_of_alternating_runs(dfa, store)
 
 
-def test_groundness_reads_the_alphabet_masked_domain():
-    # A bit outside B's two symbols is not a symbol, as symbol_tuples decodes
-    # it: {1, bit 5} is ground, and a domain of that bit alone is empty, not
-    # ground, so that store takes a table-building pass and fails.
-    stray = 1 << 5
-    for mode in ("atmost", "atleast", "exact", "decomposed"):
-        store, plain = DomainStore(2, [[ONE, 5]], [0, 1]), DomainStore(2, [[ONE]], [0, 1])
-        with recorded_sweeps() as calls:
-            out = propagate(B, store, mode)
-        assert (calls, out) == ([], propagate(B, plain, mode)), mode
-        assert store.domains == [plain.domains[0] | stray]
-        empty = DomainStore(2, [[ONE], [5]], [0, 1])
-        with recorded_sweeps() as calls:
-            out = propagate(B, empty, mode)
-        assert out.failed and calls and calls[0] == "compute", mode
-
-
 def _outcomes(dfa, store):
     return [(mode, propagate(dfa, store.copy(), mode)) for mode in ("atmost", "atleast", "exact", "decomposed")]
 

@@ -458,7 +458,7 @@ def test_pass_symbols_match_store_symbols(pair, cache_size):
     finally:
         domains_module.SYMBOL_CACHE_SIZE = saved
     # Both read the one decoder; the plain bit test is the reference.
-    expected = [[s for s in range(store.alphabet_size) if mask >> s & 1] for mask in store.domains]
+    expected = [[s for s in range(dfa.num_symbols) if mask >> s & 1] for mask in store.domains]
     assert [list(syms) for syms in got] == singles == expected
 
 
