@@ -17,9 +17,9 @@ from regcount import (
     solve_collect,
 )
 
-print("== differential fuzz (1,000 random instances, all three semantics) ==")
+print("== differential fuzz (1,000 indices, all three semantics) ==")
 report = run_fuzz(GenConfig(max_n=6, seed=2024), count=1000)
-print(f"  checked {report.checked} instances in {report.elapsed:.2f}s, "
+print(f"  checked {report.checked} indices (a plain and an among instance each) in {report.elapsed:.2f}s, "
       f"violations: {len(report.violations)}")
 
 print()

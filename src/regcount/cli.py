@@ -228,8 +228,11 @@ def _cmd_fuzz(args) -> int:
         return 0
     os.makedirs(args.out, exist_ok=True)
     for v in report.violations:
-        print(f"violation[{v.index}]: {v.mode} {v.kind}: {v.detail}")
-        save_instance(v.instance, os.path.join(args.out, f"violation-{v.index:06d}-{v.mode}-{v.kind}.json"))
+        # An index's among instance gets its own names, so it never
+        # overwrites the plain instance's file.
+        mode = f"among-{v.mode}" if v.instance.is_composite else v.mode
+        print(f"violation[{v.index}]: {mode} {v.kind}: {v.detail}")
+        save_instance(v.instance, os.path.join(args.out, f"violation-{v.index:06d}-{mode}-{v.kind}.json"))
     print(f"wrote {len(report.violations)} failing instances to {args.out}", file=sys.stderr)
     return 1
 

@@ -287,13 +287,21 @@ def check_among_instance(inst: Instance, modes: Sequence[str] = ("atmost", "atle
     return violations
 
 
+#: The among instances :func:`run_fuzz` checks: at most 6 positions over a
+#: universe of 5 values keep the native oracle far below its cap.
+AMONG_CFG = GenConfig(max_n=6)
+
+
 def _fuzz_range(cfg: GenConfig, start: int, stop: int, modes: tuple[str, ...], cap: int) -> tuple[int, list[FuzzViolation]]:
     violations: list[FuzzViolation] = []
-    checked = 0
-    for index, dfa, inst in generate_corpus(cfg, stop - start, start):
-        violations.extend(check_instance(dfa, inst, modes, cap, index=index))
-        checked += 1
-    return checked, violations
+    for index in range(start, stop):
+        # The among instance is drawn after the plain one, from the same
+        # stream, so the plain instances stay those of generate_corpus.
+        rng = rng_for(cfg.seed, index)
+        dfa = random_cdfa(cfg, rng)
+        violations += check_instance(dfa, random_instance(cfg, dfa, rng), modes, cap, index)
+        violations += check_among_instance(random_among_instance(AMONG_CFG, rng), modes, cap, index)
+    return stop - start, violations
 
 
 def run_fuzz(
@@ -303,10 +311,13 @@ def run_fuzz(
     cap: int = DEFAULT_CAP,
     threads: int = 1,
 ) -> FuzzReport:
-    """Generate and differentially check ``count`` instances of the seed's stream.
+    """Generate and differentially check ``count`` indices of the seed's stream.
 
-    With ``threads > 1`` the stream is cut into at most ``threads`` chunks,
-    checked in a process pool of at most one worker per chunk and per CPU.
+    Each index checks its plain instance with :func:`check_instance` and one
+    among instance, drawn from the same stream after it, with
+    :func:`check_among_instance`, both under ``modes``.  With ``threads > 1``
+    the stream is cut into at most ``threads`` chunks, checked in a process
+    pool of at most one worker per chunk and per CPU.
     """
     modes = tuple(modes)
     unknown = [m for m in modes if m not in Instance.MODES]

@@ -93,13 +93,14 @@ All propagators mutate one store and append every removal to its log.
 ``passes`` counts passes: one per atmost or atleast run and one per exact
 or decomposition round.  Every pass builds one table, except a ground
 store's, which builds none: an atmost or atleast table is a forward and a
-backward sweep in one mode, and a round's table both prefix sweeps and the
-suffix sweeps the round needs.  A round after the first rebuilds only the
-rows its predecessor's symbol removals reach (see :mod:`regcount.sweep`)
-and still counts as one pass.  So a per-call count of table builds cannot
-be read off ``passes``; it has to be counted on its own.  A loop that ran
-until a pass removes nothing would take one more pass after a pass that
-removes only N-values or certifies.
+backward sweep in one mode, and a round's table both prefix sides in one
+fused sweep and the suffix sweeps the round needs.  A round after the first
+builds its prefix rows in full but rebuilds only the suffix rows its
+predecessor's symbol removals reach (see :mod:`regcount.sweep`), and still
+counts as one pass.  So a per-call count of table builds cannot be read off
+``passes``; it has to be counted on its own.  A loop that ran until a pass
+removes nothing would take one more pass after a pass that removes only
+N-values or certifies.
 """
 
 from __future__ import annotations
@@ -294,9 +295,9 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
     table = None
     while True:
         passes += 1
-        # A pass after the first rebuilds only the rows that the previous
-        # pass's symbol removals reach, and applies the N rule between its
-        # prefix and suffix sweeps.
+        # A pass after the first rebuilds only the suffix rows that the
+        # previous pass's symbol removals reach, and applies the N rule
+        # between its prefix and suffix sweeps.
         table = SweepTable.compute(dfa, store, min_side, max_side, table, after_prefix)
         # Either dom(N) missed [least, greatest] and the N rule left it as it
         # was, or the N rule emptied it.

@@ -40,10 +40,10 @@ loops over the states the previous row reaches, relaxes
 ``new[next_state[q][s]]`` by ``row[q] + increment[q][s]`` through a running
 min/max, and appends a state to its own list when the state's entry first
 leaves the sentinel, so no loop scans a dense row for sentinels;
-:func:`forward_pair`, a full build of both sides, relaxes the min and the
-max row in the same loop.  A backward row loops over ``live[i-1]``, or every
-state without ``live``: entry ``q`` is the best of
-``next_row[next_state[q][s]] + increment[q][s]`` over the position's symbols.
+:func:`forward_pair` relaxes the min and the max row in the same loop.  A
+backward row loops over ``live[i-1]``, or every state without ``live``:
+entry ``q`` is the best of ``next_row[next_state[q][s]] + increment[q][s]``
+over the position's symbols.
 
 The speed of these loops rests on one invariant: in a row of a table, a
 reached entry is an ``int`` and an unreached one is its side's sentinel
@@ -68,44 +68,43 @@ pass through the store's bounded mask cache.
 One row costs O(|domain| * |states reached|), a full table at most O(n *
 |alphabet| * |states|).
 
-Partial rebuilds, and full builds as rebuilds.  Domains only shrink within
-one propagator call, so a table can be rebuilt from the previous one: given
-the previous rows and the ascending positions whose domains changed since,
-:func:`forward` keeps the rows before the first changed position and
-rebuilds from there, and :func:`backward` keeps the rows after the last one
-and rebuilds towards row 1.  One cut-off rule ends each rebuilt stretch: a
-rebuilt row equal to the old row keeps the old row object, and since every
-row up to the next changed position reads an unchanged domain, those rows
-equal the old ones too, so the sweep jumps to that position.  Every other
-row is stored at its index as built.  A full build is the same rebuild
-against placeholder old rows, ``None``, that equal no built row: the forward
-sweep starts from row 0 with position 0 changed, the backward sweep from the
-base row n+1 with position n-1 changed, and no row is cut off, so one row
-loop serves both.  Rows are replaced, never mutated, so a previous table
-stays valid, and every row is either built by the sweep or an unmodified row
-of the previous table; a partial rebuild costs at most a full one plus one
-list comparison per rebuilt row.  The reached-state lists go with the rows:
-a kept prefix row reaches the states it reached, and a rebuild writes the
-lists of the rows it rebuilds into a copy of the previous table's.
-Reachable sets only shrink too, so a kept suffix row is true on a superset
-of the states now reached: it stays sound, but it may differ from a row
-built now at a state no longer reached, and the sweep then goes on where a
-full rebuild would have stopped.  A partial rebuild runs the single-side
-sweeps: a fused one stops only where both sides re-converge, and the max
-side seldom does.
+Prefix rows are built in full on every call.  On stores that take several
+passes, one fused :func:`forward_pair` build of both sides runs within a few
+percent of two single-side rebuilds from the first changed position, so the
+prefix has one path.
+
+Suffix rebuilds, and full builds as rebuilds.  Domains only shrink within
+one propagator call, so a suffix side can be rebuilt from the previous
+table's: given the previous rows and the ascending positions whose domains
+changed since, :func:`backward` keeps the rows after the last changed
+position and rebuilds towards row 1.  One cut-off rule ends each rebuilt
+stretch: a rebuilt row equal to the old row keeps the old row object, and
+since every row down to the next changed position reads an unchanged domain,
+those rows equal the old ones too, so the sweep jumps to that position.
+Every other row is stored at its index as built.  A full build is the same
+rebuild against placeholder old rows, ``None``, that equal no built row: the
+sweep starts from the base row n+1 with position n-1 changed, and no row is
+cut off, so one row loop serves both.  Rows are replaced, never mutated, so
+a previous table stays valid, and every row is either built by the sweep or
+an unmodified row of the previous table; a partial rebuild costs at most a
+full one plus one list comparison per rebuilt row.  Reachable sets only
+shrink too, so a kept suffix row is true on a superset of the states now
+reached: it stays sound, but it may differ from a row built now at a state
+no longer reached, and the sweep then goes on where a full rebuild would
+have stopped.
 
 :meth:`SweepTable.compute` builds the min side (``pre_min``/``suf_min``), the
 max side, or both, and runs only those sweeps: atmost needs the min side,
 atleast the max side, exact and the decomposition both.  It builds the
 prefix rows first, in one :func:`forward_pair` sweep when it builds both
-sides without a previous table, and records the least and greatest
-full-string counters they yield.  A caller's hook may then read these prefix
-rows, remove N-values, and skip the suffix rows of a built side (a pass
-applies its N rule there, skips an end that the narrowed dom(N) cannot bind,
-and both when it is bound to fail, see :mod:`regcount.propagators`).  Every
-entry of an unbuilt side or skipped suffix side is the unbounded end,
-``-inf`` for min and ``+inf`` for max, so an interval summed over it stays
-open on that end.  A suffix side that the previous table skipped has no rows
+sides and one :func:`forward` sweep otherwise, and records the least and
+greatest full-string counters they yield.  A caller's hook may then read
+these prefix rows, remove N-values, and skip the suffix rows of a built side
+(a pass applies its N rule there, skips an end that the narrowed dom(N)
+cannot bind, and both when it is bound to fail, see
+:mod:`regcount.propagators`).  Every entry of an unbuilt side or skipped
+suffix side is the unbounded end, ``-inf`` for min and ``+inf`` for max, so
+an interval summed over it stays open on that end.  A suffix side that the previous table skipped has no rows
 to start from, so a partial rebuild builds it in full.
 
 Counters are exact integers, so no sum wraps or raises.  Increments stay
@@ -129,24 +128,13 @@ UNREACHABLE_MIN = math.inf
 UNREACHABLE_MAX = -math.inf
 
 
-def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previous=None,
-            changed: Sequence[int] = (), live: list | None = None) -> list[list[int | float]]:
+def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None,
+            live: list | None = None) -> list[list[int | float]]:
     """Rows 0..n of per-state extremal prefix counters; row 0 is {start: 0}.
 
     ``symbols`` is the pass's :meth:`~regcount.domains.DomainStore.symbol_tuples`
-    list, built here if omitted.  ``live``, if given, receives the states
-    each row reaches: a full build fills it in place with one list per row,
-    rows 0..n, replacing whatever it held, and is not appended to.
-    ``previous``, if given, holds the rows of an earlier build in the same
-    mode, ``changed`` the ascending positions whose domains have shrunk
-    since, and ``live``, which a partial rebuild needs, the lists of
-    ``previous``: the sweep replaces those of the rows it rebuilds.  The rows
-    that read no changed position are kept, and the sweep rebuilds from the
-    first one that does: a rebuilt row equal to the old row at its index
-    keeps the old row object and the sweep jumps to the next changed position
-    (see the module docstring).  ``previous`` itself is returned if none
-    changed.  Without ``previous`` the sweep is that rebuild from row 0
-    against placeholder rows that no row equals.
+    list, built here if omitted.  ``live``, if given, has one list appended
+    per row, rows 0..n: the states that row reaches.
 
     A reached entry is an ``int`` and an unreached one the sentinel object,
     ``UNREACHABLE_MIN`` or ``UNREACHABLE_MAX``.  Each relax tests
@@ -159,22 +147,14 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previo
     sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
     num_states = dfa.num_states
     nxt, inc = dfa.next_state, dfa.increment
-    n = store.n
-    if previous is None:
-        # A full build rebuilds from row 0 against old rows that equal no row.
-        row0: list[int | float] = [sent] * num_states
-        row0[dfa.start] = 0
-        previous, changed = [row0] + [None] * n, (0,)
-        if live is None:
-            live = []
-        live[:] = [[dfa.start]] + [None] * n
-    elif not changed:
-        return previous
-    rows = list(previous)
-    i = changed[0]
-    row, states = rows[i], live[i]
-    while i < n:
-        syms = symbols[i]
+    row: list[int | float] = [sent] * num_states
+    row[dfa.start] = 0
+    states = [dfa.start]
+    rows = [row]
+    if live is None:
+        live = []
+    live.append(states)
+    for syms in symbols:
         new: list[int | float] = [sent] * num_states
         reached = []
         # Every row starts as [sent] * num_states and only the states the
@@ -203,18 +183,8 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previo
                         new[t] = c
                     elif c > d:
                         new[t] = c
-        i += 1
-        if new == previous[i]:
-            # Row i is the old row, so rows i+1 .. p, which read unchanged
-            # domains, are too and reach the states they reached, p being the
-            # next changed position; the sweep resumes with row p+1, which
-            # reads p.
-            k = bisect_left(changed, i)
-            i = changed[k] if k < len(changed) else n
-            new, reached = rows[i], live[i]
-        else:
-            rows[i] = new
-            live[i] = reached
+        rows.append(new)
+        live.append(reached)
         row, states = new, reached
     return rows
 
@@ -228,8 +198,7 @@ def forward_pair(dfa: CounterDfa, store: DomainStore, symbols=None, live: list |
     both.  Every reachable entry is an ``int`` and every unreachable one its
     side's sentinel object, as in :func:`forward`.  A state's first reach,
     found by identity on the min side, writes both sides' sums; a later one
-    makes two int compares.  There is no partial rebuild: see the module
-    docstring.
+    makes two int compares.
     """
     if symbols is None:
         symbols = store.symbol_tuples()
@@ -288,10 +257,16 @@ def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previ
     each sum and compare is of two ints, and every entry is an ``int`` or
     the sentinel object.  Without ``live``, an unreachable entry is ``inf``
     or ``-inf``, equal to the sentinel but not always that object.
-    ``symbols``, ``previous`` and ``changed`` work as in
-    :func:`forward`, with the rebuild running from the last changed position
-    towards row 1; without ``previous`` the sweep is that rebuild from row
-    n against placeholder rows, with position n-1 changed.
+    ``symbols`` works as in :func:`forward`.
+
+    ``previous``, if given, holds the rows of an earlier build in the same
+    mode and ``changed`` the ascending positions whose domains have shrunk
+    since.  The rows after the last changed position are kept, and the sweep
+    rebuilds from there towards row 1: a rebuilt row equal to the old row at
+    its index keeps the old row object and the sweep jumps to the next
+    changed position (see the module docstring).  ``previous`` itself is
+    returned if none changed.  Without ``previous`` the sweep is that rebuild
+    from row n against placeholder rows, with position n-1 changed.
     """
     minimize = _minimize(mode)
     if symbols is None:
@@ -391,54 +366,46 @@ class SweepTable:
                 after_prefix: Callable[[DomainStore, "SweepTable"], tuple[bool, bool]] | None = None) -> "SweepTable":
         """The table of ``store`` now.
 
-        The prefix rows of the chosen sides are built first: both sides in
-        one :func:`forward_pair` sweep on a full build of both, else one
-        :func:`forward` sweep per side, which record :attr:`live`.
-        ``after_prefix``, if given, is then called with ``store`` and the
-        table's prefix half, whose suffix rows all read as unbounded.  It may
-        remove N-values, but no symbol, and returns which sides, (min, max),
-        need suffix rows; by default every built side gets them.
-        :attr:`mark` is taken after it returns, and each suffix side is then
-        built at the states of :attr:`live`.
+        The prefix rows of the chosen sides are built in full first: both
+        sides in one :func:`forward_pair` sweep, else one :func:`forward`
+        sweep, which record :attr:`live`.  ``after_prefix``, if given, is
+        then called with ``store`` and the table's prefix half, whose suffix
+        rows all read as unbounded.  It may remove N-values, but no symbol,
+        and returns which sides, (min, max), need suffix rows; by default
+        every built side gets them.  :attr:`mark` is taken after it returns,
+        and each suffix side is then built at the states of :attr:`live`.
 
         ``previous``, a table of the same store and sides built earlier, makes
-        this a partial rebuild: the positions of the symbol removals logged
-        since ``previous.mark`` are the changed ones.  A suffix side that
-        ``previous`` skipped is built in full.
+        the suffix sweeps partial rebuilds: the positions of the symbol
+        removals logged since ``previous.mark`` are the changed ones.  A
+        suffix side that ``previous`` skipped is built in full.
         """
         symbols = store.symbol_tuples()
         rows = store.n + 2
-        if previous is None:
-            changed: list[int] = []
-            old = (None, None, None, None)
-            live: list = []
-        else:
-            changed = sorted({var for var, _ in store.removal_log[previous.mark:] if var != COUNTER_VAR})
-            built_min, built_max = previous.suffixes
-            old = (previous.pre_min, previous.pre_max, previous.suf_min if built_min else None,
-                   previous.suf_max if built_max else None)
-            # Both sides' sweeps write equal lists at the rows they rebuild,
-            # and a kept row reaches the states it reached.
-            live = list(previous.live)
-        if previous is None and min_side and max_side:
-            pre_min, pre_max = forward_pair(dfa, store, symbols, live)
-        else:
-            pre_min = forward(dfa, store, "min", symbols, old[0], changed, live) if min_side else None
-            pre_max = forward(dfa, store, "max", symbols, old[1], changed, live) if max_side else None
-        least = min(pre_min[-1]) if min_side else -math.inf
-        greatest = max(pre_max[-1]) if max_side else math.inf
         open_min = [[-math.inf] * dfa.num_states] * rows
         open_max = [[math.inf] * dfa.num_states] * rows
-        table = cls(pre_min if min_side else open_min, pre_max if max_side else open_max, open_min, open_max,
-                    symbols, live, 0, (min_side, max_side), least, greatest)
+        live: list = []
+        if min_side and max_side:
+            pre_min, pre_max = forward_pair(dfa, store, symbols, live)
+        else:
+            pre_min = forward(dfa, store, "min", symbols, live) if min_side else open_min
+            pre_max = forward(dfa, store, "max", symbols, live) if max_side else open_max
+        # An open last row yields the unbounded end.
+        table = cls(pre_min, pre_max, open_min, open_max, symbols, live, 0, (min_side, max_side),
+                    min(pre_min[-1]), max(pre_max[-1]))
         if after_prefix is not None:
             need_min, need_max = after_prefix(store, table)
             table.suffixes = (min_side and need_min, max_side and need_max)
         table.mark = len(store.removal_log)
+        changed, old_min, old_max = [], None, None
+        if previous is not None:
+            changed = sorted({var for var, _ in store.removal_log[previous.mark:] if var != COUNTER_VAR})
+            old_min = previous.suf_min if previous.suffixes[0] else None
+            old_max = previous.suf_max if previous.suffixes[1] else None
         if table.suffixes[0]:
-            table.suf_min = backward(dfa, store, "min", symbols, old[2], changed, live)
+            table.suf_min = backward(dfa, store, "min", symbols, old_min, changed, live)
         if table.suffixes[1]:
-            table.suf_max = backward(dfa, store, "max", symbols, old[3], changed, live)
+            table.suf_max = backward(dfa, store, "max", symbols, old_max, changed, live)
         return table
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from regcount import Instance, catalog, cli, instance_from_json, instance_to_json, load_instance, save_instance
 from regcount.automaton import automaton_to_json
-from regcount.generator import FuzzReport, FuzzViolation
+from regcount.generator import FuzzReport, FuzzViolation, GenConfig, random_among_instance, rng_for
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -660,6 +660,22 @@ def test_fuzz_writes_each_violation_as_a_loadable_instance(tmp_path, monkeypatch
     assert os.listdir(out_dir) == ["violation-000007-exact-unsound.json"]
     written = load_instance(str(out_dir / "violation-000007-exact-unsound.json"))
     assert instance_to_json(written) == doc
+
+
+def test_fuzz_writes_a_plain_and_an_among_violation_of_one_index_to_two_files(tmp_path, monkeypatch):
+    plain = instance_from_json(witness_instance_doc())
+    among = random_among_instance(GenConfig(max_n=3), rng_for(1))
+    violations = [FuzzViolation(index=3, mode="atmost", kind="unsound", detail="d", instance=inst)
+                  for inst in (plain, among)]
+    monkeypatch.setattr(cli, "run_fuzz", lambda *args, **kwargs: FuzzReport(checked=4, violations=violations))
+    out_dir = tmp_path / "failures"
+    code, out, err = run_main("fuzz", "--count", "4", "--out", str(out_dir))
+    assert code == 1, err
+    assert out.splitlines()[2:] == ["violation[3]: atmost unsound: d", "violation[3]: among-atmost unsound: d"]
+    assert sorted(os.listdir(out_dir)) == ["violation-000003-among-atmost-unsound.json",
+                                           "violation-000003-atmost-unsound.json"]
+    written = load_instance(str(out_dir / "violation-000003-among-atmost-unsound.json"))
+    assert instance_to_json(written) == instance_to_json(among)
 
 
 def test_solve_counts_solutions():

@@ -168,6 +168,33 @@ def test_run_fuzz_catches_planted_bug(monkeypatch):
     assert any(v.kind in ("unsound", "not-idempotent", "dc-gap") for v in report.violations)
 
 
+def test_run_fuzz_checks_each_index_plain_instance_then_an_among_instance(monkeypatch):
+    # The among instance comes after the plain one in the index's stream, so
+    # the plain instances are those of generate_corpus.
+    import regcount.generator as generator_module
+
+    plain, among = [], []
+    monkeypatch.setattr(generator_module, "check_instance",
+                        lambda dfa, inst, modes, cap, index: plain.append((index, inst, modes)) or [])
+    monkeypatch.setattr(generator_module, "check_among_instance",
+                        lambda inst, modes, cap, index: among.append((index, inst, modes)) or [])
+    cfg = GenConfig(max_n=9, seed=31)
+    assert run_fuzz(cfg, 5, modes=("atleast", "exact")).checked == 5
+    assert plain == [(index, inst, ("atleast", "exact")) for index, _, inst in generate_corpus(cfg, 5)]
+    assert [index for index, _, _ in among] == list(range(5))
+    assert all(inst.is_composite and inst.dfa == catalog("AMONG") and 1 <= len(inst.native_domains) <= 6
+               and modes == ("atleast", "exact") for _, inst, modes in among)
+
+
+def test_run_fuzz_catches_a_failing_composite_propagator(monkeypatch):
+    import regcount.generator as generator_module
+
+    monkeypatch.setattr(generator_module, "propagate_composite", lambda *args: PropagationOutcome(FAILED, [], 1))
+    report = run_fuzz(GenConfig(max_n=4, seed=5), 20, modes=("atmost",))
+    assert report.violations
+    assert all(v.instance.is_composite and v.kind == "failed-on-satisfiable" for v in report.violations)
+
+
 def test_run_fuzz_threads_match_serial():
     cfg = GenConfig(max_n=4, seed=99)
     serial = run_fuzz(cfg, 60, threads=1)

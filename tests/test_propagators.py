@@ -215,6 +215,44 @@ def test_exact_fails_fast_outside_reachable_range():
     assert out.failed
 
 
+#: Multi-pass exact witnesses over two states: (next_state, increment,
+#: domains, dom(N), exact's removals and passes, the decomposition's
+#: removals), symbols by name.  On "prefix", exact's first pass removes
+#: symbols at positions 0, 1 and 5, and only the prefix rows its second pass
+#: builds from the shrunk domains show that N = 11 has lost its support.  On
+#: "suffix-jump", the min suffix rebuild of exact's second pass finds its
+#: first rebuilt row, at position 11, unchanged and must jump to position 4;
+#: the rows it rebuilds from there remove (3, b) and (0, a).
+MULTI_PASS_WITNESSES = {
+    "prefix": (((1, 1, 0), (1, 0, 1)), ((2, 0, 1), (3, 3, 3)), "b,c;a,c;c;b;a,b;b,c;c;a", (11, 12),
+               [(0, "b"), (1, "a"), (5, "c"), (COUNTER_VAR, 11)], 2, [(0, "b"), (1, "a")]),
+    "suffix-jump": (((1, 0), (0, 1)), ((0, 0), (1, 3)), "a,b;b;a;a,b;a,b;a;b;a;b;b;b;a,b", (11, 12),
+                    [(4, "b"), (11, "b"), (COUNTER_VAR, 11), (3, "b"), (0, "a")], 3, []),
+}
+
+
+@pytest.mark.parametrize("name", list(MULTI_PASS_WITNESSES))
+def test_exact_reaches_the_fixpoint_on_multi_pass_witnesses(name):
+    next_state, increment, domains, counter, removed, passes, decomposed = MULTI_PASS_WITNESSES[name]
+    dfa = CounterDfa(num_states=2, alphabet=("a", "b", "c")[:len(next_state[0])], start=0,
+                     next_state=next_state, increment=increment)
+
+    def store():
+        return DomainStore(dfa.num_symbols, [[dfa.symbol_id(s) for s in position.split(",")]
+                                             for position in domains.split(";")], counter)
+
+    def ids(removals):
+        return {(var, value if var == COUNTER_VAR else dfa.symbol_id(value)) for var, value in removals}
+
+    out = propagate_exact(dfa, store())
+    assert (out.status, set(out.removals), out.passes) == (FIXPOINT, ids(removed), passes)
+    reference = reference_kernel.propagate_exact(dfa, store())
+    assert (reference.status, set(reference.removals)) == (out.status, set(out.removals))
+    assert 11 not in enumerate_support(dfa, store(), "exact").supported_counter
+    baseline = propagate_decomposed(dfa, store())
+    assert (baseline.status, set(baseline.removals)) == (FIXPOINT, ids(decomposed))
+
+
 # -- decomposition baseline ----------------------------------------------------
 
 

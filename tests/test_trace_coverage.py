@@ -69,4 +69,4 @@ def test_table_builds_call_the_wrapped_sweeps_by_name(monkeypatch):
     calls.clear()
     store.remove_symbol(2, t)
     SweepTable.compute(dfa, store, previous=full)
-    assert calls == ["forward", "forward", "backward", "backward"]
+    assert calls == ["forward_pair", "backward", "backward"]
