@@ -7,7 +7,8 @@ domain variable N under atmost / atleast / exact semantics and provides:
 * domain-consistent propagators for the two bound semantics and a sound,
   incomplete one for exact counting (:mod:`regcount.propagators`);
 * the prefix/suffix dynamic-programming tables they are built on
-  (:mod:`regcount.sweep`);
+  (:mod:`regcount.sweep`), and a compiled pass kernel that runs them and the
+  symbol checks in C for large stores (:mod:`regcount.kernel`);
 * a brute-force enumeration oracle and differential checks
   (:mod:`regcount.oracle`);
 * random generators and a fuzz harness (:mod:`regcount.generator`);

@@ -43,6 +43,14 @@ and as CostRegular narrows its cost variable to the range of path costs
 before it filters arcs, a pass bounds N by the full-string counters before
 it filters symbols against dom(N).
 
+The tables and the symbol checks run on one of two kernels, chosen once per
+call: the Python kernels of :mod:`regcount.sweep`, or, for a store that
+passes :func:`regcount.kernel.usable`, the compiled one of
+:mod:`regcount.kernel`.  Both return the unsupported symbols in the same
+order, and everything else (the ground scan, the N rule, the removals, the
+pass loop and its stop rules) is this module's, so the status, the removals
+and ``passes`` do not depend on the kernel.
+
 Four skips save work and change no fixpoint.  First, every reachable
 interval lies inside ``[least, greatest]``, the range of the full-string
 counters, and after the N rule so does dom(N).  So, if dom(N) has no holes
@@ -96,9 +104,10 @@ store's, which builds none: an atmost or atleast table is a forward and a
 backward sweep in one mode, and a round's table both prefix sides in one
 fused sweep and the suffix sweeps the round needs.  A round after the first
 builds its prefix rows in full but rebuilds only the suffix rows its
-predecessor's symbol removals reach (see :mod:`regcount.sweep`), and still
-counts as one pass.  So a per-call count of table builds cannot be read off
-``passes``; it has to be counted on its own.  A loop that ran until a pass
+predecessor's symbol removals reach (see :mod:`regcount.sweep`; the compiled
+kernel rebuilds them all), and still counts as one pass.  So a per-call
+count of table builds cannot be read off ``passes``; it has to be counted on
+its own.  A loop that ran until a pass
 removes nothing would take one more pass after a pass that removes only
 N-values or certifies.
 """
@@ -112,7 +121,9 @@ from dataclasses import dataclass, field
 from .automaton import CounterDfa
 from .domains import COUNTER_VAR, DomainStore, Instance, RemoveResult, project_store
 from .signature import SignatureMap
-from .sweep import UNREACHABLE_MAX, UNREACHABLE_MIN, SweepTable
+from . import kernel
+from .kernel import CTable
+from .sweep import SweepTable
 
 FIXPOINT = "fixpoint"
 FAILED = "failed"
@@ -272,7 +283,7 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
         status = FIXPOINT if _n_rule(store, least, greatest, None) else FAILED
         return PropagationOutcome(status, store.removal_log[mark:], 1)
 
-    def after_prefix(store: DomainStore, table: SweepTable) -> tuple[bool, bool]:
+    def after_prefix(store: DomainStore, table: SweepTable | CTable) -> tuple[bool, bool]:
         """Apply the N rule to a pass's prefix rows; return the suffix sides, (min, max), to build.
 
         An N-value survives iff some end state's interval holds it.  A side
@@ -283,22 +294,23 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
         least, greatest = table.least, table.greatest
         # One-sided end intervals cover exactly [least, greatest]; two-sided
         # ones may leave gaps.  An unreachable end state's interval is empty.
-        if not _n_rule(store, least, greatest, list(zip(table.pre_min[-1], table.pre_max[-1])) if joint else None):
+        if not _n_rule(store, least, greatest, table.ends() if joint else None):
             return False, False
         counter = store.counter
         if joint and counter[-1] - counter[0] >= len(counter):
             return True, True
         return counter[-1] < greatest, counter[0] > least
 
-    nxt, inc = dfa.next_state, dfa.increment
+    kind = CTable if kernel.usable(dfa, store) else SweepTable
     passes = 0
     table = None
     while True:
         passes += 1
         # A pass after the first rebuilds only the suffix rows that the
-        # previous pass's symbol removals reach, and applies the N rule
-        # between its prefix and suffix sweeps.
-        table = SweepTable.compute(dfa, store, min_side, max_side, table, after_prefix)
+        # previous pass's symbol removals reach (the compiled kernel rebuilds
+        # them all), and applies the N rule between its prefix and suffix
+        # sweeps.
+        table = kind.compute(dfa, store, min_side, max_side, table, after_prefix)
         # Either dom(N) missed [least, greatest] and the N rule left it as it
         # was, or the N rule emptied it.
         if not store.counter_has_between(table.least, table.greatest):
@@ -318,46 +330,26 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
             windows = [(bottom, top)]
         else:
             windows = [(-math.inf, top)] * table.suffixes[0] + [(bottom, math.inf)] * table.suffixes[1]
-        changed = False
         # A pass of a two-sided mode that builds one suffix side records the
         # counter of each support it finds, the witnesses of its certificate.
         seen = set() if min_side and max_side and table.suffixes[0] != table.suffixes[1] else None
-        min_only = table.suffixes[0]
-        for floor, ceiling in windows:
-            for i, syms in enumerate(table.symbols, 1):
-                if len(syms) == 1:
-                    continue  # supported by any survivor at i - 1 (see the module docstring)
-                states = table.live[i - 1]
-                pre_min_row = table.pre_min[i - 1]
-                pre_max_row = table.pre_max[i - 1]
-                suf_min_row = table.suf_min[i + 1]
-                suf_max_row = table.suf_max[i + 1]
-                for sym in syms:
-                    for q in states:
-                        t = nxt[q][sym]
-                        step = inc[q][sym]
-                        lo = pre_min_row[q] + step + suf_min_row[t]
-                        hi = pre_max_row[q] + step + suf_max_row[t]
-                        assert lo != UNREACHABLE_MIN and hi != UNREACHABLE_MAX, "reachable state lost all completions"
-                        if lo <= ceiling and hi >= floor and (not holes or store.counter_has_between(lo, hi)):
-                            if seen is not None:
-                                seen.add(lo if min_only else hi)
-                            break
-                    else:
-                        # A symbol an earlier window removed is left unchanged.
-                        changed = True
-                        if store.remove_symbol(i - 1, sym) is RemoveResult.EMPTIED:
-                            return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
+        unsupported = table.unsupported(dfa, store, windows, holes, seen)
+        # The checks read the table, not the domains, so removing the pairs
+        # now, in the loop's order, logs what removing each as it is found
+        # would; a pair an earlier window removed is left unchanged.
+        for i, sym in unsupported:
+            if store.remove_symbol(i, sym) is RemoveResult.EMPTIED:
+                return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
         # A pass that removes no symbol leaves the next one the same table
         # and nothing to remove; one pass is the one-sided rules' fixpoint;
         # a two-sided pass that builds one suffix side may certify that the
         # next one would remove nothing (see the module docstring).
-        if not changed or not (min_side and max_side):
+        if not unsupported or not (min_side and max_side):
             return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
         if seen is not None:
             # Each value (the decomposition's far end) is the bound end's
             # counter, near, or a witness.
-            near, far = (table.least, top) if min_only else (table.greatest, bottom)
+            near, far = (table.least, top) if table.suffixes[0] else (table.greatest, bottom)
             if all(v == near or v in seen for v in (counter if joint else (far,))):
                 return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
 

@@ -110,6 +110,12 @@ to start from, so a partial rebuild builds it in full.
 Counters are exact integers, so no sum wraps or raises.  Increments stay
 validated at ``<= U64_MAX``, which keeps every sum far below the float range,
 so ``inf + x`` in the sentinel arithmetic stays valid.
+
+These Python kernels, with the interval loop of :meth:`SweepTable.unsupported`,
+are the reference of the compiled pass kernel, :mod:`regcount.kernel`.  It
+runs the same loops in C over tables it keeps in C arrays, for the large
+stores whose counters fit in ``int64``, and rebuilds every row on every
+pass; these kernels run every other store.
 """
 
 from __future__ import annotations
@@ -407,6 +413,51 @@ class SweepTable:
         if table.suffixes[1]:
             table.suf_max = backward(dfa, store, "max", symbols, old_max, changed, live)
         return table
+
+    def ends(self) -> list[tuple[int | float, int | float]]:
+        """The ``(cheapest, costliest)`` interval of each end state, empty where unreached; both sides built."""
+        return list(zip(self.pre_min[-1], self.pre_max[-1]))
+
+    def unsupported(self, dfa: CounterDfa, store: DomainStore, windows, holes: bool,
+                    seen: set | None) -> list[tuple[int, int]]:
+        """The interval loop: the ``(position, symbol)`` pairs no interval supports.
+
+        For each window ``(floor, ceiling)`` in turn, each position ``i``
+        (from 1) with several symbols, in order, and each of its symbols,
+        ascending, the pair ``(i - 1, sym)`` is unsupported iff no state of
+        ``live[i - 1]`` gives an interval ``[lo, hi]`` through it that meets
+        the window, and with ``holes`` dom(N) itself.  A pair appears once per window that finds it
+        unsupported.  ``seen``, if given, gets the ``lo`` (where the min
+        suffix side is built) or else the ``hi`` of each support found.  A
+        position with one symbol is skipped: any survivor one position
+        earlier supports it (see :mod:`regcount.propagators`).
+        """
+        nxt, inc = dfa.next_state, dfa.increment
+        min_only = self.suffixes[0]
+        found = []
+        for floor, ceiling in windows:
+            for i, syms in enumerate(self.symbols, 1):
+                if len(syms) == 1:
+                    continue
+                states = self.live[i - 1]
+                pre_min_row = self.pre_min[i - 1]
+                pre_max_row = self.pre_max[i - 1]
+                suf_min_row = self.suf_min[i + 1]
+                suf_max_row = self.suf_max[i + 1]
+                for sym in syms:
+                    for q in states:
+                        t = nxt[q][sym]
+                        step = inc[q][sym]
+                        lo = pre_min_row[q] + step + suf_min_row[t]
+                        hi = pre_max_row[q] + step + suf_max_row[t]
+                        assert lo != UNREACHABLE_MIN and hi != UNREACHABLE_MAX, "reachable state lost all completions"
+                        if lo <= ceiling and hi >= floor and (not holes or store.counter_has_between(lo, hi)):
+                            if seen is not None:
+                                seen.add(lo if min_only else hi)
+                            break
+                    else:
+                        found.append((i - 1, sym))
+        return found
 
 
 def format_row(row, state_names: Sequence[str]) -> str:

@@ -1,11 +1,11 @@
-"""Shared hypothesis strategies: small random automata, stores and words."""
+"""Shared hypothesis strategies: small random automata, stores and words; root-long-shaped stores."""
 
 from __future__ import annotations
 
 import hypothesis.strategies as st
 
 import reference_kernel
-from regcount import U64_MAX, CounterDfa, DomainStore, SignatureMap, validate
+from regcount import U64_MAX, CounterDfa, DomainStore, SignatureMap, generator, validate
 
 _LETTERS = "abcd"
 
@@ -135,3 +135,39 @@ def few_choice_signature_instances(draw, cases, max_multi: int = 2):
     """:func:`few_choice_pairs` for a signature instance drawn from ``cases``; a cut position may repeat its value."""
     dfa, sig, natives, counter = draw(cases)
     return dfa, sig, _one_choice_mostly(draw, natives, max_multi), counter
+
+
+#: Short random pairs, a share of them with increments near U64_MAX.
+SHORT_PAIRS = st.one_of(dfa_store_pairs(max_n=6, max_counter=12), dfa_store_pairs(max_n=6, increments=NEAR_U64_MAX))
+#: Wider increments spread the counter range, so windows cut into it more often.
+WINDOWED_PAIRS = windowed(st.one_of(dfa_store_pairs(min_n=3, max_n=8, max_increment=3),
+                                    dfa_store_pairs(max_n=6, increments=NEAR_U64_MAX)))
+
+#: 20 states and 8 symbols, as in perfbench's root-long workload; at n = 150
+#: most states are unreachable at most positions, unlike in the small strategies.
+ROOT_LONG_CFG = generator.GenConfig(min_states=20, max_states=20, min_symbols=8, max_symbols=8)
+
+
+def root_long_shaped(index, end, holed=False, n=150, singleton_share=0.75, seed=13):
+    """A 20x8 automaton over ``n`` positions, three in four of them one
+    symbol, with dom(N) three values around the least full-string counter
+    (``end`` "least", perfbench's recipe) or the greatest one; ``holed``,
+    the two values either side of that counter instead.  ``seed`` and
+    ``index`` choose the stream."""
+    rng = generator.rng_for(seed, index)
+    dfa = generator.random_cdfa(ROOT_LONG_CFG, rng)
+    alphabet = dfa.num_symbols
+    singles = rng.random(n) < singleton_share
+    symbols = rng.integers(0, alphabet, n)
+    masks = rng.integers(1, 2**alphabet, n)
+    domains = [[int(symbols[i])] if singles[i] else [s for s in range(alphabet) if int(masks[i]) >> s & 1]
+               for i in range(n)]
+    store = DomainStore(alphabet, domains, (0,))
+    if end == "least":
+        middle = min(reference_kernel.forward(dfa, store, "min")[-1])
+    else:
+        middle = max(reference_kernel.forward(dfa, store, "max")[-1])
+    if holed:
+        return dfa, DomainStore(alphabet, domains, (middle - 1, middle + 1))
+    low = max(middle - 1, 0)
+    return dfa, DomainStore(alphabet, domains, range(low, low + 3))

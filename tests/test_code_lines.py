@@ -1,4 +1,4 @@
-"""``tools/code_lines.py`` counts code lines without docstrings, comments or blanks."""
+"""``tools/code_lines.py`` counts code lines without docstrings, comments or blanks, in Python and C."""
 
 import contextlib
 import importlib.util
@@ -26,6 +26,19 @@ class C:
     no docstring"""
 '''
 
+C_SAMPLE = r'''/* A block comment
+ * over three lines. */
+#include <stdint.h>
+
+// a line comment
+int f(int x) /* a trailing comment */
+{
+    const char *s = "not // a comment, nor /* one */";
+    return x + '"';  // a quote in a character literal
+}
+/* one line */ int y;
+'''
+
 
 def load_tool():
     spec = importlib.util.spec_from_file_location("code_lines", TOOL)
@@ -38,9 +51,11 @@ def test_code_lines_skip_docstrings_comments_and_blanks():
     tool = load_tool()
     # import, def, the two return lines, class and the two lines of text.
     assert tool.count(SAMPLE) == (17, 7)
+    # The include, the five lines of f and the declaration after a comment.
+    assert tool.count_c(C_SAMPLE) == (11, 7)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert tool.main() == 0
     rows = [line.split() for line in out.getvalue().splitlines()[1:]]
-    assert rows[-1][0] == "total" and "sweep.py" in [row[0] for row in rows]
+    assert rows[-1][0] == "total" and {"sweep.py", "_pass.c"} <= {row[0] for row in rows}
     assert [int(c) for c in rows[-1][1:]] == [sum(int(row[k]) for row in rows[:-1]) for k in (1, 2)]

@@ -25,7 +25,7 @@ from regcount import (
 )
 from regcount import sweep
 from regcount.propagators import FIXPOINT
-from strategies import NEAR_U64_MAX, cdfas, dfa_store_pairs, windowed
+from strategies import NEAR_U64_MAX, SHORT_PAIRS, WINDOWED_PAIRS, cdfas, dfa_store_pairs
 
 B = catalog("B")
 ONE, TWO = B.symbol_id("1"), B.symbol_id("2")
@@ -368,12 +368,6 @@ def test_lifted_automaton_prunes_words_ending_rejected():
     # "aa$" survives (ends accepted, counter 0); "ba$" would end rejected
     assert out.removals == [(0, b_sym)]
     assert store.symbols(0) == [a]
-
-
-SHORT_PAIRS = st.one_of(dfa_store_pairs(max_n=6, max_counter=12), dfa_store_pairs(max_n=6, increments=NEAR_U64_MAX))
-#: Wider increments spread the counter range, so windows cut into it more often.
-WINDOWED_PAIRS = windowed(st.one_of(dfa_store_pairs(min_n=3, max_n=8, max_increment=3),
-                                    dfa_store_pairs(max_n=6, increments=NEAR_U64_MAX)))
 
 
 @given(st.one_of(SHORT_PAIRS, WINDOWED_PAIRS))

@@ -18,7 +18,6 @@ from regcount import (
     catalog,
     forward,
     format_row,
-    generator,
     propagate,
     run,
 )
@@ -26,7 +25,16 @@ from regcount import domains as domains_module
 from regcount.oracle import check_dc
 from regcount.propagators import FIXPOINT
 from regcount.sweep import UNREACHABLE_MAX, UNREACHABLE_MIN, forward_pair
-from strategies import NEAR_U64_MAX, dfa_store_pairs, windowed
+import kernels
+from strategies import NEAR_U64_MAX, dfa_store_pairs, root_long_shaped, windowed
+
+
+@pytest.fixture(autouse=True, scope="module")
+def python_kernel():
+    # These tests read the tables of SweepTable.compute, which only the
+    # Python kernels build.
+    with kernels.forced("python"):
+        yield
 
 
 # -- brute-force row oracle (enumeration; shares no sweep code) --------------
@@ -685,35 +693,6 @@ def test_the_n_rule_narrows_dom_n_before_the_symbol_loop(mode):
 
 
 # -- root-long-shaped inputs -------------------------------------------------------
-
-#: 20 states and 8 symbols, as in perfbench's root-long workload; at n = 150
-#: most states are unreachable at most positions, unlike in the small strategies.
-ROOT_LONG_CFG = generator.GenConfig(min_states=20, max_states=20, min_symbols=8, max_symbols=8)
-
-
-def root_long_shaped(index, end, holed=False, n=150, singleton_share=0.75):
-    """A 20x8 automaton over ``n`` positions, three in four of them one
-    symbol, with dom(N) three values around the least full-string counter
-    (``end`` "least", perfbench's recipe) or the greatest one; ``holed``,
-    the two values either side of that counter instead."""
-    rng = generator.rng_for(13, index)
-    dfa = generator.random_cdfa(ROOT_LONG_CFG, rng)
-    alphabet = dfa.num_symbols
-    singles = rng.random(n) < singleton_share
-    symbols = rng.integers(0, alphabet, n)
-    masks = rng.integers(1, 2**alphabet, n)
-    domains = [[int(symbols[i])] if singles[i] else [s for s in range(alphabet) if int(masks[i]) >> s & 1]
-               for i in range(n)]
-    store = DomainStore(alphabet, domains, (0,))
-    if end == "least":
-        middle = min(reference_kernel.forward(dfa, store, "min")[-1])
-    else:
-        middle = max(reference_kernel.forward(dfa, store, "max")[-1])
-    if holed:
-        return dfa, DomainStore(alphabet, domains, (middle - 1, middle + 1))
-    low = max(middle - 1, 0)
-    return dfa, DomainStore(alphabet, domains, range(low, low + 3))
-
 
 def propagate_root_long_shaped(index, end, holed):
     """Check every mode on a root-long-shaped input against the reference

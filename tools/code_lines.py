@@ -1,11 +1,12 @@
-"""Line counts of the modules of ``src/regcount``, with and without docs.
+"""Line counts of the Python modules and C files of ``src/regcount``, with and without docs.
 
     python3 tools/code_lines.py
 
-Prints one row per module of ``src/regcount`` and a total row: ``lines``
+Prints one row per file of ``src/regcount`` and a total row: ``lines``
 counts every line of the file, ``code`` only the lines that hold a token of
 code, so blank lines, comments and docstrings (the string that opens a
-module, class or function body) do not count.
+module, class or function body) do not count; in a C file, ``//`` and
+``/* */`` comments do not count.
 """
 
 from __future__ import annotations
@@ -13,12 +14,15 @@ from __future__ import annotations
 import ast
 import io
 import os
+import re
 import sys
 import tokenize
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "regcount")
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENCODING, tokenize.ENDMARKER}
+#: A C comment, string or character literal, or any other non-blank character.
+C_TOKEN = re.compile(r"/\*.*?\*/|//[^\n]*|\"(?:\\.|[^\"\\])*\"|'(?:\\.|[^'\\])*'|\S", re.S)
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -43,12 +47,24 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code)
 
 
+def count_c(source: str) -> tuple[int, int]:
+    """(all lines, code lines) of one C file."""
+    code: set[int] = set()
+    line, last = 1, 0
+    for match in C_TOKEN.finditer(source):
+        line += source.count("\n", last, match.start())
+        last = match.start()
+        if not match.group().startswith(("/*", "//")):
+            code.update(range(line, line + match.group().count("\n") + 1))
+    return len(source.splitlines()), len(code)
+
+
 def main() -> int:
-    names = sorted(name for name in os.listdir(SOURCE) if name.endswith(".py"))
+    names = sorted(name for name in os.listdir(SOURCE) if name.endswith((".py", ".c")))
     rows = []
     for name in names:
         with open(os.path.join(SOURCE, name), encoding="utf-8") as fh:
-            rows.append((name, *count(fh.read())))
+            rows.append((name, *(count_c if name.endswith(".c") else count)(fh.read())))
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
     width = max(len(r[0]) for r in rows)
     print(f"{'module':<{width}}  {'lines':>5}  {'code':>5}")
