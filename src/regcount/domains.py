@@ -5,10 +5,9 @@ mask holds alphabet bits only: a store is checked once, when it is built,
 and a domain that names a symbol outside the alphabet raises
 ``ValueError``.  The counter domain is an explicit sorted list of
 nonnegative integers because the exact-counting rule intersects intervals
-with it and must see holes.  Every removal is appended to ``removal_log``
-so pruning can be counted and a partial sweep rebuild can find the
-positions that changed.  Masks are decoded in one place, a cache of at most
-``SYMBOL_CACHE_SIZE`` masks emptied when full.
+with it and must see holes.  Every removal is appended to ``removal_log``,
+so a propagator's removals can be listed and counted.  Masks are decoded in
+one place, a cache of at most ``SYMBOL_CACHE_SIZE`` masks emptied when full.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ the same ``compute`` and ``unsupported`` calls, the same ``least``,
 ``greatest`` and ``suffixes``, so :mod:`regcount.propagators` runs one pass
 loop, one N rule and one ground scan over either kernel.  The rows stay in C
 arrays; Python reads only the end rows, for the N rule, and the unsupported
-``(position, symbol)`` pairs, which it removes itself.  A C table builds
-every row in full on every pass: it has no partial rebuild.
+``(position, symbol)`` pairs, which it removes itself.  One ``CTable``
+serves every pass of a propagator call, and each pass rebuilds all its
+rows, as the Python kernels build every table in full.
 
 When it runs.  :func:`usable` sends a store to the C kernel only if
 
@@ -144,31 +145,28 @@ class CTable:
                          address(self.suf_min), address(self.suf_max), address(self.live),
                          address(self.live_len), address(self.stamp))
 
-    @classmethod
-    def compute(cls, dfa, store, min_side: bool = True, max_side: bool = True, previous: "CTable | None" = None,
-                after_prefix=None) -> "CTable":
-        """The table of ``store`` now, as :meth:`SweepTable.compute` builds it.
+    def compute(self, dfa, store, min_side: bool = True, max_side: bool = True, after_prefix=None) -> "CTable":
+        """This table rebuilt in full for ``store`` now, as :meth:`SweepTable.compute` builds it.
 
-        The prefix rows of the chosen sides come first, then ``after_prefix``
-        as there, then the suffix sides it asks for.  ``previous``, a C table
-        of the same store and sides, lends its arrays: it is rebuilt in full
-        and returned.
+        ``dfa`` and ``store`` are the ones the table was made for; the call
+        takes them so that it has :meth:`SweepTable.compute`'s shape.  The
+        prefix rows of the chosen sides come first, then ``after_prefix`` as
+        there, then the suffix sides it asks for.  Returns the table itself.
         """
-        table = previous if previous is not None else cls(dfa, store)
-        table.domains = array("Q", store.domains)
-        table.ctx.domains = table.domains.buffer_info()[0]
-        ctx = ctypes.byref(table.ctx)
-        _lib.rc_prefix(ctx, min_side, max_side, table.results)
-        table.least = table.results[0] if min_side else -math.inf
-        table.greatest = table.results[1] if max_side else math.inf
-        table.suffixes = (min_side, max_side)
+        self.domains = array("Q", store.domains)
+        self.ctx.domains = self.domains.buffer_info()[0]
+        ctx = ctypes.byref(self.ctx)
+        _lib.rc_prefix(ctx, min_side, max_side, self.results)
+        self.least = self.results[0] if min_side else -math.inf
+        self.greatest = self.results[1] if max_side else math.inf
+        self.suffixes = (min_side, max_side)
         if after_prefix is not None:
-            need_min, need_max = after_prefix(store, table)
-            table.suffixes = (min_side and need_min, max_side and need_max)
-        for minimize, built in zip((1, 0), table.suffixes):
+            need_min, need_max = after_prefix(store, self)
+            self.suffixes = (min_side and need_min, max_side and need_max)
+        for minimize, built in zip((1, 0), self.suffixes):
             if built:
                 _lib.rc_suffix(ctx, minimize)
-        return table
+        return self
 
     def ends(self) -> list[tuple[int, int]]:
         """The ``(cheapest, costliest)`` interval of each reached end state; both sides built."""

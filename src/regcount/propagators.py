@@ -99,17 +99,13 @@ needs only top to be one: a surviving string then costs top, and the next
 
 All propagators mutate one store and append every removal to its log.
 ``passes`` counts passes: one per atmost or atleast run and one per exact
-or decomposition round.  Every pass builds one table, except a ground
-store's, which builds none: an atmost or atleast table is a forward and a
-backward sweep in one mode, and a round's table both prefix sides in one
-fused sweep and the suffix sweeps the round needs.  A round after the first
-builds its prefix rows in full but rebuilds only the suffix rows its
-predecessor's symbol removals reach (see :mod:`regcount.sweep`; the compiled
-kernel rebuilds them all), and still counts as one pass.  So a per-call
-count of table builds cannot be read off ``passes``; it has to be counted on
-its own.  A loop that ran until a pass
-removes nothing would take one more pass after a pass that removes only
-N-values or certifies.
+or decomposition round.  Every pass builds one table in full, except a
+ground store's, which builds none: an atmost or atleast table is a forward
+and a backward sweep in one mode, and a round's table both prefix sides in
+one fused sweep and the suffix sweeps the round needs.  So the work of a
+call cannot be read off ``passes``; it has to be counted on its own.  A
+loop that ran until a pass removes nothing would take one more pass after a
+pass that removes only N-values or certifies.
 """
 
 from __future__ import annotations
@@ -301,16 +297,14 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
             return True, True
         return counter[-1] < greatest, counter[0] > least
 
-    kind = CTable if kernel.usable(dfa, store) else SweepTable
+    # One C table's arrays serve every pass of the call.
+    build = CTable(dfa, store).compute if kernel.usable(dfa, store) else SweepTable.compute
     passes = 0
-    table = None
     while True:
         passes += 1
-        # A pass after the first rebuilds only the suffix rows that the
-        # previous pass's symbol removals reach (the compiled kernel rebuilds
-        # them all), and applies the N rule between its prefix and suffix
-        # sweeps.
-        table = kind.compute(dfa, store, min_side, max_side, table, after_prefix)
+        # Every pass builds its table in full, and applies the N rule between
+        # its prefix and suffix sweeps.
+        table = build(dfa, store, min_side, max_side, after_prefix)
         # Either dom(N) missed [least, greatest] and the N rule left it as it
         # was, or the N rule emptied it.
         if not store.counter_has_between(table.least, table.greatest):

@@ -36,7 +36,7 @@ How a row is built.  Every row of every sweep is one symbol-major loop: for
 each symbol ``s`` of the position's domain, then each state ``q`` of a list,
 it reads ``next_state[q][s]`` and ``increment[q][s]`` straight from the
 automaton's row-major tables, at one-symbol positions too.  A forward row
-loops over the states the previous row reaches, relaxes
+loops over the states the row before it reaches, relaxes
 ``new[next_state[q][s]]`` by ``row[q] + increment[q][s]`` through a running
 min/max, and appends a state to its own list when the state's entry first
 leaves the sentinel, so no loop scans a dense row for sentinels;
@@ -68,30 +68,8 @@ pass through the store's bounded mask cache.
 One row costs O(|domain| * |states reached|), a full table at most O(n *
 |alphabet| * |states|).
 
-Prefix rows are built in full on every call.  On stores that take several
-passes, one fused :func:`forward_pair` build of both sides runs within a few
-percent of two single-side rebuilds from the first changed position, so the
-prefix has one path.
-
-Suffix rebuilds, and full builds as rebuilds.  Domains only shrink within
-one propagator call, so a suffix side can be rebuilt from the previous
-table's: given the previous rows and the ascending positions whose domains
-changed since, :func:`backward` keeps the rows after the last changed
-position and rebuilds towards row 1.  One cut-off rule ends each rebuilt
-stretch: a rebuilt row equal to the old row keeps the old row object, and
-since every row down to the next changed position reads an unchanged domain,
-those rows equal the old ones too, so the sweep jumps to that position.
-Every other row is stored at its index as built.  A full build is the same
-rebuild against placeholder old rows, ``None``, that equal no built row: the
-sweep starts from the base row n+1 with position n-1 changed, and no row is
-cut off, so one row loop serves both.  Rows are replaced, never mutated, so
-a previous table stays valid, and every row is either built by the sweep or
-an unmodified row of the previous table; a partial rebuild costs at most a
-full one plus one list comparison per rebuilt row.  Reachable sets only
-shrink too, so a kept suffix row is true on a superset of the states now
-reached: it stays sound, but it may differ from a row built now at a state
-no longer reached, and the sweep then goes on where a full rebuild would
-have stopped.
+Every call builds all its rows anew and keeps no row of an earlier build:
+each sweep has one row loop, and no pass hands a table to the next.
 
 :meth:`SweepTable.compute` builds the min side (``pre_min``/``suf_min``), the
 max side, or both, and runs only those sweeps: atmost needs the min side,
@@ -104,8 +82,7 @@ these prefix rows, remove N-values, and skip the suffix rows of a built side
 cannot bind, and both when it is bound to fail, see
 :mod:`regcount.propagators`).  Every entry of an unbuilt side or skipped
 suffix side is the unbounded end, ``-inf`` for min and ``+inf`` for max, so
-an interval summed over it stays open on that end.  A suffix side that the previous table skipped has no rows
-to start from, so a partial rebuild builds it in full.
+an interval summed over it stays open on that end.
 
 Counters are exact integers, so no sum wraps or raises.  Increments stay
 validated at ``<= U64_MAX``, which keeps every sum far below the float range,
@@ -114,19 +91,17 @@ so ``inf + x`` in the sentinel arithmetic stays valid.
 These Python kernels, with the interval loop of :meth:`SweepTable.unsupported`,
 are the reference of the compiled pass kernel, :mod:`regcount.kernel`.  It
 runs the same loops in C over tables it keeps in C arrays, for the large
-stores whose counters fit in ``int64``, and rebuilds every row on every
-pass; these kernels run every other store.
+stores whose counters fit in ``int64``; these kernels run every other store.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .automaton import CounterDfa
-from .domains import COUNTER_VAR, DomainStore
+from .domains import DomainStore
 
 #: Sentinel for "no admissible string" in min rows (orders above any value).
 UNREACHABLE_MIN = math.inf
@@ -164,7 +139,7 @@ def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None,
         new: list[int | float] = [sent] * num_states
         reached = []
         # Every row starts as [sent] * num_states and only the states the
-        # previous row reaches write to it, so unreachable entries are
+        # row before reaches write to it, so unreachable entries are
         # ``sent`` itself; a state is reached when its entry is first written,
         # and holds an int from then on.
         if minimize:
@@ -200,7 +175,7 @@ def forward_pair(dfa: CounterDfa, store: DomainStore, symbols=None, live: list |
 
     Equal to ``forward(dfa, store, "min", symbols, live=live)`` and
     ``forward(dfa, store, "max", symbols)``: both sides reach the same
-    states, so one loop over the states the previous row reaches relaxes
+    states, so one loop over the states the row before reaches relaxes
     both.  Every reachable entry is an ``int`` and every unreachable one its
     side's sentinel object, as in :func:`forward`.  A state's first reach,
     found by identity on the min side, writes both sides' sums; a later one
@@ -246,8 +221,7 @@ def forward_pair(dfa: CounterDfa, store: DomainStore, symbols=None, live: list |
     return pre_min, pre_max
 
 
-def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previous=None,
-             changed: Sequence[int] = (), live=None) -> list:
+def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, live=None) -> list:
     """Rows 1..n+1 of per-state extremal suffix counters (index 0 unused).
 
     Entry ``q`` of row ``i`` is the extremal counter increase over the
@@ -264,15 +238,6 @@ def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previ
     the sentinel object.  Without ``live``, an unreachable entry is ``inf``
     or ``-inf``, equal to the sentinel but not always that object.
     ``symbols`` works as in :func:`forward`.
-
-    ``previous``, if given, holds the rows of an earlier build in the same
-    mode and ``changed`` the ascending positions whose domains have shrunk
-    since.  The rows after the last changed position are kept, and the sweep
-    rebuilds from there towards row 1: a rebuilt row equal to the old row at
-    its index keeps the old row object and the sweep jumps to the next
-    changed position (see the module docstring).  ``previous`` itself is
-    returned if none changed.  Without ``previous`` the sweep is that rebuild
-    from row n against placeholder rows, with position n-1 changed.
     """
     minimize = _minimize(mode)
     if symbols is None:
@@ -281,16 +246,10 @@ def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previ
     num_states = dfa.num_states
     nxt, inc = dfa.next_state, dfa.increment
     n = store.n
-    if previous is None:
-        # A full build rebuilds from row n against old rows that equal no row.
-        previous, changed = [None] * (n + 1) + [[0] * num_states], (n - 1,)
-    elif not changed:
-        return previous
     if live is None:
         live = [range(num_states)] * n  # every state, as dump-sweep prints them
-    rows = list(previous)
-    i = changed[-1] + 1
-    while i > 0:
+    rows: list = [None] * (n + 1) + [[0] * num_states]
+    for i in range(n, 0, -1):
         syms = symbols[i - 1]
         suffix = rows[i + 1]
         states = live[i - 1]
@@ -313,15 +272,7 @@ def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, previ
                     c = suffix[nxt[q][s]] + inc[q][s]
                     if c > new[q]:
                         new[q] = c
-        if new == previous[i]:
-            # Row i is the old row, so rows p+2 .. i-1, which read unchanged
-            # domains, are too, p being the next changed position towards
-            # row 1; the sweep resumes with row p+1, which reads p.
-            k = bisect_left(changed, i - 1) - 1
-            i = changed[k] + 1 if k >= 0 else 0
-        else:
-            rows[i] = new
-            i -= 1
+        rows[i] = new
     return rows
 
 
@@ -338,10 +289,9 @@ class SweepTable:
     """The pre/suf vectors of one store in min mode, max mode, or both.
 
     ``symbols`` is the :meth:`~regcount.domains.DomainStore.symbol_tuples`
-    list the sweeps ran on and ``mark`` the length of the store's removal log
-    when the suffix sweeps ran, after :meth:`compute`'s hook.  ``live[i]``
-    lists the states prefix row ``i`` reaches, in the order the forward sweep
-    reached them; both sides reach the same states.  ``least`` and
+    list the sweeps ran on.  ``live[i]`` lists the states prefix row ``i``
+    reaches, in the order the forward sweep reached them; both sides reach
+    the same states.  ``least`` and
     ``greatest`` are the least and greatest counters over admissible
     full-length strings, read off the last prefix rows: ``-inf`` and
     ``+inf`` for an unbuilt side.
@@ -351,8 +301,8 @@ class SweepTable:
     unbounded end (``-inf`` for min, ``+inf`` for max), so callers need not
     know which rows were built.  Prefix rows are exact.  A built suffix row
     is exact at the states its side's prefix row one position earlier
-    reaches, and elsewhere holds its true value or the sentinel (see the
-    module docstring): the filter reads no other entry.
+    reaches, and the sentinel elsewhere (see the module docstring): the
+    filter reads no other entry.
     """
 
     pre_min: list
@@ -361,14 +311,12 @@ class SweepTable:
     suf_max: list
     symbols: list
     live: list
-    mark: int
     suffixes: tuple[bool, bool]
     least: int | float
     greatest: int | float
 
     @classmethod
     def compute(cls, dfa: CounterDfa, store: DomainStore, min_side: bool = True, max_side: bool = True,
-                previous: "SweepTable | None" = None,
                 after_prefix: Callable[[DomainStore, "SweepTable"], tuple[bool, bool]] | None = None) -> "SweepTable":
         """The table of ``store`` now.
 
@@ -378,13 +326,8 @@ class SweepTable:
         then called with ``store`` and the table's prefix half, whose suffix
         rows all read as unbounded.  It may remove N-values, but no symbol,
         and returns which sides, (min, max), need suffix rows; by default
-        every built side gets them.  :attr:`mark` is taken after it returns,
-        and each suffix side is then built at the states of :attr:`live`.
-
-        ``previous``, a table of the same store and sides built earlier, makes
-        the suffix sweeps partial rebuilds: the positions of the symbol
-        removals logged since ``previous.mark`` are the changed ones.  A
-        suffix side that ``previous`` skipped is built in full.
+        every built side gets them.  Each suffix side is then built in full at
+        the states of :attr:`live`.
         """
         symbols = store.symbol_tuples()
         rows = store.n + 2
@@ -397,21 +340,15 @@ class SweepTable:
             pre_min = forward(dfa, store, "min", symbols, live) if min_side else open_min
             pre_max = forward(dfa, store, "max", symbols, live) if max_side else open_max
         # An open last row yields the unbounded end.
-        table = cls(pre_min, pre_max, open_min, open_max, symbols, live, 0, (min_side, max_side),
+        table = cls(pre_min, pre_max, open_min, open_max, symbols, live, (min_side, max_side),
                     min(pre_min[-1]), max(pre_max[-1]))
         if after_prefix is not None:
             need_min, need_max = after_prefix(store, table)
             table.suffixes = (min_side and need_min, max_side and need_max)
-        table.mark = len(store.removal_log)
-        changed, old_min, old_max = [], None, None
-        if previous is not None:
-            changed = sorted({var for var, _ in store.removal_log[previous.mark:] if var != COUNTER_VAR})
-            old_min = previous.suf_min if previous.suffixes[0] else None
-            old_max = previous.suf_max if previous.suffixes[1] else None
         if table.suffixes[0]:
-            table.suf_min = backward(dfa, store, "min", symbols, old_min, changed, live)
+            table.suf_min = backward(dfa, store, "min", symbols, live)
         if table.suffixes[1]:
-            table.suf_max = backward(dfa, store, "max", symbols, old_max, changed, live)
+            table.suf_max = backward(dfa, store, "max", symbols, live)
         return table
 
     def ends(self) -> list[tuple[int | float, int | float]]:

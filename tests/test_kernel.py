@@ -49,19 +49,20 @@ def on_both_kernels(dfa, store):
 
 @contextlib.contextmanager
 def recorded_tables():
-    """Record, per table build in the block, its kernel, whether it rebuilt
-    a previous table, and its entries wherever the filter reads them."""
+    """Record, per table build in the block, its kernel and its entries
+    wherever the filter reads them."""
     builds = []
 
     def recording(cls, snapshot):
-        compute = cls.__dict__["compute"].__func__
+        # SweepTable.compute is a classmethod, CTable.compute a method.
+        descriptor = cls.__dict__["compute"]
+        compute = getattr(descriptor, "__func__", descriptor)
 
-        def wrapper(cls, dfa, store, min_side=True, max_side=True, previous=None, after_prefix=None):
-            partial = previous is not None
-            table = compute(cls, dfa, store, min_side, max_side, previous, after_prefix)
-            builds.append((cls.__name__, partial, snapshot(table, min_side, max_side)))
+        def wrapper(owner, dfa, store, min_side=True, max_side=True, after_prefix=None):
+            table = compute(owner, dfa, store, min_side, max_side, after_prefix)
+            builds.append((cls.__name__, snapshot(table, min_side, max_side)))
             return table
-        return classmethod(wrapper)
+        return classmethod(wrapper) if isinstance(descriptor, classmethod) else wrapper
 
     with mock.patch.object(SweepTable, "compute", recording(SweepTable, sweep_entries)), \
             mock.patch.object(CTable, "compute", recording(CTable, c_entries)):
@@ -108,8 +109,8 @@ def test_the_kernels_agree_on_root_long_shaped_stores(index, end, holed):
 @pytest.mark.parametrize("index, end", [(0, "least"), (1, "greatest"), (2, "least"), (3, "greatest")])
 def test_full_rebuilds_on_every_pass_equal_the_partial_python_rebuilds(index, end):
     # dom(N) is the two values either side of the bound end's counter, so
-    # exact and the decomposition take several passes, and every Python pass
-    # after the first rebuilds its suffix sides in part.
+    # exact and the decomposition take several passes; every pass of either
+    # kernel builds its table in full, the C kernel into one reused table.
     dfa, store = root_long_shaped(index, end, holed=True, n=400, seed=27012)
     for mode in ("exact", "decomposed"):
         tables = {}
@@ -117,9 +118,10 @@ def test_full_rebuilds_on_every_pass_equal_the_partial_python_rebuilds(index, en
             with kernels.forced(name), recorded_tables() as builds:
                 propagate(dfa, store.copy(), mode)
             tables[name] = builds
-        assert [kind for kind, _, _ in tables["c"]] == ["CTable"] * len(tables["c"])
-        assert len(tables["c"]) >= 2 and any(partial for _, partial, _ in tables["python"][1:])
-        assert [rows for _, _, rows in tables["c"]] == [rows for _, _, rows in tables["python"]], mode
+        assert [kind for kind, _ in tables["c"]] == ["CTable"] * len(tables["c"])
+        assert [kind for kind, _ in tables["python"]] == ["SweepTable"] * len(tables["python"])
+        assert len(tables["c"]) >= 2
+        assert [rows for _, rows in tables["c"]] == [rows for _, rows in tables["python"]], mode
 
 
 @pytest.mark.parametrize("name", list(test_propagators.MULTI_PASS_WITNESSES))
@@ -134,7 +136,7 @@ def test_the_fuzz_checks_pass_on_the_c_kernel(seed):
     with kernels.forced("c"), recorded_tables() as builds:
         checked, violations = _fuzz_range(GenConfig(seed=seed), 0, 200, Instance.MODES, DEFAULT_CAP)
     assert (checked, violations) == (200, [])
-    assert {kind for kind, _, _ in builds} == {"CTable"}
+    assert {kind for kind, _ in builds} == {"CTable"}
 
 
 @given(dfa_store_pairs(max_n=6, increments=NEAR_U64_MAX))
@@ -145,7 +147,7 @@ def test_counters_that_could_leave_int64_run_the_python_kernels(pair):
         fits = store.n * max(map(max, dfa.increment)) < 2**62
         assert kernel.usable(dfa, store) == fits
         outcomes(dfa, store)
-    assert fits or {kind for kind, _, _ in builds} <= {"SweepTable"}
+    assert fits or {kind for kind, _ in builds} <= {"SweepTable"}
     event("fits" if fits else "Python kernels")
     on_both_kernels(dfa, store)
 
@@ -189,7 +191,7 @@ def test_without_a_compiler_every_store_runs_the_python_kernels(monkeypatch, tmp
     with recorded_tables() as builds:
         assert outcomes(dfa, store) == expected
         assert run_main("propagate", str(path)) == printed
-    assert kernel._lib is False and {kind for kind, _, _ in builds} == {"SweepTable"}
+    assert kernel._lib is False and {kind for kind, _ in builds} == {"SweepTable"}
     assert printed[0] == 0 and printed[2] == ""
 
 

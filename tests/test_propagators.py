@@ -220,9 +220,12 @@ def test_exact_fails_fast_outside_reachable_range():
 #: removals), symbols by name.  On "prefix", exact's first pass removes
 #: symbols at positions 0, 1 and 5, and only the prefix rows its second pass
 #: builds from the shrunk domains show that N = 11 has lost its support.  On
-#: "suffix-jump", the min suffix rebuild of exact's second pass finds its
-#: first rebuilt row, at position 11, unchanged and must jump to position 4;
-#: the rows it rebuilds from there remove (3, b) and (0, a).
+#: "suffix-jump", exact's first pass removes (4, b) and (11, b).  The min
+#: suffix rows 12 down to 6 of its second pass equal the first pass's,
+#: though row 12 reads the shrunk position 11, and row 5, which reads
+#: position 4, differs; from there the second pass removes (3, b) and the
+#: third (0, a).  A sweep that reused the first pass's suffix rows would
+#: have to resume at position 4 after finding row 12 unchanged.
 MULTI_PASS_WITNESSES = {
     "prefix": (((1, 1, 0), (1, 0, 1)), ((2, 0, 1), (3, 3, 3)), "b,c;a,c;c;b;a,b;b,c;c;a", (11, 12),
                [(0, "b"), (1, "a"), (5, "c"), (COUNTER_VAR, 11)], 2, [(0, "b"), (1, "a")]),
@@ -423,13 +426,15 @@ def _decomposed_reaches_the_fixpoint_of_alternating_runs(dfa, store):
 @contextlib.contextmanager
 def recorded_builds():
     """Record, per ``SweepTable.compute`` call in the block, the store's
-    removal-log length after the pass's N rule and the suffix sides it built."""
+    removal-log length after the pass's N rule and the suffix sides it built.
+    No suffix sweep removes a value, so the length when ``compute`` returns
+    is the one after the N rule."""
     descriptor = SweepTable.__dict__["compute"]
     builds = []
 
     def recording(cls, dfa, store, *args):
         table = descriptor.__func__(cls, dfa, store, *args)
-        builds.append((table.mark, table.suffixes))
+        builds.append((len(store.removal_log), table.suffixes))
         return table
 
     SweepTable.compute = classmethod(recording)

@@ -367,8 +367,8 @@ def test_kernel_matches_reference_loops(pair):
     # A built table holds the same prefix rows, and suffix rows that are
     # exact wherever the filter reads them.
     built = SweepTable.compute(dfa, store)
-    assert (built.pre_min, built.pre_max, built.symbols, built.mark, built.suffixes, built.least, built.greatest) == (
-        table["min"][0], table["max"][0], store.symbol_tuples(), len(store.removal_log), (True, True),
+    assert (built.pre_min, built.pre_max, built.symbols, built.suffixes, built.least, built.greatest) == (
+        table["min"][0], table["max"][0], store.symbol_tuples(), (True, True),
         min(table["min"][0][-1]), max(table["max"][0][-1]))
     assert_true_where_read(built.suf_min, table["min"][1], built.pre_min, UNREACHABLE_MIN)
     assert_true_where_read(built.suf_max, table["max"][1], built.pre_max, UNREACHABLE_MAX)
@@ -470,7 +470,7 @@ def test_pass_symbols_match_store_symbols(pair, cache_size):
     assert [list(syms) for syms in got] == singles == expected
 
 
-# -- incremental rebuilds --------------------------------------------------------
+# -- tables after removals --------------------------------------------------------
 
 SIDES = ((True, True), (True, False), (False, True))
 #: The unpatched builder, for tests that wrap ``SweepTable.compute``.
@@ -488,41 +488,31 @@ def assert_matching_support(table):
             assert cmax is UNREACHABLE_MAX or cmax != UNREACHABLE_MAX
 
 
-def assert_matches_full_rebuild(dfa, store, table, previous, min_side, max_side):
+def assert_matches_full_rebuild(dfa, store, table, min_side, max_side):
+    """``table`` equals a build of a copy of ``store`` now, and is exact
+    wherever the filter reads it."""
     full = COMPUTE(dfa, store.copy(), min_side, max_side)
-    assert (table.pre_min, table.pre_max) == (full.pre_min, full.pre_max)
-    # Every built suffix row is exact wherever the filter reads it, also on a
-    # side that the previous table skipped, and holds its true value or the
-    # sentinel elsewhere: a kept old row may be exact at states no longer
-    # reached, where a full rebuild holds the sentinel.  A skipped side reads
-    # as unbounded.
+    assert (table.pre_min, table.pre_max, table.live) == (full.pre_min, full.pre_max, full.live)
+    # Every built suffix row is exact wherever the filter reads it and the
+    # sentinel elsewhere.  A skipped side reads as unbounded.
     assert table.suffixes[0] <= min_side and table.suffixes[1] <= max_side
     for side, built, rows, pre, mode, sent, unbounded in (
             (min_side, table.suffixes[0], table.suf_min, table.pre_min, "min", UNREACHABLE_MIN, -math.inf),
             (max_side, table.suffixes[1], table.suf_max, table.pre_max, "max", UNREACHABLE_MAX, math.inf)):
         # The kernels compare two ints in every relax: a built entry is an
-        # int or its side's sentinel, in kept and rebuilt rows alike.
+        # int or its side's sentinel.
         if side:
             assert_reachable_ints(pre, sent)
         if built:
             assert_true_where_read(rows, reference_suffix_rows(dfa, store, mode), pre, sent)
             assert_reachable_ints(rows, sent)
+            assert all(rows[i][q] is sent for i in range(1, store.n + 1)
+                       for q in range(dfa.num_states) if q not in table.live[i - 1])
         else:
             assert all(c == unbounded for row in rows for c in row)
-    assert table.mark == len(store.removal_log)
     assert_live_matches_reference(table.live, dfa, store)
     assert_matching_support(table)
     assert_matching_support(full)
-    if previous is None:
-        return
-    # The one cut-off rule: on every suffix side both tables built, a row
-    # equal to the previous table's row at its index is that row object.
-    # Rows no change reaches are equal, so they are the old objects; a
-    # rebuild that never cuts off builds equal rows anew.
-    for side, name in enumerate(("suf_min", "suf_max")):
-        if table.suffixes[side] and previous.suffixes[side]:
-            new_rows, old_rows = getattr(table, name), getattr(previous, name)
-            assert all(new is old for new, old in zip(new_rows, old_rows) if new == old), name
 
 
 MIXED_PAIRS = st.one_of(dfa_store_pairs(max_n=12), dfa_store_pairs(max_n=12, increments=NEAR_U64_MAX))
@@ -541,7 +531,7 @@ def test_incremental_tables_match_a_full_rebuild(pair, sides, data):
     dfa, store = pair
     wanted = data.draw(BOOL_PAIRS)
     table = SweepTable.compute(dfa, store, *sides, after_prefix=lambda store, table: wanted)
-    assert_matches_full_rebuild(dfa, store, table, None, *sides)
+    assert_matches_full_rebuild(dfa, store, table, *sides)
     for _ in range(data.draw(st.integers(1, 4))):
         cells = [(i, s) for i in range(store.n) for s in store.symbols(i)]
         if not cells:
@@ -551,43 +541,9 @@ def test_incremental_tables_match_a_full_rebuild(pair, sides, data):
         if data.draw(st.booleans()) and len(store.counter) > 1:
             store.remove_counter(store.counter[-1])
         wanted = data.draw(BOOL_PAIRS)
-        previous, table = table, SweepTable.compute(dfa, store, *sides, previous=table,
-                                                    after_prefix=lambda store, table: wanted)
+        table = SweepTable.compute(dfa, store, *sides, after_prefix=lambda store, table: wanted)
         assert table.suffixes == (sides[0] and wanted[0], sides[1] and wanted[1])
-        assert_matches_full_rebuild(dfa, store, table, previous, *sides)
-
-
-#: Removals on six RST positions that each hold r, s and t: at the first
-#: position only, at the last only, at two adjacent ones, and at three whose
-#: first rebuilt suffix row equals the old one in both modes while the next
-#: changed position still moves its row.
-RST_EDGE_REMOVALS = {
-    "first": [(0, "r")],
-    "last": [(5, "s"), (5, "t")],
-    "adjacent": [(2, "r"), (3, "s"), (3, "t")],
-    "equal-then-change": [(0, "r"), (1, "s"), (1, "t"), (4, "s")],
-}
-
-
-@pytest.mark.parametrize("mode", ["min", "max"])
-@pytest.mark.parametrize("case", list(RST_EDGE_REMOVALS))
-def test_partial_rebuilds_at_the_edges_equal_a_full_rebuild(case, mode):
-    # Only the suffix sweep rebuilds in part; the prefix is built in full.
-    rst = catalog("RST")
-    store = DomainStore(rst.num_symbols, [range(rst.num_symbols)] * 6, (0,))
-    old = backward(rst, store, mode)
-    for position, name in RST_EDGE_REMOVALS[case]:
-        store.remove_symbol(position, rst.symbol_id(name))
-    changed = sorted({position for position, _ in RST_EDGE_REMOVALS[case]})
-    rebuilt = backward(rst, store, mode, previous=old, changed=changed)
-    assert rebuilt == backward(rst, store, mode)
-    # The one cut-off rule: every row equal to the old row is that object.
-    assert all(new is old_row for new, old_row in zip(rebuilt, old) if new == old_row)
-    if case == "equal-then-change":
-        # The first rebuilt row is the old one, so the sweep must jump to the
-        # next changed position, whose row moves.
-        assert rebuilt[changed[-1] + 1] is old[changed[-1] + 1]
-        assert rebuilt[changed[-2] + 1] != old[changed[-2] + 1]
+        assert_matches_full_rebuild(dfa, store, table, *sides)
 
 
 #: Long pairs whose dom(N) :func:`strategies.windowed` places against their
@@ -599,14 +555,14 @@ WINDOWED_LONG_PAIRS = windowed(st.one_of(dfa_store_pairs(max_states=5, min_n=6, 
 @contextlib.contextmanager
 def checked_builds(mode):
     """Check every ``SweepTable.compute`` call in the block against a full
-    rebuild and ``mode``'s suffix-side rule; yields the list of (partial
-    rebuild, suffix sides built) per call."""
+    rebuild and ``mode``'s suffix-side rule; yields the list of suffix sides
+    built per call."""
     descriptor = SweepTable.__dict__["compute"]
     builds = []
 
-    def checked(cls, dfa, store, min_side=True, max_side=True, previous=None, after_prefix=None):
-        table = COMPUTE(dfa, store, min_side, max_side, previous, after_prefix)
-        assert_matches_full_rebuild(dfa, store, table, previous, min_side, max_side)
+    def checked(cls, dfa, store, min_side=True, max_side=True, after_prefix=None):
+        table = COMPUTE(dfa, store, min_side, max_side, after_prefix)
+        assert_matches_full_rebuild(dfa, store, table, min_side, max_side)
         # The sides are chosen from dom(N) as the N rule leaves it.  A pass
         # whose dom(N) misses [least, greatest], or which the N rule empties,
         # fails before it reads a suffix row.  Otherwise a one-sided rule
@@ -622,7 +578,7 @@ def checked_builds(mode):
             assert table.suffixes == (True, True)
         else:
             assert table.suffixes == (counter[-1] < greatest, counter[0] > least)
-        builds.append((previous is not None, table.suffixes))
+        builds.append(table.suffixes)
         return table
 
     SweepTable.compute = classmethod(checked)
@@ -640,12 +596,9 @@ def test_incremental_tables_match_a_full_rebuild_after_every_pass(pair):
         with checked_builds(mode) as builds:
             out = propagate(dfa, store.copy(), mode)
         # A ground store's one pass builds no table.  Otherwise each pass
-        # builds one, and each two-sided pass after the first rebuilds from
-        # the previous pass's table.
-        two_sided = mode in ("exact", "decomposed")
+        # builds one, checked after the removals of the passes before it.
         ground = all(len(store.symbols(i)) == 1 for i in range(store.n))
-        expected = [] if ground else [two_sided and i > 0 for i in range(out.passes)]
-        assert [partial for partial, _ in builds] == expected
+        assert len(builds) == (0 if ground else out.passes)
 
 
 #: "x" stays in state 0 for free; "y" moves to state 1 for 3.  Over one
@@ -657,15 +610,15 @@ GAP = CounterDfa(num_states=2, alphabet=("x", "y"), start=0, next_state=((0, 1),
 @pytest.mark.parametrize("counter, removals, builds", [
     # The N rule leaves {0, 3} of [0, 3]: with holes, pass 1 builds both
     # sides, removes no symbol and so ends the loop.
-    (range(4), [(COUNTER_VAR, 1), (COUNTER_VAR, 2)], [(False, (True, True))]),
+    (range(4), [(COUNTER_VAR, 1), (COUNTER_VAR, 2)], [(True, True)]),
     # The N rule leaves a window at the low end, which needs only the min
     # side, or at the high end, which needs only the max side.  The pass
     # removes a symbol and certifies the fixpoint: N is fixed at the bound
     # end's counter.
-    (range(2), [(COUNTER_VAR, 1), (0, 1)], [(False, (True, False))]),
-    (range(2, 6), [(COUNTER_VAR, 2), (COUNTER_VAR, 4), (COUNTER_VAR, 5), (0, 0)], [(False, (False, True))]),
+    (range(2), [(COUNTER_VAR, 1), (0, 1)], [(True, False)]),
+    (range(2, 6), [(COUNTER_VAR, 2), (COUNTER_VAR, 4), (COUNTER_VAR, 5), (0, 0)], [(False, True)]),
     # dom(N) misses [0, 3]: the pass fails and builds no suffix side.
-    (range(4, 6), [], [(False, (False, False))]),
+    (range(4, 6), [], [(False, False)]),
 ])
 def test_exact_builds_the_suffix_sides_dom_n_can_bind(counter, removals, builds):
     store = DomainStore(GAP.num_symbols, [(0, 1)], counter)
@@ -704,8 +657,8 @@ def propagate_root_long_shaped(index, end, holed):
     for mode in MODES:
         reference = reference_kernel.PROPAGATORS.get(mode, reference_kernel.propagate_decomposed)
         expected = reference(dfa, store.copy())
-        # Every table a pass builds, partial rebuilds included, is exact
-        # wherever the filter reads it.
+        # Every table a pass builds, after the first pass's removals too, is
+        # exact wherever the filter reads it.
         with checked_builds(mode) as builds:
             out = propagate(dfa, store.copy(), mode)
         assert (out.status, set(out.removals)) == (expected.status, set(expected.removals)), mode
@@ -725,15 +678,15 @@ def test_root_long_shaped_inputs_match_reference_loops(index, end):
     # confirms it.
     bound = (end == "least", end == "greatest")
     for mode, (passes, builds) in propagate_root_long_shaped(index, end, holed=False).items():
-        assert (passes, builds) == (1, [(False, bound)]), mode
+        assert (passes, builds) == (1, [bound]), mode
 
 
 @pytest.mark.parametrize("index, end", ROOT_LONG_CASES)
 def test_holed_root_long_shaped_inputs_rebuild_the_bound_side_in_part(index, end):
     # dom(N) is {c - 1, c + 1} around the bound end's counter c.  The first
     # pass's N rule leaves only the value inside [least, greatest], which
-    # binds both ends, so no certificate fires and the second pass rebuilds
-    # the bound end's suffix side in part.
+    # binds both ends, so no certificate fires and the second pass builds
+    # the bound end's suffix side again, on the domains the first left.
     side = 0 if end == "least" else 1
     for mode, (passes, builds) in propagate_root_long_shaped(index, end, holed=True).items():
-        assert passes == 2 and any(partial and sides[side] for partial, sides in builds), mode
+        assert passes == len(builds) == 2 and builds[1][side], mode
