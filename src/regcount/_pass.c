@@ -33,9 +33,10 @@ typedef struct {
 } rc_pass;
 
 /* Prefix rows 0..n of the chosen sides, each row relaxed symbol-major over
- * the states the previous row reaches, as regcount.sweep.forward_pair does:
- * a state's first reach writes its sums and appends it to live[i].  ends
- * gets the least and greatest full-string counters of the built sides. */
+ * the states the previous row reaches, as regcount.sweep.forward relaxes
+ * both sides: a state's first reach writes its sums and appends it to
+ * live[i].  ends gets the least and greatest full-string counters of the
+ * built sides. */
 void rc_prefix(rc_pass *p, int min_side, int max_side, int64_t *ends)
 {
     const int32_t Q = p->num_states, S = p->num_symbols;

@@ -198,7 +198,8 @@ def _cmd_dump_sweep(args) -> int:
         groups = _parse_domains(dfa, args.domains)
     store = DomainStore(dfa.num_symbols, groups, [0])
     if args.table == "pre":
-        lines = format_rows(forward(dfa, store, args.mode), dfa.state_names, 0)
+        pre_min, pre_max = forward(dfa, store)
+        lines = format_rows(pre_min if args.mode == "min" else pre_max, dfa.state_names, 0)
     else:
         # Suffix rows cover every state, reachable or not.
         lines = format_rows(backward(dfa, store, args.mode)[1:], dfa.state_names, 1)

@@ -1,7 +1,7 @@
 """The compiled pass kernel: one propagator pass over tables kept in C arrays.
 
 ``_pass.c`` is the C counterpart of :mod:`regcount.sweep`'s Python kernels
-(``forward_pair``/``forward`` and ``backward`` at the reached states) and of
+(``forward`` and ``backward`` at the reached states) and of
 :meth:`~regcount.sweep.SweepTable.unsupported`, the interval loop.
 :class:`CTable` is its counterpart of :class:`~regcount.sweep.SweepTable`:
 the same ``compute`` and ``unsupported`` calls, the same ``least``,
@@ -120,8 +120,10 @@ class CTable:
     ``suf_min`` and ``suf_max`` are flat row-major ``int64`` arrays of
     ``num_states`` entries per row, and ``live`` the reached states of each
     prefix row, ``live_len[i]`` of them from ``live[i * num_states]`` on.
-    An entry is defined only where ``SweepTable``'s is exact (see
-    ``_pass.c``).
+    Unlike ``SweepTable``, which builds both prefix sides on every pass,
+    ``rc_prefix`` builds the prefix entries of the chosen sides only.  An
+    entry is defined only where it is built and ``SweepTable``'s is exact
+    (see ``_pass.c``).
     """
 
     def __init__(self, dfa, store):

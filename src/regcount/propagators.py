@@ -11,8 +11,9 @@ dom(N); an N-value survives iff some end state's interval holds it.  The
 semantics decides which ends are bounded: atmost bounds the cheapest only
 (the test reads "cheapest <= max(dom(N))"), atleast the costliest only, and
 exact both, the one case in which the holes in dom(N) matter.
-:meth:`regcount.sweep.SweepTable.compute` builds only the bounded sides; an
-unbuilt side reads as unbounded, so the arithmetic is the same for all three.
+:meth:`regcount.sweep.SweepTable.compute` reads the full-string counter
+range and builds suffix rows only on the bounded sides; an unbuilt side
+reads as unbounded, so the arithmetic is the same for all three.
 
 With one end open the rule is domain-consistent and one pass is its
 fixpoint: a removed symbol lies only on strings beyond dom(N)'s far end,
@@ -100,9 +101,10 @@ needs only top to be one: a surviving string then costs top, and the next
 All propagators mutate one store and append every removal to its log.
 ``passes`` counts passes: one per atmost or atleast run and one per exact
 or decomposition round.  Every pass builds one table in full, except a
-ground store's, which builds none: an atmost or atleast table is a forward
-and a backward sweep in one mode, and a round's table both prefix sides in
-one fused sweep and the suffix sweeps the round needs.  So the work of a
+ground store's, which builds none.  On the Python kernels a table is one
+forward sweep, which builds both prefix sides, and the suffix sweeps the
+pass needs: one for an atmost or atleast run, and up to two for an exact or
+decomposition round.  So the work of a
 call cannot be read off ``passes``; it has to be counted on its own.  A
 loop that ran until a pass removes nothing would take one more pass after a
 pass that removes only N-values or certifies.

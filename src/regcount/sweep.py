@@ -13,15 +13,15 @@ at ``n``.  Rows are dense per-state arrays; a state no admissible string
 reaches carries ``+inf`` in min rows and ``-inf`` in max rows.  Since ``inf +
 x`` stays ``inf``, a sum with an unreachable endpoint stays unreachable and
 min/max pass over it.  The sweeps of a table never form such a sum, though
-(see "How a row is built"): it is left to the open rows of unbuilt or
-skipped sides, which the filter sums over, and to :func:`backward` without
+(see "How a row is built"): it is left to the open rows of unbuilt suffix
+sides, which the filter sums over, and to :func:`backward` without
 ``live``, which ``dump-sweep`` runs.
 
-Which entries are defined.  Every prefix entry is exact, and an unreachable
-one is its side's sentinel object.  The forward sweep records the states
-each prefix row ``i`` reaches as a list, ``live[i]``
-(:attr:`SweepTable.live`); both sides reach the same states.  A suffix entry
-is read only where some admissible prefix arrives: the filter reads
+Which entries are defined.  Every prefix entry of both sides is exact, and
+an unreachable one is its side's sentinel object.  The forward sweep
+records the states each prefix row ``i`` reaches as a list, ``live[i]``
+(:attr:`SweepTable.live`), which both sides share.  A suffix entry is
+read only where some admissible prefix arrives: the filter reads
 ``suf[i+1][t]`` only for ``t = next_state[q][s]`` with ``q`` in
 ``live[i-1]``, so ``t`` is in ``live[i]``, and an entry of suffix row ``i``
 at a state of ``live[i-1]`` reads only entries of row ``i+1`` at states of
@@ -36,14 +36,14 @@ How a row is built.  Every row of every sweep is one symbol-major loop: for
 each symbol ``s`` of the position's domain, then each state ``q`` of a list,
 it reads ``next_state[q][s]`` and ``increment[q][s]`` straight from the
 automaton's row-major tables, at one-symbol positions too.  A forward row
-loops over the states the row before it reaches, relaxes
-``new[next_state[q][s]]`` by ``row[q] + increment[q][s]`` through a running
-min/max, and appends a state to its own list when the state's entry first
-leaves the sentinel, so no loop scans a dense row for sentinels;
-:func:`forward_pair` relaxes the min and the max row in the same loop.  A
-backward row loops over ``live[i-1]``, or every state without ``live``:
-entry ``q`` is the best of ``next_row[next_state[q][s]] + increment[q][s]``
-over the position's symbols.
+loops over the states the row before it reaches, relaxes the min and the
+max entry at ``next_state[q][s]`` by ``row[q] + increment[q][s]`` through
+a running min and max, and appends a state to its own list when its min
+entry first leaves the sentinel, so no loop scans a dense row for
+sentinels.  A backward row loops over ``live[i-1]``, or every state
+without ``live``: entry ``q`` is the best of
+``next_row[next_state[q][s]] + increment[q][s]`` over the position's
+symbols.
 
 The speed of these loops rests on one invariant: in a row of a table, a
 reached entry is an ``int`` and an unreached one is its side's sentinel
@@ -52,14 +52,13 @@ backward row built with ``live`` reads ``next_row`` only at states of
 ``live[i]``, which row ``i + 1`` holds as ints, so every sum is of two ints.
 Each relax tests identity before it compares, so every compare is of two
 ints too; on CPython 3.11 an int compared with a float costs 1.6–2 times as
-much.  A forward relax writes the sum at an entry that ``is`` the sentinel,
-listing the state as reached, and compares only with an entry already
-written; :func:`forward_pair` writes both sides at a first reach and
-otherwise makes two compares; a backward row writes its first symbol's sums
-at the listed states and compares only the other symbols' sums, and a
-position with no symbol keeps the all-sentinel row.  Without ``live``,
-:func:`backward` also sums over unreached entries, and its rows hold ``inf``
-values that equal the sentinel but need not be that object.
+much.  A forward relax writes both sides' sums where the min entry ``is``
+the sentinel, listing the state as reached, and otherwise compares each
+side with an entry already written; a backward row writes its first
+symbol's sums at the listed states and compares only the other symbols'
+sums, and a position with no symbol keeps the all-sentinel row.  Without
+``live``, :func:`backward` also sums over unreached entries, and its rows
+hold ``inf`` values that equal the sentinel but need not be that object.
 
 Both sweeps read a position's symbols from the pass's
 :meth:`~regcount.domains.DomainStore.symbol_tuples` list, decoded once per
@@ -71,18 +70,18 @@ One row costs O(|domain| * |states reached|), a full table at most O(n *
 Every call builds all its rows anew and keeps no row of an earlier build:
 each sweep has one row loop, and no pass hands a table to the next.
 
-:meth:`SweepTable.compute` builds the min side (``pre_min``/``suf_min``), the
-max side, or both, and runs only those sweeps: atmost needs the min side,
-atleast the max side, exact and the decomposition both.  It builds the
-prefix rows first, in one :func:`forward_pair` sweep when it builds both
-sides and one :func:`forward` sweep otherwise, and records the least and
-greatest full-string counters they yield.  A caller's hook may then read
-these prefix rows, remove N-values, and skip the suffix rows of a built side
-(a pass applies its N rule there, skips an end that the narrowed dom(N)
-cannot bind, and both when it is bound to fail, see
-:mod:`regcount.propagators`).  Every entry of an unbuilt side or skipped
-suffix side is the unbounded end, ``-inf`` for min and ``+inf`` for max, so
-an interval summed over it stays open on that end.
+:meth:`SweepTable.compute` builds both prefix sides first, in one
+:func:`forward` sweep, and chooses the min side (``least``, ``suf_min``),
+the max side (``greatest``, ``suf_max``), or both: atmost needs the min
+side, atleast the max side, exact and the decomposition both.  It records
+the least and greatest full-string counters of the chosen sides; an
+unchosen one reads as unbounded.  A caller's hook may then read the prefix
+rows, remove N-values, and skip the suffix rows of a chosen side (a pass
+applies its N rule there, skips an end that the narrowed dom(N) cannot
+bind, and both when it is bound to fail, see :mod:`regcount.propagators`).
+Only the suffix sweeps of the remaining sides run.  Every entry of an
+unbuilt suffix side is the unbounded end, ``-inf`` for min and ``+inf`` for
+max, so an interval summed over it stays open on that end.
 
 Counters are exact integers, so no sum wraps or raises.  Increments stay
 validated at ``<= U64_MAX``, which keeps every sum far below the float range,
@@ -109,77 +108,19 @@ UNREACHABLE_MIN = math.inf
 UNREACHABLE_MAX = -math.inf
 
 
-def forward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None,
-            live: list | None = None) -> list[list[int | float]]:
-    """Rows 0..n of per-state extremal prefix counters; row 0 is {start: 0}.
+def forward(dfa: CounterDfa, store: DomainStore, symbols=None, live: list | None = None) -> tuple[list, list]:
+    """Rows 0..n of both prefix sides, ``(pre_min, pre_max)``; row 0 is {start: 0}.
 
     ``symbols`` is the pass's :meth:`~regcount.domains.DomainStore.symbol_tuples`
     list, built here if omitted.  ``live``, if given, has one list appended
     per row, rows 0..n: the states that row reaches.
 
-    A reached entry is an ``int`` and an unreached one the sentinel object,
-    ``UNREACHABLE_MIN`` or ``UNREACHABLE_MAX``.  Each relax tests
-    ``new[t] is sent`` first, writing the sum and listing ``t`` as reached,
-    and otherwise compares two ints (see the module docstring).
-    """
-    minimize = _minimize(mode)
-    if symbols is None:
-        symbols = store.symbol_tuples()
-    sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
-    num_states = dfa.num_states
-    nxt, inc = dfa.next_state, dfa.increment
-    row: list[int | float] = [sent] * num_states
-    row[dfa.start] = 0
-    states = [dfa.start]
-    rows = [row]
-    if live is None:
-        live = []
-    live.append(states)
-    for syms in symbols:
-        new: list[int | float] = [sent] * num_states
-        reached = []
-        # Every row starts as [sent] * num_states and only the states the
-        # row before reaches write to it, so unreachable entries are
-        # ``sent`` itself; a state is reached when its entry is first written,
-        # and holds an int from then on.
-        if minimize:
-            for s in syms:
-                for q in states:
-                    c = row[q] + inc[q][s]
-                    t = nxt[q][s]
-                    d = new[t]
-                    if d is sent:
-                        reached.append(t)
-                        new[t] = c
-                    elif c < d:
-                        new[t] = c
-        else:
-            for s in syms:
-                for q in states:
-                    c = row[q] + inc[q][s]
-                    t = nxt[q][s]
-                    d = new[t]
-                    if d is sent:
-                        reached.append(t)
-                        new[t] = c
-                    elif c > d:
-                        new[t] = c
-        rows.append(new)
-        live.append(reached)
-        row, states = new, reached
-    return rows
-
-
-def forward_pair(dfa: CounterDfa, store: DomainStore, symbols=None, live: list | None = None) -> tuple[list, list]:
-    """Rows 0..n of both prefix sides, ``(pre_min, pre_max)``, in one sweep.
-
-    Equal to ``forward(dfa, store, "min", symbols, live=live)`` and
-    ``forward(dfa, store, "max", symbols)``: both sides reach the same
-    states, so one loop over the states the row before reaches relaxes
-    both.  Every reachable entry is an ``int`` and every unreachable one its
-    side's sentinel object, as in :func:`forward`.  A state's first reach,
-    found by identity on the min side, writes both sides' sums; a later one
-    makes two int compares.
+    Both sides reach the same states, so one loop over the states the row
+    before reaches relaxes both.  A reached entry is an ``int`` and an
+    unreached one its side's sentinel object, ``UNREACHABLE_MIN`` or
+    ``UNREACHABLE_MAX``.  A state's first reach, found by identity on the min
+    side, writes both sides' sums and lists the state as reached; a later
+    one makes two int compares (see the module docstring).
     """
     if symbols is None:
         symbols = store.symbol_tuples()
@@ -239,7 +180,9 @@ def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, live=
     or ``-inf``, equal to the sentinel but not always that object.
     ``symbols`` works as in :func:`forward`.
     """
-    minimize = _minimize(mode)
+    if mode not in ("min", "max"):
+        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    minimize = mode == "min"
     if symbols is None:
         symbols = store.symbol_tuples()
     sent = UNREACHABLE_MIN if minimize else UNREACHABLE_MAX
@@ -276,33 +219,24 @@ def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, live=
     return rows
 
 
-def _minimize(mode: str) -> bool:
-    if mode == "min":
-        return True
-    if mode == "max":
-        return False
-    raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-
-
 @dataclass
 class SweepTable:
-    """The pre/suf vectors of one store in min mode, max mode, or both.
+    """The pre/suf vectors of one store: both prefix sides, and the suffix sides chosen.
 
     ``symbols`` is the :meth:`~regcount.domains.DomainStore.symbol_tuples`
     list the sweeps ran on.  ``live[i]`` lists the states prefix row ``i``
     reaches, in the order the forward sweep reached them; both sides reach
-    the same states.  ``least`` and
+    the same states.  Prefix rows are exact on both sides.  ``least`` and
     ``greatest`` are the least and greatest counters over admissible
     full-length strings, read off the last prefix rows: ``-inf`` and
-    ``+inf`` for an unbuilt side.
-    ``suffixes`` says which sides, (min, max), hold built suffix rows: a
-    built side's suffix rows may be skipped (see :meth:`compute`).  Every
-    row of an unbuilt side or skipped suffix side is one shared row of its
-    unbounded end (``-inf`` for min, ``+inf`` for max), so callers need not
-    know which rows were built.  Prefix rows are exact.  A built suffix row
-    is exact at the states its side's prefix row one position earlier
-    reaches, and the sentinel elsewhere (see the module docstring): the
-    filter reads no other entry.
+    ``+inf`` for an unchosen side.  ``suffixes`` says which sides, (min,
+    max), hold built suffix rows: a chosen side's suffix rows may be skipped
+    (see :meth:`compute`).  Every row of an unbuilt suffix side is one
+    shared row of its unbounded end (``-inf`` for min, ``+inf`` for max),
+    so callers need not know which rows were built.  A built suffix row is
+    exact at the states prefix row one position earlier reaches, and the
+    sentinel elsewhere (see the module docstring): the filter reads no other
+    entry.
     """
 
     pre_min: list
@@ -318,30 +252,24 @@ class SweepTable:
     @classmethod
     def compute(cls, dfa: CounterDfa, store: DomainStore, min_side: bool = True, max_side: bool = True,
                 after_prefix: Callable[[DomainStore, "SweepTable"], tuple[bool, bool]] | None = None) -> "SweepTable":
-        """The table of ``store`` now.
+        """The table of ``store`` now, with ``least``/``greatest`` and suffix rows on the chosen sides.
 
-        The prefix rows of the chosen sides are built in full first: both
-        sides in one :func:`forward_pair` sweep, else one :func:`forward`
-        sweep, which record :attr:`live`.  ``after_prefix``, if given, is
+        Both prefix sides are built in full first, in one :func:`forward`
+        sweep, which records :attr:`live`.  ``after_prefix``, if given, is
         then called with ``store`` and the table's prefix half, whose suffix
         rows all read as unbounded.  It may remove N-values, but no symbol,
         and returns which sides, (min, max), need suffix rows; by default
-        every built side gets them.  Each suffix side is then built in full at
-        the states of :attr:`live`.
+        every chosen side gets them.  Each suffix side is then built in full
+        at the states of :attr:`live`.
         """
         symbols = store.symbol_tuples()
         rows = store.n + 2
         open_min = [[-math.inf] * dfa.num_states] * rows
         open_max = [[math.inf] * dfa.num_states] * rows
         live: list = []
-        if min_side and max_side:
-            pre_min, pre_max = forward_pair(dfa, store, symbols, live)
-        else:
-            pre_min = forward(dfa, store, "min", symbols, live) if min_side else open_min
-            pre_max = forward(dfa, store, "max", symbols, live) if max_side else open_max
-        # An open last row yields the unbounded end.
+        pre_min, pre_max = forward(dfa, store, symbols, live)
         table = cls(pre_min, pre_max, open_min, open_max, symbols, live, (min_side, max_side),
-                    min(pre_min[-1]), max(pre_max[-1]))
+                    min(pre_min[-1]) if min_side else -math.inf, max(pre_max[-1]) if max_side else math.inf)
         if after_prefix is not None:
             need_min, need_max = after_prefix(store, table)
             table.suffixes = (min_side and need_min, max_side and need_max)
@@ -352,7 +280,7 @@ class SweepTable:
         return table
 
     def ends(self) -> list[tuple[int | float, int | float]]:
-        """The ``(cheapest, costliest)`` interval of each end state, empty where unreached; both sides built."""
+        """The ``(cheapest, costliest)`` interval of each end state, empty where unreached."""
         return list(zip(self.pre_min[-1], self.pre_max[-1]))
 
     def unsupported(self, dfa: CounterDfa, store: DomainStore, windows, holes: bool,

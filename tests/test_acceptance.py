@@ -76,9 +76,9 @@ def test_criterion_1_reference_trace_golden_and_fast():
     best = float("inf")
     for _ in range(5):
         t0 = time.perf_counter()
-        forward(rst, store, "max")
+        forward(rst, store)
         best = min(best, time.perf_counter() - t0)
-    assert best < 1e-3, f"max-prefix sweep took {best * 1e3:.3f} ms"
+    assert best < 1e-3, f"prefix sweep took {best * 1e3:.3f} ms"
 
 
 # -- 2. witness triple -------------------------------------------------------------

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regcount import Instance, catalog, cli, instance_from_json, instance_to_json, load_instance, save_instance
+import reference_kernel
+from regcount import (DomainStore, Instance, catalog, cli, format_rows, instance_from_json, instance_to_json,
+                      load_instance, save_instance)
 from regcount.automaton import automaton_to_json
 from regcount.generator import FuzzReport, FuzzViolation, GenConfig, random_among_instance, rng_for
 
@@ -378,6 +380,22 @@ def test_dump_sweep_reference_golden():
     assert result.returncode == 0
     with open(os.path.join(DATA, "rst_premax_n6.golden"), "rb") as fh:
         assert result.stdout.encode() == fh.read()
+
+
+def test_dump_sweep_prints_the_prefix_side_of_its_mode():
+    # Over {r, t}^6 the min and max prefix rows of RST differ, so each mode
+    # must print its own side of the two-sided sweep.
+    rst = catalog("RST")
+    store = DomainStore(rst.num_symbols, [(rst.symbol_id("r"), rst.symbol_id("t"))] * 6, (0,))
+    printed = {}
+    for mode in ("min", "max"):
+        code, out, err = run_main("dump-sweep", "--catalog", "RST", "--uniform", "r,t", "--n", "6",
+                                  "--mode", mode, "--table", "pre")
+        assert (code, err) == (0, "")
+        expected = format_rows(reference_kernel.forward(rst, store, mode), rst.state_names, 0)
+        assert out.splitlines() == expected, mode
+        printed[mode] = out
+    assert printed["min"] != printed["max"]
 
 
 def test_dump_sweep_suffix_table():

@@ -107,7 +107,7 @@ def test_the_kernels_agree_on_root_long_shaped_stores(index, end, holed):
 
 
 @pytest.mark.parametrize("index, end", [(0, "least"), (1, "greatest"), (2, "least"), (3, "greatest")])
-def test_full_rebuilds_on_every_pass_equal_the_partial_python_rebuilds(index, end):
+def test_the_kernels_build_equal_tables_on_every_pass(index, end):
     # dom(N) is the two values either side of the bound end's counter, so
     # exact and the decomposition take several passes; every pass of either
     # kernel builds its table in full, the C kernel into one reused table.

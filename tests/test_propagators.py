@@ -486,7 +486,7 @@ def test_certified_fixpoints_remove_nothing_more(pair):
 @contextlib.contextmanager
 def recorded_sweeps():
     """Record the name of every ``SweepTable.compute`` and sweep kernel call in the block."""
-    kernels = {name: getattr(sweep, name) for name in ("forward", "forward_pair", "backward")}
+    kernels = {name: getattr(sweep, name) for name in ("forward", "backward")}
     descriptor = SweepTable.__dict__["compute"]
     calls = []
 

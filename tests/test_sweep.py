@@ -24,9 +24,12 @@ from regcount import (
 from regcount import domains as domains_module
 from regcount.oracle import check_dc
 from regcount.propagators import FIXPOINT
-from regcount.sweep import UNREACHABLE_MAX, UNREACHABLE_MIN, forward_pair
+from regcount.sweep import UNREACHABLE_MAX, UNREACHABLE_MIN
 import kernels
 from strategies import NEAR_U64_MAX, dfa_store_pairs, root_long_shaped, windowed
+
+#: The index of each mode's rows in ``forward``'s ``(pre_min, pre_max)``.
+SIDE = {"min": 0, "max": 1}
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -98,14 +101,14 @@ def rst_store():
 
 def test_rst_reference_max_rows():
     rst, store = rst_store()
-    rows = forward(rst, store, "max")
+    rows = forward(rst, store)[1]
     named = [{rst.state_names[q]: v for q, v in as_dict(row).items()} for row in rows]
     assert named == RST_PREMAX_ROWS
 
 
 def test_rst_reference_rows_match_brute_force():
     rst, store = rst_store()
-    assert [as_dict(r) for r in forward(rst, store, "max")] == brute_forward(rst, store, "max")
+    assert [as_dict(r) for r in forward(rst, store)[1]] == brute_forward(rst, store, "max")
 
 
 def test_row_zero_is_start_at_zero():
@@ -113,7 +116,7 @@ def test_row_zero_is_start_at_zero():
         dfa = catalog(name)
         store = DomainStore(dfa.num_symbols, [(0,)], (0,))
         for mode in ("min", "max"):
-            assert as_dict(forward(dfa, store, mode)[0]) == {dfa.start: 0}
+            assert as_dict(forward(dfa, store)[SIDE[mode]][0]) == {dfa.start: 0}
 
 
 @given(dfa_store_pairs(max_n=4))
@@ -124,7 +127,7 @@ def test_ground_sequences_collapse_to_run(pair):
     word = [ground.symbols(i)[0] for i in range(ground.n)]
     expected = run(dfa, word)
     for mode in ("min", "max"):
-        assert as_dict(forward(dfa, ground, mode)[ground.n]) == {expected.end_state: expected.counter}
+        assert as_dict(forward(dfa, ground)[SIDE[mode]][ground.n]) == {expected.end_state: expected.counter}
 
 
 def test_backward_empty_sequence_base():
@@ -192,7 +195,7 @@ def test_forward_backward_consistency(pair):
 def test_rows_match_brute_force(pair):
     dfa, store = pair
     for mode in ("min", "max"):
-        assert [as_dict(r) for r in forward(dfa, store, mode)] == brute_forward(dfa, store, mode)
+        assert [as_dict(r) for r in forward(dfa, store)[SIDE[mode]]] == brute_forward(dfa, store, mode)
         suf = backward(dfa, store, mode)
         got = {i: as_dict(suf[i]) for i in range(1, store.n + 2)}
         assert got == brute_backward(dfa, store, mode)
@@ -203,8 +206,7 @@ def test_rows_match_brute_force(pair):
 def test_ground_collapse_min_equals_max(pair):
     dfa, store = pair
     ground = DomainStore(dfa.num_symbols, [store.symbols(i)[:1] for i in range(store.n)], store.counter)
-    min_rows = [as_dict(r) for r in forward(dfa, ground, "min")]
-    max_rows = [as_dict(r) for r in forward(dfa, ground, "max")]
+    min_rows, max_rows = ([as_dict(r) for r in rows] for rows in forward(dfa, ground))
     assert min_rows == max_rows
 
 
@@ -218,9 +220,10 @@ def test_shrinking_domains_moves_rows_one_way(pair, data):
     shrunk.remove_symbol(position, data.draw(st.sampled_from(symbols)))
     if shrunk.domains[position] == 0:
         return  # emptied: sweeps are only defined for nonempty domains
-    for before, after in zip(forward(dfa, store, "min"), forward(dfa, shrunk, "min")):
+    (before_min, before_max), (after_min, after_max) = forward(dfa, store), forward(dfa, shrunk)
+    for before, after in zip(before_min, after_min):
         assert all(b <= a for b, a in zip(before, after))  # inf sorts above ints
-    for before, after in zip(forward(dfa, store, "max"), forward(dfa, shrunk, "max")):
+    for before, after in zip(before_max, after_max):
         assert all(b >= a for b, a in zip(before, after))
 
 
@@ -239,7 +242,7 @@ def test_suffix_base_row_is_zero_at_every_state(pair):
 
 def test_format_row_skips_unreachable():
     rst, store = rst_store()
-    row = forward(rst, store, "max")[4]
+    row = forward(rst, store)[1][4]
     assert format_row(row, rst.state_names) == "eps=2,r=2,rr=2,rrt=1,rrtr=3"
 
 
@@ -265,7 +268,7 @@ def test_u64_max_increment_read_twice_is_exact():
     dfa = one_state_dfa([U64_MAX, 0])
     store = DomainStore(dfa.num_symbols, [(0,), (0,)], (0,))
     for mode in ("min", "max"):
-        assert forward(dfa, store, mode)[2] == [2 * U64_MAX]
+        assert forward(dfa, store)[SIDE[mode]][2] == [2 * U64_MAX]
         assert backward(dfa, store, mode)[1] == [2 * U64_MAX]
     stores = (
         store,
@@ -292,7 +295,7 @@ def test_counter_of_exactly_u64_max_does_not_overflow():
     for dfa, n in (one_step, two_steps):
         store = DomainStore(dfa.num_symbols, [(0,)] * n, (U64_MAX,))
         for mode in ("min", "max"):
-            pre = forward(dfa, store, mode)
+            pre = forward(dfa, store)[SIDE[mode]]
             assert max(as_dict(pre[n]).values()) == U64_MAX
             assert backward(dfa, store, mode)[1][dfa.start] == U64_MAX
         for mode in MODES:
@@ -306,7 +309,7 @@ def test_u64_max_increment_outside_every_domain_does_not_overflow():
     dfa = one_state_dfa([1, U64_MAX])
     store = DomainStore(dfa.num_symbols, [(0,)] * 3, (2, 3))
     for mode in ("min", "max"):
-        pre = forward(dfa, store, mode)
+        pre = forward(dfa, store)[SIDE[mode]]
         assert pre == reference_kernel.forward(dfa, store, mode)
         zero = [0] * dfa.num_states
         assert backward(dfa, store, mode) == reference_kernel.backward(dfa, store, zero, mode)
@@ -357,7 +360,7 @@ def test_kernel_matches_reference_loops(pair):
     dfa, store = pair
     table = {}
     for mode, sent in (("min", UNREACHABLE_MIN), ("max", UNREACHABLE_MAX)):
-        pre = forward(dfa, store, mode)
+        pre = forward(dfa, store)[SIDE[mode]]
         assert pre == reference_kernel.forward(dfa, store, mode)
         suf = backward(dfa, store, mode)
         assert suf == reference_suffix_rows(dfa, store, mode)
@@ -372,20 +375,21 @@ def test_kernel_matches_reference_loops(pair):
         min(table["min"][0][-1]), max(table["max"][0][-1]))
     assert_true_where_read(built.suf_min, table["min"][1], built.pre_min, UNREACHABLE_MIN)
     assert_true_where_read(built.suf_max, table["max"][1], built.pre_max, UNREACHABLE_MAX)
-    # An unbuilt side reads as unbounded in every entry of every row.
+    # A one-sided table holds both prefix sides, as the two-sided table does;
+    # the unchosen side's end and every suffix entry read as unbounded.
     for min_side, max_side in ((True, False), (False, True)):
         one = SweepTable.compute(dfa, store, min_side, max_side)
         assert one.suffixes == (min_side, max_side)
+        assert (one.pre_min, one.pre_max, one.live) == (built.pre_min, built.pre_max, built.live)
         assert (one.least, one.greatest) == (built.least if min_side else -math.inf,
                                              built.greatest if max_side else math.inf)
-        for side, (pre, suf), full, unbounded, sent in (
-                (min_side, (one.pre_min, one.suf_min), table["min"], -math.inf, UNREACHABLE_MIN),
-                (max_side, (one.pre_max, one.suf_max), table["max"], math.inf, UNREACHABLE_MAX)):
+        for side, suf, full, unbounded, sent in (
+                (min_side, one.suf_min, table["min"], -math.inf, UNREACHABLE_MIN),
+                (max_side, one.suf_max, table["max"], math.inf, UNREACHABLE_MAX)):
             if side:
-                assert pre == full[0]
-                assert_true_where_read(suf, full[1], pre, sent)
+                assert_true_where_read(suf, full[1], full[0], sent)
             else:
-                assert all(c == unbounded for rows in (pre, suf) for row in rows for c in row)
+                assert all(c == unbounded for row in suf for c in row)
 
 
 @st.composite
@@ -404,15 +408,20 @@ EDGE_PAIRS = emptied(st.one_of(dfa_store_pairs(max_n=12), dfa_store_pairs(max_n=
 
 @given(EDGE_PAIRS)
 @settings(max_examples=200, deadline=None)
-def test_forward_pair_equals_two_single_side_sweeps(pair):
+def test_forward_matches_the_reference_loops_and_brute_force(pair):
     dfa, store = pair
-    pair_live, min_live, max_live = [], [], []
-    pre_min, pre_max = forward_pair(dfa, store, live=pair_live)
-    assert pre_min == forward(dfa, store, "min", live=min_live) == reference_kernel.forward(dfa, store, "min")
-    assert pre_max == forward(dfa, store, "max", live=max_live) == reference_kernel.forward(dfa, store, "max")
-    # All three record the states each row reaches, in the same order.
-    assert pair_live == min_live == max_live
-    assert_live_matches_reference(pair_live, dfa, store)
+    live = []
+    pre_min, pre_max = forward(dfa, store, live=live)
+    assert pre_min == reference_kernel.forward(dfa, store, "min")
+    assert pre_max == reference_kernel.forward(dfa, store, "max")
+    assert_live_matches_reference(live, dfa, store)
+    # Row i depends only on the first i domains, so the first rows of every
+    # pair are checked against an enumeration of their prefixes.
+    head = DomainStore(dfa.num_symbols, [store.symbols(i) for i in range(min(store.n, 6))], store.counter)
+    brute = {mode: brute_forward(dfa, head, mode) for mode in SIDE}
+    assert [as_dict(r) for r in pre_min[:head.n + 1]] == brute["min"]
+    assert [as_dict(r) for r in pre_max[:head.n + 1]] == brute["max"]
+    assert [set(states) for states in live[:head.n + 1]] == [set(row) for row in brute["min"]]
     assert_reachable_ints(pre_min, UNREACHABLE_MIN)
     assert_reachable_ints(pre_max, UNREACHABLE_MAX)
     # The filter tests reachability with ``is``: every unreachable entry is
@@ -432,7 +441,7 @@ def test_backward_builds_reachable_entries_exactly(pair):
         # Without ``live`` every entry is true, also for dump-sweep.
         assert backward(dfa, store, mode) == reference
         live = []
-        pre = forward(dfa, store, mode, live=live)
+        pre = forward(dfa, store, live=live)[SIDE[mode]]
         suffix = backward(dfa, store, mode, live=live)
         assert_true_where_read(suffix, reference, pre, sent)
         assert_reachable_ints(suffix, sent)
@@ -446,7 +455,7 @@ def test_empty_domain_rows_match_reference_loops():
     dfa = catalog("AAB")
     store = DomainStore(dfa.num_symbols, [(0, 1), (), (1,)], (0,))
     for mode in ("min", "max"):
-        assert forward(dfa, store, mode) == reference_kernel.forward(dfa, store, mode)
+        assert forward(dfa, store)[SIDE[mode]] == reference_kernel.forward(dfa, store, mode)
         zero = [0] * dfa.num_states
         assert backward(dfa, store, mode) == reference_kernel.backward(dfa, store, zero, mode)
 
@@ -479,11 +488,10 @@ COMPUTE = SweepTable.compute
 
 def assert_matching_support(table):
     """The min and max prefix rows agree on reachability, and every unreachable
-    entry of a built prefix row is its sentinel object."""
+    prefix entry is its sentinel object."""
     for row_min, row_max in zip(table.pre_min, table.pre_max):
         for cmin, cmax in zip(row_min, row_max):
-            if cmin != -math.inf and cmax != math.inf:  # both sides built
-                assert (cmin == UNREACHABLE_MIN) == (cmax == UNREACHABLE_MAX)
+            assert (cmin == UNREACHABLE_MIN) == (cmax == UNREACHABLE_MAX)
             assert cmin is UNREACHABLE_MIN or cmin != UNREACHABLE_MIN
             assert cmax is UNREACHABLE_MAX or cmax != UNREACHABLE_MAX
 
@@ -496,13 +504,12 @@ def assert_matches_full_rebuild(dfa, store, table, min_side, max_side):
     # Every built suffix row is exact wherever the filter reads it and the
     # sentinel elsewhere.  A skipped side reads as unbounded.
     assert table.suffixes[0] <= min_side and table.suffixes[1] <= max_side
-    for side, built, rows, pre, mode, sent, unbounded in (
-            (min_side, table.suffixes[0], table.suf_min, table.pre_min, "min", UNREACHABLE_MIN, -math.inf),
-            (max_side, table.suffixes[1], table.suf_max, table.pre_max, "max", UNREACHABLE_MAX, math.inf)):
+    for built, rows, pre, mode, sent, unbounded in (
+            (table.suffixes[0], table.suf_min, table.pre_min, "min", UNREACHABLE_MIN, -math.inf),
+            (table.suffixes[1], table.suf_max, table.pre_max, "max", UNREACHABLE_MAX, math.inf)):
         # The kernels compare two ints in every relax: a built entry is an
         # int or its side's sentinel.
-        if side:
-            assert_reachable_ints(pre, sent)
+        assert_reachable_ints(pre, sent)
         if built:
             assert_true_where_read(rows, reference_suffix_rows(dfa, store, mode), pre, sent)
             assert_reachable_ints(rows, sent)
@@ -525,7 +532,7 @@ BOOL_PAIRS = st.tuples(st.booleans(), st.booleans())
 
 @given(MIXED_PAIRS, st.sampled_from(SIDES), st.data())
 @settings(max_examples=100, deadline=None)
-def test_incremental_tables_match_a_full_rebuild(pair, sides, data):
+def test_tables_after_removals_match_a_full_rebuild(pair, sides, data):
     # Rounds of arbitrary removals, some of which empty a domain, each
     # followed by a build of an arbitrary choice of suffix sides.
     dfa, store = pair
@@ -590,7 +597,7 @@ def checked_builds(mode):
 
 @given(st.one_of(LONG_PAIRS, WINDOWED_LONG_PAIRS))
 @settings(max_examples=150, deadline=None)
-def test_incremental_tables_match_a_full_rebuild_after_every_pass(pair):
+def test_every_pass_table_matches_a_full_rebuild(pair):
     dfa, store = pair
     for mode in MODES:
         with checked_builds(mode) as builds:
@@ -651,7 +658,7 @@ def propagate_root_long_shaped(index, end, holed):
     """Check every mode on a root-long-shaped input against the reference
     loops; returns the passes and table builds of exact and the decomposition."""
     dfa, store = root_long_shaped(index, end, holed)
-    reached = [sum(c != UNREACHABLE_MIN for c in row) for row in forward(dfa, store, "min")]
+    reached = [sum(c != UNREACHABLE_MIN for c in row) for row in forward(dfa, store)[0]]
     assert sum(reached) < 0.75 * len(reached) * dfa.num_states  # many entries are never read
     two_sided = {}
     for mode in MODES:
@@ -682,7 +689,7 @@ def test_root_long_shaped_inputs_match_reference_loops(index, end):
 
 
 @pytest.mark.parametrize("index, end", ROOT_LONG_CASES)
-def test_holed_root_long_shaped_inputs_rebuild_the_bound_side_in_part(index, end):
+def test_holed_root_long_shaped_inputs_build_the_bound_side_again(index, end):
     # dom(N) is {c - 1, c + 1} around the bound end's counter c.  The first
     # pass's N rule leaves only the value inside [least, greatest], which
     # binds both ends, so no certificate fires and the second pass builds

@@ -47,21 +47,21 @@ def test_every_dispatch_entry_is_its_modes_module_level_propagator():
 
 
 def test_table_builds_call_the_wrapped_sweeps_by_name(monkeypatch):
-    # The tracer rebinds sweep kernels such as ``forward`` and ``backward`` in
+    # The tracer rebinds the sweep kernels, ``forward`` and ``backward``, in
     # regcount.sweep and reads ``(dfa, store)`` off their leading arguments,
     # so every table build must call the kernels through the module's names.
     dfa = catalog("RST")
     r, t = dfa.symbol_id("r"), dfa.symbol_id("t")
     store = DomainStore(dfa.num_symbols, [(r, t)] * 6, range(5))
     calls = []
-    for name in ("forward", "backward", "forward_pair"):
+    for name in ("forward", "backward"):
         def wrapper(dfa_arg, store_arg, *args, _name=name, _original=getattr(sweep, name), **kwargs):
             assert dfa_arg is dfa and store_arg is store
             calls.append(_name)
             return _original(dfa_arg, store_arg, *args, **kwargs)
         monkeypatch.setattr(sweep, name, wrapper)
     SweepTable.compute(dfa, store)
-    assert calls == ["forward_pair", "backward", "backward"]
+    assert calls == ["forward", "backward", "backward"]
     for sides in ((True, False), (False, True)):
         calls.clear()
         SweepTable.compute(dfa, store, *sides)
@@ -71,4 +71,4 @@ def test_table_builds_call_the_wrapped_sweeps_by_name(monkeypatch):
     calls.clear()
     store.remove_symbol(2, t)
     SweepTable.compute(dfa, store)
-    assert calls == ["forward_pair", "backward", "backward"]
+    assert calls == ["forward", "backward", "backward"]
