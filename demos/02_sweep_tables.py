@@ -13,7 +13,8 @@ rst = catalog("RST")
 r, t = rst.symbol_id("r"), rst.symbol_id("t")
 store = DomainStore(rst.num_symbols, [(r, t)] * 6, (0,))
 
-table = SweepTable.compute(rst, store)
+table = SweepTable.compute(rst, store)  # the prefix rows; a pass then asks for suffix sides
+table.suffix(rst, store, True, True)
 
 print("six variables over {r, t}: maximum counter per state and prefix length")
 for line in format_rows(table.pre_max, rst.state_names, 0):
@@ -52,3 +53,4 @@ print(f"global counter range over all admissible words: [{table.least}, {table.g
 print("consistency: the suffix table at position 1 prices the whole sequence,")
 print(f"  suf_min[1][start] = {table.suf_min[1][rst.start]}, "
       f"suf_max[1][start] = {table.suf_max[1][rst.start]}")
+assert (table.suf_min[1][rst.start], table.suf_max[1][rst.start]) == (table.least, table.greatest)

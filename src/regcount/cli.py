@@ -41,8 +41,9 @@ from .search import bench, format_bench, solve
 from .sweep import backward, format_rows, forward
 
 
-#: Most counter values, or ``dump-sweep`` positions, one command line may ask
-#: for; checked before anything that size is allocated.
+#: Most counter values, ``dump-sweep`` positions, or ``fuzz`` states or
+#: positions, one command line may ask for; checked before anything that size
+#: is allocated.
 MAX_SPEC_SIZE = 100_000
 
 
@@ -216,10 +217,10 @@ def _cmd_fuzz(args) -> int:
         raise CliError(f"--seed must be nonnegative; got {args.seed}")
     if args.threads < 1:
         raise CliError(f"--threads must be at least 1; got {args.threads}")
-    try:
-        cfg = GenConfig(max_states=args.max_states, max_n=args.max_n, seed=args.seed)
-    except ValueError as exc:
-        raise CliError(f"--max-states and --max-n must be at least 1 ({exc})") from None
+    for option, value in (("--max-states", args.max_states), ("--max-n", args.max_n)):
+        if not 1 <= value <= MAX_SPEC_SIZE:
+            raise CliError(f"{option} must be in 1..{MAX_SPEC_SIZE}; got {value}")
+    cfg = GenConfig(max_states=args.max_states, max_n=args.max_n, seed=args.seed)
     modes = Instance.MODES if args.mode == "all" else (args.mode,)
     report = run_fuzz(cfg, args.count, modes, cap=cap, threads=args.threads)
     print(f"checked: {report.checked}")

@@ -4,7 +4,7 @@
 (``forward`` and ``backward`` at the reached states) and of
 :meth:`~regcount.sweep.SweepTable.unsupported`, the interval loop.
 :class:`CTable` is its counterpart of :class:`~regcount.sweep.SweepTable`:
-the same ``compute`` and ``unsupported`` calls, the same ``least``,
+the same ``compute``, ``suffix`` and ``unsupported`` calls, the same ``least``,
 ``greatest`` and ``suffixes``, so :mod:`regcount.propagators` runs one pass
 loop, one N rule and one ground scan over either kernel.  The rows stay in C
 arrays; Python reads only the end rows, for the N rule, and the unsupported
@@ -37,7 +37,6 @@ for the rest of the process, and nothing is printed.
 from __future__ import annotations
 
 import ctypes
-import math
 import os
 import subprocess
 import tempfile
@@ -121,12 +120,13 @@ class CTable:
     ``num_states`` entries per row, and ``live`` the reached states of each
     prefix row, ``live_len[i]`` of them from ``live[i * num_states]`` on.
     Unlike ``SweepTable``, which builds both prefix sides on every pass,
-    ``rc_prefix`` builds the prefix entries of the chosen sides only.  An
-    entry is defined only where it is built and ``SweepTable``'s is exact
-    (see ``_pass.c``).
+    ``rc_prefix`` builds the prefix entries of ``prefix_sides`` only, the
+    (min, max) sides the table is made with.  An entry is defined only where
+    it is built and ``SweepTable``'s is exact (see ``_pass.c``).
     """
 
-    def __init__(self, dfa, store):
+    def __init__(self, dfa, store, min_side: bool, max_side: bool):
+        self.prefix_sides = (min_side, max_side)
         n, num_states, num_symbols = store.n, dfa.num_states, dfa.num_symbols
         self.num_states = num_states
         self.next_state = array("i", [t for row in dfa.next_state for t in row])
@@ -147,28 +147,29 @@ class CTable:
                          address(self.suf_min), address(self.suf_max), address(self.live),
                          address(self.live_len), address(self.stamp))
 
-    def compute(self, dfa, store, min_side: bool = True, max_side: bool = True, after_prefix=None) -> "CTable":
-        """This table rebuilt in full for ``store`` now, as :meth:`SweepTable.compute` builds it.
+    def compute(self, dfa, store) -> "CTable":
+        """This table's prefix half rebuilt in full for ``store`` now, as :meth:`SweepTable.compute` builds it.
 
         ``dfa`` and ``store`` are the ones the table was made for; the call
-        takes them so that it has :meth:`SweepTable.compute`'s shape.  The
-        prefix rows of the chosen sides come first, then ``after_prefix`` as
-        there, then the suffix sides it asks for.  Returns the table itself.
+        takes them so that it has :meth:`SweepTable.compute`'s shape.  Only
+        the prefix sides given at construction are built, and ``least``
+        (``greatest``) is defined only where the min (max) side is.  No
+        suffix side is built.  Returns the table itself.
         """
         self.domains = array("Q", store.domains)
         self.ctx.domains = self.domains.buffer_info()[0]
+        _lib.rc_prefix(ctypes.byref(self.ctx), *self.prefix_sides, self.results)
+        self.least, self.greatest = self.results
+        self.suffixes = (False, False)
+        return self
+
+    def suffix(self, dfa, store, min_side: bool, max_side: bool) -> None:
+        """Build the suffix sides ``(min_side, max_side)``, as :meth:`SweepTable.suffix` builds them."""
         ctx = ctypes.byref(self.ctx)
-        _lib.rc_prefix(ctx, min_side, max_side, self.results)
-        self.least = self.results[0] if min_side else -math.inf
-        self.greatest = self.results[1] if max_side else math.inf
-        self.suffixes = (min_side, max_side)
-        if after_prefix is not None:
-            need_min, need_max = after_prefix(store, self)
-            self.suffixes = (min_side and need_min, max_side and need_max)
-        for minimize, built in zip((1, 0), self.suffixes):
+        for minimize, built in ((1, min_side), (0, max_side)):
             if built:
                 _lib.rc_suffix(ctx, minimize)
-        return self
+        self.suffixes = (min_side, max_side)
 
     def ends(self) -> list[tuple[int, int]]:
         """The ``(cheapest, costliest)`` interval of each reached end state; both sides built."""

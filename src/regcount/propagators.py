@@ -11,9 +11,10 @@ dom(N); an N-value survives iff some end state's interval holds it.  The
 semantics decides which ends are bounded: atmost bounds the cheapest only
 (the test reads "cheapest <= max(dom(N))"), atleast the costliest only, and
 exact both, the one case in which the holes in dom(N) matter.
-:meth:`regcount.sweep.SweepTable.compute` reads the full-string counter
-range and builds suffix rows only on the bounded sides; an unbuilt side
-reads as unbounded, so the arithmetic is the same for all three.
+A pass reads the full-string counter range off the prefix rows, with the
+unbounded end at ``-inf`` or ``+inf``, and builds suffix rows only on the
+bounded sides; an unbuilt side reads as unbounded, so the arithmetic is the
+same for all three.
 
 With one end open the rule is domain-consistent and one pass is its
 fixpoint: a removed symbol lies only on strings beyond dom(N)'s far end,
@@ -37,12 +38,14 @@ common fixpoint: applying both in each pass gives the status, final store
 and removal set of alternating whole atmost and atleast runs, with the
 removals in another order.
 
-Each pass builds the prefix rows, applies the N rule to them, chooses the
-suffix sides from the narrowed dom(N), and only then builds the suffix rows
-and checks the symbols.  So, as the paper's atmost and atleast rules do,
-and as CostRegular narrows its cost variable to the range of path costs
-before it filters arcs, a pass bounds N by the full-string counters before
-it filters symbols against dom(N).
+Each pass is the same straight steps on either kernel: the table's
+``compute`` builds the prefix rows, the N rule narrows dom(N) by their end
+rows, the suffix sides are chosen from the narrowed dom(N), the table's
+``suffix`` builds them, and its ``unsupported`` checks the symbols.  So, as
+the paper's atmost and atleast rules do, and as CostRegular narrows its
+cost variable to the range of path costs before it filters arcs, a pass
+bounds N by the full-string counters before it filters symbols against
+dom(N).
 
 The tables and the symbol checks run on one of two kernels, chosen once per
 call: the Python kernels of :mod:`regcount.sweep`, or, for a store that
@@ -281,54 +284,45 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
         status = FIXPOINT if _n_rule(store, least, greatest, None) else FAILED
         return PropagationOutcome(status, store.removal_log[mark:], 1)
 
-    def after_prefix(store: DomainStore, table: SweepTable | CTable) -> tuple[bool, bool]:
-        """Apply the N rule to a pass's prefix rows; return the suffix sides, (min, max), to build.
-
-        An N-value survives iff some end state's interval holds it.  A side
-        is built only where the narrowed dom(N) can bind its end, both where
-        exact's has holes, and none for a pass that fails (see the module
-        docstring).
-        """
-        least, greatest = table.least, table.greatest
-        # One-sided end intervals cover exactly [least, greatest]; two-sided
-        # ones may leave gaps.  An unreachable end state's interval is empty.
-        if not _n_rule(store, least, greatest, table.ends() if joint else None):
-            return False, False
-        counter = store.counter
-        if joint and counter[-1] - counter[0] >= len(counter):
-            return True, True
-        return counter[-1] < greatest, counter[0] > least
-
     # One C table's arrays serve every pass of the call.
-    build = CTable(dfa, store).compute if kernel.usable(dfa, store) else SweepTable.compute
+    build = CTable(dfa, store, min_side, max_side).compute if kernel.usable(dfa, store) else SweepTable.compute
     passes = 0
     while True:
         passes += 1
-        # Every pass builds its table in full, and applies the N rule between
-        # its prefix and suffix sweeps.
-        table = build(dfa, store, min_side, max_side, after_prefix)
-        # Either dom(N) missed [least, greatest] and the N rule left it as it
-        # was, or the N rule emptied it.
-        if not store.counter_has_between(table.least, table.greatest):
+        # Every pass builds its table in full: the prefix half, then the N
+        # rule on its end rows, then the suffix sides dom(N) can still bind.
+        table = build(dfa, store)
+        # An end the mode leaves open reads as unbounded.
+        least = table.least if min_side else -math.inf
+        greatest = table.greatest if max_side else math.inf
+        # One-sided end intervals cover exactly [least, greatest]; two-sided
+        # ones may leave gaps.  An unreachable end state's interval is empty.
+        # A False return: dom(N) missed [least, greatest] and the N rule left
+        # it as it was, or the N rule emptied it.
+        if not _n_rule(store, least, greatest, table.ends() if joint else None):
             return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
-        # An unbuilt suffix side reads as unbounded, so with none built no
-        # end binds, every symbol survives, and the pass is a fixpoint.
-        if not any(table.suffixes):
-            return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
         counter = store.counter
         bottom, top = counter[0], counter[-1]
         # An interval meets dom(N) iff it meets [bottom, top], unless both of
         # its ends are finite and dom(N) has holes.
         holes = joint and top - bottom >= len(counter)
+        # A suffix side, (min, max), is built only where the narrowed dom(N)
+        # can bind its end, both where exact's has holes (see the module
+        # docstring).  An unbuilt side reads as unbounded, so with none built
+        # no end binds, every symbol survives, and the pass is a fixpoint.
+        sides = (True, True) if holes else (min_side and top < greatest, max_side and bottom > least)
+        if not any(sides):
+            return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
+        table.suffix(dfa, store, *sides)
         # The windows [floor, ceiling] an interval must meet, one loop each:
         # one window for both ends at once, or one per built end on its own.
         if joint:
             windows = [(bottom, top)]
         else:
-            windows = [(-math.inf, top)] * table.suffixes[0] + [(bottom, math.inf)] * table.suffixes[1]
+            windows = [(-math.inf, top)] * sides[0] + [(bottom, math.inf)] * sides[1]
         # A pass of a two-sided mode that builds one suffix side records the
         # counter of each support it finds, the witnesses of its certificate.
-        seen = set() if min_side and max_side and table.suffixes[0] != table.suffixes[1] else None
+        seen = set() if min_side and max_side and sides[0] != sides[1] else None
         unsupported = table.unsupported(dfa, store, windows, holes, seen)
         # The checks read the table, not the domains, so removing the pairs
         # now, in the loop's order, logs what removing each as it is found
@@ -345,7 +339,7 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
         if seen is not None:
             # Each value (the decomposition's far end) is the bound end's
             # counter, near, or a witness.
-            near, far = (table.least, top) if table.suffixes[0] else (table.greatest, bottom)
+            near, far = (least, top) if sides[0] else (greatest, bottom)
             if all(v == near or v in seen for v in (counter if joint else (far,))):
                 return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
 

@@ -70,18 +70,14 @@ One row costs O(|domain| * |states reached|), a full table at most O(n *
 Every call builds all its rows anew and keeps no row of an earlier build:
 each sweep has one row loop, and no pass hands a table to the next.
 
-:meth:`SweepTable.compute` builds both prefix sides first, in one
-:func:`forward` sweep, and chooses the min side (``least``, ``suf_min``),
-the max side (``greatest``, ``suf_max``), or both: atmost needs the min
-side, atleast the max side, exact and the decomposition both.  It records
-the least and greatest full-string counters of the chosen sides; an
-unchosen one reads as unbounded.  A caller's hook may then read the prefix
-rows, remove N-values, and skip the suffix rows of a chosen side (a pass
-applies its N rule there, skips an end that the narrowed dom(N) cannot
-bind, and both when it is bound to fail, see :mod:`regcount.propagators`).
-Only the suffix sweeps of the remaining sides run.  Every entry of an
-unbuilt suffix side is the unbounded end, ``-inf`` for min and ``+inf`` for
-max, so an interval summed over it stays open on that end.
+:meth:`SweepTable.compute` builds both prefix sides, in one :func:`forward`
+sweep, and reads the least and greatest full-string counters off them; it
+builds no suffix row.  A pass applies its N rule to that prefix half, then
+asks :meth:`SweepTable.suffix` for the suffix sides the narrowed dom(N) can
+still bind: the min side (``suf_min``), the max side (``suf_max``), both or
+none (see :mod:`regcount.propagators`).  Every entry of an unbuilt suffix
+side is the unbounded end, ``-inf`` for min and ``+inf`` for max, so an
+interval summed over it stays open on that end.
 
 Counters are exact integers, so no sum wraps or raises.  Increments stay
 validated at ``<= U64_MAX``, which keeps every sum far below the float range,
@@ -97,7 +93,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .automaton import CounterDfa
 from .domains import DomainStore
@@ -221,22 +217,21 @@ def backward(dfa: CounterDfa, store: DomainStore, mode: str, symbols=None, live=
 
 @dataclass
 class SweepTable:
-    """The pre/suf vectors of one store: both prefix sides, and the suffix sides chosen.
+    """The pre/suf vectors of one store: both prefix sides, and the suffix sides a pass asks for.
 
     ``symbols`` is the :meth:`~regcount.domains.DomainStore.symbol_tuples`
     list the sweeps ran on.  ``live[i]`` lists the states prefix row ``i``
     reaches, in the order the forward sweep reached them; both sides reach
     the same states.  Prefix rows are exact on both sides.  ``least`` and
     ``greatest`` are the least and greatest counters over admissible
-    full-length strings, read off the last prefix rows: ``-inf`` and
-    ``+inf`` for an unchosen side.  ``suffixes`` says which sides, (min,
-    max), hold built suffix rows: a chosen side's suffix rows may be skipped
-    (see :meth:`compute`).  Every row of an unbuilt suffix side is one
-    shared row of its unbounded end (``-inf`` for min, ``+inf`` for max),
-    so callers need not know which rows were built.  A built suffix row is
-    exact at the states prefix row one position earlier reaches, and the
-    sentinel elsewhere (see the module docstring): the filter reads no other
-    entry.
+    full-length strings, read off the last prefix rows.  :meth:`compute`
+    builds the prefix half, and :meth:`suffix` then the suffix sides a pass
+    asks for; ``suffixes`` says which sides, (min, max), hold built suffix
+    rows.  Every row of an unbuilt suffix side is one shared row of its
+    unbounded end (``-inf`` for min, ``+inf`` for max), so callers need not
+    know which rows were built.  A built suffix row is exact at the states
+    prefix row one position earlier reaches, and the sentinel elsewhere (see
+    the module docstring): the filter reads no other entry.
     """
 
     pre_min: list
@@ -250,34 +245,33 @@ class SweepTable:
     greatest: int | float
 
     @classmethod
-    def compute(cls, dfa: CounterDfa, store: DomainStore, min_side: bool = True, max_side: bool = True,
-                after_prefix: Callable[[DomainStore, "SweepTable"], tuple[bool, bool]] | None = None) -> "SweepTable":
-        """The table of ``store`` now, with ``least``/``greatest`` and suffix rows on the chosen sides.
+    def compute(cls, dfa: CounterDfa, store: DomainStore) -> "SweepTable":
+        """The prefix half of ``store``'s table now: both prefix sides, ``least`` and ``greatest``.
 
-        Both prefix sides are built in full first, in one :func:`forward`
-        sweep, which records :attr:`live`.  ``after_prefix``, if given, is
-        then called with ``store`` and the table's prefix half, whose suffix
-        rows all read as unbounded.  It may remove N-values, but no symbol,
-        and returns which sides, (min, max), need suffix rows; by default
-        every chosen side gets them.  Each suffix side is then built in full
-        at the states of :attr:`live`.
+        Both prefix sides are built in full, in one :func:`forward` sweep,
+        which records :attr:`live`.  No suffix side is built:
+        :attr:`suffixes` is ``(False, False)`` and every suffix row reads as
+        unbounded until :meth:`suffix` builds it.
         """
         symbols = store.symbol_tuples()
         rows = store.n + 2
-        open_min = [[-math.inf] * dfa.num_states] * rows
-        open_max = [[math.inf] * dfa.num_states] * rows
         live: list = []
         pre_min, pre_max = forward(dfa, store, symbols, live)
-        table = cls(pre_min, pre_max, open_min, open_max, symbols, live, (min_side, max_side),
-                    min(pre_min[-1]) if min_side else -math.inf, max(pre_max[-1]) if max_side else math.inf)
-        if after_prefix is not None:
-            need_min, need_max = after_prefix(store, table)
-            table.suffixes = (min_side and need_min, max_side and need_max)
-        if table.suffixes[0]:
-            table.suf_min = backward(dfa, store, "min", symbols, live)
-        if table.suffixes[1]:
-            table.suf_max = backward(dfa, store, "max", symbols, live)
-        return table
+        return cls(pre_min, pre_max, [[-math.inf] * dfa.num_states] * rows, [[math.inf] * dfa.num_states] * rows,
+                   symbols, live, (False, False), min(pre_min[-1]), max(pre_max[-1]))
+
+    def suffix(self, dfa: CounterDfa, store: DomainStore, min_side: bool, max_side: bool) -> None:
+        """Build the suffix sides ``(min_side, max_side)`` of this table, each in full at the states of :attr:`live`.
+
+        ``store`` is the one :meth:`compute` built the table for, with no
+        symbol removed since; an N-value may have been.  Called once per
+        table; a side not asked for stays unbounded.
+        """
+        if min_side:
+            self.suf_min = backward(dfa, store, "min", self.symbols, self.live)
+        if max_side:
+            self.suf_max = backward(dfa, store, "max", self.symbols, self.live)
+        self.suffixes = (min_side, max_side)
 
     def ends(self) -> list[tuple[int | float, int | float]]:
         """The ``(cheapest, costliest)`` interval of each end state, empty where unreached."""

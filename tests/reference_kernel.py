@@ -2,16 +2,18 @@
 
 Differential tests compare the kernel against these: the forward and
 backward sweeps that visit every (state, symbol) cell, the decomposition
-loop that always ends with a full atmost+atleast round that removes
-nothing, the bound propagators' own loop (the least or greatest cost
-through every reachable state of every (position, symbol) edge against one
-end of dom(N)), the exact rule's interval loop, and the search that runs the
-propagator at every node.
+loop that alternates this module's atmost and atleast loops and always ends
+with a full round that removes nothing, the bound propagators' own loop (the
+least or greatest cost through every reachable state of every (position,
+symbol) edge against one end of dom(N)), the exact rule's interval loop over
+this module's sweeps, and the search that runs the propagator at every node.
+Only the search calls regcount's propagators, so a bug in the sweep kernels
+or the filter cannot hide by appearing on both sides of a comparison.
 """
 
 from __future__ import annotations
 
-from regcount import PropagationOutcome, SweepTable, propagate, propagate_atleast, propagate_atmost
+from regcount import PropagationOutcome, propagate
 from regcount.domains import RemoveResult
 from regcount.propagators import FAILED, FIXPOINT
 from regcount.search import SearchStats
@@ -90,7 +92,7 @@ def propagate_decomposed(dfa, store):
     passes = 0
     while True:
         before = len(store.removal_log)
-        for component in (propagate_atmost, propagate_atleast):
+        for component in (PROPAGATORS["atmost"], PROPAGATORS["atleast"]):
             out = component(dfa, store)
             passes += out.passes
             if out.failed:
@@ -157,33 +159,34 @@ def propagate_exact(dfa, store):
     if not store.counter or any(store.domains[i] == 0 for i in range(store.n)):
         return PropagationOutcome(FAILED, [], 0)
     nxt, inc = dfa.next_state, dfa.increment
+    zero = [0] * dfa.num_states
     passes = 0
     while True:
         passes += 1
-        table = SweepTable.compute(dfa, store)
-        if not store.counter_has_between(row_min(table.pre_min[-1]), row_max(table.pre_max[-1])):
+        symbols = [store.symbols(i) for i in range(store.n)]
+        pre_min, pre_max = forward(dfa, store, "min"), forward(dfa, store, "max")
+        suf_min, suf_max = backward(dfa, store, zero, "min"), backward(dfa, store, zero, "max")
+        if not store.counter_has_between(row_min(pre_min[-1]), row_max(pre_max[-1])):
             return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
         changed = False
-        last_min = table.pre_min[store.n]
-        last_max = table.pre_max[store.n]
         intervals = [
-            (last_min[q], last_max[q]) for q in range(dfa.num_states) if last_min[q] != UNREACHABLE_MIN
+            (pre_min[-1][q], pre_max[-1][q]) for q in range(dfa.num_states) if pre_min[-1][q] != UNREACHABLE_MIN
         ]
         for v in list(store.counter):
             if not any(lo <= v <= hi for lo, hi in intervals):
                 changed = True
                 if store.remove_counter(v) is RemoveResult.EMPTIED:
                     return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
-        for i, syms in enumerate(table.symbols, 1):
+        for i, syms in enumerate(symbols, 1):
             for sym in syms:
                 supported = False
-                for q, lo_pre in enumerate(table.pre_min[i - 1]):
+                for q, lo_pre in enumerate(pre_min[i - 1]):
                     if lo_pre == UNREACHABLE_MIN:
                         continue
                     t = nxt[q][sym]
                     step = inc[q][sym]
-                    lo = lo_pre + step + table.suf_min[i + 1][t]
-                    hi = table.pre_max[i - 1][q] + step + table.suf_max[i + 1][t]
+                    lo = lo_pre + step + suf_min[i + 1][t]
+                    hi = pre_max[i - 1][q] + step + suf_max[i + 1][t]
                     assert lo != UNREACHABLE_MIN and hi != UNREACHABLE_MAX
                     if store.counter_has_between(lo, hi):
                         supported = True

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernel
-from regcount import (DomainStore, Instance, catalog, cli, format_rows, instance_from_json, instance_to_json,
-                      load_instance, save_instance)
+from regcount import (DomainStore, Instance, catalog, cli, format_rows, generator, instance_from_json,
+                      instance_to_json, load_instance, save_instance)
 from regcount.automaton import automaton_to_json
 from regcount.generator import FuzzReport, FuzzViolation, GenConfig, random_among_instance, rng_for
 
@@ -488,6 +488,22 @@ def test_oversized_or_negative_specs_exit_2_before_allocating(args, named):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert named in err, err
+
+
+@pytest.mark.parametrize("value", [10**20, PAST_THE_BOUND], ids=["1e20", "past-the-bound"])
+@pytest.mark.parametrize("option", ["--max-states", "--max-n"])
+def test_fuzz_generator_options_past_the_bound_exit_2_before_generating(monkeypatch, option, value):
+    # Such a value would reach numpy's bounds check, or ask for a transition
+    # table that size, if generation started.
+    def refuse(*args, **kwargs):
+        raise AssertionError("generation started")
+
+    for name in ("GenConfig", "run_fuzz"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(generator, "rng_for", refuse)
+    code, out, err = run_main("fuzz", option, str(value))
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} must be in 1..{cli.MAX_SPEC_SIZE}; got {value}\n"
 
 
 @pytest.mark.parametrize("inline", [

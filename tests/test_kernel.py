@@ -6,6 +6,8 @@ fails, rather than skips, when the library does not build.
 
 import contextlib
 import io
+import itertools
+import math
 import os
 import stat
 import subprocess
@@ -49,45 +51,51 @@ def on_both_kernels(dfa, store):
 
 @contextlib.contextmanager
 def recorded_tables():
-    """Record, per table build in the block, its kernel and its entries
-    wherever the filter reads them."""
+    """Record, per table a pass builds in the block, its kernel and its
+    entries wherever the filter reads them: the prefix half when ``compute``
+    returns, then the whole table once the pass's ``suffix`` returns."""
     builds = []
 
     def recording(cls, snapshot):
         # SweepTable.compute is a classmethod, CTable.compute a method.
-        descriptor = cls.__dict__["compute"]
+        descriptor, suffix = cls.__dict__["compute"], cls.suffix
         compute = getattr(descriptor, "__func__", descriptor)
 
-        def wrapper(owner, dfa, store, min_side=True, max_side=True, after_prefix=None):
-            table = compute(owner, dfa, store, min_side, max_side, after_prefix)
-            builds.append((cls.__name__, snapshot(table, min_side, max_side)))
+        def computing(owner, dfa, store):
+            table = compute(owner, dfa, store)
+            builds.append((cls.__name__, snapshot(table)))
             return table
-        return classmethod(wrapper) if isinstance(descriptor, classmethod) else wrapper
 
-    with mock.patch.object(SweepTable, "compute", recording(SweepTable, sweep_entries)), \
-            mock.patch.object(CTable, "compute", recording(CTable, c_entries)):
+        def suffixing(table, dfa, store, min_side, max_side):
+            suffix(table, dfa, store, min_side, max_side)
+            builds[-1] = (cls.__name__, snapshot(table))
+
+        computing = classmethod(computing) if isinstance(descriptor, classmethod) else computing
+        return mock.patch.multiple(cls, compute=computing, suffix=suffixing)
+
+    with recording(SweepTable, sweep_entries), recording(CTable, c_entries):
         yield builds
 
 
-def sweep_entries(table, min_side, max_side):
-    """The reached-state lists, then each built side's prefix entries at them
-    and each built suffix side's entries at the states one row earlier."""
+def sweep_entries(table):
+    """The reached-state lists, then both prefix sides' entries at them and
+    each built suffix side's entries at the states one row earlier."""
     live = table.live
     rows = [live]
-    rows += [[[row[q] for q in states] for row, states in zip(pre, live)]
-             for pre, built in zip((table.pre_min, table.pre_max), (min_side, max_side)) if built]
+    rows += [[[row[q] for q in states] for row, states in zip(pre, live)] for pre in (table.pre_min, table.pre_max)]
     rows += [[[suf[i][q] for q in live[i - 1]] for i in range(1, len(live))]
              for suf, built in zip((table.suf_min, table.suf_max), table.suffixes) if built]
     return rows
 
 
-def c_entries(table, min_side, max_side):
-    """:func:`sweep_entries` read off a C table's flat arrays."""
+def c_entries(table):
+    """:func:`sweep_entries` read off a C table's flat arrays, whose prefix
+    entries are built on its ``prefix_sides`` only."""
     width = table.num_states
     live = [table.live[i * width:i * width + count] for i, count in enumerate(table.live_len)]
     rows = [live]
     rows += [[[pre[i * width + q] for q in states] for i, states in enumerate(live)]
-             for pre, built in zip((table.pre_min, table.pre_max), (min_side, max_side)) if built]
+             for pre, built in zip((table.pre_min, table.pre_max), table.prefix_sides) if built]
     rows += [[[suf[i * width + q] for q in live[i - 1]] for i in range(1, len(live))]
              for suf, built in zip((table.suf_min, table.suf_max), table.suffixes) if built]
     return rows
@@ -122,6 +130,28 @@ def test_the_kernels_build_equal_tables_on_every_pass(index, end):
         assert [kind for kind, _ in tables["python"]] == ["SweepTable"] * len(tables["python"])
         assert len(tables["c"]) >= 2
         assert [rows for _, rows in tables["c"]] == [rows for _, rows in tables["python"]], mode
+
+
+@pytest.mark.parametrize("end", ["least", "greatest"])
+@pytest.mark.parametrize("sides", list(itertools.product((False, True), repeat=2)))
+def test_suffix_builds_exactly_the_sides_asked_for_on_both_kernels(sides, end):
+    # A fresh C table's arrays are zero, so an unbuilt C side stays zero;
+    # an unbuilt Python side reads as unbounded.
+    dfa, store = root_long_shaped(5, end, holed=True, n=200, seed=27012)
+    with kernels.forced("c"):
+        python = SweepTable.compute(dfa, store)
+        compiled = CTable(dfa, store, True, True).compute(dfa, store)
+    assert python.suffixes == compiled.suffixes == (False, False)
+    assert (python.least, python.greatest) == (compiled.least, compiled.greatest)
+    assert sweep_entries(python) == c_entries(compiled)
+    python.suffix(dfa, store, *sides)
+    compiled.suffix(dfa, store, *sides)
+    assert python.suffixes == compiled.suffixes == sides
+    assert sweep_entries(python) == c_entries(compiled)
+    for built, rows, unbounded, flat in ((sides[0], python.suf_min, -math.inf, compiled.suf_min),
+                                         (sides[1], python.suf_max, math.inf, compiled.suf_max)):
+        if not built:
+            assert all(c == unbounded for row in rows for c in row) and not any(flat)
 
 
 @pytest.mark.parametrize("name", list(test_propagators.MULTI_PASS_WITNESSES))

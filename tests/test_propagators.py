@@ -62,6 +62,13 @@ def test_feasible_atmost_on_b():
     assert propagate_atleast(B, b_2x2((3,))).failed
 
 
+def full_table(dfa, store):
+    """The Python table of ``store`` with both suffix sides built."""
+    table = SweepTable.compute(dfa, store)
+    table.suffix(dfa, store, True, True)
+    return table
+
+
 def completion_cost(dfa, table, i, sym, pick):
     """Least (``pick=min``) or greatest (``pick=max``) full-string counter through
     symbol ``sym`` at position ``i`` (1-based); the side's sentinel if none."""
@@ -72,7 +79,7 @@ def completion_cost(dfa, table, i, sym, pick):
 
 def test_min_cost_on_b_choice_position():
     store = b_2x2()
-    table = SweepTable.compute(B, store)
+    table = full_table(B, store)
     assert completion_cost(B, table, 2, TWO, min) == 2
     assert completion_cost(B, table, 2, ONE, min) == 0
     assert completion_cost(B, table, 2, ONE, max) == 0
@@ -83,7 +90,7 @@ def test_min_cost_on_ground_word_equals_run():
     aab = catalog("AAB")
     word = "aabab"
     store = DomainStore(aab.num_symbols, [(aab.symbol_id(c),) for c in word], (0, 1))
-    table = SweepTable.compute(aab, store)
+    table = full_table(aab, store)
     counter = run(aab, word).counter
     for i, c in enumerate(word, start=1):
         assert completion_cost(aab, table, i, aab.symbol_id(c), min) == counter
@@ -93,10 +100,10 @@ def test_min_cost_on_ground_word_equals_run():
 def test_min_cost_unreachable_symbol():
     # position 1 is pinned to "2", so "1" there has no admissible completion
     store = b_2x2()
-    table = SweepTable.compute(B, store)
+    table = full_table(B, store)
     assert completion_cost(B, table, 1, ONE, min) == 0  # "1" still reaches q with counter 0
     pinned = b_store([(TWO,)], (0,))
-    table = SweepTable.compute(B, pinned)
+    table = full_table(B, pinned)
     assert completion_cost(B, table, 1, TWO, min) == 0
 
 
@@ -425,23 +432,27 @@ def _decomposed_reaches_the_fixpoint_of_alternating_runs(dfa, store):
 
 @contextlib.contextmanager
 def recorded_builds():
-    """Record, per ``SweepTable.compute`` call in the block, the store's
-    removal-log length after the pass's N rule and the suffix sides it built.
-    No suffix sweep removes a value, so the length when ``compute`` returns
-    is the one after the N rule."""
-    descriptor = SweepTable.__dict__["compute"]
+    """Record, per table a pass builds in the block, the store's removal-log
+    length after the pass's N rule and the suffix sides the pass built, or
+    ``(None, (False, False))`` for a pass that built none and so ended after
+    its N rule.  No sweep removes a value, so the length when ``suffix`` is
+    called is the one after the N rule."""
+    compute, suffix = SweepTable.__dict__["compute"], SweepTable.suffix
     builds = []
 
-    def recording(cls, dfa, store, *args):
-        table = descriptor.__func__(cls, dfa, store, *args)
-        builds.append((len(store.removal_log), table.suffixes))
-        return table
+    def computing(cls, dfa, store):
+        builds.append((None, (False, False)))
+        return compute.__func__(cls, dfa, store)
 
-    SweepTable.compute = classmethod(recording)
+    def suffixing(table, dfa, store, min_side, max_side):
+        builds[-1] = (len(store.removal_log), (min_side, max_side))
+        suffix(table, dfa, store, min_side, max_side)
+
+    SweepTable.compute, SweepTable.suffix = classmethod(computing), suffixing
     try:
         yield builds
     finally:
-        SweepTable.compute = descriptor
+        SweepTable.compute, SweepTable.suffix = compute, suffix
 
 
 def _certified_fixpoints_remove_nothing_more(dfa, store):
@@ -455,8 +466,8 @@ def _certified_fixpoints_remove_nothing_more(dfa, store):
         work = store.copy()
         with recorded_builds() as builds:
             out = propagate(dfa, work, mode)
-        if out.failed or not builds or len(work.removal_log) == builds[-1][0]:
-            continue  # no pass certified: none built a table, or the last one removed no symbol
+        if out.failed or not builds or builds[-1][0] in (None, len(work.removal_log)):
+            continue  # no pass certified: none built a table, or the last one checked or removed no symbol
         assert builds[-1][1] in ((True, False), (False, True)), mode
         event(f"{mode} certified after a pass with suffix sides {builds[-1][1]}")
         again = propagate(dfa, work.copy(), mode)

@@ -186,6 +186,7 @@ def test_global_bounds_examples():
 def test_forward_backward_consistency(pair):
     dfa, store = pair
     table = SweepTable.compute(dfa, store)
+    table.suffix(dfa, store, True, True)
     assert table.least == table.suf_min[1][dfa.start]
     assert table.greatest == table.suf_max[1][dfa.start]
 
@@ -232,6 +233,7 @@ def test_shrinking_domains_moves_rows_one_way(pair, data):
 def test_suffix_base_row_is_zero_at_every_state(pair):
     dfa, store = pair
     table = SweepTable.compute(dfa, store)
+    table.suffix(dfa, store, True, True)
     n = store.n
     support = {q for q, c in enumerate(table.pre_min[n]) if c != UNREACHABLE_MIN}
     assert support == {q for q, c in enumerate(table.pre_max[n]) if c != UNREACHABLE_MAX}
@@ -367,25 +369,23 @@ def test_kernel_matches_reference_loops(pair):
         assert_reachable_ints(pre, sent)
         assert_reachable_ints(suf, sent)
         table[mode] = pre, suf
-    # A built table holds the same prefix rows, and suffix rows that are
-    # exact wherever the filter reads them.
-    built = SweepTable.compute(dfa, store)
-    assert (built.pre_min, built.pre_max, built.symbols, built.suffixes, built.least, built.greatest) == (
-        table["min"][0], table["max"][0], store.symbol_tuples(), (True, True),
+    # A table holds the same prefix rows and no suffix side until ``suffix``
+    # builds the sides asked for: exact wherever the filter reads them,
+    # while every entry of an unbuilt side reads as unbounded.
+    prefix = SweepTable.compute(dfa, store)
+    assert (prefix.pre_min, prefix.pre_max, prefix.symbols, prefix.suffixes, prefix.least, prefix.greatest) == (
+        table["min"][0], table["max"][0], store.symbol_tuples(), (False, False),
         min(table["min"][0][-1]), max(table["max"][0][-1]))
-    assert_true_where_read(built.suf_min, table["min"][1], built.pre_min, UNREACHABLE_MIN)
-    assert_true_where_read(built.suf_max, table["max"][1], built.pre_max, UNREACHABLE_MAX)
-    # A one-sided table holds both prefix sides, as the two-sided table does;
-    # the unchosen side's end and every suffix entry read as unbounded.
-    for min_side, max_side in ((True, False), (False, True)):
-        one = SweepTable.compute(dfa, store, min_side, max_side)
-        assert one.suffixes == (min_side, max_side)
-        assert (one.pre_min, one.pre_max, one.live) == (built.pre_min, built.pre_max, built.live)
-        assert (one.least, one.greatest) == (built.least if min_side else -math.inf,
-                                             built.greatest if max_side else math.inf)
+    assert all(c == -math.inf for row in prefix.suf_min for c in row)
+    assert all(c == math.inf for row in prefix.suf_max for c in row)
+    for sides in itertools.product((False, True), repeat=2):
+        built = SweepTable.compute(dfa, store)
+        built.suffix(dfa, store, *sides)
+        assert built.suffixes == sides
+        assert (built.pre_min, built.pre_max, built.live) == (prefix.pre_min, prefix.pre_max, prefix.live)
         for side, suf, full, unbounded, sent in (
-                (min_side, one.suf_min, table["min"], -math.inf, UNREACHABLE_MIN),
-                (max_side, one.suf_max, table["max"], math.inf, UNREACHABLE_MAX)):
+                (sides[0], built.suf_min, table["min"], -math.inf, UNREACHABLE_MIN),
+                (sides[1], built.suf_max, table["max"], math.inf, UNREACHABLE_MAX)):
             if side:
                 assert_true_where_read(suf, full[1], full[0], sent)
             else:
@@ -481,9 +481,8 @@ def test_pass_symbols_match_store_symbols(pair, cache_size):
 
 # -- tables after removals --------------------------------------------------------
 
-SIDES = ((True, True), (True, False), (False, True))
-#: The unpatched builder, for tests that wrap ``SweepTable.compute``.
-COMPUTE = SweepTable.compute
+#: The unpatched builders, for tests that wrap ``SweepTable.compute`` and ``suffix``.
+COMPUTE, SUFFIX = SweepTable.compute, SweepTable.suffix
 
 
 def assert_matching_support(table):
@@ -496,14 +495,14 @@ def assert_matching_support(table):
             assert cmax is UNREACHABLE_MAX or cmax != UNREACHABLE_MAX
 
 
-def assert_matches_full_rebuild(dfa, store, table, min_side, max_side):
+def assert_matches_full_rebuild(dfa, store, table):
     """``table`` equals a build of a copy of ``store`` now, and is exact
     wherever the filter reads it."""
-    full = COMPUTE(dfa, store.copy(), min_side, max_side)
-    assert (table.pre_min, table.pre_max, table.live) == (full.pre_min, full.pre_max, full.live)
+    full = COMPUTE(dfa, store.copy())
+    assert (table.pre_min, table.pre_max, table.live, table.least, table.greatest) == (
+        full.pre_min, full.pre_max, full.live, full.least, full.greatest)
     # Every built suffix row is exact wherever the filter reads it and the
-    # sentinel elsewhere.  A skipped side reads as unbounded.
-    assert table.suffixes[0] <= min_side and table.suffixes[1] <= max_side
+    # sentinel elsewhere.  An unbuilt side reads as unbounded.
     for built, rows, pre, mode, sent, unbounded in (
             (table.suffixes[0], table.suf_min, table.pre_min, "min", UNREACHABLE_MIN, -math.inf),
             (table.suffixes[1], table.suf_max, table.pre_max, "max", UNREACHABLE_MAX, math.inf)):
@@ -522,6 +521,15 @@ def assert_matches_full_rebuild(dfa, store, table, min_side, max_side):
     assert_matching_support(full)
 
 
+def built_table(dfa, store, sides):
+    """The table of ``store`` with the suffix sides ``sides`` built."""
+    table = SweepTable.compute(dfa, store)
+    assert table.suffixes == (False, False)
+    table.suffix(dfa, store, *sides)
+    assert table.suffixes == sides
+    return table
+
+
 MIXED_PAIRS = st.one_of(dfa_store_pairs(max_n=12), dfa_store_pairs(max_n=12, increments=NEAR_U64_MAX))
 #: Longer rows, on which exact more often takes several passes that each
 #: remove symbols at several positions.
@@ -530,15 +538,13 @@ LONG_PAIRS = st.one_of(dfa_store_pairs(max_states=5, min_n=6, max_n=16),
 BOOL_PAIRS = st.tuples(st.booleans(), st.booleans())
 
 
-@given(MIXED_PAIRS, st.sampled_from(SIDES), st.data())
+@given(MIXED_PAIRS, st.data())
 @settings(max_examples=100, deadline=None)
-def test_tables_after_removals_match_a_full_rebuild(pair, sides, data):
+def test_tables_after_removals_match_a_full_rebuild(pair, data):
     # Rounds of arbitrary removals, some of which empty a domain, each
     # followed by a build of an arbitrary choice of suffix sides.
     dfa, store = pair
-    wanted = data.draw(BOOL_PAIRS)
-    table = SweepTable.compute(dfa, store, *sides, after_prefix=lambda store, table: wanted)
-    assert_matches_full_rebuild(dfa, store, table, *sides)
+    assert_matches_full_rebuild(dfa, store, built_table(dfa, store, data.draw(BOOL_PAIRS)))
     for _ in range(data.draw(st.integers(1, 4))):
         cells = [(i, s) for i in range(store.n) for s in store.symbols(i)]
         if not cells:
@@ -547,10 +553,7 @@ def test_tables_after_removals_match_a_full_rebuild(pair, sides, data):
             store.remove_symbol(i, s)
         if data.draw(st.booleans()) and len(store.counter) > 1:
             store.remove_counter(store.counter[-1])
-        wanted = data.draw(BOOL_PAIRS)
-        table = SweepTable.compute(dfa, store, *sides, after_prefix=lambda store, table: wanted)
-        assert table.suffixes == (sides[0] and wanted[0], sides[1] and wanted[1])
-        assert_matches_full_rebuild(dfa, store, table, *sides)
+        assert_matches_full_rebuild(dfa, store, built_table(dfa, store, data.draw(BOOL_PAIRS)))
 
 
 #: Long pairs whose dom(N) :func:`strategies.windowed` places against their
@@ -559,40 +562,64 @@ WINDOWED_LONG_PAIRS = windowed(st.one_of(dfa_store_pairs(max_states=5, min_n=6, 
                                          dfa_store_pairs(max_states=5, min_n=6, max_n=16, increments=NEAR_U64_MAX)))
 
 
+#: The ends each mode's rule bounds, (cheapest, costliest).
+BOUND_ENDS = {"atmost": (True, False), "atleast": (False, True), "exact": (True, True), "decomposed": (True, True)}
+
+
+def expected_sides(mode, table, counter):
+    """The suffix sides, (min, max), that a pass of ``mode`` with this prefix
+    half builds, given dom(N) as its N rule leaves it.
+
+    A pass whose dom(N) misses [least, greatest], or which the N rule
+    empties, fails before it reads a suffix row.  Otherwise a one-sided rule
+    reads its suffix side in every pass.  Exact reads both when dom(N) has
+    holes; else exact, and the decomposition, which ignores holes, read only
+    the ends where dom(N) cuts into [least, greatest].
+    """
+    min_side, max_side = BOUND_ENDS[mode]
+    least = table.least if min_side else -math.inf
+    greatest = table.greatest if max_side else math.inf
+    if not any(least <= v <= greatest for v in counter):
+        return False, False
+    if not (min_side and max_side):
+        return min_side, max_side
+    if mode == "exact" and counter[-1] - counter[0] >= len(counter):
+        return True, True
+    return counter[-1] < greatest, counter[0] > least
+
+
 @contextlib.contextmanager
 def checked_builds(mode):
-    """Check every ``SweepTable.compute`` call in the block against a full
-    rebuild and ``mode``'s suffix-side rule; yields the list of suffix sides
-    built per call."""
-    descriptor = SweepTable.__dict__["compute"]
-    builds = []
+    """Check every table a pass of one ``mode`` call builds in the block
+    against a full rebuild and the mode's suffix-side rule; yields the list
+    of suffix sides each pass built, ``(False, False)`` where it built none."""
+    builds, last = [], []
 
-    def checked(cls, dfa, store, min_side=True, max_side=True, after_prefix=None):
-        table = COMPUTE(dfa, store, min_side, max_side, after_prefix)
-        assert_matches_full_rebuild(dfa, store, table, min_side, max_side)
-        # The sides are chosen from dom(N) as the N rule leaves it.  A pass
-        # whose dom(N) misses [least, greatest], or which the N rule empties,
-        # fails before it reads a suffix row.  Otherwise a one-sided rule
-        # reads its suffix side in every pass.  Exact reads both when dom(N)
-        # has holes; else exact, and the decomposition, which ignores holes,
-        # read only the ends where dom(N) cuts into [least, greatest].
-        least, greatest, counter = table.least, table.greatest, store.counter
-        if not any(least <= v <= greatest for v in counter):
-            assert table.suffixes == (False, False)
-        elif not (min_side and max_side):
-            assert table.suffixes == (min_side, max_side)
-        elif mode == "exact" and counter[-1] - counter[0] >= len(counter):
-            assert table.suffixes == (True, True)
-        else:
-            assert table.suffixes == (counter[-1] < greatest, counter[0] > least)
-        builds.append(table.suffixes)
+    def computed(cls, dfa, store):
+        table = COMPUTE(dfa, store)
+        builds.append((False, False))
+        last[:] = dfa, store, table
         return table
 
-    SweepTable.compute = classmethod(checked)
+    def suffixed(table, dfa, store, min_side, max_side):
+        SUFFIX(table, dfa, store, min_side, max_side)
+        assert_matches_full_rebuild(dfa, store, table)
+        assert (min_side, max_side) == expected_sides(mode, table, store.counter)
+        builds[-1] = table.suffixes
+
+    descriptor = SweepTable.__dict__["compute"]
+    SweepTable.compute, SweepTable.suffix = classmethod(computed), suffixed
     try:
         yield builds
     finally:
-        SweepTable.compute = descriptor
+        SweepTable.compute, SweepTable.suffix = descriptor, SUFFIX
+    # A pass that builds no suffix side ends the call after its N rule and
+    # removes no symbol: the store still holds the domains and dom(N) that
+    # pass left.
+    if builds and builds[-1] == (False, False):
+        dfa, store, table = last
+        assert_matches_full_rebuild(dfa, store, table)
+        assert expected_sides(mode, table, store.counter) == (False, False)
 
 
 @given(st.one_of(LONG_PAIRS, WINDOWED_LONG_PAIRS))

@@ -10,7 +10,9 @@ import importlib
 import os
 import types
 
-from regcount import DomainStore, SweepTable, catalog, propagators, sweep
+import kernels
+from regcount import DomainStore, GenConfig, SweepTable, catalog, generator, propagators, search, sweep
+from strategies import root_long_shaped
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 
@@ -60,15 +62,45 @@ def test_table_builds_call_the_wrapped_sweeps_by_name(monkeypatch):
             calls.append(_name)
             return _original(dfa_arg, store_arg, *args, **kwargs)
         monkeypatch.setattr(sweep, name, wrapper)
-    SweepTable.compute(dfa, store)
+    table = SweepTable.compute(dfa, store)
+    assert calls == ["forward"]
+    table.suffix(dfa, store, True, True)
     assert calls == ["forward", "backward", "backward"]
     for sides in ((True, False), (False, True)):
         calls.clear()
-        SweepTable.compute(dfa, store, *sides)
+        SweepTable.compute(dfa, store).suffix(dfa, store, *sides)
         assert calls == ["forward", "backward"]
     # A build after a removal, as a pass after the first makes, is the same
     # three sweeps.
     calls.clear()
     store.remove_symbol(2, t)
-    SweepTable.compute(dfa, store)
+    SweepTable.compute(dfa, store).suffix(dfa, store, True, True)
     assert calls == ["forward", "backward", "backward"]
+
+
+def test_the_tracer_hooks_run_on_every_traced_layer():
+    # The tracer's hooks read the arguments of the calls they wrap (the
+    # store is ``args[2]`` of ``SweepTable.compute``, after the class), so a
+    # change of a wrapped signature must keep them working.  A hook that
+    # raised would leave its span open.
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    dfa, store = root_long_shaped(0, "least", holed=True)
+    instance = generator.random_instance(GenConfig(max_n=6), dfa, generator.rng_for(30031))
+    with kernels.forced("python"):
+        tracer.install()
+        try:
+            exact = propagators.propagate(dfa, store.copy(), "exact")
+            propagators.propagate(dfa, store.copy(), "decomposed")
+            search.solve(dfa, instance.make_store(), "exact")
+            generator.check_instance(dfa, instance)
+        finally:
+            tracer.restore()
+    assert exact.passes >= 2
+    assert tracer.stack == [-1] and all(tracer.ends)
+    names = set(tracer.names)
+    assert {"sweep.table", "sweep.forward", "sweep.backward", "propagators.exact", "propagators.decomposed",
+            "search.solve", "generator.check", spans.HOOK} <= names
+    marks = [tracer.payloads[j] for j, name in enumerate(tracer.names) if name == "sweep.table"]
+    assert marks and all(type(mark) is int for mark in marks)
+    assert tracer.counts["propagators.exact.passes"] >= exact.passes
