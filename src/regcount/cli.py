@@ -224,6 +224,8 @@ def _cmd_fuzz(args) -> int:
     modes = Instance.MODES if args.mode == "all" else (args.mode,)
     report = run_fuzz(cfg, args.count, modes, cap=cap, threads=args.threads)
     print(f"checked: {report.checked}")
+    if report.capped:
+        print(f"capped: {len(report.capped)} (indices {', '.join(map(str, report.capped))})")
     print(f"violations: {len(report.violations)}")
     print(f"elapsed: {report.elapsed:.1f}s", file=sys.stderr)
     if not report.violations:

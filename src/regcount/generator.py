@@ -27,7 +27,7 @@ import numpy as np
 
 from .automaton import CounterDfa, catalog, validate
 from .domains import Instance
-from .oracle import (DEFAULT_CAP, DcVerdict, SupportReport, check_dc, enumerate_all_modes,
+from .oracle import (DEFAULT_CAP, CapExceeded, DcVerdict, SupportReport, check_dc, enumerate_all_modes,
                      enumerate_all_modes_native, judge)
 from .propagators import (
     Mode,
@@ -175,9 +175,14 @@ class FuzzViolation:
 
 @dataclass
 class FuzzReport:
+    """``checked`` counts the indices checked in full; ``capped`` lists, in
+    order, the others, each with an instance that passed the oracle's cap.
+    The violations found before the cap stopped an index are kept."""
+
     checked: int = 0
     violations: list[FuzzViolation] = field(default_factory=list)
     elapsed: float = 0.0
+    capped: list[int] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -292,16 +297,23 @@ def check_among_instance(inst: Instance, modes: Sequence[str] = ("atmost", "atle
 AMONG_CFG = GenConfig(max_n=6)
 
 
-def _fuzz_range(cfg: GenConfig, start: int, stop: int, modes: tuple[str, ...], cap: int) -> tuple[int, list[FuzzViolation]]:
-    violations: list[FuzzViolation] = []
+def _fuzz_range(cfg: GenConfig, start: int, stop: int, modes: tuple[str, ...], cap: int) -> FuzzReport:
+    report = FuzzReport()
     for index in range(start, stop):
         # The among instance is drawn after the plain one, from the same
         # stream, so the plain instances stay those of generate_corpus.
         rng = rng_for(cfg.seed, index)
         dfa = random_cdfa(cfg, rng)
-        violations += check_instance(dfa, random_instance(cfg, dfa, rng), modes, cap, index)
-        violations += check_among_instance(random_among_instance(AMONG_CFG, rng), modes, cap, index)
-    return stop - start, violations
+        inst = random_instance(cfg, dfa, rng)
+        among = random_among_instance(AMONG_CFG, rng)
+        try:
+            report.violations += check_instance(dfa, inst, modes, cap, index)
+            report.violations += check_among_instance(among, modes, cap, index)
+        except CapExceeded:
+            report.capped.append(index)
+        else:
+            report.checked += 1
+    return report
 
 
 def run_fuzz(
@@ -315,7 +327,9 @@ def run_fuzz(
 
     Each index checks its plain instance with :func:`check_instance` and one
     among instance, drawn from the same stream after it, with
-    :func:`check_among_instance`, both under ``modes``.  With ``threads > 1``
+    :func:`check_among_instance`, both under ``modes``.  An index with an
+    instance the oracle cannot enumerate within ``cap`` is listed in
+    ``capped``, not counted as checked, and the run goes on.  With ``threads > 1``
     the stream is cut into at most ``threads`` chunks, checked in a process
     pool of at most one worker per chunk and per CPU.
     """
@@ -324,20 +338,19 @@ def run_fuzz(
     if unknown:
         raise ValueError(f"unknown fuzz modes {unknown}; choose from {Instance.MODES}")
     started = time.perf_counter()
-    report = FuzzReport()
     if threads <= 1 or count < 2 * threads:
-        checked, violations = _fuzz_range(cfg, 0, count, modes, cap)
-        report.checked = checked
-        report.violations = violations
+        report = _fuzz_range(cfg, 0, count, modes, cap)
     else:
+        report = FuzzReport()
         chunk = (count + threads - 1) // threads
         ranges = [(k, min(k + chunk, count)) for k in range(0, count, chunk)]
         with ProcessPoolExecutor(max_workers=min(threads, len(ranges), os.cpu_count() or 1)) as pool:
             futures = [pool.submit(_fuzz_range, cfg, a, b, modes, cap) for a, b in ranges]
             for future in futures:
-                checked, violations = future.result()
-                report.checked += checked
-                report.violations.extend(violations)
+                part = future.result()
+                report.checked += part.checked
+                report.violations.extend(part.violations)
+                report.capped.extend(part.capped)
         report.violations.sort(key=lambda v: v.index)
     report.elapsed = time.perf_counter() - started
     return report

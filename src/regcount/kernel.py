@@ -8,9 +8,20 @@ the same ``compute``, ``suffix`` and ``unsupported`` calls, the same ``least``,
 ``greatest`` and ``suffixes``, so :mod:`regcount.propagators` runs one pass
 loop, one N rule and one ground scan over either kernel.  The rows stay in C
 arrays; Python reads only the end rows, for the N rule, and the unsupported
-``(position, symbol)`` pairs, which it removes itself.  One ``CTable``
-serves every pass of a propagator call, and each pass rebuilds all its
-rows, as the Python kernels build every table in full.
+``(position, symbol)`` pairs, which it removes itself.  Each pass rebuilds
+all its rows, as the Python kernels build every table in full.
+
+The arrays belong to the thread.  Every ``CTable`` is a view over one set
+of arrays per thread, replaced only when a store needs larger ones, so a
+thread holds at most one table's worth of memory, and a call whose store
+fits allocates no table arrays and touches no fresh pages.  Beside them the
+thread keeps the automaton it last used, flattened once and found again by
+identity, with its largest increment, which :func:`usable` reads.  One
+table is live per thread: a new one takes over the arrays of the last.
+Stale entries, from an earlier pass, store or shape, are never read,
+because ``_pass.c`` reads only the entries it wrote in the same pass.
+ctypes releases the GIL during a C call, so two threads must not share
+arrays, and they do not.
 
 When it runs.  :func:`usable` sends a store to the C kernel only if
 
@@ -26,8 +37,10 @@ Every other store runs the Python kernels.
 
 Where it is built.  The first store that passes the other tests builds
 ``_pass.c`` with ``cc -O2 -shared -fPIC`` into ``_build/`` next to it, under
-a name keyed by the source's CRC-32, written to a temporary name and renamed
-into place, so processes that build at once never load a half-written file.
+a name keyed by the CRC-32 of that command and the source, so no library
+built by another command or from another source is loaded.  It is written
+to a temporary name and renamed into place, so processes that build at once
+never load a half-written file.
 The directory must belong to the user and be writable by no one else.  If
 anything fails (no compiler, a compile error, a directory that cannot be
 used, a library that does not load), every store runs the Python kernels
@@ -37,9 +50,11 @@ for the rest of the process, and nothing is printed.
 from __future__ import annotations
 
 import ctypes
+import operator
 import os
 import subprocess
 import tempfile
+import threading
 import zlib
 from array import array
 from ctypes import POINTER, c_int, c_int32, c_int64, c_void_p
@@ -47,6 +62,7 @@ from ctypes import POINTER, c_int, c_int32, c_int64, c_void_p
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_pass.c")
 _CACHE = os.path.join(os.path.dirname(_SOURCE), "_build")
 _CC = "cc"
+_FLAGS = ("-O2", "-shared", "-fPIC")
 #: Least n × num_states that runs the C kernel (see CHANGES.md for the measurement).
 _MIN_CELLS = 200
 #: The library, once loaded; ``False`` once loading failed; ``None`` before the first try.
@@ -63,11 +79,34 @@ class _Pass(ctypes.Structure):
                 ("live", c_void_p), ("live_len", c_void_p), ("stamp", c_void_p)]
 
 
+class _Arrays(threading.local):
+    """One thread's table arrays (``tables``, in :class:`CTable`'s order) and the automaton last flattened."""
+
+    #: The lengths the table arrays fit: rows, ``live_len``, ``stamp`` and ``witnesses``.
+    lengths = (0, 0, 0, 0)
+    dfa = None
+
+
+_arrays = _Arrays()
+
+
+def _flattened(dfa) -> _Arrays:
+    """This thread's arrays, holding ``dfa``'s tables flattened and its largest increment."""
+    arrays = _arrays
+    if arrays.dfa is not dfa:
+        arrays.largest = max(map(max, dfa.increment))
+        arrays.next_state = array("i", [t for row in dfa.next_state for t in row])
+        # Increments past int64 never reach C (see usable), and would not fit.
+        arrays.increment = array("q", [c for row in dfa.increment for c in row] if arrays.largest < 2**63 else ())
+        arrays.dfa = dfa
+    return arrays
+
+
 def usable(dfa, store) -> bool:
     """True iff the C kernel runs ``store``'s passes (see the module docstring)."""
     n = len(store.domains)
     return (n * dfa.num_states >= _MIN_CELLS and dfa.num_symbols <= 64
-            and n * max(map(max, dfa.increment)) < 2**62 and store.counter[-1] <= _INT64_MAX
+            and n * _flattened(dfa).largest < 2**62 and store.counter[-1] <= _INT64_MAX
             and _library() is not None)
 
 
@@ -78,12 +117,18 @@ def _library():
     return _lib or None
 
 
+def _library_path() -> str:
+    """The cached library's path, keyed by the CRC-32 of the compiler command and the source."""
+    with open(_SOURCE, "rb") as fh:
+        key = zlib.crc32("\0".join([_CC, *_FLAGS, ""]).encode() + fh.read())
+    return os.path.join(_CACHE, f"_pass-{key:08x}.so")
+
+
 def _load():
     if os.name != "posix":
         return None
     try:
-        with open(_SOURCE, "rb") as fh:
-            path = os.path.join(_CACHE, f"_pass-{zlib.crc32(fh.read()):08x}.so")
+        path = _library_path()
         os.makedirs(_CACHE, mode=0o700, exist_ok=True)
         info = os.stat(_CACHE)
         if info.st_uid != os.getuid() or info.st_mode & 0o022:
@@ -92,8 +137,7 @@ def _load():
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=_CACHE)
             os.close(fd)
             try:
-                subprocess.run([_CC, "-O2", "-shared", "-fPIC", "-o", tmp, _SOURCE], check=True,
-                               capture_output=True)
+                subprocess.run([_CC, *_FLAGS, "-o", tmp, _SOURCE], check=True, capture_output=True)
                 os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):
@@ -123,24 +167,28 @@ class CTable:
     ``rc_prefix`` builds the prefix entries of ``prefix_sides`` only, the
     (min, max) sides the table is made with.  An entry is defined only where
     it is built and ``SweepTable``'s is exact (see ``_pass.c``).
+
+    The arrays are the thread's (see the module docstring): they may be
+    longer than this table's ``n + 1`` prefix rows, hold stale entries
+    elsewhere, and are taken over by the next ``CTable`` the thread makes.
     """
 
     def __init__(self, dfa, store, min_side: bool, max_side: bool):
         self.prefix_sides = (min_side, max_side)
         n, num_states, num_symbols = store.n, dfa.num_states, dfa.num_symbols
-        self.num_states = num_states
-        self.next_state = array("i", [t for row in dfa.next_state for t in row])
-        self.increment = array("q", [c for row in dfa.increment for c in row])
-        rows = (n + 2) * num_states
-        self.pre_min, self.pre_max, self.suf_min, self.suf_max = [(c_int64 * rows)() for _ in range(4)]
-        self.live = (c_int32 * rows)()
-        self.live_len = (c_int32 * (n + 1))()
-        self.stamp = (c_int32 * num_states)()
-        # At most two windows, each with at most one pair per symbol of a domain.
-        self.found = (c_int32 * (4 * n * num_symbols))()
-        self.witnesses = (c_int64 * (n * num_symbols))()
-        self.results = (c_int64 * 2)()  # the two int64 results of the last C call
-        # ctx points into these arrays, which live as long as the table.
+        self.n, self.num_states = n, num_states
+        arrays = _flattened(dfa)
+        lengths = ((n + 2) * num_states, n + 1, num_states, n * num_symbols)
+        if any(map(operator.gt, lengths, arrays.lengths)):
+            rows, ends, states, pairs = arrays.lengths = lengths
+            # found takes at most two windows, each with at most one pair per
+            # symbol of a domain; results the two int64 results of a C call.
+            arrays.tables = [*[(c_int64 * rows)() for _ in range(4)], (c_int32 * rows)(), (c_int32 * ends)(),
+                             (c_int32 * states)(), (c_int32 * (4 * pairs))(), (c_int64 * pairs)(), (c_int64 * 2)()]
+        (self.pre_min, self.pre_max, self.suf_min, self.suf_max, self.live, self.live_len, self.stamp,
+         self.found, self.witnesses, self.results) = arrays.tables
+        self.next_state, self.increment = arrays.next_state, arrays.increment
+        # ctx points into these arrays, which the table keeps alive.
         address = ctypes.addressof
         self.ctx = _Pass(n, num_states, num_symbols, dfa.start, self.next_state.buffer_info()[0],
                          self.increment.buffer_info()[0], None, address(self.pre_min), address(self.pre_max),
@@ -173,10 +221,10 @@ class CTable:
 
     def ends(self) -> list[tuple[int, int]]:
         """The ``(cheapest, costliest)`` interval of each reached end state; both sides built."""
-        start = (len(self.live_len) - 1) * self.num_states
+        start = self.n * self.num_states
         low = self.pre_min[start:start + self.num_states]
         high = self.pre_max[start:start + self.num_states]
-        return [(low[q], high[q]) for q in self.live[start:start + self.live_len[-1]]]
+        return [(low[q], high[q]) for q in self.live[start:start + self.live_len[self.n]]]
 
     def unsupported(self, dfa, store, windows, holes: bool, seen: set | None) -> list[tuple[int, int]]:
         """The ``(position, symbol)`` pairs no interval supports, as :meth:`SweepTable.unsupported` finds them."""

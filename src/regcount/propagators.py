@@ -284,7 +284,8 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
         status = FIXPOINT if _n_rule(store, least, greatest, None) else FAILED
         return PropagationOutcome(status, store.removal_log[mark:], 1)
 
-    # One C table's arrays serve every pass of the call.
+    # A C table is a view over its thread's arrays, made once per call and
+    # rebuilt in full by every pass.
     build = CTable(dfa, store, min_side, max_side).compute if kernel.usable(dfa, store) else SweepTable.compute
     passes = 0
     while True:

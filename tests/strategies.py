@@ -148,14 +148,14 @@ WINDOWED_PAIRS = windowed(st.one_of(dfa_store_pairs(min_n=3, max_n=8, max_increm
 ROOT_LONG_CFG = generator.GenConfig(min_states=20, max_states=20, min_symbols=8, max_symbols=8)
 
 
-def root_long_shaped(index, end, holed=False, n=150, singleton_share=0.75, seed=13):
-    """A 20x8 automaton over ``n`` positions, three in four of them one
-    symbol, with dom(N) three values around the least full-string counter
-    (``end`` "least", perfbench's recipe) or the greatest one; ``holed``,
-    the two values either side of that counter instead.  ``seed`` and
-    ``index`` choose the stream."""
+def root_long_shaped(index, end, holed=False, n=150, singleton_share=0.75, seed=13, cfg=ROOT_LONG_CFG):
+    """A 20x8 automaton (or one of ``cfg``'s sizes) over ``n`` positions,
+    three in four of them one symbol, with dom(N) three values around the
+    least full-string counter (``end`` "least", perfbench's recipe) or the
+    greatest one; ``holed``, the two values either side of that counter
+    instead.  ``seed`` and ``index`` choose the stream."""
     rng = generator.rng_for(seed, index)
-    dfa = generator.random_cdfa(ROOT_LONG_CFG, rng)
+    dfa = generator.random_cdfa(cfg, rng)
     alphabet = dfa.num_symbols
     singles = rng.random(n) < singleton_share
     symbols = rng.integers(0, alphabet, n)

@@ -682,6 +682,12 @@ def test_fuzz_small_run_is_clean(tmp_path):
     assert not (tmp_path / "failures").exists()
 
 
+def test_fuzz_counts_and_lists_the_indices_past_the_cap():
+    code, out, err = run_main("fuzz", "--max-n", "30", "--count", "8", "--seed", "3", "--cap", "2000")
+    assert code == 0, err
+    assert out.splitlines() == ["checked: 6", "capped: 2 (indices 1, 7)", "violations: 0"]
+
+
 def test_fuzz_writes_each_violation_as_a_loadable_instance(tmp_path, monkeypatch):
     doc = witness_instance_doc()
     violation = FuzzViolation(index=7, mode="exact", kind="unsound", detail="removed supported x1=2",

@@ -8,6 +8,7 @@ import pytest
 from regcount import (
     FAILED,
     FIXPOINT,
+    FuzzReport,
     FuzzViolation,
     GenConfig,
     Instance,
@@ -29,7 +30,7 @@ from regcount import (
     run_fuzz,
     validate,
 )
-from regcount.oracle import DEFAULT_CAP, enumerate_all_modes, enumerate_all_modes_native
+from regcount.oracle import DEFAULT_CAP, CapExceeded, enumerate_all_modes, enumerate_all_modes_native
 
 
 def test_config_rejects_bad_ranges():
@@ -203,6 +204,25 @@ def test_run_fuzz_threads_match_serial():
     assert serial.ok and parallel.ok
 
 
+def test_run_fuzz_lists_the_indices_past_the_cap_and_goes_on():
+    cfg = GenConfig(max_n=30, seed=3)
+    for threads in (1, 2):
+        report = run_fuzz(cfg, 8, cap=2000, threads=threads)
+        assert (report.checked, report.capped, report.violations) == (6, [1, 7], [])
+
+
+def test_run_fuzz_keeps_the_violations_found_before_an_index_hits_the_cap(monkeypatch):
+    import regcount.generator as generator_module
+
+    def capped(inst, modes, cap, index):
+        raise CapExceeded("over the cap")
+
+    monkeypatch.setattr(generator_module, "check_instance", lambda dfa, inst, modes, cap, index: [index])
+    monkeypatch.setattr(generator_module, "check_among_instance", capped)
+    report = run_fuzz(GenConfig(seed=31), 3)
+    assert (report.checked, report.capped, report.violations) == (0, [0, 1, 2], [0, 1, 2])
+
+
 @pytest.mark.parametrize("increment", [U64_MAX, U64_MAX // 3], ids=["u64-max", "third-of-u64-max"])
 def test_run_fuzz_counters_past_u64_max(increment):
     # Counters of two or more such increments pass U64_MAX; the propagators
@@ -241,7 +261,7 @@ def test_run_fuzz_caps_the_worker_count(monkeypatch, threads, count, cpus, worke
 
     monkeypatch.setattr(generator_module, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(generator_module.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(generator_module, "_fuzz_range", lambda cfg, a, b, modes, cap: (b - a, []))
+    monkeypatch.setattr(generator_module, "_fuzz_range", lambda cfg, a, b, modes, cap: FuzzReport(checked=b - a))
     report = run_fuzz(GenConfig(), count, threads=threads)
     assert report.checked == count
     assert asked == [workers]

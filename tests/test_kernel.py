@@ -12,6 +12,8 @@ import os
 import stat
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import pytest
@@ -27,6 +29,8 @@ from regcount.kernel import CTable
 from strategies import NEAR_U64_MAX, SHORT_PAIRS, WINDOWED_PAIRS, dfa_store_pairs, root_long_shaped
 
 MODES = ("atmost", "atleast", "exact", "decomposed")
+#: An int64 no sweep of the test stores writes.
+SENTINEL = -2**63 + 12345
 
 
 def outcomes(dfa, store):
@@ -90,9 +94,10 @@ def sweep_entries(table):
 
 def c_entries(table):
     """:func:`sweep_entries` read off a C table's flat arrays, whose prefix
-    entries are built on its ``prefix_sides`` only."""
+    entries are built on its ``prefix_sides`` only; the thread's arrays may
+    run past the table's ``n + 1`` rows."""
     width = table.num_states
-    live = [table.live[i * width:i * width + count] for i, count in enumerate(table.live_len)]
+    live = [table.live[i * width:i * width + count] for i, count in enumerate(table.live_len[:table.n + 1])]
     rows = [live]
     rows += [[[pre[i * width + q] for q in states] for i, states in enumerate(live)]
              for pre, built in zip((table.pre_min, table.pre_max), table.prefix_sides) if built]
@@ -135,8 +140,10 @@ def test_the_kernels_build_equal_tables_on_every_pass(index, end):
 @pytest.mark.parametrize("end", ["least", "greatest"])
 @pytest.mark.parametrize("sides", list(itertools.product((False, True), repeat=2)))
 def test_suffix_builds_exactly_the_sides_asked_for_on_both_kernels(sides, end):
-    # A fresh C table's arrays are zero, so an unbuilt C side stays zero;
-    # an unbuilt Python side reads as unbounded.
+    # The C table's arrays are the thread's and may hold stale entries, so
+    # both suffix sides are filled with a sentinel first: an unbuilt C side
+    # must still hold it everywhere, never written; an unbuilt Python side
+    # reads as unbounded.
     dfa, store = root_long_shaped(5, end, holed=True, n=200, seed=27012)
     with kernels.forced("c"):
         python = SweepTable.compute(dfa, store)
@@ -144,6 +151,8 @@ def test_suffix_builds_exactly_the_sides_asked_for_on_both_kernels(sides, end):
     assert python.suffixes == compiled.suffixes == (False, False)
     assert (python.least, python.greatest) == (compiled.least, compiled.greatest)
     assert sweep_entries(python) == c_entries(compiled)
+    filled = [SENTINEL] * len(compiled.suf_min)
+    compiled.suf_min[:] = compiled.suf_max[:] = filled
     python.suffix(dfa, store, *sides)
     compiled.suffix(dfa, store, *sides)
     assert python.suffixes == compiled.suffixes == sides
@@ -151,7 +160,72 @@ def test_suffix_builds_exactly_the_sides_asked_for_on_both_kernels(sides, end):
     for built, rows, unbounded, flat in ((sides[0], python.suf_min, -math.inf, compiled.suf_min),
                                          (sides[1], python.suf_max, math.inf, compiled.suf_max)):
         if not built:
-            assert all(c == unbounded for row in rows for c in row) and not any(flat)
+            assert all(c == unbounded for row in rows for c in row) and flat[:] == filled
+
+
+def test_one_thread_reuses_its_arrays_across_stores_of_changing_shape():
+    # A new thread starts with no C arrays.  Its stores, (n, num_states,
+    # num_symbols), replace them when the rows grow, and then when only
+    # stamp, only live_len and only found and witnesses would not fit; they
+    # reuse them, stale entries and all, when the next store fits.  The
+    # tables of every pass and the outcomes must still equal the Python
+    # kernels'.
+    shapes = [(400, 8, 3), (200, 20, 8), (400, 12, 5), (200, 12, 5), (150, 30, 4), (300, 8, 2), (60, 8, 20),
+              (50, 8, 6)]
+
+    def check():
+        for index, (n, num_states, num_symbols) in enumerate(shapes):
+            cfg = GenConfig(min_states=num_states, max_states=num_states, min_symbols=num_symbols,
+                            max_symbols=num_symbols)
+            dfa, store = root_long_shaped(index, ("least", "greatest")[index % 2], holed=True, n=n, seed=27012,
+                                          cfg=cfg)
+            runs = {}
+            for name in kernels.KERNELS:
+                with kernels.forced(name):
+                    result = outcomes(dfa, store)
+                    # Both prefix sides of a C table are built in the two-sided modes only.
+                    with recorded_tables() as builds:
+                        for mode in ("exact", "decomposed"):
+                            propagate(dfa, store.copy(), mode)
+                runs[name] = result, [rows for _, rows in builds]
+            assert kernel.usable(dfa, store) and len(runs["c"][1]) >= 2
+            assert runs["c"] == runs["python"], (n, num_states, num_symbols)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(check).result()
+
+
+def test_threads_that_propagate_at_once_match_a_sequential_run():
+    # ctypes releases the GIL during a C call, so the threads' passes
+    # overlap; each thread's tables must be its own.
+    stores = [root_long_shaped(0, "least", holed=True, n=1000, seed=27011),
+              root_long_shaped(1, "greatest", holed=True, n=600, seed=27011)]
+    rounds = 8
+    got = [None] * len(stores)
+    start = threading.Barrier(len(stores))
+
+    def run(k):
+        start.wait()
+        got[k] = [outcomes(*stores[k]) for _ in range(rounds)]
+
+    with kernels.forced("c"):
+        expected = [outcomes(*pair) for pair in stores]
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(stores))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    assert got == [[outcome] * rounds for outcome in expected]
+
+
+def test_the_cached_library_is_keyed_by_the_compiler_command(monkeypatch):
+    path = kernel._library_path()
+    assert kernel._library_path() == path
+    monkeypatch.setattr(kernel, "_FLAGS", ("-O3", "-shared", "-fPIC"))
+    flags = kernel._library_path()
+    monkeypatch.setattr(kernel, "_CC", "clang")
+    compiler = kernel._library_path()
+    assert len({path, flags, compiler}) == 3
 
 
 @pytest.mark.parametrize("name", list(test_propagators.MULTI_PASS_WITNESSES))
@@ -164,8 +238,8 @@ def test_the_multi_pass_witnesses_reach_their_fixpoints_on_the_c_kernel(name):
 def test_the_fuzz_checks_pass_on_the_c_kernel(seed):
     # check_instance and check_among_instance, as `regcount fuzz` runs them.
     with kernels.forced("c"), recorded_tables() as builds:
-        checked, violations = _fuzz_range(GenConfig(seed=seed), 0, 200, Instance.MODES, DEFAULT_CAP)
-    assert (checked, violations) == (200, [])
+        report = _fuzz_range(GenConfig(seed=seed), 0, 200, Instance.MODES, DEFAULT_CAP)
+    assert (report.checked, report.violations, report.capped) == (200, [], [])
     assert {kind for kind, _ in builds} == {"CTable"}
 
 
