@@ -11,7 +11,16 @@
  * Every table is row-major, num_states entries per row.  An entry is
  * written only at the states its row reaches (prefix row i: live[i]; suffix
  * row i: live[i - 1]; suffix row n + 1 is 0 everywhere), and only those
- * entries are read, so no sum ever involves an unreached entry.  The caller
+ * entries are used, so no sum ever involves an unreached entry.  The relax
+ * loops have no data-dependent branch.  So rc_prefix loads a prefix entry
+ * before it knows whether this is the state's first reach in the row; on a
+ * first reach the entry may be stale (the caller's arrays are reused across
+ * passes, stores and shapes; ctypes allocates them zeroed, and every index is
+ * in bounds), and a select discards it for the new sum, so no result can
+ * depend on it.  Likewise rc_prefix writes every relaxed state to the next
+ * free slot of its live row and keeps it only on a first reach; with every
+ * state reached that slot is the first entry of the following row, which is
+ * rebuilt after it, or of row n + 1, which nothing reads.  The caller
  * guarantees that every domain is nonempty, that every full-string counter
  * is below 2^62 and that every dom(N) value fits in int64, so no sum
  * overflows.  Symbols are read from the domain masks in ascending order.
@@ -27,7 +36,8 @@ typedef struct {
     const uint64_t *domains;    /* n masks */
     int64_t *pre_min, *pre_max; /* rows 0..n */
     int64_t *suf_min, *suf_max; /* rows 0..n + 1; row 0 unused */
-    int32_t *live;              /* rows 0..n: the states each prefix row reaches, in first-reach order */
+    int32_t *live;              /* rows 0..n: the states each prefix row reaches, in first-reach order;
+                                   row n + 1 is scratch */
     int32_t *live_len;          /* n + 1 */
     int32_t *stamp;             /* num_states: the last prefix row that reached each state */
 } rc_pass;
@@ -35,8 +45,8 @@ typedef struct {
 /* Prefix rows 0..n of the chosen sides, each row relaxed symbol-major over
  * the states the previous row reaches, as regcount.sweep.forward relaxes
  * both sides: a state's first reach writes its sums and appends it to
- * live[i].  ends gets the least and greatest full-string counters of the
- * built sides. */
+ * live[i], a later reach keeps the least (greatest) sum.  ends gets the
+ * least and greatest full-string counters of the built sides. */
 void rc_prefix(rc_pass *p, int min_side, int max_side, int64_t *ends)
 {
     const int32_t Q = p->num_states, S = p->num_symbols;
@@ -54,15 +64,18 @@ void rc_prefix(rc_pass *p, int min_side, int max_side, int64_t *ends)
             for (int32_t k = 0; k < count; k++) {
                 const int32_t q = states[k], t = p->next_state[q * S + s];
                 const int64_t step = p->increment[q * S + s];
-                if (p->stamp[t] != i + 1) {
-                    p->stamp[t] = i + 1;
-                    reached[size++] = t;
-                    if (min_side) new_low[t] = low[q] + step;
-                    if (max_side) new_high[t] = high[q] + step;
-                    continue;
+                const int fresh = p->stamp[t] != i + 1;
+                p->stamp[t] = i + 1;
+                reached[size] = t;
+                size += fresh;
+                if (min_side) {
+                    const int64_t v = low[q] + step, old = new_low[t];
+                    new_low[t] = fresh ? v : v < old ? v : old;
                 }
-                if (min_side && low[q] + step < new_low[t]) new_low[t] = low[q] + step;
-                if (max_side && high[q] + step > new_high[t]) new_high[t] = high[q] + step;
+                if (max_side) {
+                    const int64_t v = high[q] + step, old = new_high[t];
+                    new_high[t] = fresh ? v : v > old ? v : old;
+                }
             }
         }
         p->live_len[i + 1] = size;
@@ -99,8 +112,8 @@ void rc_suffix(rc_pass *p, int minimize)
             const int s = __builtin_ctzll(mask);
             for (int32_t k = 0; k < count; k++) {
                 const int32_t q = states[k];
-                const int64_t c = next[p->next_state[q * S + s]] + p->increment[q * S + s];
-                if (minimize ? c < row[q] : c > row[q]) row[q] = c;
+                const int64_t c = next[p->next_state[q * S + s]] + p->increment[q * S + s], r = row[q];
+                row[q] = (minimize ? c < r : c > r) ? c : r;
             }
         }
     }

@@ -229,6 +229,11 @@ def _cmd_fuzz(args) -> int:
     print(f"violations: {len(report.violations)}")
     print(f"elapsed: {report.elapsed:.1f}s", file=sys.stderr)
     if not report.violations:
+        if not report.checked:
+            # A run that checked nothing must not read as a pass.
+            print(f"error: the cap of {cap} ground sequences stopped every index; raise --cap or lower --max-n",
+                  file=sys.stderr)
+            return 2
         return 0
     os.makedirs(args.out, exist_ok=True)
     for v in report.violations:

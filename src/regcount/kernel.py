@@ -18,8 +18,11 @@ fits allocates no table arrays and touches no fresh pages.  Beside them the
 thread keeps the automaton it last used, flattened once and found again by
 identity, with its largest increment, which :func:`usable` reads.  One
 table is live per thread: a new one takes over the arrays of the last.
-Stale entries, from an earlier pass, store or shape, are never read,
-because ``_pass.c`` reads only the entries it wrote in the same pass.
+Stale entries, from an earlier pass, store or shape, are never used:
+``_pass.c`` uses only the entries it wrote in the same pass.  Its branch-free
+prefix sweep does load the entry at a state's first reach in a row, stale or
+not, but a select replaces that value with the new sum, so no result can
+depend on it.
 ctypes releases the GIL during a C call, so two threads must not share
 arrays, and they do not.
 
@@ -170,7 +173,8 @@ class CTable:
 
     The arrays are the thread's (see the module docstring): they may be
     longer than this table's ``n + 1`` prefix rows, hold stale entries
-    elsewhere, and are taken over by the next ``CTable`` the thread makes.
+    elsewhere, which ``rc_prefix`` may load on a state's first reach but
+    never uses, and are taken over by the next ``CTable`` the thread makes.
     """
 
     def __init__(self, dfa, store, min_side: bool, max_side: bool):
@@ -181,8 +185,10 @@ class CTable:
         lengths = ((n + 2) * num_states, n + 1, num_states, n * num_symbols)
         if any(map(operator.gt, lengths, arrays.lengths)):
             rows, ends, states, pairs = arrays.lengths = lengths
-            # found takes at most two windows, each with at most one pair per
-            # symbol of a domain; results the two int64 results of a C call.
+            # live has n + 2 rows, as the suffix sides do: rc_prefix may write
+            # into row n + 1.  found takes at most two windows, each with at
+            # most one pair per symbol of a domain; results the two int64
+            # results of a C call.
             arrays.tables = [*[(c_int64 * rows)() for _ in range(4)], (c_int32 * rows)(), (c_int32 * ends)(),
                              (c_int32 * states)(), (c_int32 * (4 * pairs))(), (c_int64 * pairs)(), (c_int64 * 2)()]
         (self.pre_min, self.pre_max, self.suf_min, self.suf_max, self.live, self.live_len, self.stamp,

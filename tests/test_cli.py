@@ -688,6 +688,21 @@ def test_fuzz_counts_and_lists_the_indices_past_the_cap():
     assert out.splitlines() == ["checked: 6", "capped: 2 (indices 1, 7)", "violations: 0"]
 
 
+def test_fuzz_exits_2_when_the_cap_stops_every_index():
+    code, out, err = run_main("fuzz", "--count", "5", "--cap", "1")
+    assert code == 2
+    assert out.splitlines() == ["checked: 0", "capped: 5 (indices 0, 1, 2, 3, 4)", "violations: 0"]
+    assert err.splitlines()[-1] == ("error: the cap of 1 ground sequences stopped every index; "
+                                    "raise --cap or lower --max-n")
+
+
+def test_fuzz_exits_0_when_one_index_is_checked_and_the_others_are_capped(monkeypatch):
+    monkeypatch.setattr(cli, "run_fuzz", lambda *args, **kwargs: FuzzReport(checked=1, capped=[0, 2]))
+    code, out, err = run_main("fuzz", "--count", "3")
+    assert code == 0, err
+    assert out.splitlines() == ["checked: 1", "capped: 2 (indices 0, 2)", "violations: 0"]
+
+
 def test_fuzz_writes_each_violation_as_a_loadable_instance(tmp_path, monkeypatch):
     doc = witness_instance_doc()
     violation = FuzzViolation(index=7, mode="exact", kind="unsound", detail="removed supported x1=2",

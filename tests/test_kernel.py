@@ -26,6 +26,7 @@ from regcount import (DEFAULT_CAP, CounterDfa, DomainStore, GenConfig, Instance,
                       save_instance)
 from regcount.generator import _fuzz_range
 from regcount.kernel import CTable
+from regcount.propagators import _RULES
 from strategies import NEAR_U64_MAX, SHORT_PAIRS, WINDOWED_PAIRS, dfa_store_pairs, root_long_shaped
 
 MODES = ("atmost", "atleast", "exact", "decomposed")
@@ -163,6 +164,42 @@ def test_suffix_builds_exactly_the_sides_asked_for_on_both_kernels(sides, end):
             assert all(c == unbounded for row in rows for c in row) and flat[:] == filled
 
 
+@contextlib.contextmanager
+def stale_prefix_entries():
+    """Fill a C table's prefix arrays before each of its passes with the
+    values that would win a relax: the least int64 on the min side, the
+    greatest on the max side."""
+    compute = CTable.compute
+
+    def computing(table, dfa, store):
+        table.pre_min[:] = [kernel._INT64_MIN] * len(table.pre_min)
+        table.pre_max[:] = [kernel._INT64_MAX] * len(table.pre_max)
+        return compute(table, dfa, store)
+
+    with mock.patch.object(CTable, "compute", computing):
+        yield
+
+
+@pytest.mark.parametrize("index, end", [(0, "least"), (1, "greatest")])
+def test_stale_prefix_entries_never_reach_a_table(index, end):
+    # rc_prefix loads an entry on a state's first reach and throws it away;
+    # a select that kept it would leave a sentinel in the table.  One-sided
+    # modes build one prefix side, two-sided modes both, over several passes.
+    dfa, store = root_long_shaped(index, end, holed=True, n=400, seed=27012)
+    for mode in MODES:
+        runs = {}
+        for name in kernels.KERNELS:
+            work = store.copy()
+            with kernels.forced(name), stale_prefix_entries(), recorded_tables() as builds:
+                out = propagate(dfa, work, mode)
+            runs[name] = (out.status, out.removals, out.passes, work.domains, work.counter), [r for _, r in builds]
+        # The Python kernels build both prefix sides; keep the ones C builds.
+        python = [[rows[0], *[side for side, built in zip(rows[1:3], _RULES[mode][:2]) if built], *rows[3:]]
+                  for rows in runs["python"][1]]
+        assert runs["c"] == (runs["python"][0], python), mode
+        assert len(python) >= (2 if mode in ("exact", "decomposed") else 1)
+
+
 def test_one_thread_reuses_its_arrays_across_stores_of_changing_shape():
     # A new thread starts with no C arrays.  Its stores, (n, num_states,
     # num_symbols), replace them when the rows grow, and then when only
@@ -216,6 +253,12 @@ def test_threads_that_propagate_at_once_match_a_sequential_run():
         for thread in threads:
             thread.join()
     assert got == [[outcome] * rounds for outcome in expected]
+
+
+def test_the_kernel_source_compiles_without_warnings():
+    result = subprocess.run([kernel._CC, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", kernel._SOURCE],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_the_cached_library_is_keyed_by_the_compiler_command(monkeypatch):
