@@ -28,8 +28,10 @@ arrays, and they do not.
 
 When it runs.  :func:`usable` sends a store to the C kernel only if
 
-* n × num_states is at least ``_MIN_CELLS``, the measured crossover below
-  which the per-call cost of the C kernel outweighs its speed;
+* n × num_states is at least ``_MIN_CELLS``.  Below it the two kernels
+  were measured per call: C was slower on search-dfs stores under 25 cells
+  and faster on fuzz-oracle-shaped ones (0.43–0.91× the time), and with
+  every store in C search-dfs's median op took 15–21% longer;
 * the alphabet has at most 64 symbols, so a domain is one ``uint64`` mask;
 * n × (largest increment) is below 2^62 and every dom(N) value below 2^63,
   so no ``int64`` sum overflows and a counter means the same on both
@@ -66,7 +68,8 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_pass.c")
 _CACHE = os.path.join(os.path.dirname(_SOURCE), "_build")
 _CC = "cc"
 _FLAGS = ("-O2", "-shared", "-fPIC")
-#: Least n × num_states that runs the C kernel (see CHANGES.md for the measurement).
+#: Least n × num_states that runs the C kernel.  Measured: C is slower per call on
+#: search-dfs stores under 25 cells, faster on fuzz-oracle-shaped ones (see ROADMAP item 6).
 _MIN_CELLS = 200
 #: The library, once loaded; ``False`` once loading failed; ``None`` before the first try.
 _lib = None

@@ -22,26 +22,17 @@ from hypothesis import strategies as st
 
 import kernels
 import test_propagators
-from regcount import (DEFAULT_CAP, CounterDfa, DomainStore, GenConfig, Instance, SweepTable, cli, kernel, propagate,
-                      save_instance)
+from kernels import MODES, c_entries, outcomes, recorded_tables, sweep_entries
+from regcount import (COUNTER_VAR, DEFAULT_CAP, CounterDfa, DomainStore, GenConfig, Instance, SweepTable, cli, kernel,
+                      propagate, save_instance)
 from regcount.generator import _fuzz_range
 from regcount.kernel import CTable
-from regcount.propagators import _RULES
+from regcount.propagators import _RULES, FIXPOINT
 from strategies import NEAR_U64_MAX, SHORT_PAIRS, WINDOWED_PAIRS, dfa_store_pairs, root_long_shaped
+from test_sweep import GAP
 
-MODES = ("atmost", "atleast", "exact", "decomposed")
 #: An int64 no sweep of the test stores writes.
 SENTINEL = -2**63 + 12345
-
-
-def outcomes(dfa, store):
-    """Per mode: status, removals in order, passes and the final domains."""
-    result = []
-    for mode in MODES:
-        work = store.copy()
-        out = propagate(dfa, work, mode)
-        result.append((mode, out.status, out.removals, out.passes, work.domains, work.counter))
-    return result
 
 
 def on_both_kernels(dfa, store):
@@ -52,59 +43,6 @@ def on_both_kernels(dfa, store):
         ran_c = kernel.usable(dfa, store)
         assert outcomes(dfa, store) == expected
     return ran_c
-
-
-@contextlib.contextmanager
-def recorded_tables():
-    """Record, per table a pass builds in the block, its kernel and its
-    entries wherever the filter reads them: the prefix half when ``compute``
-    returns, then the whole table once the pass's ``suffix`` returns."""
-    builds = []
-
-    def recording(cls, snapshot):
-        # SweepTable.compute is a classmethod, CTable.compute a method.
-        descriptor, suffix = cls.__dict__["compute"], cls.suffix
-        compute = getattr(descriptor, "__func__", descriptor)
-
-        def computing(owner, dfa, store):
-            table = compute(owner, dfa, store)
-            builds.append((cls.__name__, snapshot(table)))
-            return table
-
-        def suffixing(table, dfa, store, min_side, max_side):
-            suffix(table, dfa, store, min_side, max_side)
-            builds[-1] = (cls.__name__, snapshot(table))
-
-        computing = classmethod(computing) if isinstance(descriptor, classmethod) else computing
-        return mock.patch.multiple(cls, compute=computing, suffix=suffixing)
-
-    with recording(SweepTable, sweep_entries), recording(CTable, c_entries):
-        yield builds
-
-
-def sweep_entries(table):
-    """The reached-state lists, then both prefix sides' entries at them and
-    each built suffix side's entries at the states one row earlier."""
-    live = table.live
-    rows = [live]
-    rows += [[[row[q] for q in states] for row, states in zip(pre, live)] for pre in (table.pre_min, table.pre_max)]
-    rows += [[[suf[i][q] for q in live[i - 1]] for i in range(1, len(live))]
-             for suf, built in zip((table.suf_min, table.suf_max), table.suffixes) if built]
-    return rows
-
-
-def c_entries(table):
-    """:func:`sweep_entries` read off a C table's flat arrays, whose prefix
-    entries are built on its ``prefix_sides`` only; the thread's arrays may
-    run past the table's ``n + 1`` rows."""
-    width = table.num_states
-    live = [table.live[i * width:i * width + count] for i, count in enumerate(table.live_len[:table.n + 1])]
-    rows = [live]
-    rows += [[[pre[i * width + q] for q in states] for i, states in enumerate(live)]
-             for pre, built in zip((table.pre_min, table.pre_max), table.prefix_sides) if built]
-    rows += [[[suf[i * width + q] for q in live[i - 1]] for i in range(1, len(live))]
-             for suf, built in zip((table.suf_min, table.suf_max), table.suffixes) if built]
-    return rows
 
 
 @given(st.one_of(SHORT_PAIRS, WINDOWED_PAIRS))
@@ -132,10 +70,10 @@ def test_the_kernels_build_equal_tables_on_every_pass(index, end):
             with kernels.forced(name), recorded_tables() as builds:
                 propagate(dfa, store.copy(), mode)
             tables[name] = builds
-        assert [kind for kind, _ in tables["c"]] == ["CTable"] * len(tables["c"])
-        assert [kind for kind, _ in tables["python"]] == ["SweepTable"] * len(tables["python"])
-        assert len(tables["c"]) >= 2
-        assert [rows for _, rows in tables["c"]] == [rows for _, rows in tables["python"]], mode
+        assert {build.kind for build in tables["c"]} == {"CTable"} and len(tables["c"]) >= 2
+        assert {build.kind for build in tables["python"]} == {"SweepTable"}
+        # Equal entries, suffix sides and removal-log lengths, pass by pass.
+        assert [build[1:] for build in tables["c"]] == [build[1:] for build in tables["python"]], mode
 
 
 @pytest.mark.parametrize("end", ["least", "greatest"])
@@ -192,7 +130,8 @@ def test_stale_prefix_entries_never_reach_a_table(index, end):
             work = store.copy()
             with kernels.forced(name), stale_prefix_entries(), recorded_tables() as builds:
                 out = propagate(dfa, work, mode)
-            runs[name] = (out.status, out.removals, out.passes, work.domains, work.counter), [r for _, r in builds]
+            outcome = out.status, out.removals, out.passes, work.domains, work.counter
+            runs[name] = outcome, [build.rows for build in builds]
         # The Python kernels build both prefix sides; keep the ones C builds.
         python = [[rows[0], *[side for side, built in zip(rows[1:3], _RULES[mode][:2]) if built], *rows[3:]]
                   for rows in runs["python"][1]]
@@ -224,7 +163,7 @@ def test_one_thread_reuses_its_arrays_across_stores_of_changing_shape():
                     with recorded_tables() as builds:
                         for mode in ("exact", "decomposed"):
                             propagate(dfa, store.copy(), mode)
-                runs[name] = result, [rows for _, rows in builds]
+                runs[name] = result, [build[1:] for build in builds]
             assert kernel.usable(dfa, store) and len(runs["c"][1]) >= 2
             assert runs["c"] == runs["python"], (n, num_states, num_symbols)
 
@@ -277,13 +216,40 @@ def test_the_multi_pass_witnesses_reach_their_fixpoints_on_the_c_kernel(name):
         test_propagators.test_exact_reaches_the_fixpoint_on_multi_pass_witnesses(name)
 
 
+@given(st.one_of(SHORT_PAIRS, WINDOWED_PAIRS))
+@settings(max_examples=60, deadline=None)
+def test_certified_fixpoints_remove_nothing_more_on_the_c_kernel(pair):
+    with kernels.forced("c"):
+        test_propagators._certified_fixpoints_remove_nothing_more(*pair)
+
+
+@given(test_propagators.ground_pairs())
+@settings(max_examples=30, deadline=None)
+def test_ground_stores_take_one_pass_without_a_table_on_the_c_kernel(pair):
+    with kernels.forced("c"):
+        test_propagators._ground_store_takes_one_pass_without_a_table(*pair)
+
+
+@pytest.mark.parametrize("name, kind", [("python", "SweepTable"), ("c", "CTable")])
+def test_the_recorder_sees_the_certifying_pass_on_both_kernels(name, kind):
+    # Exact's one pass over GAP with dom(N) = {0, 1} removes N = 1, builds
+    # the min suffix side alone, removes y and certifies the fixpoint.
+    store = DomainStore(GAP.num_symbols, [(0, 1)], range(2))
+    with kernels.forced(name), recorded_tables() as builds:
+        out = propagate(GAP, store.copy(), "exact")
+    assert (out.status, out.removals, out.passes) == (FIXPOINT, [(COUNTER_VAR, 1), (0, 1)], 1)
+    assert [(build.kind, build.sides, build.logged) for build in builds] == [(kind, (True, False), 1)]
+    with kernels.forced(name):
+        assert list(test_propagators._certified_fixpoints_remove_nothing_more(GAP, store)) == ["exact"]
+
+
 @pytest.mark.parametrize("seed", [27013])
 def test_the_fuzz_checks_pass_on_the_c_kernel(seed):
     # check_instance and check_among_instance, as `regcount fuzz` runs them.
     with kernels.forced("c"), recorded_tables() as builds:
         report = _fuzz_range(GenConfig(seed=seed), 0, 200, Instance.MODES, DEFAULT_CAP)
     assert (report.checked, report.violations, report.capped) == (200, [], [])
-    assert {kind for kind, _ in builds} == {"CTable"}
+    assert {build.kind for build in builds} == {"CTable"}
 
 
 @given(dfa_store_pairs(max_n=6, increments=NEAR_U64_MAX))
@@ -294,7 +260,7 @@ def test_counters_that_could_leave_int64_run_the_python_kernels(pair):
         fits = store.n * max(map(max, dfa.increment)) < 2**62
         assert kernel.usable(dfa, store) == fits
         outcomes(dfa, store)
-    assert fits or {kind for kind, _ in builds} <= {"SweepTable"}
+    assert fits or {build.kind for build in builds} <= {"SweepTable"}
     event("fits" if fits else "Python kernels")
     on_both_kernels(dfa, store)
 
@@ -338,7 +304,7 @@ def test_without_a_compiler_every_store_runs_the_python_kernels(monkeypatch, tmp
     with recorded_tables() as builds:
         assert outcomes(dfa, store) == expected
         assert run_main("propagate", str(path)) == printed
-    assert kernel._lib is False and {kind for kind, _ in builds} == {"SweepTable"}
+    assert kernel._lib is False and {build.kind for build in builds} == {"SweepTable"}
     assert printed[0] == 0 and printed[2] == ""
 
 

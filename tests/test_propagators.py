@@ -1,10 +1,10 @@
-import contextlib
 import dataclasses
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import kernels
 import reference_kernel
 from regcount import (
     COUNTER_VAR,
@@ -23,7 +23,6 @@ from regcount import (
     propagate_exact,
     run,
 )
-from regcount import sweep
 from regcount.propagators import FIXPOINT
 from strategies import NEAR_U64_MAX, SHORT_PAIRS, WINDOWED_PAIRS, cdfas, dfa_store_pairs
 
@@ -430,50 +429,27 @@ def _decomposed_reaches_the_fixpoint_of_alternating_runs(dfa, store):
         assert set(new.removals) == set(old.removals)
 
 
-@contextlib.contextmanager
-def recorded_builds():
-    """Record, per table a pass builds in the block, the store's removal-log
-    length after the pass's N rule and the suffix sides the pass built, or
-    ``(None, (False, False))`` for a pass that built none and so ended after
-    its N rule.  No sweep removes a value, so the length when ``suffix`` is
-    called is the one after the N rule."""
-    compute, suffix = SweepTable.__dict__["compute"], SweepTable.suffix
-    builds = []
-
-    def computing(cls, dfa, store):
-        builds.append((None, (False, False)))
-        return compute.__func__(cls, dfa, store)
-
-    def suffixing(table, dfa, store, min_side, max_side):
-        builds[-1] = (len(store.removal_log), (min_side, max_side))
-        suffix(table, dfa, store, min_side, max_side)
-
-    SweepTable.compute, SweepTable.suffix = classmethod(computing), suffixing
-    try:
-        yield builds
-    finally:
-        SweepTable.compute, SweepTable.suffix = compute, suffix
-
-
 def _certified_fixpoints_remove_nothing_more(dfa, store):
     # Exact and the decomposition return after a pass that removed a symbol
     # when that pass certifies that the next one would remove nothing: only
     # a pass that built one suffix side can, by its supports' counters.  On
     # such a call's result, a fresh run and the plain reference loop remove
-    # nothing.
+    # nothing.  Returns the certifying pass's build, by mode.
+    certified = {}
     for mode, reference in (("exact", reference_kernel.propagate_exact),
                             ("decomposed", reference_kernel.propagate_decomposed)):
         work = store.copy()
-        with recorded_builds() as builds:
+        with kernels.recorded_tables() as builds:
             out = propagate(dfa, work, mode)
-        if out.failed or not builds or builds[-1][0] in (None, len(work.removal_log)):
+        if out.failed or not builds or builds[-1].logged in (None, len(work.removal_log)):
             continue  # no pass certified: none built a table, or the last one checked or removed no symbol
-        assert builds[-1][1] in ((True, False), (False, True)), mode
-        event(f"{mode} certified after a pass with suffix sides {builds[-1][1]}")
+        certified[mode] = last = builds[-1]
+        assert last.sides in ((True, False), (False, True)), mode
         again = propagate(dfa, work.copy(), mode)
         assert (again.status, again.removals) == (FIXPOINT, []), mode
         confirmed = reference(dfa, work.copy())
         assert (confirmed.status, confirmed.removals) == (FIXPOINT, []), mode
+    return certified
 
 
 @given(st.one_of(SHORT_PAIRS, WINDOWED_PAIRS))
@@ -491,31 +467,8 @@ def test_decomposed_reaches_the_fixpoint_of_alternating_runs(pair):
 @given(st.one_of(SHORT_PAIRS, WINDOWED_PAIRS))
 @settings(max_examples=300, deadline=None)
 def test_certified_fixpoints_remove_nothing_more(pair):
-    _certified_fixpoints_remove_nothing_more(*pair)
-
-
-@contextlib.contextmanager
-def recorded_sweeps():
-    """Record the name of every ``SweepTable.compute`` and sweep kernel call in the block."""
-    kernels = {name: getattr(sweep, name) for name in ("forward", "backward")}
-    descriptor = SweepTable.__dict__["compute"]
-    calls = []
-
-    def recording(name, function):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return function(*args, **kwargs)
-        return wrapper
-
-    for name, kernel in kernels.items():
-        setattr(sweep, name, recording(name, kernel))
-    SweepTable.compute = classmethod(recording("compute", descriptor.__func__))
-    try:
-        yield calls
-    finally:
-        for name, kernel in kernels.items():
-            setattr(sweep, name, kernel)
-        SweepTable.compute = descriptor
+    for mode, build in _certified_fixpoints_remove_nothing_more(*pair).items():
+        event(f"{mode} certified after a pass with suffix sides {build.sides}")
 
 
 @st.composite
@@ -530,29 +483,29 @@ def ground_pairs(draw):
     return dfa, DomainStore(dfa.num_symbols, [[s] for s in word], counter)
 
 
-@given(ground_pairs())
-@settings(max_examples=150, deadline=None)
-def test_ground_stores_take_one_pass_without_a_table(pair):
+def _ground_store_takes_one_pass_without_a_table(dfa, store):
     # A ground store has one word: its one pass runs the word and applies
-    # the N rule, and builds no table.  The outcome is the plain loops':
-    # status, removals in order and final store, and for the decomposition
-    # the status, and at a fixpoint the final store and removal set.
-    dfa, store = pair
+    # the N rule, and builds no table on either kernel.  The outcome is the
+    # plain loops': status, removals in order and final store, and for the
+    # decomposition the status, and at a fixpoint the final store and
+    # removal set.
     for mode, reference in reference_kernel.PROPAGATORS.items():
         new_store, old_store = store.copy(), store.copy()
-        with recorded_sweeps() as calls:
+        with kernels.recorded_tables() as builds:
             new = propagate(dfa, new_store, mode)
-        assert (calls, new.passes) == ([], 1), mode
+        assert (builds, new.passes) == ([], 1), mode
         old = reference(dfa, old_store)
         assert (new.status, new.removals, new_store) == (old.status, old.removals, old_store), mode
-    with recorded_sweeps() as calls:
+    with kernels.recorded_tables() as builds:
         passes = propagate_decomposed(dfa, store.copy()).passes
-    assert (calls, passes) == ([], 1)
+    assert (builds, passes) == ([], 1)
     _decomposed_reaches_the_fixpoint_of_alternating_runs(dfa, store)
 
 
-def _outcomes(dfa, store):
-    return [(mode, propagate(dfa, store.copy(), mode)) for mode in ("atmost", "atleast", "exact", "decomposed")]
+@given(ground_pairs())
+@settings(max_examples=150, deadline=None)
+def test_ground_stores_take_one_pass_without_a_table(pair):
+    _ground_store_takes_one_pass_without_a_table(*pair)
 
 
 def test_interleaved_automata_do_not_reuse_stale_tables():
@@ -563,7 +516,7 @@ def test_interleaved_automata_do_not_reuse_stale_tables():
     a_twin = dataclasses.replace(a)
     assert a_twin == a and a_twin is not a
     store = DomainStore(a.num_symbols, [(0, 1), (0,)], (1,))
-    expected = {id(dfa): _outcomes(dfa, store) for dfa in (a, b, a_twin)}
+    expected = {id(dfa): kernels.outcomes(dfa, store) for dfa in (a, b, a_twin)}
     assert expected[id(a)] != expected[id(b)]
     for dfa in (a, b, a_twin, b, a, a_twin, a):
-        assert _outcomes(dfa, store) == expected[id(dfa)]
+        assert kernels.outcomes(dfa, store) == expected[id(dfa)]
