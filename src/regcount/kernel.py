@@ -18,11 +18,8 @@ fits allocates no table arrays and touches no fresh pages.  Beside them the
 thread keeps the automaton it last used, flattened once and found again by
 identity, with its largest increment, which :func:`usable` reads.  One
 table is live per thread: a new one takes over the arrays of the last.
-Stale entries, from an earlier pass, store or shape, are never used:
-``_pass.c`` uses only the entries it wrote in the same pass.  Its branch-free
-prefix sweep does load the entry at a state's first reach in a row, stale or
-not, but a select replaces that value with the new sum, so no result can
-depend on it.
+No result depends on a stale entry, from an earlier pass, store or shape;
+the header of ``_pass.c`` says why.
 ctypes releases the GIL during a C call, so two threads must not share
 arrays, and they do not.
 
@@ -175,9 +172,9 @@ class CTable:
     it is built and ``SweepTable``'s is exact (see ``_pass.c``).
 
     The arrays are the thread's (see the module docstring): they may be
-    longer than this table's ``n + 1`` prefix rows, hold stale entries
-    elsewhere, which ``rc_prefix`` may load on a state's first reach but
-    never uses, and are taken over by the next ``CTable`` the thread makes.
+    longer than this table's ``n + 1`` prefix rows, hold stale entries that
+    no result depends on (see ``_pass.c``), and are taken over by the next
+    ``CTable`` the thread makes.
     """
 
     def __init__(self, dfa, store, min_side: bool, max_side: bool):
@@ -189,9 +186,9 @@ class CTable:
         if any(map(operator.gt, lengths, arrays.lengths)):
             rows, ends, states, pairs = arrays.lengths = lengths
             # live has n + 2 rows, as the suffix sides do: rc_prefix may write
-            # into row n + 1.  found takes at most two windows, each with at
-            # most one pair per symbol of a domain; results the two int64
-            # results of a C call.
+            # into row n + 1, which nothing reads (see _pass.c).  found takes
+            # at most two windows, each with at most one pair per symbol of a
+            # domain; results the two int64 results of a C call.
             arrays.tables = [*[(c_int64 * rows)() for _ in range(4)], (c_int32 * rows)(), (c_int32 * ends)(),
                              (c_int32 * states)(), (c_int32 * (4 * pairs))(), (c_int64 * pairs)(), (c_int64 * 2)()]
         (self.pre_min, self.pre_max, self.suf_min, self.suf_max, self.live, self.live_len, self.stamp,

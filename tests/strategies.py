@@ -1,11 +1,12 @@
-"""Shared hypothesis strategies: small random automata, stores and words; root-long-shaped stores."""
+"""Shared test inputs: hypothesis strategies for small random automata,
+stores and words; root-long-shaped stores; and fixed automata and witnesses."""
 
 from __future__ import annotations
 
 import hypothesis.strategies as st
 
 import reference_kernel
-from regcount import U64_MAX, CounterDfa, DomainStore, SignatureMap, generator, validate
+from regcount import COUNTER_VAR, U64_MAX, CounterDfa, DomainStore, SignatureMap, generator, run, validate
 
 _LETTERS = "abcd"
 
@@ -171,3 +172,39 @@ def root_long_shaped(index, end, holed=False, n=150, singleton_share=0.75, seed=
         return dfa, DomainStore(alphabet, domains, (middle - 1, middle + 1))
     low = max(middle - 1, 0)
     return dfa, DomainStore(alphabet, domains, range(low, low + 3))
+
+
+@st.composite
+def ground_pairs(draw):
+    """A store with one symbol per position, n = 0..12, and a dom(N) drawn
+    around its word's counter, near 0 or anywhere up to 2 * U64_MAX."""
+    dfa = draw(st.one_of(cdfas(), cdfas(increments=NEAR_U64_MAX)))
+    word = draw(st.lists(st.integers(0, dfa.num_symbols - 1), max_size=12))
+    c = run(dfa, word).counter
+    value = st.one_of(st.integers(max(0, c - 2), c + 2), st.integers(0, 12), st.integers(0, 2 * U64_MAX))
+    counter = draw(st.sets(value, min_size=1, max_size=6))
+    return dfa, DomainStore(dfa.num_symbols, [[s] for s in word], counter)
+
+
+#: "x" stays in state 0 for free; "y" moves to state 1 for 3.  Over one
+#: position with both symbols, the end intervals are [0, 0] and [3, 3].
+GAP = CounterDfa(num_states=2, alphabet=("x", "y"), start=0, next_state=((0, 1), (1, 1)),
+                 increment=((0, 3), (0, 0)))
+
+#: Multi-pass exact witnesses over two states: (next_state, increment,
+#: domains, dom(N), exact's removals and passes, the decomposition's
+#: removals), symbols by name.  On "prefix", exact's first pass removes
+#: symbols at positions 0, 1 and 5, and only the prefix rows its second pass
+#: builds from the shrunk domains show that N = 11 has lost its support.  On
+#: "suffix-jump", exact's first pass removes (4, b) and (11, b).  The min
+#: suffix rows 12 down to 6 of its second pass equal the first pass's,
+#: though row 12 reads the shrunk position 11, and row 5, which reads
+#: position 4, differs; from there the second pass removes (3, b) and the
+#: third (0, a).  A sweep that reused the first pass's suffix rows would
+#: have to resume at position 4 after finding row 12 unchanged.
+MULTI_PASS_WITNESSES = {
+    "prefix": (((1, 1, 0), (1, 0, 1)), ((2, 0, 1), (3, 3, 3)), "b,c;a,c;c;b;a,b;b,c;c;a", (11, 12),
+               [(0, "b"), (1, "a"), (5, "c"), (COUNTER_VAR, 11)], 2, [(0, "b"), (1, "a")]),
+    "suffix-jump": (((1, 0), (0, 1)), ((0, 0), (1, 3)), "a,b;b;a;a,b;a,b;a;b;a;b;b;b;a,b", (11, 12),
+                    [(4, "b"), (11, "b"), (COUNTER_VAR, 11), (3, "b"), (0, "a")], 3, []),
+}

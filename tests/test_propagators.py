@@ -8,7 +8,6 @@ import kernels
 import reference_kernel
 from regcount import (
     COUNTER_VAR,
-    U64_MAX,
     CounterDfa,
     DomainStore,
     Mode,
@@ -24,7 +23,7 @@ from regcount import (
     run,
 )
 from regcount.propagators import FIXPOINT
-from strategies import NEAR_U64_MAX, SHORT_PAIRS, WINDOWED_PAIRS, cdfas, dfa_store_pairs
+from strategies import MULTI_PASS_WITNESSES, SHORT_PAIRS, WINDOWED_PAIRS, dfa_store_pairs, ground_pairs
 
 B = catalog("B")
 ONE, TWO = B.symbol_id("1"), B.symbol_id("2")
@@ -221,45 +220,9 @@ def test_exact_fails_fast_outside_reachable_range():
     assert out.failed
 
 
-#: Multi-pass exact witnesses over two states: (next_state, increment,
-#: domains, dom(N), exact's removals and passes, the decomposition's
-#: removals), symbols by name.  On "prefix", exact's first pass removes
-#: symbols at positions 0, 1 and 5, and only the prefix rows its second pass
-#: builds from the shrunk domains show that N = 11 has lost its support.  On
-#: "suffix-jump", exact's first pass removes (4, b) and (11, b).  The min
-#: suffix rows 12 down to 6 of its second pass equal the first pass's,
-#: though row 12 reads the shrunk position 11, and row 5, which reads
-#: position 4, differs; from there the second pass removes (3, b) and the
-#: third (0, a).  A sweep that reused the first pass's suffix rows would
-#: have to resume at position 4 after finding row 12 unchanged.
-MULTI_PASS_WITNESSES = {
-    "prefix": (((1, 1, 0), (1, 0, 1)), ((2, 0, 1), (3, 3, 3)), "b,c;a,c;c;b;a,b;b,c;c;a", (11, 12),
-               [(0, "b"), (1, "a"), (5, "c"), (COUNTER_VAR, 11)], 2, [(0, "b"), (1, "a")]),
-    "suffix-jump": (((1, 0), (0, 1)), ((0, 0), (1, 3)), "a,b;b;a;a,b;a,b;a;b;a;b;b;b;a,b", (11, 12),
-                    [(4, "b"), (11, "b"), (COUNTER_VAR, 11), (3, "b"), (0, "a")], 3, []),
-}
-
-
 @pytest.mark.parametrize("name", list(MULTI_PASS_WITNESSES))
 def test_exact_reaches_the_fixpoint_on_multi_pass_witnesses(name):
-    next_state, increment, domains, counter, removed, passes, decomposed = MULTI_PASS_WITNESSES[name]
-    dfa = CounterDfa(num_states=2, alphabet=("a", "b", "c")[:len(next_state[0])], start=0,
-                     next_state=next_state, increment=increment)
-
-    def store():
-        return DomainStore(dfa.num_symbols, [[dfa.symbol_id(s) for s in position.split(",")]
-                                             for position in domains.split(";")], counter)
-
-    def ids(removals):
-        return {(var, value if var == COUNTER_VAR else dfa.symbol_id(value)) for var, value in removals}
-
-    out = propagate_exact(dfa, store())
-    assert (out.status, set(out.removals), out.passes) == (FIXPOINT, ids(removed), passes)
-    reference = reference_kernel.propagate_exact(dfa, store())
-    assert (reference.status, set(reference.removals)) == (out.status, set(out.removals))
-    assert 11 not in enumerate_support(dfa, store(), "exact").supported_counter
-    baseline = propagate_decomposed(dfa, store())
-    assert (baseline.status, set(baseline.removals)) == (FIXPOINT, ids(decomposed))
+    kernels.multi_pass_witness_reaches_its_fixpoint(name)
 
 
 # -- decomposition baseline ----------------------------------------------------
@@ -413,45 +376,6 @@ def _matches_the_plain_loops(dfa, store):
         assert new.passes == old.passes or certified, mode
 
 
-def _decomposed_reaches_the_fixpoint_of_alternating_runs(dfa, store):
-    # One two-sided run per round against the reference loop, which
-    # alternates whole atmost and atleast runs: the same status, and at a
-    # fixpoint the same final store and removal set.  Removal order and
-    # passes differ by design.  Windowed stores reach passes in which both
-    # ends bind, the only ones where checking each end on its own differs
-    # from exact's check of both ends at one state.
-    new_store, old_store = store.copy(), store.copy()
-    new = propagate_decomposed(dfa, new_store)
-    old = reference_kernel.propagate_decomposed(dfa, old_store)
-    assert new.status == old.status
-    if not new.failed:
-        assert new_store == old_store
-        assert set(new.removals) == set(old.removals)
-
-
-def _certified_fixpoints_remove_nothing_more(dfa, store):
-    # Exact and the decomposition return after a pass that removed a symbol
-    # when that pass certifies that the next one would remove nothing: only
-    # a pass that built one suffix side can, by its supports' counters.  On
-    # such a call's result, a fresh run and the plain reference loop remove
-    # nothing.  Returns the certifying pass's build, by mode.
-    certified = {}
-    for mode, reference in (("exact", reference_kernel.propagate_exact),
-                            ("decomposed", reference_kernel.propagate_decomposed)):
-        work = store.copy()
-        with kernels.recorded_tables() as builds:
-            out = propagate(dfa, work, mode)
-        if out.failed or not builds or builds[-1].logged in (None, len(work.removal_log)):
-            continue  # no pass certified: none built a table, or the last one checked or removed no symbol
-        certified[mode] = last = builds[-1]
-        assert last.sides in ((True, False), (False, True)), mode
-        again = propagate(dfa, work.copy(), mode)
-        assert (again.status, again.removals) == (FIXPOINT, []), mode
-        confirmed = reference(dfa, work.copy())
-        assert (confirmed.status, confirmed.removals) == (FIXPOINT, []), mode
-    return certified
-
-
 @given(st.one_of(SHORT_PAIRS, WINDOWED_PAIRS))
 @settings(max_examples=300, deadline=None)
 def test_interval_filter_matches_reference_loops(pair):
@@ -461,51 +385,20 @@ def test_interval_filter_matches_reference_loops(pair):
 @given(st.one_of(SHORT_PAIRS, WINDOWED_PAIRS))
 @settings(max_examples=300, deadline=None)
 def test_decomposed_reaches_the_fixpoint_of_alternating_runs(pair):
-    _decomposed_reaches_the_fixpoint_of_alternating_runs(*pair)
+    kernels.decomposed_reaches_the_fixpoint_of_alternating_runs(*pair)
 
 
 @given(st.one_of(SHORT_PAIRS, WINDOWED_PAIRS))
 @settings(max_examples=300, deadline=None)
 def test_certified_fixpoints_remove_nothing_more(pair):
-    for mode, build in _certified_fixpoints_remove_nothing_more(*pair).items():
+    for mode, build in kernels.certified_fixpoints_remove_nothing_more(*pair).items():
         event(f"{mode} certified after a pass with suffix sides {build.sides}")
-
-
-@st.composite
-def ground_pairs(draw):
-    """A store with one symbol per position, n = 0..12, and a dom(N) drawn
-    around its word's counter, near 0 or anywhere up to 2 * U64_MAX."""
-    dfa = draw(st.one_of(cdfas(), cdfas(increments=NEAR_U64_MAX)))
-    word = draw(st.lists(st.integers(0, dfa.num_symbols - 1), max_size=12))
-    c = run(dfa, word).counter
-    value = st.one_of(st.integers(max(0, c - 2), c + 2), st.integers(0, 12), st.integers(0, 2 * U64_MAX))
-    counter = draw(st.sets(value, min_size=1, max_size=6))
-    return dfa, DomainStore(dfa.num_symbols, [[s] for s in word], counter)
-
-
-def _ground_store_takes_one_pass_without_a_table(dfa, store):
-    # A ground store has one word: its one pass runs the word and applies
-    # the N rule, and builds no table on either kernel.  The outcome is the
-    # plain loops': status, removals in order and final store, and for the
-    # decomposition the status, and at a fixpoint the final store and
-    # removal set.
-    for mode, reference in reference_kernel.PROPAGATORS.items():
-        new_store, old_store = store.copy(), store.copy()
-        with kernels.recorded_tables() as builds:
-            new = propagate(dfa, new_store, mode)
-        assert (builds, new.passes) == ([], 1), mode
-        old = reference(dfa, old_store)
-        assert (new.status, new.removals, new_store) == (old.status, old.removals, old_store), mode
-    with kernels.recorded_tables() as builds:
-        passes = propagate_decomposed(dfa, store.copy()).passes
-    assert (builds, passes) == ([], 1)
-    _decomposed_reaches_the_fixpoint_of_alternating_runs(dfa, store)
 
 
 @given(ground_pairs())
 @settings(max_examples=150, deadline=None)
 def test_ground_stores_take_one_pass_without_a_table(pair):
-    _ground_store_takes_one_pass_without_a_table(*pair)
+    kernels.ground_store_takes_one_pass_without_a_table(*pair)
 
 
 def test_interleaved_automata_do_not_reuse_stale_tables():

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import itertools
 import math
@@ -26,18 +25,11 @@ from regcount.oracle import check_dc
 from regcount.propagators import FIXPOINT
 from regcount.sweep import UNREACHABLE_MAX, UNREACHABLE_MIN
 import kernels
-from strategies import NEAR_U64_MAX, dfa_store_pairs, root_long_shaped, windowed
+from kernels import MODES
+from strategies import GAP, NEAR_U64_MAX, dfa_store_pairs, root_long_shaped, windowed
 
 #: The index of each mode's rows in ``forward``'s ``(pre_min, pre_max)``.
 SIDE = {"min": 0, "max": 1}
-
-
-@pytest.fixture(autouse=True, scope="module")
-def python_kernel():
-    # These tests read the tables of SweepTable.compute, which only the
-    # Python kernels build.
-    with kernels.forced("python"):
-        yield
 
 
 # -- brute-force row oracle (enumeration; shares no sweep code) --------------
@@ -249,9 +241,6 @@ def test_format_row_skips_unreachable():
 
 
 # -- overflow -----------------------------------------------------------------
-
-MODES = ("atmost", "atleast", "exact", "decomposed")
-
 
 def one_state_dfa(increments):
     """One state, one symbol per increment, every symbol a self-loop."""
@@ -479,166 +468,40 @@ def test_pass_symbols_match_store_symbols(pair, cache_size):
     assert [list(syms) for syms in got] == singles == expected
 
 
-# -- tables after removals --------------------------------------------------------
+# -- every pass's table, on the kernel the route picks ---------------------------
 
-#: The unpatched builders, for tests that wrap ``SweepTable.compute`` and ``suffix``.
-COMPUTE, SUFFIX = SweepTable.compute, SweepTable.suffix
-
-
-def assert_matching_support(table):
-    """The min and max prefix rows agree on reachability, and every unreachable
-    prefix entry is its sentinel object."""
-    for row_min, row_max in zip(table.pre_min, table.pre_max):
-        for cmin, cmax in zip(row_min, row_max):
-            assert (cmin == UNREACHABLE_MIN) == (cmax == UNREACHABLE_MAX)
-            assert cmin is UNREACHABLE_MIN or cmin != UNREACHABLE_MIN
-            assert cmax is UNREACHABLE_MAX or cmax != UNREACHABLE_MAX
-
-
-def assert_matches_full_rebuild(dfa, store, table):
-    """``table`` equals a build of a copy of ``store`` now, and is exact
-    wherever the filter reads it."""
-    full = COMPUTE(dfa, store.copy())
-    assert (table.pre_min, table.pre_max, table.live, table.least, table.greatest) == (
-        full.pre_min, full.pre_max, full.live, full.least, full.greatest)
-    # Every built suffix row is exact wherever the filter reads it and the
-    # sentinel elsewhere.  An unbuilt side reads as unbounded.
-    for built, rows, pre, mode, sent, unbounded in (
-            (table.suffixes[0], table.suf_min, table.pre_min, "min", UNREACHABLE_MIN, -math.inf),
-            (table.suffixes[1], table.suf_max, table.pre_max, "max", UNREACHABLE_MAX, math.inf)):
-        # The kernels compare two ints in every relax: a built entry is an
-        # int or its side's sentinel.
-        assert_reachable_ints(pre, sent)
-        if built:
-            assert_true_where_read(rows, reference_suffix_rows(dfa, store, mode), pre, sent)
-            assert_reachable_ints(rows, sent)
-            assert all(rows[i][q] is sent for i in range(1, store.n + 1)
-                       for q in range(dfa.num_states) if q not in table.live[i - 1])
-        else:
-            assert all(c == unbounded for row in rows for c in row)
-    assert_live_matches_reference(table.live, dfa, store)
-    assert_matching_support(table)
-    assert_matching_support(full)
-
-
-def built_table(dfa, store, sides):
-    """The table of ``store`` with the suffix sides ``sides`` built."""
-    table = SweepTable.compute(dfa, store)
-    assert table.suffixes == (False, False)
-    table.suffix(dfa, store, *sides)
-    assert table.suffixes == sides
-    return table
-
-
-MIXED_PAIRS = st.one_of(dfa_store_pairs(max_n=12), dfa_store_pairs(max_n=12, increments=NEAR_U64_MAX))
 #: Longer rows, on which exact more often takes several passes that each
 #: remove symbols at several positions.
 LONG_PAIRS = st.one_of(dfa_store_pairs(max_states=5, min_n=6, max_n=16),
                        dfa_store_pairs(max_states=5, min_n=6, max_n=16, increments=NEAR_U64_MAX))
-BOOL_PAIRS = st.tuples(st.booleans(), st.booleans())
-
-
-@given(MIXED_PAIRS, st.data())
-@settings(max_examples=100, deadline=None)
-def test_tables_after_removals_match_a_full_rebuild(pair, data):
-    # Rounds of arbitrary removals, some of which empty a domain, each
-    # followed by a build of an arbitrary choice of suffix sides.
-    dfa, store = pair
-    assert_matches_full_rebuild(dfa, store, built_table(dfa, store, data.draw(BOOL_PAIRS)))
-    for _ in range(data.draw(st.integers(1, 4))):
-        cells = [(i, s) for i in range(store.n) for s in store.symbols(i)]
-        if not cells:
-            break
-        for i, s in data.draw(st.lists(st.sampled_from(cells), max_size=6)):
-            store.remove_symbol(i, s)
-        if data.draw(st.booleans()) and len(store.counter) > 1:
-            store.remove_counter(store.counter[-1])
-        assert_matches_full_rebuild(dfa, store, built_table(dfa, store, data.draw(BOOL_PAIRS)))
-
-
 #: Long pairs whose dom(N) :func:`strategies.windowed` places against their
 #: counter range, with wider increments so that windows cut into it more often.
 WINDOWED_LONG_PAIRS = windowed(st.one_of(dfa_store_pairs(max_states=5, min_n=6, max_n=16, max_increment=3),
                                          dfa_store_pairs(max_states=5, min_n=6, max_n=16, increments=NEAR_U64_MAX)))
 
 
-#: The ends each mode's rule bounds, (cheapest, costliest).
-BOUND_ENDS = {"atmost": (True, False), "atleast": (False, True), "exact": (True, True), "decomposed": (True, True)}
-
-
-def expected_sides(mode, table, counter):
-    """The suffix sides, (min, max), that a pass of ``mode`` with this prefix
-    half builds, given dom(N) as its N rule leaves it.
-
-    A pass whose dom(N) misses [least, greatest], or which the N rule
-    empties, fails before it reads a suffix row.  Otherwise a one-sided rule
-    reads its suffix side in every pass.  Exact reads both when dom(N) has
-    holes; else exact, and the decomposition, which ignores holes, read only
-    the ends where dom(N) cuts into [least, greatest].
-    """
-    min_side, max_side = BOUND_ENDS[mode]
-    least = table.least if min_side else -math.inf
-    greatest = table.greatest if max_side else math.inf
-    if not any(least <= v <= greatest for v in counter):
-        return False, False
-    if not (min_side and max_side):
-        return min_side, max_side
-    if mode == "exact" and counter[-1] - counter[0] >= len(counter):
-        return True, True
-    return counter[-1] < greatest, counter[0] > least
-
-
-@contextlib.contextmanager
-def checked_builds(mode):
-    """Check every table a pass of one ``mode`` call builds in the block
-    against a full rebuild and the mode's suffix-side rule; yields the list
-    of suffix sides each pass built, ``(False, False)`` where it built none."""
-    builds, last = [], []
-
-    def computed(cls, dfa, store):
-        table = COMPUTE(dfa, store)
-        builds.append((False, False))
-        last[:] = dfa, store, table
-        return table
-
-    def suffixed(table, dfa, store, min_side, max_side):
-        SUFFIX(table, dfa, store, min_side, max_side)
-        assert_matches_full_rebuild(dfa, store, table)
-        assert (min_side, max_side) == expected_sides(mode, table, store.counter)
-        builds[-1] = table.suffixes
-
-    descriptor = SweepTable.__dict__["compute"]
-    SweepTable.compute, SweepTable.suffix = classmethod(computed), suffixed
-    try:
-        yield builds
-    finally:
-        SweepTable.compute, SweepTable.suffix = descriptor, SUFFIX
-    # A pass that builds no suffix side ends the call after its N rule and
-    # removes no symbol: the store still holds the domains and dom(N) that
-    # pass left.
-    if builds and builds[-1] == (False, False):
-        dfa, store, table = last
-        assert_matches_full_rebuild(dfa, store, table)
-        assert expected_sides(mode, table, store.counter) == (False, False)
+def every_pass_table_is_judged(dfa, store):
+    # Each table a pass builds is judged against its own store, after the
+    # removals of the passes before it.  A ground store's one pass builds no
+    # table; otherwise each pass builds one.
+    ground = all(len(store.symbols(i)) == 1 for i in range(store.n))
+    for mode in MODES:
+        with kernels.checked(mode) as builds:
+            out = propagate(dfa, store.copy(), mode)
+        assert len(builds) == (0 if ground else out.passes)
 
 
 @given(st.one_of(LONG_PAIRS, WINDOWED_LONG_PAIRS))
 @settings(max_examples=150, deadline=None)
 def test_every_pass_table_matches_a_full_rebuild(pair):
-    dfa, store = pair
-    for mode in MODES:
-        with checked_builds(mode) as builds:
-            out = propagate(dfa, store.copy(), mode)
-        # A ground store's one pass builds no table.  Otherwise each pass
-        # builds one, checked after the removals of the passes before it.
-        ground = all(len(store.symbols(i)) == 1 for i in range(store.n))
-        assert len(builds) == (0 if ground else out.passes)
+    every_pass_table_is_judged(*pair)
 
 
-#: "x" stays in state 0 for free; "y" moves to state 1 for 3.  Over one
-#: position with both symbols, the end intervals are [0, 0] and [3, 3].
-GAP = CounterDfa(num_states=2, alphabet=("x", "y"), start=0, next_state=((0, 1), (1, 1)),
-                 increment=((0, 3), (0, 0)))
+@given(st.one_of(LONG_PAIRS, WINDOWED_LONG_PAIRS))
+@settings(max_examples=30, deadline=None)
+def test_every_pass_table_matches_a_full_rebuild_on_the_c_kernel(pair):
+    with kernels.forced("c"):
+        every_pass_table_is_judged(*pair)
 
 
 @pytest.mark.parametrize("counter, removals, builds", [
@@ -657,9 +520,9 @@ GAP = CounterDfa(num_states=2, alphabet=("x", "y"), start=0, next_state=((0, 1),
 def test_exact_builds_the_suffix_sides_dom_n_can_bind(counter, removals, builds):
     store = DomainStore(GAP.num_symbols, [(0, 1)], counter)
     reference = store.copy()
-    with checked_builds("exact") as built:
+    with kernels.checked("exact") as built:
         out = propagate(GAP, store, "exact")
-    assert (out.removals, built) == (removals, builds)
+    assert (out.removals, [build.sides for build in built]) == (removals, builds)
     expected = reference_kernel.propagate_exact(GAP, reference)
     assert (out.status, out.removals, store) == (expected.status, expected.removals, reference)
     # The reference loop ends a fixpoint with a pass that removes nothing.
@@ -674,8 +537,10 @@ def test_the_n_rule_narrows_dom_n_before_the_symbol_loop(mode):
     # the decomposition's first pass no side to check (it could stop there,
     # keeping y) and exact's first pass the holes of {0, 5}.
     store = DomainStore(GAP.num_symbols, [(0, 1)], (0, 5))
-    out = propagate(GAP, store, mode)
+    with kernels.checked(mode) as builds:
+        out = propagate(GAP, store, mode)
     assert (out.status, out.removals, out.passes) == (FIXPOINT, [(COUNTER_VAR, 5), (0, 1)], 1)
+    assert [build.sides for build in builds] == [(True, False)]
     assert (store.symbols(0), store.counter) == ([0], [0])
 
 
@@ -692,13 +557,14 @@ def propagate_root_long_shaped(index, end, holed):
         reference = reference_kernel.PROPAGATORS.get(mode, reference_kernel.propagate_decomposed)
         expected = reference(dfa, store.copy())
         # Every table a pass builds, after the first pass's removals too, is
-        # exact wherever the filter reads it.
-        with checked_builds(mode) as builds:
+        # judged against its own store, on the C kernel at this size.
+        with kernels.checked(mode) as builds:
             out = propagate(dfa, store.copy(), mode)
         assert (out.status, set(out.removals)) == (expected.status, set(expected.removals)), mode
+        assert {build.kind for build in builds} == {"CTable"}, mode
         if mode in ("exact", "decomposed"):
             assert out.removals, mode
-            two_sided[mode] = out.passes, builds
+            two_sided[mode] = out.passes, [build.sides for build in builds]
     return two_sided
 
 
