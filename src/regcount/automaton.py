@@ -15,6 +15,8 @@ sentinel arithmetic of :mod:`regcount.sweep` stays valid.
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -427,11 +429,21 @@ def automaton_from_json(doc: dict) -> CounterDfa:
     return dfa
 
 
-def load_automaton(path: str) -> CounterDfa:
-    """Read an automaton JSON file; raises MalformedAutomaton on bad content."""
-    with open(path, "r", encoding="utf-8") as fh:
+def read_json(path: str, error: type[ValueError] = MalformedAutomaton):
+    """The JSON document in the UTF-8 file ``path``, or on stdin when ``path`` is ``"-"``.
+
+    The package reads every JSON input here.  Bytes that are not UTF-8, bad
+    syntax and nesting past the recursion limit raise ``error`` with one line
+    naming the source (``stdin`` for ``"-"``); a file that cannot be opened
+    raises ``OSError``.
+    """
+    with nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedAutomaton(f"{path}: not valid JSON ({exc})") from None
-    return automaton_from_json(doc)
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError and UnicodeDecodeError
+            raise error(f"{'stdin' if path == '-' else path}: not valid JSON ({exc})") from None
+
+
+def load_automaton(path: str) -> CounterDfa:
+    """Read an automaton JSON file, or stdin for ``"-"``; raises MalformedAutomaton on bad content."""
+    return automaton_from_json(read_json(path))

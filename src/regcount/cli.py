@@ -6,12 +6,13 @@
     regcount oracle INSTANCE.json [--cap ...]
     regcount dump-sweep (--catalog NAME | --automaton PATH) ...
     regcount fuzz --seed S --count K [--mode ...]
-    regcount solve INSTANCE.json [--propagator ...]
+    regcount solve INSTANCE.json [--mode ...]
     regcount bench CORPUS_DIR [--format table|tsv]
 
 Exit codes: 0 success, 1 constraint failure or fuzz violation, 2 usage or
-parse error.  Outputs have stable field ordering so they can be golden-file
-tested; timing information goes to stderr.
+parse error, or a fuzz run whose cap left no index checked.  Outputs have
+stable field ordering so they can be golden-file tested; timing information
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from .automaton import (
     CounterDfa,
     MalformedAutomaton,
     UnknownAutomaton,
-    automaton_from_json,
     automaton_to_json,
     catalog,
     load_automaton,
+    read_json,
 )
 from .domains import (COUNTER_VAR, DomainStore, Instance, MalformedInstance, instance_from_json, load_instance,
                       save_instance, symbol_ids)
@@ -58,16 +59,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _stdin_json():
-    try:
-        return json.load(sys.stdin)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"stdin: not valid JSON ({exc})") from None
-
-
 def _load_dfa_arg(spec: str) -> CounterDfa:
-    if spec == "-":
-        return automaton_from_json(_stdin_json())
     if spec.startswith("catalog:"):
         return catalog(spec.split(":", 1)[1])
     return load_automaton(spec)
@@ -101,7 +93,7 @@ def _instance_from_args(args) -> Instance:
     if args.instance is not None:
         if (args.automaton, args.vars, args.counter) != (None, None, None):
             raise CliError("give an instance file or --automaton/--vars/--counter, not both")
-        inst = instance_from_json(_stdin_json()) if args.instance == "-" else load_instance(args.instance)
+        inst = instance_from_json(read_json("-")) if args.instance == "-" else load_instance(args.instance)
         if args.mode:
             inst.mode = Mode(args.mode).semantics.value
         return inst
@@ -144,33 +136,26 @@ def _cmd_propagate(args) -> int:
     return 1 if result.failed else 0
 
 
-def _cap_arg(cap: int) -> int:
-    """The enumeration cap of ``--cap``: 0 means REGCOUNT_CAP, or DEFAULT_CAP when that is unset or empty."""
-    if cap < 0:
-        raise CliError(f"--cap must be a positive number of ground sequences, or 0 for the default; got {cap}")
-    if cap:
-        return cap
-    raw = os.environ.get("REGCOUNT_CAP", "")
-    if not raw:
-        return DEFAULT_CAP
+def _cap_arg(text: str) -> int:
+    """The enumeration cap of ``--cap``: an integer, as ``int`` reads it, of at least 1."""
     try:
-        if int(raw) > 0:
-            return int(raw)
+        cap = int(text)
     except ValueError:
-        pass
-    raise CliError(f"REGCOUNT_CAP must be a positive integer, or unset; got {raw!r}")
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive number of ground sequences; got {text!r}")
+    return cap
 
 
 def _cmd_oracle(args) -> int:
-    cap = _cap_arg(args.cap)
     inst = _instance_from_args(args)
     if inst.is_composite:
         assert inst.signature is not None and inst.native_domains is not None
         report = enumerate_support_native(inst.dfa, inst.signature, inst.native_domains,
-                                          inst.counter_values, inst.mode, cap)
+                                          inst.counter_values, inst.mode, args.cap)
         shown = [sorted(s) for s in report.supported]
     else:
-        report = enumerate_support(inst.dfa, inst.make_store(), inst.mode, cap)
+        report = enumerate_support(inst.dfa, inst.make_store(), inst.mode, args.cap)
         shown = [[inst.dfa.alphabet[s] for s in sorted(sup)] for sup in report.supported]
     print(f"status: {'satisfiable' if report.satisfiable else 'unsatisfiable'}")
     print(f"solutions: {report.solution_count}")
@@ -210,7 +195,6 @@ def _cmd_dump_sweep(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    cap = _cap_arg(args.cap)
     if args.count < 1:
         raise CliError(f"--count must be at least 1; got {args.count}")
     if args.seed < 0:
@@ -222,7 +206,7 @@ def _cmd_fuzz(args) -> int:
             raise CliError(f"{option} must be in 1..{MAX_SPEC_SIZE}; got {value}")
     cfg = GenConfig(max_states=args.max_states, max_n=args.max_n, seed=args.seed)
     modes = Instance.MODES if args.mode == "all" else (args.mode,)
-    report = run_fuzz(cfg, args.count, modes, cap=cap, threads=args.threads)
+    report = run_fuzz(cfg, args.count, modes, cap=args.cap, threads=args.threads)
     print(f"checked: {report.checked}")
     if report.capped:
         print(f"capped: {len(report.capped)} (indices {', '.join(map(str, report.capped))})")
@@ -231,7 +215,7 @@ def _cmd_fuzz(args) -> int:
     if not report.violations:
         if not report.checked:
             # A run that checked nothing must not read as a pass.
-            print(f"error: the cap of {cap} ground sequences stopped every index; raise --cap or lower --max-n",
+            print(f"error: the cap of {args.cap} ground sequences stopped every index; raise --cap or lower --max-n",
                   file=sys.stderr)
             return 2
         return 0
@@ -250,11 +234,7 @@ def _cmd_solve(args) -> int:
     inst = _instance_from_args(args)
     if inst.is_composite:
         raise CliError("solve does not support signature instances; propagate/oracle do")
-    propagator = args.propagator or args.mode or inst.mode
-    try:
-        stats = solve(inst.dfa, inst.make_store(), inst.mode, propagator)
-    except ValueError as exc:  # a propagator for another semantics
-        raise CliError(exc.args[0]) from None
+    stats = solve(inst.dfa, inst.make_store(), inst.mode, args.mode or inst.mode)
     print(f"solutions: {stats.solutions}")
     print(f"failures: {stats.failures}")
     print(f"prunings: {stats.prunings}")
@@ -288,7 +268,8 @@ def _add_instance_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--vars", help="inline domains, e.g. '2;1,2;1;1,2;1,2'")
     parser.add_argument("--counter", help="inline counter domain, e.g. '1' or '0,2' or '0..5'")
     parser.add_argument("--mode", choices=[mode.value for mode in Mode],
-                        help="constraint semantics (overrides the instance file)")
+                        help="constraint semantics, or 'decomposed' for exact by atmost+atleast "
+                             "(overrides the instance file)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force supported values")
     _add_instance_args(p)
-    p.add_argument("--cap", type=int, default=0, help="max ground sequences (default: REGCOUNT_CAP or 10^7)")
+    p.add_argument("--cap", type=_cap_arg, default=DEFAULT_CAP, help="max ground sequences (default: 10^7)")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("dump-sweep", help="print prefix/suffix counter tables")
@@ -326,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--mode", choices=[*Instance.MODES, "all"], default="all")
-    p.add_argument("--cap", type=int, default=0, help="oracle cap (default: REGCOUNT_CAP or 10^7)")
+    p.add_argument("--cap", type=_cap_arg, default=DEFAULT_CAP, help="oracle cap in ground sequences (default: 10^7)")
     p.add_argument("--max-states", type=int, default=5)
     p.add_argument("--max-n", type=int, default=10)
     p.add_argument("--threads", type=int, default=1)
@@ -335,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="count solutions/failures/prunings by DFS")
     _add_instance_args(p)
-    p.add_argument("--propagator", choices=["exact", "decomposed"],
-                   help="filtering used at each node of an exact instance (default: the instance's own)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("bench", help="propagate each corpus instance once at the root; time, failures, prunings")

@@ -20,7 +20,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .automaton import CounterDfa, MalformedAutomaton, automaton_from_json, automaton_to_json, is_int, load_automaton
+from .automaton import (CounterDfa, MalformedAutomaton, automaton_from_json, automaton_to_json, is_int, load_automaton,
+                        read_json)
 from .signature import SignatureMap, among_signature
 
 #: Variable key used for the counter variable in removal-log entries.
@@ -227,6 +228,8 @@ def instance_from_json(doc: dict, base_dir: str = ".") -> Instance:
             raise MalformedInstance(f"missing field {key!r}")
     auto = doc["automaton"]
     if isinstance(auto, str):
+        if "\0" in auto:  # open() would raise a plain ValueError
+            raise MalformedInstance("'automaton' path must not contain a NUL character")
         dfa = load_automaton(os.path.join(base_dir, auto))
     else:
         dfa = automaton_from_json(auto)
@@ -306,11 +309,7 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedInstance(f"{path}: not valid JSON ({exc})") from None
+    doc = read_json(path, MalformedInstance)
     try:
         return instance_from_json(doc, base_dir=os.path.dirname(path) or ".")
     except MalformedAutomaton as exc:

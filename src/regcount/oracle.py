@@ -51,8 +51,7 @@ from .propagators import Mode, PropagationOutcome
 from .signature import SignatureMap
 
 #: Default ceiling on the number of ground sequences; override it per call.
-#: The CLI's ``--cap`` and its REGCOUNT_CAP environment variable set the cap
-#: of the oracle-backed commands.
+#: It is also the default of the CLI's ``--cap`` on the oracle-backed commands.
 DEFAULT_CAP = 10**7
 
 

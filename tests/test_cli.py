@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import itertools
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -47,19 +49,22 @@ def run_cli(*args, stdin=None):
     return subprocess.CompletedProcess(["regcount", *args], code, out, err)
 
 
-def run_process(*args, stdin=None):
+def run_process(*args, stdin=None, env=None):
     """``python -m regcount ARGS`` in a subprocess: the entry point, real pipes and exit codes.
 
     The child imports regcount from this checkout's ``src``, installed or not.
+    ``stdin`` is text or bytes; ``env`` adds variables to the child's
+    environment.
     """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
+    env = dict(os.environ, **(env or {}),
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
         [sys.executable, "-m", "regcount", *args],
         capture_output=True,
-        text=True,
-        input=stdin,
+        input=stdin.encode() if isinstance(stdin, str) else stdin,
         env=env,
     )
+    return subprocess.CompletedProcess(result.args, result.returncode, result.stdout.decode(), result.stderr.decode())
 
 
 @pytest.fixture()
@@ -254,9 +259,11 @@ def with_counter(values):
         lambda: among_instance_doc([[1.5], [2]], {"set": [2]}),
         lambda: among_instance_doc([[1], [2]], [{"x": "in", "1": "in"}, {"2": "notin"}]),
         lambda: dict(witness_instance_doc(), name=5),
+        lambda: dict(witness_instance_doc(), automaton="a\0b.json"),
     ],
     ids=["string-start", "scalar-transitions", "true-states", "true-inc", "true-counter",
-         "string-native-value", "float-native-value", "string-signature-key", "number-name"],
+         "string-native-value", "float-native-value", "string-signature-key", "number-name",
+         "nul-in-automaton-path"],
 )
 def test_malformed_instance_exits_2_with_one_line(tmp_path, make_doc):
     path = tmp_path / "bad.json"
@@ -459,12 +466,15 @@ PAST_THE_BOUND = cli.MAX_SPEC_SIZE + 1
         (("fuzz", "--max-n", "-1"), "--max-n"),
         (("fuzz", "--max-states", "0"), "--max-states"),
         (("fuzz", "--cap", "-3"), "--cap"),
+        (("fuzz", "--cap", "0"), "--cap"),
         (("fuzz", "--count", "-5"), "--count"),
         (("fuzz", "--seed", "-1"), "--seed"),
         (("fuzz", "--threads", "0"), "--threads"),
         (("fuzz", "--threads", "-3"), "--threads"),
         (("oracle", "--automaton", "catalog:B", "--vars", "1,2;2", "--counter", "0..2", "--mode", "exact",
           "--cap", "-3"), "--cap"),
+        (("oracle", "--automaton", "catalog:B", "--vars", "1,2;2", "--counter", "0..2", "--mode", "exact",
+          "--cap", "0"), "--cap"),
         (("oracle", "--automaton", "catalog:B", "--vars", "1,2;1,2", "--counter", "0", "--mode", "atmost",
           "--cap", "1"), "cap of 1 "),
         (("propagate", "--automaton", "catalog:B", "--vars", "1,2", "--counter", "0..x", "--mode", "atmost"),
@@ -478,10 +488,10 @@ PAST_THE_BOUND = cli.MAX_SPEC_SIZE + 1
         (("dump-sweep", "--catalog", "B", "--domains", "1;2", "--mode", "min", "--n", "5"), "--n only with --uniform"),
     ],
     ids=["counter-range", "counter-ranges", "uniform-n", "negative-n", "fuzz-max-n-0", "fuzz-negative-max-n",
-         "fuzz-max-states-0", "fuzz-negative-cap", "fuzz-negative-count", "fuzz-negative-seed", "fuzz-threads-0",
-         "fuzz-negative-threads", "oracle-negative-cap", "oracle-cap-exceeded", "malformed-counter",
-         "negative-counter", "inline-without-mode", "inline-without-counter", "uniform-with-domains",
-         "n-without-uniform"],
+         "fuzz-max-states-0", "fuzz-negative-cap", "fuzz-cap-0", "fuzz-negative-count", "fuzz-negative-seed",
+         "fuzz-threads-0", "fuzz-negative-threads", "oracle-negative-cap", "oracle-cap-0", "oracle-cap-exceeded",
+         "malformed-counter", "negative-counter", "inline-without-mode", "inline-without-counter",
+         "uniform-with-domains", "n-without-uniform"],
 )
 def test_oversized_or_negative_specs_exit_2_before_allocating(args, named):
     code, out, err = run_main(*args)
@@ -575,27 +585,47 @@ def test_invalid_json_on_stdin_exits_2_with_one_line(args):
     assert err.count("\n") == 1, err
 
 
+#: Sources that are not JSON for a reason other than syntax: bytes that are
+#: not UTF-8, and arrays nested past the recursion limit.
+NOT_JSON = {"undecodable": b'\xff\xfe{"states": 1}', "too-deep": b"[" * 200_000}
+
+
+@pytest.mark.parametrize("kind", NOT_JSON)
+@pytest.mark.parametrize("command", [
+    ("validate", "{file}"),
+    ("propagate", "{file}"),
+    ("propagate", "-"),
+    ("propagate", "--automaton", "{file}", *INLINE),
+    ("dump-sweep", "--automaton", "{file}", "--domains", "1;2", "--mode", "min"),
+    ("bench", "{corpus}"),
+    ("propagate", "{instance}"),
+], ids=["validate", "propagate-file", "propagate-stdin", "automaton-file", "dump-sweep", "bench",
+        "instance-naming-the-file"])
+def test_a_source_that_is_not_json_exits_2_naming_it(tmp_path, command, kind):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    bad = corpus / "bad.json"
+    bad.write_bytes(NOT_JSON[kind])
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps({**witness_instance_doc(), "automaton": "corpus/bad.json"}))
+    args = [word.format(file=bad, corpus=corpus, instance=instance) for word in command]
+    # A strict stdin decoder, as under a UTF-8 locale, so bytes that are not
+    # UTF-8 fail to decode on stdin as they do in a file.
+    result = run_process(*args, stdin=NOT_JSON[kind], env={"PYTHONIOENCODING": "utf-8:strict"})
+    assert (result.returncode, result.stdout) == (2, ""), result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+    assert f"{'stdin' if '-' in args else bad}: not valid JSON (" in result.stderr, result.stderr
+
+
 def test_solve_with_decomposed_propagator():
     piped = run_cli("catalog", "B").stdout
     result = run_cli(
         "solve", "--automaton", "-", "--vars", "2;1,2;2", "--counter", "0..2",
-        "--mode", "exact", "--propagator", "decomposed",
+        "--mode", "decomposed",
         stdin=piped,
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "solutions: 2"
-
-
-def test_solve_rejects_a_propagator_of_another_semantics():
-    piped = run_cli("catalog", "B").stdout
-    result = run_cli(
-        "solve", "--automaton", "-", "--vars", "2;1,2;2", "--counter", "0..2",
-        "--mode", "atmost", "--propagator", "decomposed",
-        stdin=piped,
-    )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr == "error: propagator 'decomposed' does not decide 'atmost' instances\n"
 
 
 # -- counters past U64_MAX ---------------------------------------------------------
@@ -639,31 +669,6 @@ def test_counters_past_u64_max_match_the_oracle(mode):
 
 
 # -- fuzz / solve / bench ----------------------------------------------------------
-
-
-def test_oracle_honors_cap_env_var(monkeypatch):
-    monkeypatch.setenv("REGCOUNT_CAP", "1")
-    result = run_cli("oracle", "--automaton", "catalog:B", "--vars", "1,2;1,2", "--counter", "0", "--mode", "atmost")
-    assert result.returncode == 2
-    assert "cap" in result.stderr
-
-
-@pytest.mark.parametrize("raw", ["abc", "-4", "0", "1.5"])
-def test_malformed_cap_env_var_exits_2(monkeypatch, raw):
-    monkeypatch.setenv("REGCOUNT_CAP", raw)
-    for args in (("oracle", "--automaton", "catalog:B", "--vars", "1,2;1,2", "--counter", "0", "--mode", "atmost"),
-                 ("fuzz", "--count", "2")):
-        code, out, err = run_main(*args)
-        assert code == 2 and out == ""
-        assert err.startswith("error: REGCOUNT_CAP") and err.count("\n") == 1, err
-
-
-def test_empty_cap_env_var_keeps_the_default(monkeypatch):
-    monkeypatch.setenv("REGCOUNT_CAP", "")
-    code, out, err = run_main("oracle", "--automaton", "catalog:B", "--vars", "1,2;1,2", "--counter", "0",
-                              "--mode", "atmost")
-    assert code == 0, err
-    assert out.splitlines()[:2] == ["status: satisfiable", "solutions: 2"]
 
 
 def test_fuzz_documented_invocation():
@@ -784,10 +789,15 @@ def test_bench_rejects_a_corpus_that_is_no_directory(tmp_path, kind):
 SUBCOMMANDS = {"validate", "catalog", "propagate", "oracle", "dump-sweep", "fuzz", "solve", "bench"}
 
 
+def readme_cli_section():
+    """README's ``## CLI`` section, its subsections included."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        return fh.read().split("## CLI", 1)[1].split("\n## ", 1)[0]
+
+
 def readme_cli_commands():
     """The argument lists of every ``regcount`` command in README's CLI block."""
-    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        block = fh.read().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
     commands = []
     for line in block.replace("\\\n", " ").splitlines():
         for is_pipe, stage in itertools.groupby(shlex.split(line, comments=True), key="|".__eq__):
@@ -808,3 +818,12 @@ def test_every_readme_cli_command_parses():
             unparsed.append(" ".join(words))
     assert unparsed == []
     assert {words[0] for words in commands} == SUBCOMMANDS
+
+
+def test_readme_cli_section_names_exactly_the_declared_long_options():
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme_cli_section()))
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    declared = {option for parser in subcommands.choices.values() for action in parser._actions
+                for option in action.option_strings if option.startswith("--")} - {"--help"}
+    assert documented == declared
