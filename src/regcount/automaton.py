@@ -432,14 +432,15 @@ def automaton_from_json(doc: dict) -> CounterDfa:
 def read_json(path: str, error: type[ValueError] = MalformedAutomaton):
     """The JSON document in the UTF-8 file ``path``, or on stdin when ``path`` is ``"-"``.
 
-    The package reads every JSON input here.  Bytes that are not UTF-8, bad
-    syntax and nesting past the recursion limit raise ``error`` with one line
-    naming the source (``stdin`` for ``"-"``); a file that cannot be opened
-    raises ``OSError``.
+    The package reads every JSON input here, as strict UTF-8 bytes, so stdin
+    decodes as a file does whatever the locale.  Bytes that are not UTF-8,
+    bad syntax and nesting past the recursion limit raise ``error`` with one
+    line naming the source (``stdin`` for ``"-"``); a file that cannot be
+    opened raises ``OSError``.
     """
-    with nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
+    with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
         try:
-            return json.load(fh)
+            return json.loads(fh.read().decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError and UnicodeDecodeError
             raise error(f"{'stdin' if path == '-' else path}: not valid JSON ({exc})") from None
 

@@ -103,14 +103,21 @@ needs only top to be one: a surviving string then costs top, and the next
 
 All propagators mutate one store and append every removal to its log.
 ``passes`` counts passes: one per atmost or atleast run and one per exact
-or decomposition round.  Every pass builds one table in full, except a
-ground store's, which builds none.  On the Python kernels a table is one
-forward sweep, which builds both prefix sides, and the suffix sweeps the
-pass needs: one for an atmost or atleast run, and up to two for an exact or
-decomposition round.  So the work of a
-call cannot be read off ``passes``; it has to be counted on its own.  A
-loop that ran until a pass removes nothing would take one more pass after a
-pass that removes only N-values or certifies.
+or decomposition round.  A loop that ran until a pass removes nothing would
+take one more pass after a pass that removes only N-values or certifies.
+Every pass builds one table in full, except a ground store's, which builds
+none.  On the Python kernels a table is one forward sweep, which builds
+both prefix sides, and the suffix sweeps the pass needs: one for an atmost
+or atleast run, and up to two for an exact or decomposition round.  So the
+work of a call cannot be read off ``passes``; it has to be counted on its
+own, at the one place a pass is seen, ``_on_pass``.  If it is set,
+``_filter`` calls it as each pass ends, with the pass's table (``None`` for
+the ground scan) and the removal log's length when the pass began.  The
+table's class is the kernel, and its ``suffixes``, ``least``, ``greatest``
+and the domains it was built from are on it; the N rule's counter removals
+come first in the pass's part of the log.  A C table's arrays are the next
+pass's too, so a reader must read the table while its pass ends, in the
+call.
 """
 
 from __future__ import annotations
@@ -216,6 +223,10 @@ _RULES = {
 }
 
 
+#: Called as each pass of :func:`_filter` ends, if set: see the module docstring.
+_on_pass = None
+
+
 def _n_rule(store: DomainStore, least: int | float, greatest: int | float, ends: list | None) -> bool:
     """Keep the N-values that some ``(lo, hi)`` of ``ends`` holds; False if none is left.
 
@@ -282,67 +293,75 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
         least = c if min_side else -math.inf
         greatest = c if max_side else math.inf
         status = FIXPOINT if _n_rule(store, least, greatest, None) else FAILED
+        if _on_pass is not None:
+            _on_pass(dfa, store, None, mark)
         return PropagationOutcome(status, store.removal_log[mark:], 1)
 
     # A C table is a view over its thread's arrays, made once per call and
     # rebuilt in full by every pass.
     build = CTable(dfa, store, min_side, max_side).compute if kernel.usable(dfa, store) else SweepTable.compute
-    passes = 0
+    passes, start = 0, mark
     while True:
         passes += 1
         # Every pass builds its table in full: the prefix half, then the N
         # rule on its end rows, then the suffix sides dom(N) can still bind.
         table = build(dfa, store)
-        # An end the mode leaves open reads as unbounded.
-        least = table.least if min_side else -math.inf
-        greatest = table.greatest if max_side else math.inf
-        # One-sided end intervals cover exactly [least, greatest]; two-sided
-        # ones may leave gaps.  An unreachable end state's interval is empty.
-        # A False return: dom(N) missed [least, greatest] and the N rule left
-        # it as it was, or the N rule emptied it.
-        if not _n_rule(store, least, greatest, table.ends() if joint else None):
-            return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
-        counter = store.counter
-        bottom, top = counter[0], counter[-1]
-        # An interval meets dom(N) iff it meets [bottom, top], unless both of
-        # its ends are finite and dom(N) has holes.
-        holes = joint and top - bottom >= len(counter)
-        # A suffix side, (min, max), is built only where the narrowed dom(N)
-        # can bind its end, both where exact's has holes (see the module
-        # docstring).  An unbuilt side reads as unbounded, so with none built
-        # no end binds, every symbol survives, and the pass is a fixpoint.
-        sides = (True, True) if holes else (min_side and top < greatest, max_side and bottom > least)
-        if not any(sides):
-            return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
-        table.suffix(dfa, store, *sides)
-        # The windows [floor, ceiling] an interval must meet, one loop each:
-        # one window for both ends at once, or one per built end on its own.
-        if joint:
-            windows = [(bottom, top)]
-        else:
-            windows = [(-math.inf, top)] * sides[0] + [(bottom, math.inf)] * sides[1]
-        # A pass of a two-sided mode that builds one suffix side records the
-        # counter of each support it finds, the witnesses of its certificate.
-        seen = set() if min_side and max_side and sides[0] != sides[1] else None
-        unsupported = table.unsupported(dfa, store, windows, holes, seen)
-        # The checks read the table, not the domains, so removing the pairs
-        # now, in the loop's order, logs what removing each as it is found
-        # would; a pair an earlier window removed is left unchanged.
-        for i, sym in unsupported:
-            if store.remove_symbol(i, sym) is RemoveResult.EMPTIED:
+        try:
+            # An end the mode leaves open reads as unbounded.
+            least = table.least if min_side else -math.inf
+            greatest = table.greatest if max_side else math.inf
+            # One-sided end intervals cover exactly [least, greatest]; two-sided
+            # ones may leave gaps.  An unreachable end state's interval is empty.
+            # A False return: dom(N) missed [least, greatest] and the N rule left
+            # it as it was, or the N rule emptied it.
+            if not _n_rule(store, least, greatest, table.ends() if joint else None):
                 return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
-        # A pass that removes no symbol leaves the next one the same table
-        # and nothing to remove; one pass is the one-sided rules' fixpoint;
-        # a two-sided pass that builds one suffix side may certify that the
-        # next one would remove nothing (see the module docstring).
-        if not unsupported or not (min_side and max_side):
-            return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
-        if seen is not None:
-            # Each value (the decomposition's far end) is the bound end's
-            # counter, near, or a witness.
-            near, far = (least, top) if sides[0] else (greatest, bottom)
-            if all(v == near or v in seen for v in (counter if joint else (far,))):
+            counter = store.counter
+            bottom, top = counter[0], counter[-1]
+            # An interval meets dom(N) iff it meets [bottom, top], unless both of
+            # its ends are finite and dom(N) has holes.
+            holes = joint and top - bottom >= len(counter)
+            # A suffix side, (min, max), is built only where the narrowed dom(N)
+            # can bind its end, both where exact's has holes (see the module
+            # docstring).  An unbuilt side reads as unbounded, so with none built
+            # no end binds, every symbol survives, and the pass is a fixpoint.
+            sides = (True, True) if holes else (min_side and top < greatest, max_side and bottom > least)
+            if not any(sides):
                 return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
+            table.suffix(dfa, store, *sides)
+            # The windows [floor, ceiling] an interval must meet, one loop each:
+            # one window for both ends at once, or one per built end on its own.
+            if joint:
+                windows = [(bottom, top)]
+            else:
+                windows = [(-math.inf, top)] * sides[0] + [(bottom, math.inf)] * sides[1]
+            # A pass of a two-sided mode that builds one suffix side records the
+            # counter of each support it finds, the witnesses of its certificate.
+            seen = set() if min_side and max_side and sides[0] != sides[1] else None
+            unsupported = table.unsupported(dfa, store, windows, holes, seen)
+            # The checks read the table, not the domains, so removing the pairs
+            # now, in the loop's order, logs what removing each as it is found
+            # would; a pair an earlier window removed is left unchanged.
+            for i, sym in unsupported:
+                if store.remove_symbol(i, sym) is RemoveResult.EMPTIED:
+                    return PropagationOutcome(FAILED, store.removal_log[mark:], passes)
+            # A pass that removes no symbol leaves the next one the same table
+            # and nothing to remove; one pass is the one-sided rules' fixpoint;
+            # a two-sided pass that builds one suffix side may certify that the
+            # next one would remove nothing (see the module docstring).
+            if not unsupported or not (min_side and max_side):
+                return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
+            if seen is not None:
+                # Each value (the decomposition's far end) is the bound end's
+                # counter, near, or a witness.
+                near, far = (least, top) if sides[0] else (greatest, bottom)
+                if all(v == near or v in seen for v in (counter if joint else (far,))):
+                    return PropagationOutcome(FIXPOINT, store.removal_log[mark:], passes)
+        finally:
+            # The pass ends, however it ends (see the module docstring).
+            if _on_pass is not None:
+                _on_pass(dfa, store, table, start)
+                start = len(store.removal_log)
 
 
 _PROPAGATORS = {

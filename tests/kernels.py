@@ -10,8 +10,7 @@ from unittest import mock
 
 import reference_kernel
 from regcount import (COUNTER_VAR, CounterDfa, DomainStore, SweepTable, enumerate_support, kernel, propagate,
-                      propagate_decomposed, propagate_exact)
-from regcount.kernel import CTable
+                      propagate_decomposed, propagate_exact, propagators)
 from regcount.propagators import FIXPOINT
 from regcount.sweep import UNREACHABLE_MIN
 from strategies import MULTI_PASS_WITNESSES
@@ -61,8 +60,8 @@ class Build(NamedTuple):
     """One table a pass built: its class's name, its entries (see
     :func:`entries`), its ``least`` and ``greatest``, the automaton and the
     store it was built for (the domains at ``compute``, and dom(N) as the
-    pass's N rule left it), the suffix sides the pass built, and the removal
-    log's length after the N rule, ``None`` if it built no side."""
+    pass's N rule left it), its built suffix sides, and the removal log's
+    length after the N rule, ``None`` if it built no side."""
 
     kind: str
     rows: list
@@ -70,51 +69,30 @@ class Build(NamedTuple):
     greatest: int | float
     dfa: CounterDfa
     store: DomainStore
-    sides: tuple = (False, False)
-    logged: int | None = None
+    sides: tuple
+    logged: int | None
 
 
 @contextlib.contextmanager
 def recorded_tables():
-    """Record a :class:`Build` per table a pass builds in the block, on
-    either kernel: its prefix half when ``compute`` returns, then the whole
-    table once the pass's ``suffix`` returns.
+    """Record each pass in the block as ``_filter`` reports it, while it ends, on
+    either kernel: a :class:`Build` of its table, or ``None`` for a ground store's."""
+    builds = []
 
-    A pass that builds no suffix side ends its call after its N rule, so its
-    dom(N) is read off its store at the next ``compute`` or when the block ends.
-    """
-    builds, unsettled = [], []
+    def record(dfa, store, table, start):
+        if table is None:
+            return builds.append(None)
+        found, symbols = store.copy(), [(i, sym) for i, sym in store.removal_log[start:] if i != COUNTER_VAR]
+        for i, sym in symbols:
+            found.domains[i] |= 1 << sym  # the domains as at compute; dom(N) as the N rule left it
+        sweep = type(table) is SweepTable
+        assert (found.symbol_tuples() if sweep else found.domains) == (table.symbols if sweep else list(table.domains))
+        logged = len(store.removal_log) - len(symbols) if any(table.suffixes) else None
+        builds.append(Build(type(table).__name__, (sweep_entries if sweep else c_entries)(table), table.least,
+                            table.greatest, dfa, found, table.suffixes, logged))
 
-    def settle():
-        # The last build's dom(N), now that its N rule has run.
-        if unsettled:
-            builds[-1].store.counter[:] = unsettled.pop().counter
-
-    def recording(cls, snapshot):
-        # SweepTable.compute is a classmethod, CTable.compute a method.
-        descriptor, suffix = cls.__dict__["compute"], cls.suffix
-        compute = getattr(descriptor, "__func__", descriptor)
-
-        def computing(owner, dfa, store):
-            settle()
-            table = compute(owner, dfa, store)
-            builds.append(Build(cls.__name__, snapshot(table), table.least, table.greatest, dfa, store.copy()))
-            unsettled.append(store)
-            return table
-
-        def suffixing(table, dfa, store, min_side, max_side):
-            # No sweep removes a value, so the log is as the N rule left it.
-            logged = len(store.removal_log)
-            settle()
-            suffix(table, dfa, store, min_side, max_side)
-            builds[-1] = builds[-1]._replace(rows=snapshot(table), sides=(min_side, max_side), logged=logged)
-
-        computing = classmethod(computing) if isinstance(descriptor, classmethod) else computing
-        return mock.patch.multiple(cls, compute=computing, suffix=suffixing)
-
-    with recording(SweepTable, sweep_entries), recording(CTable, c_entries):
+    with mock.patch.object(propagators, "_on_pass", record):
         yield builds
-    settle()
 
 
 @contextlib.contextmanager
@@ -133,7 +111,7 @@ def check(mode, builds):
     the filter reads them.  A ``CTable``'s equal those of a fresh
     ``SweepTable`` of the same store, on the prefix sides it built.
     """
-    for build in builds:
+    for build in filter(None, builds):
         dfa, store, live = build.dfa, build.store, build.rows[0]
         assert build.sides == expected_sides(mode, build, store.counter), (mode, build.kind)
         if build.kind == "SweepTable":
@@ -266,8 +244,8 @@ def certified_fixpoints_remove_nothing_more(dfa, store):
         work = store.copy()
         with checked(mode) as builds:
             out = propagate(dfa, work, mode)
-        if out.failed or not builds or builds[-1].logged in (None, len(work.removal_log)):
-            continue  # no pass certified: none built a table, or the last one checked or removed no symbol
+        if out.failed or builds[-1] is None or builds[-1].logged in (None, len(work.removal_log)):
+            continue  # no pass certified: the one pass built no table, or the last one checked or removed no symbol
         certified[mode] = last = builds[-1]
         assert last.sides in ((True, False), (False, True)), mode
         again = propagate(dfa, work.copy(), mode)
@@ -287,10 +265,10 @@ def ground_store_takes_one_pass_without_a_table(dfa, store):
         new_store, old_store = store.copy(), store.copy()
         with recorded_tables() as builds:
             new = propagate(dfa, new_store, mode)
-        assert (builds, new.passes) == ([], 1), mode
+        assert (builds, new.passes) == ([None], 1), mode
         old = reference(dfa, old_store)
         assert (new.status, new.removals, new_store) == (old.status, old.removals, old_store), mode
     with recorded_tables() as builds:
         passes = propagate_decomposed(dfa, store.copy()).passes
-    assert (builds, passes) == ([], 1)
+    assert (builds, passes) == ([None], 1)
     decomposed_reaches_the_fixpoint_of_alternating_runs(dfa, store)

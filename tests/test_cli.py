@@ -31,7 +31,7 @@ def run_main(*args, stdin=""):
     """
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin.encode()), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -615,6 +615,19 @@ def test_a_source_that_is_not_json_exits_2_naming_it(tmp_path, command, kind):
     assert (result.returncode, result.stdout) == (2, ""), result.stderr
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
     assert f"{'stdin' if '-' in args else bad}: not valid JSON (" in result.stderr, result.stderr
+
+
+def test_undecodable_stdin_names_the_decode_error_in_any_locale(monkeypatch, tmp_path):
+    # Under the C locale Python reads stdin with a lenient decoder; stdin is
+    # still read as strict UTF-8, so it fails as the same bytes in a file do.
+    monkeypatch.delenv("PYTHONIOENCODING", raising=False)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_JSON["undecodable"])
+    piped = run_process("propagate", "-", stdin=NOT_JSON["undecodable"], env={"LC_ALL": "C"})
+    named = run_process("propagate", str(bad), env={"LC_ALL": "C"})
+    assert (piped.returncode, piped.stdout) == (2, ""), piped.stderr
+    assert "'utf-8' codec can't decode byte 0xff" in piped.stderr, piped.stderr
+    assert piped.stderr == named.stderr.replace(str(bad), "stdin")
 
 
 def test_solve_with_decomposed_propagator():

@@ -1,4 +1,5 @@
-"""``tools/code_lines.py`` counts code lines without docstrings, comments or blanks, in Python and C."""
+"""``tools/code_lines.py`` counts code lines without docstrings, comments or blanks, in Python and C,
+for ``src/regcount`` and for ``tests/``."""
 
 import contextlib
 import importlib.util
@@ -57,5 +58,14 @@ def test_code_lines_skip_docstrings_comments_and_blanks():
     with contextlib.redirect_stdout(out):
         assert tool.main() == 0
     rows = [line.split() for line in out.getvalue().splitlines()[1:]]
-    assert rows[-1][0] == "total" and {"sweep.py", "_pass.c"} <= {row[0] for row in rows}
-    assert [int(c) for c in rows[-1][1:]] == [sum(int(row[k]) for row in rows[:-1]) for k in (1, 2)]
+    *modules, total, tests = rows
+    assert total[0] == "total" and {"sweep.py", "_pass.c"} <= {row[0] for row in modules}
+    assert [int(c) for c in total[1:]] == [sum(int(row[k]) for row in modules) for k in (1, 2)]
+    # The modules of tests/ together, by the same rules.
+    here = os.path.dirname(os.path.abspath(__file__))
+    counts = []
+    for name in os.listdir(here):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), encoding="utf-8") as fh:
+                counts.append(tool.count(fh.read()))
+    assert tests == ["tests", *(str(sum(column)) for column in zip(*counts))]

@@ -481,14 +481,16 @@ WINDOWED_LONG_PAIRS = windowed(st.one_of(dfa_store_pairs(max_states=5, min_n=6, 
 
 
 def every_pass_table_is_judged(dfa, store):
-    # Each table a pass builds is judged against its own store, after the
-    # removals of the passes before it.  A ground store's one pass builds no
-    # table; otherwise each pass builds one.
+    # Every pass is recorded once, and each table a pass builds is judged
+    # against its own store, after the removals of the passes before it.  A
+    # ground store's one pass builds no table; otherwise each pass builds
+    # one.  A store with an empty domain fails before its first pass.
     ground = all(len(store.symbols(i)) == 1 for i in range(store.n))
     for mode in MODES:
         with kernels.checked(mode) as builds:
             out = propagate(dfa, store.copy(), mode)
-        assert len(builds) == (0 if ground else out.passes)
+        assert len(builds) == out.passes, mode
+        assert all((build is None) == ground for build in builds), mode
 
 
 @given(st.one_of(LONG_PAIRS, WINDOWED_LONG_PAIRS))

@@ -2,7 +2,8 @@
 
     python3 tools/code_lines.py
 
-Prints one row per file of ``src/regcount`` and a total row: ``lines``
+Prints one row per file of ``src/regcount``, a total row, and a ``tests``
+row for the Python modules of ``tests/`` together: ``lines``
 counts every line of the file, ``code`` only the lines that hold a token of
 code, so blank lines, comments and docstrings (the string that opens a
 module, class or function body) do not count; in a C file, ``//`` and
@@ -18,7 +19,9 @@ import re
 import sys
 import tokenize
 
-SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "regcount")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SOURCE = os.path.join(ROOT, "src", "regcount")
+TESTS = os.path.join(ROOT, "tests")
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENCODING, tokenize.ENDMARKER}
 #: A C comment, string or character literal, or any other non-blank character.
@@ -59,13 +62,20 @@ def count_c(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code)
 
 
-def main() -> int:
-    names = sorted(name for name in os.listdir(SOURCE) if name.endswith((".py", ".c")))
+def counted(directory: str) -> list[tuple[str, int, int]]:
+    """(name, all lines, code lines) of each Python module and C file of ``directory``."""
     rows = []
-    for name in names:
-        with open(os.path.join(SOURCE, name), encoding="utf-8") as fh:
+    for name in sorted(name for name in os.listdir(directory) if name.endswith((".py", ".c"))):
+        with open(os.path.join(directory, name), encoding="utf-8") as fh:
             rows.append((name, *(count_c if name.endswith(".c") else count)(fh.read())))
+    return rows
+
+
+def main() -> int:
+    rows = counted(SOURCE)
+    tests = counted(TESTS)
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    rows.append(("tests", sum(r[1] for r in tests), sum(r[2] for r in tests)))
     width = max(len(r[0]) for r in rows)
     print(f"{'module':<{width}}  {'lines':>5}  {'code':>5}")
     for name, lines, code in rows:
