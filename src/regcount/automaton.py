@@ -104,18 +104,21 @@ class CounterDfa:
 def validate(dfa: CounterDfa) -> None:
     """Check every structural invariant, raising MalformedAutomaton on the first violation.
 
-    Checks: positive state count, nonempty alphabet of distinct names, start
-    state in range, both tables total and in range, increments in
-    ``[0, U64_MAX]``, flag/name vectors of the right length.
+    Checks: positive state count, nonempty alphabet, symbol and state names
+    distinct nonempty strings, start state in range, both tables total and in
+    range, increments in ``[0, U64_MAX]``, flag/name vectors of the right length.
     """
     if dfa.num_states <= 0:
         raise MalformedAutomaton("automaton must have at least one state")
     if dfa.num_symbols == 0:
         raise MalformedAutomaton("alphabet must be nonempty")
-    if len(set(dfa.alphabet)) != dfa.num_symbols:
-        raise MalformedAutomaton("alphabet names must be distinct")
-    if any(not isinstance(a, str) or not a for a in dfa.alphabet):
-        raise MalformedAutomaton("alphabet names must be nonempty strings")
+    if len(dfa.state_names) != dfa.num_states:
+        raise MalformedAutomaton("state names must have one entry per state")
+    for kind, names in (("alphabet", dfa.alphabet), ("state", dfa.state_names)):
+        if any(not isinstance(name, str) or not name for name in names):
+            raise MalformedAutomaton(f"{kind} names must be nonempty strings")
+        if len(set(names)) != len(names):
+            raise MalformedAutomaton(f"{kind} names must be distinct")
     if not is_int(dfa.start) or not 0 <= dfa.start < dfa.num_states:
         raise MalformedAutomaton(f"start state {dfa.start} out of range")
     if len(dfa.next_state) != dfa.num_states or len(dfa.increment) != dfa.num_states:
@@ -134,8 +137,6 @@ def validate(dfa: CounterDfa) -> None:
                 raise MalformedAutomaton(f"transition ({q}, {dfa.alphabet[s]!r}): increment exceeds 64-bit range")
     if len(dfa.accepting) != dfa.num_states:
         raise MalformedAutomaton("accepting flags must have one entry per state")
-    if len(dfa.state_names) != dfa.num_states:
-        raise MalformedAutomaton("state names must have one entry per state")
 
 
 def run(dfa: CounterDfa, word: Iterable[int | str]) -> RunResult:

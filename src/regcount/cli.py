@@ -4,7 +4,7 @@
     regcount catalog NAME
     regcount propagate INSTANCE.json [--mode ...]
     regcount oracle INSTANCE.json [--cap ...]
-    regcount dump-sweep (--catalog NAME | --automaton PATH) ...
+    regcount dump-sweep --automaton PATH|-|catalog:NAME (--domains ... | --uniform ... --n N) --mode min|max
     regcount fuzz --seed S --count K [--mode ...]
     regcount solve INSTANCE.json [--mode ...]
     regcount bench CORPUS_DIR [--format table|tsv]
@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .automaton import (
     CATALOG_NAMES,
@@ -59,6 +59,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+class _IntArg(NamedTuple):
+    """An argparse ``type=``: an integer, as ``int`` reads it, of at least ``low`` and at most ``high``, if given."""
+
+    low: int
+    high: int | None = None
+
+    def __call__(self, text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = self.low - 1
+        if value < self.low or (self.high is not None and value > self.high):
+            bound = f"of at least {self.low}" if self.high is None else f"in {self.low}..{self.high}"
+            raise argparse.ArgumentTypeError(f"must be an integer {bound}; got {text!r}")
+        return value
+
+
 def _load_dfa_arg(spec: str) -> CounterDfa:
     if spec.startswith("catalog:"):
         return catalog(spec.split(":", 1)[1])
@@ -74,18 +91,19 @@ def _parse_domains(dfa: CounterDfa, spec: str) -> list[list[int]]:
 
 
 def _parse_counter(spec: str) -> list[int]:
+    """``--counter``'s argparse ``type=``: the values of ``','``-separated integers and ``lo..hi`` ranges."""
     ranges: list[tuple[int, int]] = []
     try:
         for chunk in spec.split(","):
             lo, hi = chunk.split("..") if ".." in chunk else (chunk, chunk)
             ranges.append((int(lo), int(hi)))
     except ValueError:
-        raise CliError(f"bad counter spec {spec!r}; use e.g. '1' or '0,2' or '0..5'") from None
+        raise argparse.ArgumentTypeError(f"bad counter spec {spec!r}; use e.g. '1' or '0,2' or '0..5'") from None
     if sum(max(hi - lo + 1, 0) for lo, hi in ranges) > MAX_SPEC_SIZE:
-        raise CliError(f"counter spec asks for more than {MAX_SPEC_SIZE} values")
+        raise argparse.ArgumentTypeError(f"counter spec asks for more than {MAX_SPEC_SIZE} values")
     values = {v for lo, hi in ranges for v in range(lo, hi + 1)}
     if not values or min(values) < 0:
-        raise CliError("counter domain must be nonempty and nonnegative")
+        raise argparse.ArgumentTypeError("counter domain must be nonempty and nonnegative")
     return sorted(values)
 
 
@@ -104,7 +122,7 @@ def _instance_from_args(args) -> Instance:
     dfa = _load_dfa_arg(args.automaton)
     var_domains = _parse_domains(dfa, args.vars)
     mode = Mode(args.mode).semantics.value
-    return Instance(dfa=dfa, mode=mode, var_domains=var_domains, counter_values=_parse_counter(args.counter))
+    return Instance(dfa=dfa, mode=mode, var_domains=var_domains, counter_values=args.counter)
 
 
 def _format_removal(inst: Instance, var, value) -> str:
@@ -136,17 +154,6 @@ def _cmd_propagate(args) -> int:
     return 1 if result.failed else 0
 
 
-def _cap_arg(text: str) -> int:
-    """The enumeration cap of ``--cap``: an integer, as ``int`` reads it, of at least 1."""
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive number of ground sequences; got {text!r}")
-    return cap
-
-
 def _cmd_oracle(args) -> int:
     inst = _instance_from_args(args)
     if inst.is_composite:
@@ -166,22 +173,15 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_dump_sweep(args) -> int:
-    if bool(args.catalog) == bool(args.automaton):
-        raise CliError("give exactly one of --catalog or --automaton")
-    dfa = catalog(args.catalog) if args.catalog else _load_dfa_arg(args.automaton)
-    if bool(args.uniform) == bool(args.domains):
-        raise CliError("give exactly one of --domains or --uniform with --n")
-    if args.uniform:
-        if args.n is None or not 1 <= args.n <= MAX_SPEC_SIZE:
-            raise CliError(f"--uniform needs --n in 1..{MAX_SPEC_SIZE}")
-        groups = _parse_domains(dfa, args.uniform)
+    uniform = args.uniform is not None
+    if uniform != (args.n is not None):
+        raise CliError("give --n only with --uniform, and --uniform only with --n; --domains gives every position")
+    dfa = _load_dfa_arg(args.automaton)
+    groups = _parse_domains(dfa, args.uniform if uniform else args.domains)
+    if uniform:
         if len(groups) != 1:
             raise CliError("--uniform takes one group, e.g. 'r,t'; give per-position groups with --domains")
         groups *= args.n
-    else:
-        if args.n is not None:
-            raise CliError("give --n only with --uniform; --domains gives one group per position")
-        groups = _parse_domains(dfa, args.domains)
     store = DomainStore(dfa.num_symbols, groups, [0])
     if args.table == "pre":
         pre_min, pre_max = forward(dfa, store)
@@ -195,15 +195,6 @@ def _cmd_dump_sweep(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    if args.count < 1:
-        raise CliError(f"--count must be at least 1; got {args.count}")
-    if args.seed < 0:
-        raise CliError(f"--seed must be nonnegative; got {args.seed}")
-    if args.threads < 1:
-        raise CliError(f"--threads must be at least 1; got {args.threads}")
-    for option, value in (("--max-states", args.max_states), ("--max-n", args.max_n)):
-        if not 1 <= value <= MAX_SPEC_SIZE:
-            raise CliError(f"{option} must be in 1..{MAX_SPEC_SIZE}; got {value}")
     cfg = GenConfig(max_states=args.max_states, max_n=args.max_n, seed=args.seed)
     modes = Instance.MODES if args.mode == "all" else (args.mode,)
     report = run_fuzz(cfg, args.count, modes, cap=args.cap, threads=args.threads)
@@ -266,7 +257,7 @@ def _add_instance_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("instance", nargs="?", help="instance JSON file, or '-' for stdin")
     parser.add_argument("--automaton", help="automaton JSON path, '-' for stdin, or 'catalog:NAME'")
     parser.add_argument("--vars", help="inline domains, e.g. '2;1,2;1;1,2;1,2'")
-    parser.add_argument("--counter", help="inline counter domain, e.g. '1' or '0,2' or '0..5'")
+    parser.add_argument("--counter", type=_parse_counter, help="inline counter domain, e.g. '1' or '0,2' or '0..5'")
     parser.add_argument("--mode", choices=[mode.value for mode in Mode],
                         help="constraint semantics, or 'decomposed' for exact by atmost+atleast "
                              "(overrides the instance file)")
@@ -290,27 +281,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force supported values")
     _add_instance_args(p)
-    p.add_argument("--cap", type=_cap_arg, default=DEFAULT_CAP, help="max ground sequences (default: 10^7)")
+    p.add_argument("--cap", type=_IntArg(1), default=DEFAULT_CAP, help="max ground sequences (default: 10^7)")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("dump-sweep", help="print prefix/suffix counter tables")
-    p.add_argument("--catalog", choices=list(CATALOG_NAMES))
-    p.add_argument("--automaton", help="automaton JSON path or '-' for stdin")
-    p.add_argument("--domains", help="per-position domains, e.g. 'r,t;r,t;r'")
-    p.add_argument("--uniform", help="same domain for every position, e.g. 'r,t'")
-    p.add_argument("--n", type=int, help="sequence length for --uniform")
+    p.add_argument("--automaton", required=True, help="automaton JSON path, '-' for stdin, or 'catalog:NAME'")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--domains", help="per-position domains, e.g. 'r,t;r,t;r'")
+    source.add_argument("--uniform", help="same domain for every position, e.g. 'r,t'")
+    p.add_argument("--n", type=_IntArg(1, MAX_SPEC_SIZE), help="sequence length for --uniform")
     p.add_argument("--mode", choices=["min", "max"], required=True)
     p.add_argument("--table", choices=["pre", "suf"], default="pre")
     p.set_defaults(func=_cmd_dump_sweep)
 
     p = sub.add_parser("fuzz", help="differential-test the propagators on random instances")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--seed", type=_IntArg(0), default=0)
+    p.add_argument("--count", type=_IntArg(1), default=1000)
     p.add_argument("--mode", choices=[*Instance.MODES, "all"], default="all")
-    p.add_argument("--cap", type=_cap_arg, default=DEFAULT_CAP, help="oracle cap in ground sequences (default: 10^7)")
-    p.add_argument("--max-states", type=int, default=5)
-    p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--cap", type=_IntArg(1), default=DEFAULT_CAP, help="oracle cap in ground sequences (default: 10^7)")
+    p.add_argument("--max-states", type=_IntArg(1, MAX_SPEC_SIZE), default=5)
+    p.add_argument("--max-n", type=_IntArg(1, MAX_SPEC_SIZE), default=10)
+    p.add_argument("--threads", type=_IntArg(1), default=1)
     p.add_argument("--out", default="fuzz-failures", help="directory for failing instances")
     p.set_defaults(func=_cmd_fuzz)
 

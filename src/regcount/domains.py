@@ -283,7 +283,11 @@ def _signature_from_json(block, dfa: CounterDfa, native_domains: list[list[int]]
             bad = [v for v in m if not (isinstance(v, str) and _INT_KEY.fullmatch(v))]
             if bad:
                 raise MalformedInstance(f"signature entry {i}: keys {bad} are not integers")
-            maps.append(dict(zip(map(int, m), symbol_ids(dfa, m.values()))))
+            values = [int(v) for v in m]
+            if len(set(values)) != len(values):
+                same = [key for key, v in zip(m, values) if values.count(v) > 1]
+                raise MalformedInstance(f"signature entry {i}: keys {same} name the same integer")
+            maps.append(dict(zip(values, symbol_ids(dfa, m.values()))))
         sig = SignatureMap(maps)
         for i, dom in enumerate(native_domains):
             missing = [v for v in dom if v not in sig.maps[i]]

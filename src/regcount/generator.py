@@ -329,22 +329,24 @@ def run_fuzz(
     among instance, drawn from the same stream after it, with
     :func:`check_among_instance`, both under ``modes``.  An index with an
     instance the oracle cannot enumerate within ``cap`` is listed in
-    ``capped``, not counted as checked, and the run goes on.  With ``threads > 1``
-    the stream is cut into at most ``threads`` chunks, checked in a process
-    pool of at most one worker per chunk and per CPU.
+    ``capped``, not counted as checked, and the run goes on.  The run uses
+    ``min(threads, CPUs)`` workers: with one, or with fewer than two indices
+    per worker, it runs in this process; otherwise the stream is cut into at
+    most one chunk per worker, checked in a process pool of one worker per chunk.
     """
     modes = tuple(modes)
     unknown = [m for m in modes if m not in Instance.MODES]
     if unknown:
         raise ValueError(f"unknown fuzz modes {unknown}; choose from {Instance.MODES}")
     started = time.perf_counter()
-    if threads <= 1 or count < 2 * threads:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers <= 1 or count < 2 * workers:
         report = _fuzz_range(cfg, 0, count, modes, cap)
     else:
         report = FuzzReport()
-        chunk = (count + threads - 1) // threads
+        chunk = (count + workers - 1) // workers
         ranges = [(k, min(k + chunk, count)) for k in range(0, count, chunk)]
-        with ProcessPoolExecutor(max_workers=min(threads, len(ranges), os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             futures = [pool.submit(_fuzz_range, cfg, a, b, modes, cap) for a, b in ranges]
             for future in futures:
                 part = future.result()

@@ -63,7 +63,7 @@ def run_cli(*args, stdin=None):
 
 
 def test_criterion_1_reference_trace_golden_and_fast():
-    result = run_cli("dump-sweep", "--catalog", "RST", "--uniform", "r,t", "--n", "6",
+    result = run_cli("dump-sweep", "--automaton", "catalog:RST", "--uniform", "r,t", "--n", "6",
                      "--mode", "max", "--table", "pre")
     assert result.returncode == 0
     with open(os.path.join(DATA, "rst_premax_n6.golden"), "rb") as fh:

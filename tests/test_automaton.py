@@ -163,6 +163,20 @@ def test_validate_rejects_bad_start():
         validate(dfa)
 
 
+@pytest.mark.parametrize(("names", "message"), [
+    ([1, {"x": [2]}], "state names must be nonempty strings"),
+    (["eps", ""], "state names must be nonempty strings"),
+    (["q", "q"], "state names must be distinct"),
+], ids=["not-strings", "empty", "repeated"])
+def test_state_names_are_distinct_nonempty_strings(names, message):
+    doc = automaton_to_json(catalog("B"))
+    doc["names"] = names
+    with pytest.raises(MalformedAutomaton, match=message):
+        automaton_from_json(doc)
+    with pytest.raises(MalformedAutomaton, match=message):
+        validate(dataclasses.replace(catalog("B"), state_names=tuple(names)))
+
+
 # -- JSON interchange -------------------------------------------------------
 
 
@@ -295,3 +309,6 @@ def test_lift_rejects_bad_penalty_and_dollar_clash():
         lift_accepting(catalog("B"), penalty=0)
     with pytest.raises(MalformedAutomaton):
         lift_accepting(lift_accepting(catalog("B"), 1), 1)
+    # The end state's name clashes as its symbol does.
+    with pytest.raises(MalformedAutomaton, match="state names must be distinct"):
+        lift_accepting(dataclasses.replace(catalog("B"), state_names=("qend", "q")), 1)

@@ -135,7 +135,7 @@ def test_a_parse_error_exits_2_with_one_line(args):
     ("args", "stdin"),
     [
         (("propagate", "--automaton", "catalog:B", "--vars", "1;z", "--counter", "0", "--mode", "exact"), ""),
-        (("dump-sweep", "--catalog", "B", "--domains", "1;z", "--mode", "min"), ""),
+        (("dump-sweep", "--automaton", "catalog:B", "--domains", "1;z", "--mode", "min"), ""),
         (("propagate", "-"), json.dumps({**witness_instance_doc(), "vars": [["1"], ["z"]]})),
     ],
     ids=["inline-vars", "dump-sweep", "instance-file"],
@@ -260,10 +260,11 @@ def with_counter(values):
         lambda: among_instance_doc([[1], [2]], [{"x": "in", "1": "in"}, {"2": "notin"}]),
         lambda: dict(witness_instance_doc(), name=5),
         lambda: dict(witness_instance_doc(), automaton="a\0b.json"),
+        lambda: with_automaton_field("names", [1, {"x": [2]}]),
     ],
     ids=["string-start", "scalar-transitions", "true-states", "true-inc", "true-counter",
          "string-native-value", "float-native-value", "string-signature-key", "number-name",
-         "nul-in-automaton-path"],
+         "nul-in-automaton-path", "non-string-state-names"],
 )
 def test_malformed_instance_exits_2_with_one_line(tmp_path, make_doc):
     path = tmp_path / "bad.json"
@@ -382,7 +383,7 @@ def test_oracle_unsatisfiable_exits_1():
 
 
 def test_dump_sweep_reference_golden():
-    result = run_cli("dump-sweep", "--catalog", "RST", "--uniform", "r,t", "--n", "6",
+    result = run_cli("dump-sweep", "--automaton", "catalog:RST", "--uniform", "r,t", "--n", "6",
                      "--mode", "max", "--table", "pre")
     assert result.returncode == 0
     with open(os.path.join(DATA, "rst_premax_n6.golden"), "rb") as fh:
@@ -396,7 +397,7 @@ def test_dump_sweep_prints_the_prefix_side_of_its_mode():
     store = DomainStore(rst.num_symbols, [(rst.symbol_id("r"), rst.symbol_id("t"))] * 6, (0,))
     printed = {}
     for mode in ("min", "max"):
-        code, out, err = run_main("dump-sweep", "--catalog", "RST", "--uniform", "r,t", "--n", "6",
+        code, out, err = run_main("dump-sweep", "--automaton", "catalog:RST", "--uniform", "r,t", "--n", "6",
                                   "--mode", mode, "--table", "pre")
         assert (code, err) == (0, "")
         expected = format_rows(reference_kernel.forward(rst, store, mode), rst.state_names, 0)
@@ -406,7 +407,7 @@ def test_dump_sweep_prints_the_prefix_side_of_its_mode():
 
 
 def test_dump_sweep_suffix_table():
-    result = run_cli("dump-sweep", "--catalog", "B", "--domains", "2;1,2;2",
+    result = run_cli("dump-sweep", "--automaton", "catalog:B", "--domains", "2;1,2;2",
                      "--mode", "min", "--table", "suf")
     assert result.returncode == 0
     lines = result.stdout.splitlines()
@@ -417,15 +418,16 @@ def test_dump_sweep_suffix_table():
 
 @pytest.mark.parametrize("group", ["r,t", "r,", ",t"])
 def test_uniform_reads_its_group_as_domains_does(group):
-    uniform = run_main("dump-sweep", "--catalog", "RST", "--uniform", group, "--n", "3", "--mode", "min")
-    domains = run_main("dump-sweep", "--catalog", "RST", "--domains", ";".join([group] * 3), "--mode", "min")
+    uniform = run_main("dump-sweep", "--automaton", "catalog:RST", "--uniform", group, "--n", "3", "--mode", "min")
+    domains = run_main("dump-sweep", "--automaton", "catalog:RST", "--domains", ";".join([group] * 3), "--mode", "min")
     assert uniform == domains
     assert uniform[0] == 0 and uniform[1].count("\n") == 4
 
 
 @pytest.mark.parametrize(("group", "named"), [(",", "nonempty groups"), ("r;t", "one group")])
 def test_uniform_takes_one_group_naming_a_symbol(group, named):
-    code, out, err = run_main("dump-sweep", "--catalog", "RST", "--uniform", group, "--n", "3", "--mode", "min")
+    code, out, err = run_main("dump-sweep", "--automaton", "catalog:RST", "--uniform", group, "--n", "3",
+                              "--mode", "min")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert named in err, err
@@ -439,7 +441,7 @@ def test_dump_sweep_requires_exactly_one_source():
 @pytest.mark.parametrize("spec", ["a;,;b", "a;;b", ",", "a,b;,,"])
 @pytest.mark.parametrize("command", [
     ("propagate", "--automaton", "catalog:AAB", "--counter", "0", "--mode", "atmost", "--vars"),
-    ("dump-sweep", "--catalog", "AAB", "--mode", "min", "--domains"),
+    ("dump-sweep", "--automaton", "catalog:AAB", "--mode", "min", "--domains"),
 ], ids=["propagate", "dump-sweep"])
 def test_a_domain_group_naming_no_symbol_exits_2(command, spec):
     # An instance file with an empty domain exits 2 too: no command reads
@@ -460,8 +462,9 @@ PAST_THE_BOUND = cli.MAX_SPEC_SIZE + 1
           "--mode", "atmost"), "counter spec"),
         (("propagate", "--automaton", "catalog:B", "--vars", "1,2", "--counter", f"0,2..{PAST_THE_BOUND}",
           "--mode", "exact"), "counter spec"),
-        (("dump-sweep", "--catalog", "B", "--uniform", "1,2", "--n", str(PAST_THE_BOUND), "--mode", "min"), "--n"),
-        (("dump-sweep", "--catalog", "B", "--uniform", "1,2", "--n", "-3", "--mode", "min"), "--n"),
+        (("dump-sweep", "--automaton", "catalog:B", "--uniform", "1,2", "--n", str(PAST_THE_BOUND), "--mode", "min"),
+         "--n"),
+        (("dump-sweep", "--automaton", "catalog:B", "--uniform", "1,2", "--n", "-3", "--mode", "min"), "--n"),
         (("fuzz", "--max-n", "0"), "--max-n"),
         (("fuzz", "--max-n", "-1"), "--max-n"),
         (("fuzz", "--max-states", "0"), "--max-states"),
@@ -483,15 +486,17 @@ PAST_THE_BOUND = cli.MAX_SPEC_SIZE + 1
          "nonnegative"),
         (("propagate", "--automaton", "catalog:B", "--vars", "1,2", "--counter", "0"), "--mode"),
         (("propagate", "--automaton", "catalog:B", "--vars", "1,2", "--mode", "atmost"), "--counter"),
-        (("dump-sweep", "--catalog", "RST", "--uniform", "r", "--n", "2", "--domains", "t;t;t", "--mode", "min"),
-         "--domains or --uniform"),
-        (("dump-sweep", "--catalog", "B", "--domains", "1;2", "--mode", "min", "--n", "5"), "--n only with --uniform"),
+        (("dump-sweep", "--automaton", "catalog:RST", "--uniform", "r", "--n", "2", "--domains", "t;t;t",
+          "--mode", "min"), "--domains: not allowed with argument --uniform"),
+        (("dump-sweep", "--automaton", "catalog:B", "--domains", "1;2", "--mode", "min", "--n", "5"),
+         "--n only with --uniform"),
+        (("dump-sweep", "--automaton", "catalog:B", "--uniform", "1,2", "--mode", "min"), "--uniform only with --n"),
     ],
     ids=["counter-range", "counter-ranges", "uniform-n", "negative-n", "fuzz-max-n-0", "fuzz-negative-max-n",
          "fuzz-max-states-0", "fuzz-negative-cap", "fuzz-cap-0", "fuzz-negative-count", "fuzz-negative-seed",
          "fuzz-threads-0", "fuzz-negative-threads", "oracle-negative-cap", "oracle-cap-0", "oracle-cap-exceeded",
          "malformed-counter", "negative-counter", "inline-without-mode", "inline-without-counter",
-         "uniform-with-domains", "n-without-uniform"],
+         "uniform-with-domains", "n-without-uniform", "uniform-without-n"],
 )
 def test_oversized_or_negative_specs_exit_2_before_allocating(args, named):
     code, out, err = run_main(*args)
@@ -500,20 +505,65 @@ def test_oversized_or_negative_specs_exit_2_before_allocating(args, named):
     assert named in err, err
 
 
-@pytest.mark.parametrize("value", [10**20, PAST_THE_BOUND], ids=["1e20", "past-the-bound"])
-@pytest.mark.parametrize("option", ["--max-states", "--max-n"])
-def test_fuzz_generator_options_past_the_bound_exit_2_before_generating(monkeypatch, option, value):
-    # Such a value would reach numpy's bounds check, or ask for a transition
-    # table that size, if generation started.
+def refuse_to_generate(monkeypatch):
+    """Make any start of fuzz generation fail the test."""
     def refuse(*args, **kwargs):
         raise AssertionError("generation started")
 
     for name in ("GenConfig", "run_fuzz"):
         monkeypatch.setattr(cli, name, refuse)
     monkeypatch.setattr(generator, "rng_for", refuse)
+
+
+@pytest.mark.parametrize("value", [10**20, PAST_THE_BOUND], ids=["1e20", "past-the-bound"])
+@pytest.mark.parametrize("option", ["--max-states", "--max-n"])
+def test_fuzz_generator_options_past_the_bound_exit_2_before_generating(monkeypatch, option, value):
+    # Such a value would reach numpy's bounds check, or ask for a transition
+    # table that size, if generation started.
+    refuse_to_generate(monkeypatch)
     code, out, err = run_main("fuzz", option, str(value))
     assert (code, out) == (2, "")
-    assert err == f"error: {option} must be in 1..{cli.MAX_SPEC_SIZE}; got {value}\n"
+    assert err == f"error: argument {option}: must be an integer in 1..{cli.MAX_SPEC_SIZE}; got '{value}'\n"
+
+
+#: A valid rest of the command line for each subcommand with an integer option.
+REST_OF = {
+    "oracle": ("--automaton", "catalog:B", "--vars", "1,2;2", "--counter", "0..2", "--mode", "exact"),
+    "dump-sweep": ("--automaton", "catalog:B", "--uniform", "1,2", "--n", "3", "--mode", "min"),
+    "fuzz": ("--count", "1"),
+}
+
+
+def subcommand_parsers():
+    """The parser of each subcommand, by name."""
+    return next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def integer_options():
+    """(subcommand, option, reader) for every option the parser reads with its bounded-integer reader."""
+    return [(name, action.option_strings[-1], action.type) for name, parser in subcommand_parsers().items()
+            for action in parser._actions if isinstance(action.type, cli._IntArg)]
+
+
+def test_the_seven_integer_options_share_one_reader():
+    found = {(name, option) for name, option, _ in integer_options()}
+    assert found == {("oracle", "--cap"), ("dump-sweep", "--n"), *(("fuzz", option) for option in (
+        "--seed", "--count", "--cap", "--max-states", "--max-n", "--threads"))}
+
+
+#: One below each integer option's low end, one above its high end where it
+#: has one, and a value that is no integer.
+REFUSED = [(name, option, str(value)) for name, option, reader in integer_options()
+           for value in (reader.low - 1, *([] if reader.high is None else [reader.high + 1]), "1.5")]
+
+
+@pytest.mark.parametrize(("command", "option", "value"), REFUSED, ids=[" ".join(case) for case in REFUSED])
+def test_every_integer_option_out_of_range_exits_2_before_generating(monkeypatch, command, option, value):
+    refuse_to_generate(monkeypatch)
+    code, out, err = run_main(command, *REST_OF[command], option, value)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: argument {option}: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("inline", [
@@ -835,8 +885,6 @@ def test_every_readme_cli_command_parses():
 
 def test_readme_cli_section_names_exactly_the_declared_long_options():
     documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme_cli_section()))
-    subcommands = next(action for action in cli.build_parser()._actions
-                       if isinstance(action, argparse._SubParsersAction))
-    declared = {option for parser in subcommands.choices.values() for action in parser._actions
+    declared = {option for parser in subcommand_parsers().values() for action in parser._actions
                 for option in action.option_strings if option.startswith("--")} - {"--help"}
     assert documented == declared

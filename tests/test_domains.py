@@ -231,6 +231,11 @@ def test_instance_with_explicit_signature_maps():
         lambda d: d.update(counter=[-1]),
         lambda d: d.update(vars=[[]]),
         lambda d: d.update(vars=[["zzz"]]),
+        # Two keys naming one native value: whichever came last would win.
+        lambda d: d.update(automaton=automaton_to_json(catalog("AMONG")), vars=[[1]], counter=[0, 1], mode="atmost",
+                           signature=[{"1": "in", "01": "notin"}]),
+        lambda d: d.update(automaton=automaton_to_json(catalog("AMONG")), vars=[[0]], counter=[0, 1], mode="atmost",
+                           signature=[{"0": "in", "-0": "notin"}]),
     ],
 )
 def test_malformed_instances_are_rejected(mutate):

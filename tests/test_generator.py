@@ -233,16 +233,17 @@ def test_run_fuzz_counters_past_u64_max(increment):
 
 
 @pytest.mark.parametrize(
-    "threads, count, cpus, workers",
-    [(64, 200, 3, 3), (64, 200, None, 1), (4, 9, 8, 3), (1000, 20000, 2, 2)],
-    ids=["cpu-bound", "cpu-count-unknown", "chunk-bound", "huge-thread-count"],
+    "threads, count, cpus, pools",
+    [(64, 200, 3, [3]), (64, 200, None, []), (4, 9, 8, [3]), (1000, 20000, 2, [2]), (1000, 1500, 2, [2])],
+    ids=["cpu-bound", "cpu-count-unknown", "chunk-bound", "huge-thread-count", "threads-past-the-cpus"],
 )
-def test_run_fuzz_caps_the_worker_count(monkeypatch, threads, count, cpus, workers):
+def test_run_fuzz_caps_the_worker_count(monkeypatch, threads, count, cpus, pools):
     # A fake pool records max_workers and runs each chunk inline, and the
-    # chunks check nothing, so no worker process is ever started.
+    # chunks check nothing, so no worker process is ever started.  Each
+    # worker gets one chunk; one worker runs in this process, with no pool.
     import regcount.generator as generator_module
 
-    asked = []
+    asked, chunks = [], []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -255,6 +256,7 @@ def test_run_fuzz_caps_the_worker_count(monkeypatch, threads, count, cpus, worke
             return False
 
         def submit(self, fn, *args):
+            chunks.append(args[1:3])
             future = Future()
             future.set_result(fn(*args))
             return future
@@ -264,7 +266,8 @@ def test_run_fuzz_caps_the_worker_count(monkeypatch, threads, count, cpus, worke
     monkeypatch.setattr(generator_module, "_fuzz_range", lambda cfg, a, b, modes, cap: FuzzReport(checked=b - a))
     report = run_fuzz(GenConfig(), count, threads=threads)
     assert report.checked == count
-    assert asked == [workers]
+    assert asked == pools
+    assert len(chunks) == sum(pools)
 
 
 def test_run_fuzz_rejects_unknown_mode():
