@@ -193,10 +193,12 @@ def lift_accepting(dfa: CounterDfa, penalty: int) -> CounterDfa:
     self-loops at cost 0 so the transition function stays total.  All states
     of the result are accepting.  Callers append ``$`` to their sequences, so
     a word accepted by the original automaton keeps its counter value and a
-    rejected one pays exactly ``penalty`` on top.
+    rejected one pays exactly ``penalty`` on top.  ``penalty`` is an increment:
+    an int, not a bool, in ``1..U64_MAX``; any other raises ``ValueError``,
+    whether or not a state pays it.
     """
-    if penalty <= 0:
-        raise ValueError("penalty must be positive")
+    if type(penalty) is not int or not 1 <= penalty <= U64_MAX:
+        raise ValueError(f"penalty must be an integer in 1..{U64_MAX}; got {penalty!r}")
     validate(dfa)
     if "$" in dfa.alphabet:
         raise MalformedAutomaton("alphabet already contains the end-of-string symbol '$'")

@@ -242,21 +242,22 @@ def check_instance(
     counts as removing everything).  Whatever ``modes`` holds, the oracle's
     three solution counts must meet the identity of :func:`_count_violations`.
     """
-    store = inst.make_store()
-    reports = enumerate_all_modes(dfa, store, cap)
-    violations = _count_violations(inst, index, reports, prod([d.bit_count() for d in store.domains]),
-                                   len(store.counter))
+    # The instance's one store, which nothing changes: the oracle and the
+    # judge read it, and each propagator runs on a copy.
+    given = inst.make_store()
+    reports = enumerate_all_modes(dfa, given, cap)
+    violations = _count_violations(inst, index, reports, prod([d.bit_count() for d in given.domains]),
+                                   len(given.counter))
     for mode, propagator in (("atmost", propagate_atmost), ("atleast", propagate_atleast),
                              ("exact", propagate_exact)):
         if mode not in modes:
             continue
-        store = inst.make_store()
-        before = store.copy()
+        store = given.copy()
         out = propagator(dfa, store)
-        verdict = check_dc(dfa, before, mode, out, cap, report=reports[mode])
+        verdict = check_dc(dfa, given, mode, out, cap, report=reports[mode])
         more = []
         if mode == "exact":
-            dout = propagate_decomposed(dfa, inst.make_store())
+            dout = propagate_decomposed(dfa, given.copy())
             if dout.failed and not out.failed:
                 more.append(("dominance", "decomposition failed but the exact propagator did not"))
             elif not dout.failed and not out.failed and not set(out.removals) >= set(dout.removals):

@@ -16,8 +16,11 @@ of arrays per thread, replaced only when a store needs larger ones, so a
 thread holds at most one table's worth of memory, and a call whose store
 fits allocates no table arrays and touches no fresh pages.  Beside them the
 thread keeps the automaton it last used, flattened once and found again by
-identity, with its largest increment, which :func:`usable` reads.  One
-table is live per thread: a new one takes over the arrays of the last.
+identity, with its largest increment, which :func:`usable` reads, and the
+pass context that ``_pass.c`` reads.  The context points into both, and is
+re-pointed only when the arrays are replaced or the automaton changes; a
+table sets its ``n`` and nothing else.  One table is live per thread: a new
+one takes over the arrays and the context of the last.
 No result depends on a stale entry, from an earlier pass, store or shape;
 the header of ``_pass.c`` says why.
 ctypes releases the GIL during a C call, so two threads must not share
@@ -25,14 +28,18 @@ arrays, and they do not.
 
 When it runs.  :func:`usable` sends a store to the C kernel only if
 
-* n × num_states is at least ``_MIN_CELLS``.  Below it the two kernels
-  were measured per call: C was slower on search-dfs stores under 25 cells
-  and faster on fuzz-oracle-shaped ones (0.43–0.91× the time), and with
-  every store in C search-dfs's median op took 15–21% longer;
+* n × num_states is at least ``_MIN_CELLS``, 30.  Per call, C ran
+  fuzz-oracle-shaped stores (n 9–12) in 0.52–0.75× of the Python kernels'
+  time, and search-dfs-shaped ones of 5 cells or more in 0.75–1.04×.  But
+  an op flattens its new automaton once, and pays each C call's fixed cost,
+  so with a lower cut-off search-dfs's median op, which runs small stores,
+  took longer: 2% at 25 cells, 5% at 20.  At 30 it did not move, and
+  fuzz-oracle's ops took 6% less time in all (ROADMAP item 6).  This test
+  comes first, so a store below the cut-off pays for no other;
 * the alphabet has at most 64 symbols, so a domain is one ``uint64`` mask;
-* n × (largest increment) is below 2^62 and every dom(N) value below 2^63,
-  so no ``int64`` sum overflows and a counter means the same on both
-  kernels;
+* n × (largest increment) is below 2^62 and every dom(N) value fits in
+  ``int64``, so no ``int64`` sum overflows and a counter means the same on
+  both kernels;
 * the library loads.
 
 Every other store runs the Python kernels.
@@ -52,6 +59,7 @@ for the rest of the process, and nothing is printed.
 from __future__ import annotations
 
 import ctypes
+import math
 import operator
 import os
 import subprocess
@@ -60,18 +68,21 @@ import threading
 import zlib
 from array import array
 from ctypes import POINTER, c_int, c_int32, c_int64, c_void_p
+from itertools import chain
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_pass.c")
 _CACHE = os.path.join(os.path.dirname(_SOURCE), "_build")
 _CC = "cc"
 _FLAGS = ("-O2", "-shared", "-fPIC")
-#: Least n × num_states that runs the C kernel.  Measured: C is slower per call on
-#: search-dfs stores under 25 cells, faster on fuzz-oracle-shaped ones (see ROADMAP item 6).
-_MIN_CELLS = 200
+#: Least n × num_states that runs the C kernel: the least cut-off at which
+#: search-dfs's median op was measured no slower (see "When it runs" above).
+_MIN_CELLS = 30
 #: The library, once loaded; ``False`` once loading failed; ``None`` before the first try.
 _lib = None
 
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+#: An open window end as an int64; every finite one, a dom(N) value, fits (see usable).
+_CLAMPED = {-math.inf: _INT64_MIN, math.inf: _INT64_MAX}
 
 
 class _Pass(ctypes.Structure):
@@ -83,24 +94,33 @@ class _Pass(ctypes.Structure):
 
 
 class _Arrays(threading.local):
-    """One thread's table arrays (``tables``, in :class:`CTable`'s order) and the automaton last flattened."""
+    """One thread's table arrays (``tables``, in :class:`CTable`'s order), the
+    automaton last flattened, and the pass context ``ctx`` that points into both."""
 
     #: The lengths the table arrays fit: rows, ``live_len``, ``stamp`` and ``witnesses``.
     lengths = (0, 0, 0, 0)
     dfa = None
+
+    def __init__(self):
+        self.ctx = _Pass()
 
 
 _arrays = _Arrays()
 
 
 def _flattened(dfa) -> _Arrays:
-    """This thread's arrays, holding ``dfa``'s tables flattened and its largest increment."""
+    """This thread's arrays, holding ``dfa``'s tables flattened and its largest
+    increment, with the context pointed at them."""
     arrays = _arrays
     if arrays.dfa is not dfa:
-        arrays.largest = max(map(max, dfa.increment))
-        arrays.next_state = array("i", [t for row in dfa.next_state for t in row])
+        increment = [*chain(*dfa.increment)]
+        arrays.largest = max(increment)
+        arrays.next_state = array("i", [*chain(*dfa.next_state)])
         # Increments past int64 never reach C (see usable), and would not fit.
-        arrays.increment = array("q", [c for row in dfa.increment for c in row] if arrays.largest < 2**63 else ())
+        arrays.increment = array("q", increment if arrays.largest < 2**63 else ())
+        ctx = arrays.ctx
+        ctx.num_states, ctx.num_symbols, ctx.start = dfa.num_states, dfa.num_symbols, dfa.start
+        ctx.next_state, ctx.increment = arrays.next_state.buffer_info()[0], arrays.increment.buffer_info()[0]
         arrays.dfa = dfa
     return arrays
 
@@ -109,7 +129,8 @@ def usable(dfa, store) -> bool:
     """True iff the C kernel runs ``store``'s passes (see the module docstring)."""
     n = len(store.domains)
     return (n * dfa.num_states >= _MIN_CELLS and dfa.num_symbols <= 64
-            and n * _flattened(dfa).largest < 2**62 and store.counter[-1] <= _INT64_MAX
+            and n * _flattened(dfa).largest < 2**62 and _INT64_MIN <= store.counter[0]
+            and store.counter[-1] <= _INT64_MAX
             and _library() is not None)
 
 
@@ -171,10 +192,11 @@ class CTable:
     (min, max) sides the table is made with.  An entry is defined only where
     it is built and ``SweepTable``'s is exact (see ``_pass.c``).
 
-    The arrays are the thread's (see the module docstring): they may be
-    longer than this table's ``n + 1`` prefix rows, hold stale entries that
-    no result depends on (see ``_pass.c``), and are taken over by the next
-    ``CTable`` the thread makes.
+    The arrays and the context ``ctx`` are the thread's (see the module
+    docstring): the arrays may be longer than this table's ``n + 1`` prefix
+    rows, hold stale entries that no result depends on (see ``_pass.c``),
+    and are taken over, with the context, by the next ``CTable`` the thread
+    makes.
     """
 
     def __init__(self, dfa, store, min_side: bool, max_side: bool):
@@ -191,15 +213,14 @@ class CTable:
             # domain; results the two int64 results of a C call.
             arrays.tables = [*[(c_int64 * rows)() for _ in range(4)], (c_int32 * rows)(), (c_int32 * ends)(),
                              (c_int32 * states)(), (c_int32 * (4 * pairs))(), (c_int64 * pairs)(), (c_int64 * 2)()]
+            ctx = arrays.ctx
+            (ctx.pre_min, ctx.pre_max, ctx.suf_min, ctx.suf_max, ctx.live, ctx.live_len,
+             ctx.stamp) = map(ctypes.addressof, arrays.tables[:7])
         (self.pre_min, self.pre_max, self.suf_min, self.suf_max, self.live, self.live_len, self.stamp,
          self.found, self.witnesses, self.results) = arrays.tables
-        self.next_state, self.increment = arrays.next_state, arrays.increment
-        # ctx points into these arrays, which the table keeps alive.
-        address = ctypes.addressof
-        self.ctx = _Pass(n, num_states, num_symbols, dfa.start, self.next_state.buffer_info()[0],
-                         self.increment.buffer_info()[0], None, address(self.pre_min), address(self.pre_max),
-                         address(self.suf_min), address(self.suf_max), address(self.live),
-                         address(self.live_len), address(self.stamp))
+        # The thread's context, which points into its arrays; only n is this table's.
+        self.ctx = arrays.ctx
+        self.ctx.n = n
 
     def compute(self, dfa, store) -> "CTable":
         """This table's prefix half rebuilt in full for ``store`` now, as :meth:`SweepTable.compute` builds it.
@@ -212,17 +233,16 @@ class CTable:
         """
         self.domains = array("Q", store.domains)
         self.ctx.domains = self.domains.buffer_info()[0]
-        _lib.rc_prefix(ctypes.byref(self.ctx), *self.prefix_sides, self.results)
+        _lib.rc_prefix(self.ctx, *self.prefix_sides, self.results)
         self.least, self.greatest = self.results
         self.suffixes = (False, False)
         return self
 
     def suffix(self, dfa, store, min_side: bool, max_side: bool) -> None:
         """Build the suffix sides ``(min_side, max_side)``, as :meth:`SweepTable.suffix` builds them."""
-        ctx = ctypes.byref(self.ctx)
         for minimize, built in ((1, min_side), (0, max_side)):
             if built:
-                _lib.rc_suffix(ctx, minimize)
+                _lib.rc_suffix(self.ctx, minimize)
         self.suffixes = (min_side, max_side)
 
     def ends(self) -> list[tuple[int, int]]:
@@ -234,10 +254,11 @@ class CTable:
 
     def unsupported(self, dfa, store, windows, holes: bool, seen: set | None) -> list[tuple[int, int]]:
         """The ``(position, symbol)`` pairs no interval supports, as :meth:`SweepTable.unsupported` finds them."""
-        bounds = array("q", [min(max(v, _INT64_MIN), _INT64_MAX) for window in windows for v in window])
-        counter = array("q", store.counter if holes else ())
-        _lib.rc_unsupported(ctypes.byref(self.ctx), *self.suffixes, bounds.buffer_info()[0], len(windows), holes,
-                            counter.buffer_info()[0], len(counter), self.found,
+        bounds = array("q", [_CLAMPED.get(v, v) for window in windows for v in window])
+        # The C loop reads dom(N) only where it has holes.
+        counter = array("q", store.counter) if holes else None
+        _lib.rc_unsupported(self.ctx, *self.suffixes, bounds.buffer_info()[0], len(windows), holes,
+                            counter.buffer_info()[0] if holes else None, len(store.counter), self.found,
                             self.witnesses if seen is not None else None, self.results)
         if seen is not None:
             seen.update(self.witnesses[:self.results[1]])

@@ -304,6 +304,20 @@ def test_lift_preserves_counts_and_charges_rejects(dfa, data):
     assert ended.counter == expected
 
 
+@pytest.mark.parametrize("penalty", [True, 1.5, 0, 2**64], ids=["bool", "float", "zero", "past-u64"])
+@pytest.mark.parametrize("accepting", [(True, True), (True, False)], ids=["all-accepting", "one-rejecting"])
+def test_lift_rejects_a_penalty_that_is_no_increment(penalty, accepting):
+    # Named as the penalty, whether or not a state pays it.
+    with pytest.raises(ValueError, match=r"^penalty must be an integer in 1\.\.18446744073709551615; got ") as raised:
+        lift_accepting(dataclasses.replace(catalog("B"), accepting=accepting), penalty)
+    assert type(raised.value) is ValueError
+
+
+def test_lift_accepts_the_largest_increment_as_penalty():
+    lifted = lift_accepting(dataclasses.replace(catalog("B"), accepting=(True, False)), U64_MAX)
+    assert lifted.increment[1][lifted.symbol_id("$")] == U64_MAX
+
+
 def test_lift_rejects_bad_penalty_and_dollar_clash():
     with pytest.raises(ValueError):
         lift_accepting(catalog("B"), penalty=0)

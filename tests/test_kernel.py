@@ -9,6 +9,7 @@ import io
 import itertools
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -157,6 +158,34 @@ def test_one_thread_reuses_its_arrays_across_stores_of_changing_shape():
         pool.submit(check).result()
 
 
+def test_one_thread_alternating_two_automata_points_its_context_at_each():
+    # The thread's pass context is re-pointed when its automaton changes (the
+    # flat transitions and increments) and when a store outgrows its arrays,
+    # with or without a change of automaton.  Two automata of different
+    # shapes, A and B, take turns on stores that grow and then shrink; every
+    # pass's table is judged against its own store, and the outcomes must
+    # equal the Python kernels'.
+    cfgs = [GenConfig(min_states=q, max_states=q, min_symbols=s, max_symbols=s) for q, s in ((8, 3), (12, 5))]
+    automata = [root_long_shaped(k, "least", n=1, seed=27012, cfg=cfg)[0] for k, cfg in enumerate(cfgs)]
+    steps = [(0, 40), (1, 40), (0, 300), (0, 400), (1, 300), (1, 60), (0, 60), (0, 20), (1, 20)]
+
+    def check():
+        for index, (k, n) in enumerate(steps):
+            # The same stream gives an automaton equal to A's (B's), so the store suits the first object.
+            _, store = root_long_shaped(k, ("least", "greatest")[index % 2], holed=True, n=n, seed=27012,
+                                        cfg=cfgs[k])
+            dfa = automata[k]
+            with kernels.forced("python"):
+                expected = outcomes(dfa, store)
+            with kernels.forced("c"):
+                got, builds = checked_outcomes(dfa, store)
+            assert got == expected, (index, k, n)
+            assert {build.kind for mode in MODES for build in builds[mode]} == {"CTable"}
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(check).result()
+
+
 def test_threads_that_propagate_at_once_match_a_sequential_run():
     # ctypes releases the GIL during a C call, so the threads' passes
     # overlap; each thread's tables must be its own.
@@ -238,6 +267,16 @@ def test_the_fuzz_checks_pass_on_the_c_kernel(seed):
     assert {build.kind for build in builds if build} == {"CTable"}
 
 
+@pytest.mark.parametrize("seed", [38321])
+def test_the_fuzzer_judges_both_kernels_on_its_own_route(seed):
+    # `regcount fuzz`'s default stream, unforced: stores at or above the
+    # cut-off run C and the others Python, and the oracle judges both.
+    with recorded_tables() as builds:
+        report = _fuzz_range(GenConfig(seed=seed), 0, 200, Instance.MODES, DEFAULT_CAP)
+    assert (report.checked, report.violations, report.capped) == (200, [], [])
+    assert {build.kind for build in builds if build} == {"CTable", "SweepTable"}
+
+
 @given(dfa_store_pairs(max_n=6, increments=NEAR_U64_MAX))
 @settings(max_examples=50, deadline=None)
 def test_counters_that_could_leave_int64_run_the_python_kernels(pair):
@@ -262,10 +301,36 @@ WIDE = CounterDfa(num_states=1, alphabet=tuple(f"s{k}" for k in range(65)), star
     (TWO_SYMBOLS, (1, 2**63), False),
     (TWO_SYMBOLS, (2**63, 2**64), False),
     (WIDE, (3, 70), False),  # a domain no longer fits one uint64 mask
+    (TWO_SYMBOLS, (-2**63, 1), True),
+    (TWO_SYMBOLS, (-2**63 - 1, 1), False),
 ])
 def test_the_route_follows_the_range_of_dom_n_and_the_alphabet(dfa, counter, runs_c):
     store = DomainStore(dfa.num_symbols, [range(dfa.num_symbols)] * 3, counter)
     assert on_both_kernels(dfa, store) == runs_c
+
+
+ONE_STATE = CounterDfa(num_states=1, alphabet=("a", "b"), start=0, next_state=((0, 0),), increment=((0, 1),))
+
+
+@pytest.mark.parametrize("cells, runs_c", [(kernel._MIN_CELLS - 1, False), (kernel._MIN_CELLS, True)])
+def test_the_route_starts_at_the_cut_off(cells, runs_c):
+    # The route as it runs, unforced: a one-state automaton over `cells`
+    # positions, the kernel each mode's tables are built on, and the same
+    # outcomes on both kernels.
+    store = DomainStore(ONE_STATE.num_symbols, [(0, 1)] * cells, (1, 3))
+    with recorded_tables() as builds:
+        outcomes(ONE_STATE, store)
+    assert kernel.usable(ONE_STATE, store) == runs_c
+    assert {build.kind for build in builds} == {"CTable" if runs_c else "SweepTable"}
+    on_both_kernels(ONE_STATE, store)
+
+
+def test_the_readme_states_the_cut_off():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        paragraph = fh.read().split("Large stores run each pass in C.", 1)[1].split("\n\n", 1)[0]
+    stated = re.findall(r"state count is at least (\d+)", " ".join(paragraph.split()))
+    assert stated == [str(kernel._MIN_CELLS)]
 
 
 def run_main(*args):
