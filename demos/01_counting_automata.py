@@ -28,11 +28,9 @@ for picks in [["2", "0", "7"], ["0", "0", "0"], ["2", "3", "7"]]:
 
 print()
 print("== folding accepting states into the counter ==")
-# mark the middle state of the word-counter as rejecting, then lift: words
-# that would end there pay a penalty after the end-of-string symbol
-import dataclasses
-
-flagged = dataclasses.replace(aab, accepting=(True, False, True))
-lifted = lift_accepting(flagged, penalty=100)
+# let states 0 and 2 of the word-counter accept and the middle one reject,
+# then lift: words that would end there pay a penalty after the
+# end-of-string symbol
+lifted = lift_accepting(aab, [0, 2], penalty=100)
 for word in ["aab", "aaba", "a"]:
     print(f"  {word + '$'!r:8} -> counter {run(lifted, word + '$').counter}")

@@ -5,7 +5,9 @@ transition function in which every state is accepting and every transition
 additionally adds a nonnegative amount to a counter that starts at zero.
 Running one on a word therefore never rejects; it just lands in a state and
 produces a counter value.  That counter is what the counting constraints in
-:mod:`regcount.propagators` talk about.
+:mod:`regcount.propagators` talk about.  A DFA with rejecting states enters
+through :func:`lift_accepting`, which charges them to the counter.  Every
+automaton is checked once, by :func:`validate`, as it is built.
 
 Counters are exact integers.  Increments stay validated at ``<= U64_MAX``,
 which keeps every sum far below the float range, so ``inf + x`` in the
@@ -22,9 +24,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 U64_MAX = 2**64 - 1
-
-#: Catalog keys accepted by :func:`catalog`.
-CATALOG_NAMES = ("AAB", "AMONG", "RST", "B")
 
 
 def is_int(value) -> bool:
@@ -46,11 +45,6 @@ def _default_names(num_states: int) -> tuple[str, ...]:
     return tuple(f"q{i}" for i in range(num_states))
 
 
-@lru_cache(maxsize=64)
-def _all_accepting(num_states: int) -> tuple[bool, ...]:
-    return (True,) * num_states
-
-
 @dataclass(frozen=True)
 class RunResult:
     """State and counter value after consuming a word."""
@@ -61,12 +55,14 @@ class RunResult:
 
 @dataclass(frozen=True)
 class CounterDfa:
-    """A complete deterministic counter automaton.
+    """A complete deterministic counter automaton in which every state accepts.
 
     ``next_state[q][s]`` and ``increment[q][s]`` are dense tables indexed by
-    state id and symbol id, so a transition lookup is O(1).  ``accepting`` is
-    carried only as input to :func:`lift_accepting`; the propagators treat
-    every state as accepting.
+    state id and symbol id, so a transition lookup is O(1).  Construction
+    (``dataclasses.replace`` included) makes the sequence fields tuples,
+    names the states ``q0, q1, ...`` when no names are given, and runs
+    :func:`validate`: a built automaton is valid.  :func:`lift_accepting`
+    folds rejecting states into the counter.
     """
 
     num_states: int
@@ -74,21 +70,14 @@ class CounterDfa:
     start: int
     next_state: tuple[tuple[int, ...], ...]
     increment: tuple[tuple[int, ...], ...]
-    accepting: tuple[bool, ...] = ()
     state_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "next_state", tuple(tuple(r) for r in self.next_state))
-        object.__setattr__(self, "increment", tuple(tuple(r) for r in self.increment))
-        if not self.accepting:
-            object.__setattr__(self, "accepting", _all_accepting(self.num_states))
-        else:
-            object.__setattr__(self, "accepting", tuple(bool(b) for b in self.accepting))
-        if not self.state_names:
-            object.__setattr__(self, "state_names", _default_names(self.num_states))
-        else:
-            object.__setattr__(self, "state_names", tuple(self.state_names))
+        object.__setattr__(self, "next_state", tuple(map(tuple, self.next_state)))
+        object.__setattr__(self, "increment", tuple(map(tuple, self.increment)))
+        object.__setattr__(self, "state_names", tuple(self.state_names) or _default_names(self.num_states))
+        validate(self)
 
     @property
     def num_symbols(self) -> int:
@@ -104,9 +93,10 @@ class CounterDfa:
 def validate(dfa: CounterDfa) -> None:
     """Check every structural invariant, raising MalformedAutomaton on the first violation.
 
-    Checks: positive state count, nonempty alphabet, symbol and state names
-    distinct nonempty strings, start state in range, both tables total and in
-    range, increments in ``[0, U64_MAX]``, flag/name vectors of the right length.
+    Checks: positive state count, nonempty alphabet, one name per state,
+    symbol and state names distinct nonempty strings, start state in range,
+    both tables total and in range, increments in ``[0, U64_MAX]``.
+    :class:`CounterDfa` runs it on every automaton it builds.
     """
     if dfa.num_states <= 0:
         raise MalformedAutomaton("automaton must have at least one state")
@@ -135,8 +125,6 @@ def validate(dfa: CounterDfa) -> None:
                 raise MalformedAutomaton(f"transition ({q}, {dfa.alphabet[s]!r}): increment must be a nonnegative integer")
             if inc > U64_MAX:
                 raise MalformedAutomaton(f"transition ({q}, {dfa.alphabet[s]!r}): increment exceeds 64-bit range")
-    if len(dfa.accepting) != dfa.num_states:
-        raise MalformedAutomaton("accepting flags must have one entry per state")
 
 
 def run(dfa: CounterDfa, word: Iterable[int | str]) -> RunResult:
@@ -172,155 +160,120 @@ def build_subset_sum_dfa(values: Sequence[int]) -> CounterDfa:
         if v not in distinct:
             distinct.append(v)
     alphabet = tuple(str(v) for v in distinct) + ("0",)
-    increments = tuple(distinct) + (0,)
-    dfa = CounterDfa(
+    return CounterDfa(
         num_states=1,
         alphabet=alphabet,
         start=0,
         next_state=((0,) * len(alphabet),),
-        increment=(increments,),
+        increment=(tuple(distinct) + (0,),),
     )
-    validate(dfa)
-    return dfa
 
 
-def lift_accepting(dfa: CounterDfa, penalty: int) -> CounterDfa:
-    """Fold accepting flags into counter increments via an end-of-string symbol.
+def lift_accepting(dfa: CounterDfa, accepting: Iterable[int], penalty: int) -> CounterDfa:
+    """Fold a set of accepting states into counter increments via an end-of-string symbol.
 
-    Returns an automaton with one extra state and an extra ``"$"`` symbol.
-    Reading ``$`` moves to the new state at cost 0 from accepting states and
-    at cost ``penalty`` from non-accepting ones; afterwards every symbol
-    self-loops at cost 0 so the transition function stays total.  All states
-    of the result are accepting.  Callers append ``$`` to their sequences, so
-    a word accepted by the original automaton keeps its counter value and a
-    rejected one pays exactly ``penalty`` on top.  ``penalty`` is an increment:
-    an int, not a bool, in ``1..U64_MAX``; any other raises ``ValueError``,
-    whether or not a state pays it.
+    ``accepting`` lists the state ids of ``dfa`` that accept; the others
+    reject.  Returns an automaton with one extra state and an extra ``"$"``
+    symbol.  Reading ``$`` moves to the new state at cost 0 from accepting
+    states and at cost ``penalty`` from the others; afterwards every symbol
+    self-loops at cost 0 so the transition function stays total.  Like every
+    :class:`CounterDfa`, the result accepts in every state.  Callers append
+    ``$`` to their sequences, so a word accepted by the original automaton
+    keeps its counter value and a rejected one pays exactly ``penalty`` on
+    top.  ``penalty`` is an increment: an int, not a bool, in
+    ``1..U64_MAX``; any other raises ``ValueError``, whether or not a state
+    pays it, as does a state id out of range.
     """
     if type(penalty) is not int or not 1 <= penalty <= U64_MAX:
         raise ValueError(f"penalty must be an integer in 1..{U64_MAX}; got {penalty!r}")
-    validate(dfa)
+    accepting = set(accepting)
+    if any(not is_int(q) or not 0 <= q < dfa.num_states for q in accepting):
+        raise ValueError(f"accepting states must be state ids in 0..{dfa.num_states - 1}")
     if "$" in dfa.alphabet:
         raise MalformedAutomaton("alphabet already contains the end-of-string symbol '$'")
     q_end = dfa.num_states
     alphabet = dfa.alphabet + ("$",)
-    next_state = [list(row) + [q_end] for row in dfa.next_state]
-    increment = [list(row) + [0 if dfa.accepting[q] else penalty] for q, row in enumerate(dfa.increment)]
-    next_state.append([q_end] * len(alphabet))
-    increment.append([0] * len(alphabet))
-    lifted = CounterDfa(
+    width = len(alphabet)
+    return CounterDfa(
         num_states=dfa.num_states + 1,
         alphabet=alphabet,
         start=dfa.start,
-        next_state=tuple(tuple(r) for r in next_state),
-        increment=tuple(tuple(r) for r in increment),
+        next_state=[row + (q_end,) for row in dfa.next_state] + [(q_end,) * width],
+        increment=[row + (0 if q in accepting else penalty,) for q, row in enumerate(dfa.increment)] + [(0,) * width],
         state_names=dfa.state_names + ("qend",),
     )
-    validate(lifted)
-    return lifted
 
 
-def _transitions(arcs: dict[tuple[str, str], tuple[str, int]], states: Sequence[str], alphabet: Sequence[str], start: str) -> CounterDfa:
-    index = {name: i for i, name in enumerate(states)}
-    nxt = [[0] * len(alphabet) for _ in states]
-    inc = [[0] * len(alphabet) for _ in states]
-    for (q, sym), (t, delta) in arcs.items():
-        nxt[index[q]][alphabet.index(sym)] = index[t]
-        inc[index[q]][alphabet.index(sym)] = delta
-    return CounterDfa(
-        num_states=len(states),
-        alphabet=tuple(alphabet),
-        start=index[start],
-        next_state=tuple(tuple(r) for r in nxt),
-        increment=tuple(tuple(r) for r in inc),
-        state_names=tuple(states),
-    )
-
-
-def _make_aab() -> CounterDfa:
+# Each built-in automaton as (states, alphabet, arcs): the start state is the
+# first state, and ``arcs[state, symbol]`` is the transition's (target,
+# increment), one per cell.
+_CATALOG = {
     # Counts occurrences of the word "aab": +1 on the b-transition out of
     # the state that has just seen "aa".
-    return _transitions(
-        {
-            ("eps", "a"): ("a", 0),
-            ("eps", "b"): ("eps", 0),
-            ("a", "a"): ("aa", 0),
-            ("a", "b"): ("eps", 0),
-            ("aa", "a"): ("aa", 0),
-            ("aa", "b"): ("eps", 1),
-        },
-        states=("eps", "a", "aa"),
-        alphabet=("a", "b"),
-        start="eps",
-    )
-
-
-def _make_among() -> CounterDfa:
+    "AAB": (("eps", "a", "aa"), ("a", "b"), {
+        ("eps", "a"): ("a", 0),
+        ("eps", "b"): ("eps", 0),
+        ("a", "a"): ("aa", 0),
+        ("a", "b"): ("eps", 0),
+        ("aa", "a"): ("aa", 0),
+        ("aa", "b"): ("eps", 1),
+    }),
     # One state over the two signature symbols of a membership test; counts
     # how many positions fall inside the reference set.
-    return _transitions(
-        {("i", "in"): ("i", 1), ("i", "notin"): ("i", 0)},
-        states=("i",),
-        alphabet=("in", "notin"),
-        start="i",
-    )
-
-
-def _make_rst() -> CounterDfa:
+    "AMONG": (("i",), ("in", "notin"), {
+        ("i", "in"): ("i", 1),
+        ("i", "notin"): ("i", 0),
+    }),
     # Six states over {r, s, t} with non-unit increments: +1 entering "r"
     # from scratch, +2 on the two r-transitions into "rrtr".
-    return _transitions(
-        {
-            ("eps", "r"): ("r", 1),
-            ("eps", "s"): ("eps", 0),
-            ("eps", "t"): ("eps", 0),
-            ("r", "r"): ("rr", 0),
-            ("r", "s"): ("eps", 0),
-            ("r", "t"): ("eps", 0),
-            ("rr", "r"): ("rr", 0),
-            ("rr", "s"): ("rrs", 0),
-            ("rr", "t"): ("rrt", 0),
-            ("rrt", "r"): ("rrtr", 2),
-            ("rrt", "s"): ("rrs", 0),
-            ("rrt", "t"): ("rrt", 0),
-            ("rrs", "r"): ("rrtr", 2),
-            ("rrs", "s"): ("eps", 0),
-            ("rrs", "t"): ("eps", 0),
-            ("rrtr", "r"): ("rr", 0),
-            ("rrtr", "s"): ("r", 0),
-            ("rrtr", "t"): ("rrtr", 0),
-        },
-        states=("eps", "r", "rr", "rrt", "rrs", "rrtr"),
-        alphabet=("r", "s", "t"),
-        start="eps",
-    )
-
-
-def _make_b() -> CounterDfa:
+    "RST": (("eps", "r", "rr", "rrt", "rrs", "rrtr"), ("r", "s", "t"), {
+        ("eps", "r"): ("r", 1),
+        ("eps", "s"): ("eps", 0),
+        ("eps", "t"): ("eps", 0),
+        ("r", "r"): ("rr", 0),
+        ("r", "s"): ("eps", 0),
+        ("r", "t"): ("eps", 0),
+        ("rr", "r"): ("rr", 0),
+        ("rr", "s"): ("rrs", 0),
+        ("rr", "t"): ("rrt", 0),
+        ("rrt", "r"): ("rrtr", 2),
+        ("rrt", "s"): ("rrs", 0),
+        ("rrt", "t"): ("rrt", 0),
+        ("rrs", "r"): ("rrtr", 2),
+        ("rrs", "s"): ("eps", 0),
+        ("rrs", "t"): ("eps", 0),
+        ("rrtr", "r"): ("rr", 0),
+        ("rrtr", "s"): ("r", 0),
+        ("rrtr", "t"): ("rrtr", 0),
+    }),
     # Two states over {1, 2}; the only increment is the 2-self-loop on q.
-    return _transitions(
-        {
-            ("eps", "1"): ("q", 0),
-            ("eps", "2"): ("q", 0),
-            ("q", "1"): ("eps", 0),
-            ("q", "2"): ("q", 1),
-        },
-        states=("eps", "q"),
-        alphabet=("1", "2"),
-        start="eps",
-    )
+    "B": (("eps", "q"), ("1", "2"), {
+        ("eps", "1"): ("q", 0),
+        ("eps", "2"): ("q", 0),
+        ("q", "1"): ("eps", 0),
+        ("q", "2"): ("q", 1),
+    }),
+}
 
-
-_CATALOG = {"AAB": _make_aab, "AMONG": _make_among, "RST": _make_rst, "B": _make_b}
+#: Catalog keys accepted by :func:`catalog`.
+CATALOG_NAMES = tuple(_CATALOG)
 
 
 def catalog(name: str) -> CounterDfa:
     """Return one of the built-in example automata by name (see CATALOG_NAMES)."""
     try:
-        builder = _CATALOG[name]
+        states, alphabet, arcs = _CATALOG[name]
     except KeyError:
         raise UnknownAutomaton(f"unknown automaton {name!r}; choose from {', '.join(CATALOG_NAMES)}") from None
-    return builder()
+    index = {state: q for q, state in enumerate(states)}
+    return CounterDfa(
+        num_states=len(states),
+        alphabet=alphabet,
+        start=0,
+        next_state=[[index[arcs[state, a][0]] for a in alphabet] for state in states],
+        increment=[[arcs[state, a][1] for a in alphabet] for state in states],
+        state_names=states,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +284,7 @@ def catalog(name: str) -> CounterDfa:
 #   "states": 3,
 #   "alphabet": ["a", "b"],
 #   "start": 0,
-#   "accepting": [0, 1, 2],          // optional, default: all states
+#   "accepting": [0, 1, 2],          // optional; if given, must name every state
 #   "names": ["eps", "a", "aa"],     // optional, default: q0, q1, ...
 #   "transitions": [{"from": 0, "symbol": "a", "to": 1, "inc": 0}, ...]
 # }
@@ -352,19 +305,18 @@ def automaton_to_json(dfa: CounterDfa) -> dict:
         "start": dfa.start,
         "transitions": transitions,
     }
-    if not all(dfa.accepting):
-        doc["accepting"] = [q for q in range(dfa.num_states) if dfa.accepting[q]]
-    if dfa.state_names != tuple(f"q{i}" for i in range(dfa.num_states)):
+    if dfa.state_names != _default_names(dfa.num_states):
         doc["names"] = list(dfa.state_names)
     return doc
 
 
 def automaton_from_json(doc: dict) -> CounterDfa:
-    """Build and validate an automaton from its dict form.
+    """Build an automaton from its dict form.
 
-    Rejects duplicate or missing (state, symbol) cells, unknown symbols,
-    out-of-range states and non-integer numbers (``true`` and ``"0"``
-    included) with a MalformedAutomaton naming the offending field or cell.
+    Rejects too few or duplicate (state, symbol) cells, unknown symbols,
+    out-of-range states, non-integer numbers (``true`` and ``"0"``
+    included) and an ``accepting`` list that leaves a state out with a
+    MalformedAutomaton naming the offending field or cell.
     """
     if not isinstance(doc, dict):
         raise MalformedAutomaton("automaton document must be a JSON object")
@@ -388,8 +340,11 @@ def automaton_from_json(doc: dict) -> CounterDfa:
         # Checked before the tables are allocated, so a huge 'states' costs nothing.
         raise MalformedAutomaton(f"missing transitions: {num_states} states x {len(alphabet)} symbols "
                                  f"need {num_states * len(alphabet)} entries, got {len(transitions)}")
-    nxt: list[list] = [[None] * len(alphabet) for _ in range(num_states)]
-    inc: list[list] = [[None] * len(alphabet) for _ in range(num_states)]
+    # No JSON value is ``empty``, so a null target cannot hide a duplicate: with
+    # at least one entry per cell and no duplicates, every cell is filled.
+    empty = object()
+    nxt: list[list] = [[empty] * len(alphabet) for _ in range(num_states)]
+    inc: list[list] = [[empty] * len(alphabet) for _ in range(num_states)]
     for entry in transitions:
         try:
             q, sym, t, delta = entry["from"], entry["symbol"], entry["to"], entry["inc"]
@@ -400,36 +355,29 @@ def automaton_from_json(doc: dict) -> CounterDfa:
         if not isinstance(sym, str) or sym not in symbol_index:
             raise MalformedAutomaton(f"transition symbol {sym!r} not in alphabet")
         s = symbol_index[sym]
-        if nxt[q][s] is not None:
+        if nxt[q][s] is not empty:
             raise MalformedAutomaton(f"duplicate transition for state {q}, symbol {sym!r}")
         nxt[q][s] = t
         inc[q][s] = delta
-    for q in range(num_states):
-        for s, t in enumerate(nxt[q]):
-            if t is None:
-                raise MalformedAutomaton(f"missing transition for state {q}, symbol {alphabet[s]!r}")
-    accepting: tuple[bool, ...] = ()
     if "accepting" in doc:
         marked = doc["accepting"]
         if not isinstance(marked, list) or any(not is_int(q) or not 0 <= q < num_states for q in marked):
             raise MalformedAutomaton("'accepting' must be an array of state ids")
-        accepting = tuple(q in set(marked) for q in range(num_states))
-    names: tuple[str, ...] = ()
-    if "names" in doc:
-        if not isinstance(doc["names"], list) or len(doc["names"]) != num_states:
-            raise MalformedAutomaton("'names' must be an array with one entry per state")
-        names = tuple(doc["names"])
-    dfa = CounterDfa(
+        left_out = sorted(set(range(num_states)) - set(marked))
+        if left_out:
+            raise MalformedAutomaton(f"'accepting' leaves out states {left_out}, but every state of a counter "
+                                     "automaton accepts; fold rejecting states into the counter with lift_accepting")
+    names = doc.get("names", ())
+    if "names" in doc and (not isinstance(names, list) or len(names) != num_states):
+        raise MalformedAutomaton("'names' must be an array with one entry per state")
+    return CounterDfa(
         num_states=num_states,
-        alphabet=tuple(alphabet),
+        alphabet=alphabet,
         start=start,
-        next_state=tuple(tuple(row) for row in nxt),
-        increment=tuple(tuple(row) for row in inc),
-        accepting=accepting,
+        next_state=nxt,
+        increment=inc,
         state_names=names,
     )
-    validate(dfa)
-    return dfa
 
 
 def read_json(path: str, error: type[ValueError] = MalformedAutomaton):

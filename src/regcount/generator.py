@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .automaton import CounterDfa, catalog, validate
+from .automaton import U64_MAX, CounterDfa, catalog, is_int
 from .domains import Instance
 from .oracle import (DEFAULT_CAP, CapExceeded, DcVerdict, SupportReport, check_dc, enumerate_all_modes,
                      enumerate_all_modes_native, judge)
@@ -43,6 +43,8 @@ from .signature import among_signature
 #: Counter-domain shapes: a single value, two values separated by a hole, and
 #: intervals of two or three consecutive values.
 COUNTER_SHAPES = ("single", "holed-pair", "interval-2", "interval-3")
+
+_SYMBOL_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,10 @@ class GenConfig:
             raise ValueError("bad state-count range")
         if self.min_symbols < 1 or self.max_symbols < self.min_symbols:
             raise ValueError("bad alphabet-size range")
+        if self.max_symbols > len(_SYMBOL_LETTERS):
+            raise ValueError(f"max_symbols must be at most {len(_SYMBOL_LETTERS)}, one letter per symbol")
+        if not is_int(self.increment_value) or not 0 <= self.increment_value <= U64_MAX:
+            raise ValueError(f"increment_value must be an integer in 0..{U64_MAX}")
         if self.min_n < 0 or self.max_n < self.min_n:
             raise ValueError("bad sequence-length range")
         unknown = [s for s in self.counter_shapes if s not in COUNTER_SHAPES]
@@ -82,7 +88,6 @@ def rng_for(seed: int, index: int | None = None) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-_SYMBOL_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 #: The among automaton every membership-counting instance shares; a CounterDfa is frozen.
 _AMONG = catalog("AMONG")
 
@@ -94,15 +99,13 @@ def random_cdfa(cfg: GenConfig, rng: np.random.Generator) -> CounterDfa:
     targets = rng.integers(0, num_states, size=(num_states, num_symbols)).tolist()
     carries = (rng.random((num_states, num_symbols)) < cfg.increment_probability).tolist()
     value = cfg.increment_value
-    dfa = CounterDfa(
+    return CounterDfa(
         num_states=num_states,
-        alphabet=tuple(_SYMBOL_LETTERS[s] for s in range(num_symbols)),
+        alphabet=_SYMBOL_LETTERS[:num_symbols],
         start=0,
-        next_state=tuple(map(tuple, targets)),
-        increment=tuple(tuple([value if carry else 0 for carry in row]) for row in carries),
+        next_state=targets,
+        increment=[[value if carry else 0 for carry in row] for row in carries],
     )
-    validate(dfa)
-    return dfa
 
 
 def _random_symbol_domain(rng: np.random.Generator, num_symbols: int) -> list[int]:

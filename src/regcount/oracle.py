@@ -97,8 +97,7 @@ def enumerate_all_modes_native(
     Each position's distinct native values are reported as themselves and
     stepped through the automaton as their signature symbol.
     """
-    choices = [[(v, sig.symbol_of(i, v)) for v in sorted(set(dom))] for i, dom in enumerate(native_domains)]
-    return _enumerate(dfa, choices, counter_values, Instance.MODES, cap)
+    return _enumerate(dfa, _native_choices(sig, native_domains), counter_values, Instance.MODES, cap)
 
 
 def enumerate_support_native(
@@ -110,12 +109,18 @@ def enumerate_support_native(
     cap: int = DEFAULT_CAP,
 ) -> SupportReport:
     """Support report over native values for a signature instance, under one semantics."""
-    return enumerate_all_modes_native(dfa, sig, native_domains, counter_values, cap)[Mode(mode).semantics.value]
+    semantics = Mode(mode).semantics.value
+    return _enumerate(dfa, _native_choices(sig, native_domains), counter_values, (semantics,), cap)[semantics]
 
 
 def _store_choices(store: DomainStore) -> list[list[tuple[int, int]]]:
     # A plain store reports each symbol as itself: the identity signature.
     return [[(s, s) for s in store.symbols(i)] for i in range(store.n)]
+
+
+def _native_choices(sig: SignatureMap, native_domains: list[list[int]]) -> list[list[tuple[int, int]]]:
+    # Each distinct native value, reported as itself and read as its signature symbol.
+    return [[(v, sig.symbol_of(i, v)) for v in sorted(set(dom))] for i, dom in enumerate(native_domains)]
 
 
 def _enumerate(

@@ -1,12 +1,13 @@
 """Shared test inputs: hypothesis strategies for small random automata,
-stores and words; root-long-shaped stores; and fixed automata and witnesses."""
+stores and words; root-long-shaped stores; and fixed automata and witnesses,
+the paper's automaton B and its witness stores among them."""
 
 from __future__ import annotations
 
 import hypothesis.strategies as st
 
 import reference_kernel
-from regcount import COUNTER_VAR, U64_MAX, CounterDfa, DomainStore, SignatureMap, generator, run, validate
+from regcount import COUNTER_VAR, U64_MAX, CounterDfa, DomainStore, SignatureMap, catalog, generator, run
 
 _LETTERS = "abcd"
 
@@ -17,20 +18,18 @@ NEAR_U64_MAX = st.one_of(st.integers(0, 2), st.integers(U64_MAX - 2, U64_MAX), s
 
 @st.composite
 def cdfas(draw, max_states: int = 4, max_symbols: int = 3, max_increment: int = 2, increments=None) -> CounterDfa:
-    """Random valid automata; ``increments`` (a strategy) overrides ``0..max_increment``."""
+    """Random automata; ``increments`` (a strategy) overrides ``0..max_increment``."""
     num_states = draw(st.integers(1, max_states))
     num_symbols = draw(st.integers(1, max_symbols))
     cell = st.integers(0, num_states - 1)
     inc = st.integers(0, max_increment) if increments is None else increments
-    dfa = CounterDfa(
+    return CounterDfa(
         num_states=num_states,
-        alphabet=tuple(_LETTERS[:num_symbols]),
+        alphabet=_LETTERS[:num_symbols],
         start=draw(cell),
-        next_state=tuple(tuple(draw(cell) for _ in range(num_symbols)) for _ in range(num_states)),
-        increment=tuple(tuple(draw(inc) for _ in range(num_symbols)) for _ in range(num_states)),
+        next_state=[[draw(cell) for _ in range(num_symbols)] for _ in range(num_states)],
+        increment=[[draw(inc) for _ in range(num_symbols)] for _ in range(num_states)],
     )
-    validate(dfa)
-    return dfa
 
 
 @st.composite
@@ -184,6 +183,32 @@ def ground_pairs(draw):
     value = st.one_of(st.integers(max(0, c - 2), c + 2), st.integers(0, 12), st.integers(0, 2 * U64_MAX))
     counter = draw(st.sets(value, min_size=1, max_size=6))
     return dfa, DomainStore(dfa.num_symbols, [[s] for s in word], counter)
+
+
+#: The paper's two-state automaton over {1, 2}, which counts the 2s read in
+#: state q, and the ids of its two symbols.
+B = catalog("B")
+ONE, TWO = B.symbol_id("1"), B.symbol_id("2")
+
+
+def b_store(domains, counter):
+    """A new store over B's symbols."""
+    return DomainStore(B.num_symbols, domains, counter)
+
+
+def b_2x2(counter=(0, 1, 2)):
+    # <2, x, 2> with x in {1, 2}: the ground words count 0 and 2
+    return b_store([(TWO,), (ONE, TWO), (TWO,)], counter)
+
+
+def b_witness_z(counter=(1,)):
+    # <2, x, 1, y, z> with x, y, z in {1, 2}
+    return b_store([(TWO,), (ONE, TWO), (ONE,), (ONE, TWO), (ONE, TWO)], counter)
+
+
+def b_witness_y(counter=(1, 3)):
+    # <2, 2, x, 2, y> with x, y in {1, 2}
+    return b_store([(TWO,), (TWO,), (ONE, TWO), (TWO,), (ONE, TWO)], counter)
 
 
 #: "x" stays in state 0 for free; "y" moves to state 1 for 3.  Over one

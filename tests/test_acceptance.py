@@ -33,6 +33,7 @@ from regcount import (
     run_fuzz,
     solve_collect,
 )
+from strategies import B, ONE, TWO, b_2x2, b_witness_y, b_witness_z
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -42,10 +43,6 @@ SEED_SEARCH_CORPUS = 31337
 SEED_MEMBERSHIP_CORPUS = 90210
 SEED_SUBSET_SUM = 4242
 SEED_COMPLEXITY = 1234
-
-B = catalog("B")
-ONE, TWO = B.symbol_id("1"), B.symbol_id("2")
-
 
 def run_cli(*args, stdin=None):
     """``python -m regcount ARGS`` in a subprocess that imports regcount from this checkout's ``src``."""
@@ -93,29 +90,25 @@ def test_criterion_2_witness_triple():
 
     # (a) two-state automaton, <2, x, 2>, N in {0,1,2}: the decomposition
     # performs no counter pruning although 1 has no support
-    store_a = DomainStore(B.num_symbols, [(TWO,), (ONE, TWO), (TWO,)], (0, 1, 2))
-    out_a = propagate_decomposed(B, store_a)
+    out_a = propagate_decomposed(B, b_2x2())
     assert not out_a.failed
     assert not any(var == COUNTER_VAR for var, _ in out_a.removals)
-    oracle_a = enumerate_support(B, DomainStore(B.num_symbols, [(TWO,), (ONE, TWO), (TWO,)], (0, 1, 2)), "exact")
+    oracle_a = enumerate_support(B, b_2x2(), "exact")
     assert 1 not in oracle_a.supported_counter
     assert oracle_a.supported_counter == {0, 2}
 
     # (b) <2, x, 1, y, z>, N = {1}: the exact rule removes z = 2
-    domains_b = [(TWO,), (ONE, TWO), (ONE,), (ONE, TWO), (ONE, TWO)]
-    store_b = DomainStore(B.num_symbols, domains_b, (1,))
+    store_b = b_witness_z()
     out_b = propagate_exact(B, store_b)
     assert not out_b.failed
     assert (4, TWO) in out_b.removals
     assert store_b.symbols(4) == [ONE]
 
     # (c) <2, 2, x, 2, y>, N = {1,3}: y = 2 is unsupported but kept
-    domains_c = [(TWO,), (TWO,), (ONE, TWO), (TWO,), (ONE, TWO)]
-    store_c = DomainStore(B.num_symbols, domains_c, (1, 3))
-    out_c = propagate_exact(B, store_c)
+    out_c = propagate_exact(B, b_witness_y())
     assert not out_c.failed
     assert (4, TWO) not in out_c.removals
-    oracle_c = enumerate_support(B, DomainStore(B.num_symbols, domains_c, (1, 3)), "exact")
+    oracle_c = enumerate_support(B, b_witness_y(), "exact")
     assert TWO not in oracle_c.supported[4]
 
     elapsed = time.perf_counter() - started
@@ -142,9 +135,8 @@ def test_criterion_4_exact_soundness_and_strictness(fuzz_report):
     exact_violations = [v for v in fuzz_report.violations if v.mode == "exact"]
     assert exact_violations == []
     # strict containment on the five-position witness
-    domains = [(TWO,), (ONE, TWO), (ONE,), (ONE, TWO), (ONE, TWO)]
-    exact_out = propagate_exact(B, DomainStore(B.num_symbols, domains, (1,)))
-    decomposed_out = propagate_decomposed(B, DomainStore(B.num_symbols, domains, (1,)))
+    exact_out = propagate_exact(B, b_witness_z())
+    decomposed_out = propagate_decomposed(B, b_witness_z())
     assert set(exact_out.removals) > set(decomposed_out.removals)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -119,9 +120,8 @@ def test_run_counter_is_an_exact_integer():
 
 
 def test_validate_rejects_empty_alphabet():
-    dfa = CounterDfa(1, (), 0, ((),), ((),))
     with pytest.raises(MalformedAutomaton):
-        validate(dfa)
+        CounterDfa(1, (), 0, ((),), ((),))
 
 
 def test_validate_rejects_missing_cell():
@@ -140,27 +140,53 @@ def test_from_json_counts_transitions_before_building_tables():
 
 
 def test_validate_rejects_negative_increment():
-    dfa = CounterDfa(1, ("a",), 0, ((0,),), ((-1,),))
     with pytest.raises(MalformedAutomaton, match="increment"):
-        validate(dfa)
+        CounterDfa(1, ("a",), 0, ((0,),), ((-1,),))
 
 
 def test_validate_rejects_out_of_range_target():
-    dfa = CounterDfa(1, ("a",), 0, ((3,),), ((0,),))
     with pytest.raises(MalformedAutomaton, match="target"):
-        validate(dfa)
+        CounterDfa(1, ("a",), 0, ((3,),), ((0,),))
 
 
 def test_validate_rejects_oversized_increment():
-    dfa = CounterDfa(1, ("a",), 0, ((0,),), ((U64_MAX + 1,),))
     with pytest.raises(MalformedAutomaton, match="64-bit"):
-        validate(dfa)
+        CounterDfa(1, ("a",), 0, ((0,),), ((U64_MAX + 1,),))
 
 
 def test_validate_rejects_bad_start():
-    dfa = CounterDfa(1, ("a",), 5, ((0,),), ((0,),))
     with pytest.raises(MalformedAutomaton, match="start"):
-        validate(dfa)
+        CounterDfa(1, ("a",), 5, ((0,),), ((0,),))
+
+
+#: One change to catalog B per rule of ``validate``, and the message it raises.
+BROKEN_B = {
+    "no-state": ({"num_states": 0}, "at least one state"),
+    "no-symbol": ({"alphabet": ()}, "alphabet must be nonempty"),
+    "names-short": ({"state_names": ("eps",)}, "one entry per state"),
+    "empty-symbol": ({"alphabet": ("1", "")}, "alphabet names must be nonempty strings"),
+    "repeated-symbol": ({"alphabet": ("1", "1")}, "alphabet names must be distinct"),
+    "repeated-name": ({"state_names": ("q", "q")}, "state names must be distinct"),
+    "start": ({"start": 2}, "start state 2 out of range"),
+    "rows": ({"next_state": ((1, 1),)}, "one row per state"),
+    "row-short": ({"increment": ((0,), (0, 1))}, r"state 0: transition row must cover the whole alphabet"),
+    "target": ({"next_state": ((1, 2), (0, 1))}, r"transition \(0, '2'\): target 2 out of range"),
+    "bool-increment": ({"increment": ((0, True), (0, 1))}, "increment must be a nonnegative integer"),
+    "negative-increment": ({"increment": ((0, -1), (0, 1))}, "increment must be a nonnegative integer"),
+    "past-u64": ({"increment": ((0, U64_MAX + 1), (0, 1))}, "increment exceeds 64-bit range"),
+}
+
+
+@pytest.mark.parametrize(("change", "message"), BROKEN_B.values(), ids=BROKEN_B.keys())
+def test_every_validate_rule_fires_when_an_automaton_is_built(change, message):
+    # Construction runs validate, whether by the constructor or by replace.
+    b = catalog("B")
+    fields = {name: getattr(b, name) for name in ("num_states", "alphabet", "start", "next_state", "increment",
+                                                  "state_names")}
+    with pytest.raises(MalformedAutomaton, match=message):
+        CounterDfa(**{**fields, **change})
+    with pytest.raises(MalformedAutomaton, match=message):
+        dataclasses.replace(b, **change)
 
 
 @pytest.mark.parametrize(("names", "message"), [
@@ -193,6 +219,15 @@ def test_json_rejects_duplicate_transition():
         automaton_from_json(doc)
 
 
+def test_json_names_a_duplicate_that_follows_a_null_target():
+    # The entry count leaves no cell empty only if no duplicate goes unseen.
+    doc = automaton_to_json(catalog("B"))
+    doc["transitions"][0]["to"] = None
+    doc["transitions"][1] = dict(doc["transitions"][0], to=1)
+    with pytest.raises(MalformedAutomaton, match=r"^duplicate transition for state 0, symbol '1'$"):
+        automaton_from_json(doc)
+
+
 def test_json_rejects_unknown_symbol():
     doc = automaton_to_json(catalog("B"))
     doc["transitions"][0]["symbol"] = "zzz"
@@ -200,28 +235,39 @@ def test_json_rejects_unknown_symbol():
         automaton_from_json(doc)
 
 
-def test_default_names_and_flags_are_shared_per_state_count():
-    # Automata built without names or flags share one tuple of each per state
-    # count; explicit ones are kept, and equality and JSON are unchanged.
+def test_default_names_are_shared_per_state_count():
+    # Automata built without names share one tuple per state count; explicit
+    # ones are kept, and equality and JSON are unchanged.
     def build(**extra):
         return CounterDfa(num_states=3, alphabet=("a",), start=0, next_state=((1,), (2,), (0,)),
                           increment=((0,), (1,), (0,)), **extra)
 
     first, second = build(), build()
-    assert first.state_names is second.state_names and first.accepting is second.accepting
-    assert first.state_names == ("q0", "q1", "q2") and first.accepting == (True, True, True)
-    named = build(state_names=("x", "y", "z"), accepting=(True, False, True))
-    assert (named.state_names, named.accepting) == (("x", "y", "z"), (True, False, True))
-    assert build(state_names=["q0", "q1", "q2"], accepting=[1, 1, 1]) == first
+    assert first.state_names is second.state_names
+    assert first.state_names == ("q0", "q1", "q2")
+    assert build(state_names=("x", "y", "z")).state_names == ("x", "y", "z")
+    assert build(state_names=["q0", "q1", "q2"]) == first
     assert automaton_from_json(automaton_to_json(first)) == first
     assert CounterDfa(num_states=2, alphabet=("a",), start=0, next_state=((0,), (1,)),
                       increment=((0,), (0,))).state_names == ("q0", "q1")
 
 
 def test_json_accepting_round_trip():
-    dfa = dataclasses.replace(catalog("AAB"), accepting=(True, False, True))
-    again = automaton_from_json(automaton_to_json(dfa))
-    assert again.accepting == (True, False, True)
+    # Every state of a counter automaton accepts: a list naming every state,
+    # in any order and with repeats, loads as a document without the key,
+    # and the writer never emits it.
+    for name in CATALOG_NAMES:
+        doc = automaton_to_json(catalog(name))
+        assert "accepting" not in doc
+        states = list(range(doc["states"]))
+        assert automaton_from_json({**doc, "accepting": states[::-1] + states[:1]}) == automaton_from_json(doc)
+
+
+@pytest.mark.parametrize(("accepting", "left_out"), [([0], "[1]"), ([], "[0, 1]")], ids=["one", "none"])
+def test_json_accepting_that_leaves_a_state_out_is_malformed(accepting, left_out):
+    doc = {**automaton_to_json(catalog("B")), "accepting": accepting}
+    with pytest.raises(MalformedAutomaton, match=rf"^'accepting' leaves out states {re.escape(left_out)}, .*lift_accepting$"):
+        automaton_from_json(doc)
 
 
 # -- subset-sum construction ------------------------------------------------
@@ -269,16 +315,14 @@ def test_subset_sum_counter_is_order_independent(values, data):
 
 
 def test_lift_all_accepting_adds_free_end_symbol():
-    lifted = lift_accepting(catalog("AAB"), penalty=5)
+    lifted = lift_accepting(catalog("AAB"), range(3), penalty=5)
     dollar = lifted.symbol_id("$")
     assert all(lifted.increment[q][dollar] == 0 for q in range(3))
-    assert all(lifted.accepting)
     assert run(lifted, "aab$").counter == 1
 
 
 def test_lift_single_non_accepting_state_pays_penalty():
-    dfa = dataclasses.replace(catalog("AAB"), accepting=(True, False, True))
-    lifted = lift_accepting(dfa, penalty=7)
+    lifted = lift_accepting(catalog("AAB"), [0, 2], penalty=7)
     dollar = lifted.symbol_id("$")
     paying = [q for q in range(lifted.num_states) if lifted.increment[q][dollar]]
     assert paying == [1] and lifted.increment[1][dollar] == 7
@@ -286,7 +330,7 @@ def test_lift_single_non_accepting_state_pays_penalty():
 
 
 def test_lift_end_state_loops_for_free():
-    lifted = lift_accepting(catalog("B"), penalty=3)
+    lifted = lift_accepting(catalog("B"), [0, 1], penalty=3)
     q_end = lifted.num_states - 1
     assert all(t == q_end for t in lifted.next_state[q_end])
     assert all(i == 0 for i in lifted.increment[q_end])
@@ -295,8 +339,7 @@ def test_lift_end_state_loops_for_free():
 @given(cdfas(), st.data())
 def test_lift_preserves_counts_and_charges_rejects(dfa, data):
     flags = tuple(data.draw(st.booleans()) for _ in range(dfa.num_states))
-    flagged = dataclasses.replace(dfa, accepting=flags)
-    lifted = lift_accepting(flagged, penalty=100)
+    lifted = lift_accepting(dfa, [q for q, accepts in enumerate(flags) if accepts], penalty=100)
     word = data.draw(st.lists(st.integers(0, dfa.num_symbols - 1), max_size=5))
     plain = run(dfa, word)
     ended = run(lifted, word + [lifted.symbol_id("$")])
@@ -305,24 +348,30 @@ def test_lift_preserves_counts_and_charges_rejects(dfa, data):
 
 
 @pytest.mark.parametrize("penalty", [True, 1.5, 0, 2**64], ids=["bool", "float", "zero", "past-u64"])
-@pytest.mark.parametrize("accepting", [(True, True), (True, False)], ids=["all-accepting", "one-rejecting"])
+@pytest.mark.parametrize("accepting", [(0, 1), (0,)], ids=["all-accepting", "one-rejecting"])
 def test_lift_rejects_a_penalty_that_is_no_increment(penalty, accepting):
     # Named as the penalty, whether or not a state pays it.
     with pytest.raises(ValueError, match=r"^penalty must be an integer in 1\.\.18446744073709551615; got ") as raised:
-        lift_accepting(dataclasses.replace(catalog("B"), accepting=accepting), penalty)
+        lift_accepting(catalog("B"), accepting, penalty)
     assert type(raised.value) is ValueError
 
 
 def test_lift_accepts_the_largest_increment_as_penalty():
-    lifted = lift_accepting(dataclasses.replace(catalog("B"), accepting=(True, False)), U64_MAX)
+    lifted = lift_accepting(catalog("B"), [0], U64_MAX)
     assert lifted.increment[1][lifted.symbol_id("$")] == U64_MAX
+
+
+@pytest.mark.parametrize("accepting", [[2], [-1], [True], ["0"]], ids=["past-the-end", "negative", "bool", "string"])
+def test_lift_rejects_an_accepting_state_that_is_no_state_id(accepting):
+    with pytest.raises(ValueError, match=r"^accepting states must be state ids in 0\.\.1$"):
+        lift_accepting(catalog("B"), accepting, 1)
 
 
 def test_lift_rejects_bad_penalty_and_dollar_clash():
     with pytest.raises(ValueError):
-        lift_accepting(catalog("B"), penalty=0)
+        lift_accepting(catalog("B"), [0, 1], penalty=0)
     with pytest.raises(MalformedAutomaton):
-        lift_accepting(lift_accepting(catalog("B"), 1), 1)
+        lift_accepting(lift_accepting(catalog("B"), [0, 1], 1), range(3), 1)
     # The end state's name clashes as its symbol does.
     with pytest.raises(MalformedAutomaton, match="state names must be distinct"):
-        lift_accepting(dataclasses.replace(catalog("B"), state_names=("qend", "q")), 1)
+        lift_accepting(dataclasses.replace(catalog("B"), state_names=("qend", "q")), [0, 1], 1)

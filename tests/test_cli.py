@@ -83,6 +83,10 @@ def witness_instance_doc():
     }
 
 
+#: Inline options that complete a command naming only an automaton over B's symbols.
+INLINE = ("--vars", "1,2;1,2", "--counter", "0", "--mode", "exact")
+
+
 # -- validate / catalog -------------------------------------------------------
 
 
@@ -323,6 +327,35 @@ def test_validate_rejects_true_state_count(tmp_path):
     result = run_cli("validate", str(path))
     assert result.returncode == 2
     assert result.stderr == "error: 'states' must be a positive integer\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("validate", "{file}"),
+    ("validate", "-"),
+    ("propagate", "{instance}"),
+    ("propagate", "--automaton", "-", *INLINE),
+    ("oracle", "{instance}"),
+    ("oracle", "--automaton", "{file}", *INLINE),
+    ("solve", "{instance}"),
+    ("solve", "--automaton", "-", *INLINE),
+    ("dump-sweep", "--automaton", "{file}", "--domains", "1;2", "--mode", "min"),
+    ("dump-sweep", "--automaton", "-", "--domains", "1;2", "--mode", "min"),
+], ids=lambda args: " ".join(args[:3]))
+def test_an_accepting_list_that_leaves_a_state_out_exits_2_with_one_line(tmp_path, command):
+    # Every state of a counter automaton accepts; a rejecting state belongs
+    # in lift_accepting, so no command may run the automaton as if it accepted.
+    doc = {**automaton_to_json(catalog("B")), "accepting": [0]}
+    file = tmp_path / "b.json"
+    file.write_text(json.dumps(doc))
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps({**witness_instance_doc(), "automaton": doc}))
+    args = [word.format(file=file, instance=instance) for word in command]
+    code, out, err = run_main(*args, stdin=json.dumps(doc))
+    assert (code, out) == (2, ""), err
+    # An instance file's error names the file first.
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.endswith("'accepting' leaves out states [1], but every state of a counter automaton accepts; "
+                        "fold rejecting states into the counter with lift_accepting\n"), err
 
 
 def test_propagate_signature_instance(tmp_path):
@@ -614,9 +647,6 @@ def test_instance_on_stdin():
     result = run_cli("propagate", "-", stdin=json.dumps(witness_instance_doc()))
     assert result.returncode == 0
     assert "x5 != 2" in result.stdout.splitlines()
-
-
-INLINE = ("--vars", "1,2;1,2", "--counter", "0", "--mode", "exact")
 
 
 @pytest.mark.parametrize("args", [

@@ -31,6 +31,7 @@ from regcount import (
     validate,
 )
 from regcount.oracle import DEFAULT_CAP, CapExceeded, enumerate_all_modes, enumerate_all_modes_native
+from strategies import B, ONE, TWO
 
 
 def test_config_rejects_bad_ranges():
@@ -42,6 +43,24 @@ def test_config_rejects_bad_ranges():
         GenConfig(min_n=5, max_n=1)
     with pytest.raises(ValueError):
         GenConfig(counter_shapes=("rhombus",))
+
+
+def test_config_rejects_more_symbols_than_letters():
+    # Symbols are named a..z, so 26 is the widest alphabet random_cdfa builds.
+    with pytest.raises(ValueError, match="max_symbols must be at most 26"):
+        GenConfig(min_symbols=27, max_symbols=27)
+    assert random_cdfa(GenConfig(min_symbols=26, max_symbols=26), rng_for(0)).alphabet[-1] == "z"
+
+
+@pytest.mark.parametrize("value", [True, 1.0, -1, U64_MAX + 1], ids=["bool", "float", "negative", "past-u64"])
+def test_config_rejects_an_increment_value_that_is_no_increment(value):
+    # Rejected when configured, not at the first draw that carries an increment.
+    with pytest.raises(ValueError, match=r"^increment_value must be an integer in 0\.\.18446744073709551615$") as raised:
+        GenConfig(increment_value=value)
+    assert type(raised.value) is ValueError
+    for bound in (0, U64_MAX):
+        cfg = GenConfig(increment_probability=1.0, increment_value=bound)
+        assert set(random_cdfa(cfg, rng_for(0)).increment[0]) == {bound}
 
 
 def test_counter_shape_subset_is_honored():
@@ -285,8 +304,6 @@ def test_check_among_instance_clean():
 
 # -- planted bugs: every kind each checker reports fires ---------------------------------
 
-B = catalog("B")
-ONE, TWO = B.symbol_id("1"), B.symbol_id("2")
 # <2, x, y> with N = {0}: satisfiable under every semantics, x1 = 2 is
 # supported, and the decomposition removes x2 = 2.
 PLAIN = Instance(dfa=B, mode="exact", var_domains=[[TWO], [ONE, TWO], [ONE, TWO]], counter_values=[0])

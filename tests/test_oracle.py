@@ -30,25 +30,19 @@ from regcount import (
 )
 from regcount.domains import project_store
 from regcount.oracle import judge
-from strategies import NEAR_U64_MAX, dfa_store_pairs, few_choice_pairs, few_choice_signature_instances, signature_instances
-
-B = catalog("B")
-ONE, TWO = B.symbol_id("1"), B.symbol_id("2")
-
-
-def b_store(domains, counter):
-    return DomainStore(B.num_symbols, domains, counter)
+from strategies import (B, NEAR_U64_MAX, ONE, TWO, b_2x2, b_store, b_witness_y, b_witness_z, dfa_store_pairs,
+                        few_choice_pairs, few_choice_signature_instances, signature_instances)
 
 
 def test_exact_counter_support_has_a_hole():
-    store = b_store([(TWO,), (ONE, TWO), (TWO,)], (0, 1, 2))
+    store = b_2x2()
     report = enumerate_support(B, store, "exact")
     assert report.supported_counter == {0, 2}
     assert report.solution_count == 2
 
 
 def test_exact_position_support_on_witness():
-    store = b_store([(TWO,), (ONE, TWO), (ONE,), (ONE, TWO), (ONE, TWO)], (1,))
+    store = b_witness_z()
     report = enumerate_support(B, store, "exact")
     assert report.supported[4] == {ONE}
     assert report.satisfiable
@@ -65,7 +59,7 @@ def test_subset_sum_instance_is_satisfiable():
 
 
 def test_atmost_and_atleast_counts():
-    store = b_store([(TWO,), (ONE, TWO), (TWO,)], (0, 1, 2))
+    store = b_2x2()
     atmost = enumerate_support(B, store, "atmost")
     atleast = enumerate_support(B, store, "atleast")
     # counters are {0, 2}: atmost pairs (0,{0,1,2}) and (2,{2}); atleast mirrors
@@ -76,7 +70,7 @@ def test_atmost_and_atleast_counts():
 
 
 def test_empty_sequence_has_one_string():
-    store = DomainStore(B.num_symbols, [], (0, 3))
+    store = b_store([], (0, 3))
     report = enumerate_support(B, store, "atmost")
     assert report.solution_count == 2  # counter 0 vs N in {0, 3}
     assert enumerate_support(B, store, "exact").supported_counter == {0}
@@ -217,6 +211,15 @@ def test_native_oracle_matches_brute_force(case):
         assert got == _brute_force(dfa, natives, sig.symbol_of, counter, mode)
 
 
+@given(signature_instances())
+@settings(max_examples=60, deadline=None)
+def test_native_one_mode_report_is_that_mode_of_the_all_modes_report(case):
+    # The one-mode path enumerates its own semantics alone.
+    reports = enumerate_all_modes_native(*case)
+    for semantics in ("atmost", "atleast", "exact"):
+        assert enumerate_support_native(*case, semantics) == reports[semantics], semantics
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_native_all_modes_report_holds_each_one_mode_report(seed):
     # The among check enumerates once for every mode; each one-mode report is
@@ -243,7 +246,7 @@ def test_judge_names_a_repeated_native_value_once():
 
 
 def test_check_dc_flags_the_merged_interval_gap():
-    before = b_store([(TWO,), (TWO,), (ONE, TWO), (TWO,), (ONE, TWO)], (1, 3))
+    before = b_witness_y()
     work = before.copy()
     out = propagate_exact(B, work)
     verdict = check_dc(B, before, "exact", out)
@@ -254,7 +257,7 @@ def test_check_dc_flags_the_merged_interval_gap():
 
 
 def test_check_dc_flags_decomposition_counter_gap():
-    before = b_store([(TWO,), (ONE, TWO), (TWO,)], (0, 1, 2))
+    before = b_2x2()
     work = before.copy()
     out = propagate_decomposed(B, work)
     verdict = check_dc(B, before, "exact", out)

@@ -23,28 +23,8 @@ from regcount import (
     run,
 )
 from regcount.propagators import FIXPOINT
-from strategies import MULTI_PASS_WITNESSES, SHORT_PAIRS, WINDOWED_PAIRS, dfa_store_pairs, ground_pairs
-
-B = catalog("B")
-ONE, TWO = B.symbol_id("1"), B.symbol_id("2")
-
-
-def b_store(domains, counter):
-    return DomainStore(B.num_symbols, domains, counter)
-
-
-def b_2x2(counter=(0, 1, 2)):
-    return b_store([(TWO,), (ONE, TWO), (TWO,)], counter)
-
-
-def b_witness_z(counter=(1,)):
-    # <2, x, 1, y, z> with x, y, z in {1, 2}
-    return b_store([(TWO,), (ONE, TWO), (ONE,), (ONE, TWO), (ONE, TWO)], counter)
-
-
-def b_witness_y(counter=(1, 3)):
-    # <2, 2, x, 2, y> with x, y in {1, 2}
-    return b_store([(TWO,), (TWO,), (ONE, TWO), (TWO,), (ONE, TWO)], counter)
+from strategies import (B, MULTI_PASS_WITNESSES, ONE, SHORT_PAIRS, TWO, WINDOWED_PAIRS, b_2x2, b_store, b_witness_y,
+                        b_witness_z, dfa_store_pairs, ground_pairs)
 
 
 # -- feasibility and edge costs ----------------------------------------------
@@ -53,7 +33,7 @@ def b_witness_y(counter=(1, 3)):
 def test_feasible_atmost_on_b():
     # Feasibility is the bound propagators' failure test: the least (greatest)
     # full-string counter against max(dom(N)) (min(dom(N))).
-    assert not propagate_atmost(B, b_2x2((0, 1, 2))).failed
+    assert not propagate_atmost(B, b_2x2()).failed
     # the counter can stay at 0 (x = 1), so even a 0 bound is feasible
     assert not propagate_atmost(B, b_2x2((0,))).failed
     assert not propagate_atleast(B, b_2x2((2,))).failed
@@ -109,7 +89,7 @@ def test_min_cost_unreachable_symbol():
 
 
 def test_atmost_keeps_everything_on_loose_bound():
-    store = b_2x2((0, 1, 2))
+    store = b_2x2()
     out = propagate_atmost(B, store)
     assert not out.failed and out.removals == [] and out.passes == 1
 
@@ -178,7 +158,7 @@ def test_atleast_prunes_high_counter_values():
 
 
 def test_exact_infers_last_position_on_witness():
-    store = b_witness_z((1,))
+    store = b_witness_z()
     out = propagate_exact(B, store)
     assert not out.failed
     assert out.removals == [(4, TWO)]
@@ -187,18 +167,18 @@ def test_exact_infers_last_position_on_witness():
 
 
 def test_exact_misses_merged_interval_witness():
-    store = b_witness_y((1, 3))
+    store = b_witness_y()
     out = propagate_exact(B, store)
     assert not out.failed
     assert (4, TWO) not in out.removals
     # ... although the oracle knows y = 2 is unsupported
-    report = enumerate_support(B, b_witness_y((1, 3)), "exact")
+    report = enumerate_support(B, b_witness_y(), "exact")
     assert TWO not in report.supported[4]
 
 
 def test_exact_counter_pruning_is_sound_but_partial():
-    before = b_2x2((0, 1, 2))
-    store = b_2x2((0, 1, 2))
+    before = b_2x2()
+    store = b_2x2()
     out = propagate_exact(B, store)
     assert not out.failed
     assert set(out.removals) <= {(COUNTER_VAR, 1)}
@@ -229,16 +209,16 @@ def test_exact_reaches_the_fixpoint_on_multi_pass_witnesses(name):
 
 
 def test_decomposed_misses_counter_hole():
-    store = b_2x2((0, 1, 2))
+    store = b_2x2()
     out = propagate_decomposed(B, store)
     assert not out.failed
     assert not any(var == COUNTER_VAR for var, _ in out.removals)
-    report = enumerate_support(B, b_2x2((0, 1, 2)), "exact")
+    report = enumerate_support(B, b_2x2(), "exact")
     assert report.supported_counter == {0, 2}  # 1 is unsupported yet kept
 
 
 def test_decomposed_misses_last_position_inference():
-    store = b_witness_z((1,))
+    store = b_witness_z()
     out = propagate_decomposed(B, store)
     assert not out.failed
     assert (4, TWO) not in out.removals
@@ -252,7 +232,7 @@ def test_decomposed_ground_satisfiable_is_silent():
 
 
 def test_dispatch_and_empty_store():
-    store = b_2x2((0, 1, 2))
+    store = b_2x2()
     assert not propagate(B, store, "decomposed").failed
     empty = b_store([(TWO,), ()], (0,))
     for mode in ("atmost", "atleast", "exact"):
@@ -316,7 +296,7 @@ def test_exact_pass_count_is_bounded(pair):
 
 
 def test_exact_strictly_dominates_on_witness():
-    exact_store, decomposed_store = b_witness_z((1,)), b_witness_z((1,))
+    exact_store, decomposed_store = b_witness_z(), b_witness_z()
     exact_out = propagate_exact(B, exact_store)
     decomposed_out = propagate_decomposed(B, decomposed_store)
     assert set(exact_out.removals) > set(decomposed_out.removals)
@@ -324,15 +304,12 @@ def test_exact_strictly_dominates_on_witness():
 
 def test_lifted_automaton_prunes_words_ending_rejected():
     # forbid words whose last letters end with exactly one trailing "a" by
-    # marking that state rejecting and lifting; with the end-of-string symbol
+    # leaving that state out of the accepting ones and lifting; with the end-of-string symbol
     # appended, the penalty exceeds every allowed N and atmost filtering
     # rules the rejected words out
-    import dataclasses
-
     from regcount import lift_accepting
 
-    flagged = dataclasses.replace(catalog("AAB"), accepting=(True, False, True))
-    lifted = lift_accepting(flagged, penalty=2)  # max(dom(N)) + 1
+    lifted = lift_accepting(catalog("AAB"), [0, 2], penalty=2)  # max(dom(N)) + 1
     a, b_sym, dollar = (lifted.symbol_id(s) for s in ("a", "b", "$"))
     store = DomainStore(lifted.num_symbols, [(a, b_sym), (a,), (dollar,)], (0, 1))
     out = propagate_atmost(lifted, store)

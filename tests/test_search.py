@@ -9,7 +9,6 @@ from regcount import (
     DomainStore,
     GenConfig,
     Instance,
-    catalog,
     enumerate_support,
     format_bench,
     generate_corpus,
@@ -22,14 +21,7 @@ from regcount import (
     solve_collect,
 )
 from regcount import search as search_module
-from strategies import dfa_store_pairs, windowed
-
-B = catalog("B")
-ONE, TWO = B.symbol_id("1"), B.symbol_id("2")
-
-
-def b_2x2(counter=(0, 1, 2)):
-    return DomainStore(B.num_symbols, [(TWO,), (ONE, TWO), (TWO,)], counter)
+from strategies import B, ONE, TWO, b_2x2, b_store, dfa_store_pairs, windowed
 
 
 def test_solve_enumerates_both_solutions():
@@ -40,7 +32,7 @@ def test_solve_enumerates_both_solutions():
 
 
 def test_solve_unsatisfiable_counts_failures():
-    store = DomainStore(B.num_symbols, [(TWO,), (TWO,)], (5,))
+    store = b_store([(TWO,), (TWO,)], (5,))
     stats = solve(B, store, "exact")
     assert stats.solutions == 0
     assert stats.failures >= 1
@@ -55,7 +47,7 @@ def test_solve_matches_oracle_on_bound_modes():
 
 
 def test_solve_rejects_mismatched_propagator():
-    free = DomainStore(B.num_symbols, [(ONE, TWO)] * 4, (1,))
+    free = b_store([(ONE, TWO)] * 4, (1,))
     # atmost filtering under exact semantics would count 12 solutions; the oracle has 8
     for store, mode, propagator in ((b_2x2(), "atmost", "decomposed"), (free, "exact", "atmost")):
         with pytest.raises(ValueError):
@@ -116,7 +108,7 @@ def test_ground_store_propagates_only_the_root(monkeypatch, word):
 
     monkeypatch.setattr(search_module, "propagate", counted)
     symbols = [(B.symbol_id(ch),) for ch in word]
-    store = DomainStore(B.num_symbols, symbols, (run(B, word).counter,))
+    store = b_store(symbols, (run(B, word).counter,))
     found = []
     stats = solve(B, store, "exact", on_solution=found.append)
     assert (stats.nodes, stats.failures, stats.prunings, stats.solutions) == (len(word) + 2, 0, 0, 1)

@@ -26,7 +26,7 @@ from regcount.propagators import FIXPOINT
 from regcount.sweep import UNREACHABLE_MAX, UNREACHABLE_MIN
 import kernels
 from kernels import MODES
-from strategies import GAP, NEAR_U64_MAX, dfa_store_pairs, root_long_shaped, windowed
+from strategies import B, GAP, NEAR_U64_MAX, b_2x2, b_store, dfa_store_pairs, root_long_shaped, windowed
 
 #: The index of each mode's rows in ``forward``'s ``(pre_min, pre_max)``.
 SIDE = {"min": 0, "max": 1}
@@ -123,10 +123,8 @@ def test_ground_sequences_collapse_to_run(pair):
 
 
 def test_backward_empty_sequence_base():
-    dfa = catalog("B")
-    store = DomainStore(dfa.num_symbols, [], (0,))
-    suf = backward(dfa, store, "min")
-    assert as_dict(suf[1]) == {q: 0 for q in range(dfa.num_states)}
+    suf = backward(B, b_store([], (0,)), "min")
+    assert as_dict(suf[1]) == {q: 0 for q in range(B.num_states)}
 
 
 def test_backward_ground_word_costs_the_run():
@@ -137,27 +135,20 @@ def test_backward_ground_word_costs_the_run():
     assert suf[1][dfa.start] == run(dfa, word).counter == 1
 
 
-def b_2x2_store():
-    b = catalog("B")
-    one, two = b.symbol_id("1"), b.symbol_id("2")
-    return b, DomainStore(b.num_symbols, [(two,), (one, two), (two,)], (0, 1, 2))
-
-
 def test_b_suffix_bounds_from_enumeration():
-    b, store = b_2x2_store()
+    store = b_2x2()
     # independent expectation: the two ground words give counters {0, 2}
-    counters = {run(b, ["2", x, "2"]).counter for x in ("1", "2")}
+    counters = {run(B, ["2", x, "2"]).counter for x in ("1", "2")}
     assert counters == {0, 2}
-    suf_min = backward(b, store, "min")
-    suf_max = backward(b, store, "max")
-    eps = b.state_names.index("eps")
+    suf_min = backward(B, store, "min")
+    suf_max = backward(B, store, "max")
+    eps = B.state_names.index("eps")
     assert suf_min[1][eps] == 0
     assert suf_max[1][eps] == 2
 
 
 def test_global_bounds_examples():
-    b, store = b_2x2_store()
-    table = SweepTable.compute(b, store)
+    table = SweepTable.compute(B, b_2x2())
     assert table.least == 0
     assert table.greatest == 2
 
