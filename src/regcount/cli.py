@@ -1,6 +1,6 @@
 """Command-line interface: one binary, eight subcommands.
 
-    regcount validate AUTOMATON.json
+    regcount validate PATH|-|catalog:NAME
     regcount catalog NAME
     regcount propagate INSTANCE.json [--mode ...]
     regcount oracle INSTANCE.json [--cap ...]
@@ -31,10 +31,8 @@ from .automaton import (
     automaton_to_json,
     catalog,
     load_automaton,
-    read_json,
 )
-from .domains import (COUNTER_VAR, DomainStore, Instance, MalformedInstance, instance_from_json, load_instance,
-                      save_instance, symbol_ids)
+from .domains import COUNTER_VAR, DomainStore, Instance, MalformedInstance, load_instance, save_instance, symbol_ids
 from .generator import GenConfig, run_fuzz
 from .oracle import DEFAULT_CAP, CapExceeded, enumerate_support, enumerate_support_native
 from .propagators import Mode, propagate_instance
@@ -111,7 +109,7 @@ def _instance_from_args(args) -> Instance:
     if args.instance is not None:
         if (args.automaton, args.vars, args.counter) != (None, None, None):
             raise CliError("give an instance file or --automaton/--vars/--counter, not both")
-        inst = instance_from_json(read_json("-")) if args.instance == "-" else load_instance(args.instance)
+        inst = load_instance(args.instance)
         if args.mode:
             inst.mode = Mode(args.mode).semantics.value
         return inst
@@ -133,7 +131,7 @@ def _format_removal(inst: Instance, var, value) -> str:
 
 
 def _cmd_validate(args) -> int:
-    dfa = load_automaton(args.automaton)
+    dfa = _load_dfa_arg(args.automaton)
     print(f"ok: {dfa.num_states} states, {dfa.num_symbols} symbols")
     return 0
 
@@ -267,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="regcount", description="Counting constraints over counter automata")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check an automaton file")
-    p.add_argument("automaton")
+    p = sub.add_parser("validate", help="check an automaton")
+    p.add_argument("automaton", help="automaton JSON path, '-' for stdin, or 'catalog:NAME'")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("catalog", help="print a built-in automaton as JSON")

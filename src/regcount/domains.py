@@ -18,6 +18,7 @@ import os
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable, Sequence
 
 from .automaton import (CounterDfa, MalformedAutomaton, automaton_from_json, automaton_to_json, is_int, load_automaton,
@@ -35,9 +36,14 @@ class RemoveResult(enum.Enum):
 
 
 def _mask(symbols: Iterable[int]) -> int:
+    """The bitmask of ``symbols``, an int: each id is read with ``operator.index``.
+
+    Shifting by a numpy integer would make a 64-bit numpy mask: symbol 63
+    would make it negative, and one of 64 or more would vanish from it.
+    """
     mask = 0
     for s in symbols:
-        mask |= 1 << s
+        mask |= 1 << index(s)
     return mask
 
 
@@ -59,7 +65,13 @@ _symbol_tuples = _SymbolTuples()
 
 
 class DomainStore:
-    """Mutable domains for ``x_1 .. x_n`` and the counter variable ``N``."""
+    """Mutable domains for ``x_1 .. x_n`` and the counter variable ``N``.
+
+    A store holds Python ints however it is built: each symbol id and
+    N-value is read with ``operator.index``, as :meth:`SignatureMap.project`
+    reads the symbol ids of a projected mask, so numpy integers become ints
+    and a float raises ``TypeError`` here, not in a kernel.
+    """
 
     __slots__ = ("domains", "counter", "removal_log")
 
@@ -67,7 +79,7 @@ class DomainStore:
         self.domains: list[int] = [_mask(d) for d in var_domains]
         if max(self.domains, default=0) >> alphabet_size:
             raise ValueError(f"a domain names a symbol outside the alphabet of {alphabet_size} symbols")
-        self.counter: list[int] = sorted(set(counter_values))
+        self.counter: list[int] = sorted(set(map(index, counter_values)))
         self.removal_log: list[tuple[int | str, int]] = []
 
     # -- sequence variables -------------------------------------------------
@@ -313,11 +325,18 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def load_instance(path: str) -> Instance:
+    """Read an instance JSON file, or stdin for ``"-"``, as :func:`regcount.automaton.read_json` reads it.
+
+    An automaton path inside it is relative to the file's directory, or to
+    the working directory for stdin.  A malformed instance or automaton
+    raises MalformedInstance, with an automaton's error prefixed by the
+    source: the path, or ``stdin``.
+    """
     doc = read_json(path, MalformedInstance)
     try:
         return instance_from_json(doc, base_dir=os.path.dirname(path) or ".")
     except MalformedAutomaton as exc:
-        raise MalformedInstance(f"{path}: {exc}") from None
+        raise MalformedInstance(f"{'stdin' if path == '-' else path}: {exc}") from None
 
 
 def save_instance(inst: Instance, path: str) -> None:

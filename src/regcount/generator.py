@@ -49,7 +49,15 @@ _SYMBOL_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Knobs for random generation; defaults match the evaluation protocol."""
+    """Knobs for random generation; defaults match the evaluation protocol.
+
+    Each field is checked once, when the config is built, and a bad one
+    raises ``ValueError`` naming it: every integer field, ``seed`` included,
+    must be an ``int`` (not a ``bool``) in its range, each ``max_*`` at least
+    its ``min_*``; ``max_symbols`` is at most 26, one letter per symbol;
+    ``increment_probability`` lies in [0, 1]; and ``counter_shapes`` is a
+    nonempty subset of :data:`COUNTER_SHAPES`.
+    """
 
     min_states: int = 1
     max_states: int = 5
@@ -66,16 +74,18 @@ class GenConfig:
         object.__setattr__(self, "counter_shapes", tuple(self.counter_shapes))
         if not 0.0 <= self.increment_probability <= 1.0:
             raise ValueError("increment_probability must lie in [0, 1]")
-        if self.min_states < 1 or self.max_states < self.min_states:
-            raise ValueError("bad state-count range")
-        if self.min_symbols < 1 or self.max_symbols < self.min_symbols:
-            raise ValueError("bad alphabet-size range")
+        # Each field's lowest and highest value; a max_* field's lowest is its
+        # min_*, checked the row before.
+        for name, low, high in (("min_states", 1, None), ("max_states", self.min_states, None),
+                                ("min_symbols", 1, None), ("max_symbols", self.min_symbols, None),
+                                ("increment_value", 0, U64_MAX), ("min_n", 0, None), ("max_n", self.min_n, None),
+                                ("seed", 0, None)):
+            value = getattr(self, name)
+            if not is_int(value) or value < low or (high is not None and value > high):
+                bound = f"of at least {low}" if high is None else f"in {low}..{high}"
+                raise ValueError(f"{name} must be an integer {bound}")
         if self.max_symbols > len(_SYMBOL_LETTERS):
             raise ValueError(f"max_symbols must be at most {len(_SYMBOL_LETTERS)}, one letter per symbol")
-        if not is_int(self.increment_value) or not 0 <= self.increment_value <= U64_MAX:
-            raise ValueError(f"increment_value must be an integer in 0..{U64_MAX}")
-        if self.min_n < 0 or self.max_n < self.min_n:
-            raise ValueError("bad sequence-length range")
         unknown = [s for s in self.counter_shapes if s not in COUNTER_SHAPES]
         if unknown or not self.counter_shapes:
             raise ValueError(f"counter_shapes must be a nonempty subset of {COUNTER_SHAPES}")
@@ -228,6 +238,20 @@ def _count_violations(inst: Instance, index: int, reports: dict[str, SupportRepo
     return [FuzzViolation(index, inst.mode, "oracle-count", detail, inst)]
 
 
+#: Each mode's name -> the name of its semantics, whose oracle report judges it.
+_SEMANTICS = {mode.value: mode.semantics.value for mode in Mode}
+
+
+def _semantics(modes: Sequence[str]) -> list[str]:
+    """The semantics of each of ``modes``; a name that is no :class:`Mode` raises ``ValueError``.
+
+    The table answers a mode (a name or a member, which hashes as its name)
+    without building a ``Mode``, which costs more than the lookup; ``Mode``
+    reads anything else, and refuses it.
+    """
+    return [_SEMANTICS.get(mode) or Mode(mode).semantics.value for mode in modes]
+
+
 def check_instance(
     dfa: CounterDfa,
     inst: Instance,
@@ -240,24 +264,29 @@ def check_instance(
     Each propagator's outcome is judged against the oracle with
     :func:`regcount.oracle.check_dc`: no unsound removal and no failure on a
     satisfiable instance, and under atmost and atleast no kept unsupported
-    value either.  A second atmost or atleast run must remove nothing, and
-    exact's removals must contain the decomposition baseline's (a failed run
-    counts as removing everything).  Whatever ``modes`` holds, the oracle's
-    three solution counts must meet the identity of :func:`_count_violations`.
+    value either; ``decomposed`` is judged under exact's report, as exact
+    is.  A second atmost or atleast run must remove nothing, and exact's
+    removals must contain the decomposition baseline's (a failed run counts
+    as removing everything).  Whatever ``modes`` holds, the oracle's three
+    solution counts must meet the identity of :func:`_count_violations`.  A
+    name in ``modes`` that is no :class:`Mode` raises ``ValueError`` before
+    the oracle runs.
     """
+    judged_as = _semantics(modes)
     # The instance's one store, which nothing changes: the oracle and the
     # judge read it, and each propagator runs on a copy.
     given = inst.make_store()
     reports = enumerate_all_modes(dfa, given, cap)
     violations = _count_violations(inst, index, reports, prod([d.bit_count() for d in given.domains]),
                                    len(given.counter))
-    for mode, propagator in (("atmost", propagate_atmost), ("atleast", propagate_atleast),
-                             ("exact", propagate_exact)):
-        if mode not in modes:
-            continue
+    # Read here, not at import, so that a patched propagator is the one run.
+    propagators = {"atmost": propagate_atmost, "atleast": propagate_atleast, "exact": propagate_exact,
+                   "decomposed": propagate_decomposed}
+    for mode, semantics in zip(modes, judged_as):
+        propagator = propagators[mode]
         store = given.copy()
         out = propagator(dfa, store)
-        verdict = check_dc(dfa, given, mode, out, cap, report=reports[mode])
+        verdict = check_dc(dfa, given, mode, out, cap, report=reports[semantics])
         more = []
         if mode == "exact":
             dout = propagate_decomposed(dfa, given.copy())
@@ -266,7 +295,7 @@ def check_instance(
             elif not dout.failed and not out.failed and not set(out.removals) >= set(dout.removals):
                 missing = set(dout.removals) - set(out.removals)
                 more.append(("dominance", f"exact removals miss decomposition removals {sorted(map(str, missing))}"))
-        elif not out.failed:
+        elif mode != "decomposed" and not out.failed:
             second = propagator(dfa, store)
             if second.removals or second.failed:
                 more.append(("not-idempotent", f"second run removed {second.removals}"))
@@ -283,15 +312,17 @@ def check_among_instance(inst: Instance, modes: Sequence[str] = ("atmost", "atle
     under each mode's semantics: kinds ``failed-on-satisfiable``, ``unsound``
     and, except under exact, ``dc-gap`` (which also flags a fixpoint on an
     unsatisfiable instance).  The oracle's solution counts are checked as
-    :func:`check_instance` checks them.
+    :func:`check_instance` checks them, and a name in ``modes`` that is no
+    :class:`Mode` raises ``ValueError`` before the oracle runs.
     """
     assert inst.signature is not None and inst.native_domains is not None
+    judged_as = _semantics(modes)
     reports = enumerate_all_modes_native(inst.dfa, inst.signature, inst.native_domains, inst.counter_values, cap)
     violations = _count_violations(inst, index, reports, prod([len(set(d)) for d in inst.native_domains]),
                                    len(set(inst.counter_values)))
-    for mode in modes:
+    for mode, semantics in zip(modes, judged_as):
         out = propagate_composite(inst.dfa, inst.signature, inst.native_domains, inst.counter_values, mode)
-        verdict = judge(reports[Mode(mode).semantics.value], inst.native_domains, inst.counter_values, out)
+        verdict = judge(reports[semantics], inst.native_domains, inst.counter_values, out)
         violations += _violations(inst, mode, index, verdict)
     return violations
 

@@ -181,12 +181,12 @@ def propagate_atmost(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome:
     Keeps the symbols whose cheapest completion is at most max(dom(N)) and
     the N-values at least the least full-string counter.
     """
-    return _filter(dfa, store, Mode.ATMOST)
+    return _filter(dfa, store, min_side=True, max_side=False, joint=False)
 
 
 def propagate_atleast(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome:
     """Domain-consistent filtering for ``c(X) >= N`` (mirror of atmost)."""
-    return _filter(dfa, store, Mode.ATLEAST)
+    return _filter(dfa, store, min_side=False, max_side=True, joint=False)
 
 
 def propagate_exact(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome:
@@ -197,7 +197,7 @@ def propagate_exact(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome:
     a pass removes no symbol or certifies that the next would remove nothing
     (see the module docstring).
     """
-    return _filter(dfa, store, Mode.EXACT)
+    return _filter(dfa, store, min_side=True, max_side=True, joint=True)
 
 
 def propagate_decomposed(dfa: CounterDfa, store: DomainStore) -> PropagationOutcome:
@@ -210,17 +210,7 @@ def propagate_decomposed(dfa: CounterDfa, store: DomainStore) -> PropagationOutc
     but weaker than :func:`propagate_exact`, whose removal set always
     contains this one's.
     """
-    return _filter(dfa, store, Mode.DECOMPOSED_EXACT)
-
-
-#: Per mode: the ends of the completion interval its rule bounds (cheapest,
-#: costliest), and whether both must hold at one state.
-_RULES = {
-    Mode.ATMOST: (True, False, False),
-    Mode.ATLEAST: (False, True, False),
-    Mode.EXACT: (True, True, True),
-    Mode.DECOMPOSED_EXACT: (True, True, False),
-}
+    return _filter(dfa, store, min_side=True, max_side=True, joint=False)
 
 
 #: Called as each pass of :func:`_filter` ends, if set: see the module docstring.
@@ -270,8 +260,14 @@ def _ground_counter(dfa: CounterDfa, store: DomainStore) -> int | None:
     return counter
 
 
-def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutcome:
-    """The interval rule for ``mode``, run to its fixpoint.
+def _filter(dfa: CounterDfa, store: DomainStore, min_side: bool, max_side: bool, joint: bool) -> PropagationOutcome:
+    """The interval rule that its caller states, run to its fixpoint.
+
+    The semantics is which ends of the completion interval bind:
+    ``min_side`` the cheapest (atmost), ``max_side`` the costliest
+    (atleast), both for exact.  The algorithm is ``joint``: whether both ends
+    must hold at one state (exact) or each on its own (the decomposition).
+    The holes in dom(N) are respected exactly where ``joint`` is set.
 
     A ground store takes one pass: one scan finds it ground and runs its
     word, the N rule is applied to the word's counter, and no table is
@@ -284,7 +280,6 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
     mark = len(store.removal_log)
     if not store.counter or not all(store.domains):
         return PropagationOutcome(FAILED, [], 0)
-    min_side, max_side, joint = _RULES[mode]
     c = _ground_counter(dfa, store)
     if c is not None:
         # Every built side's least and greatest is the word's counter, so
@@ -307,7 +302,7 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
         # rule on its end rows, then the suffix sides dom(N) can still bind.
         table = build(dfa, store)
         try:
-            # An end the mode leaves open reads as unbounded.
+            # An end the rule leaves open reads as unbounded.
             least = table.least if min_side else -math.inf
             greatest = table.greatest if max_side else math.inf
             # One-sided end intervals cover exactly [least, greatest]; two-sided
@@ -335,7 +330,7 @@ def _filter(dfa: CounterDfa, store: DomainStore, mode: Mode) -> PropagationOutco
                 windows = [(bottom, top)]
             else:
                 windows = [(-math.inf, top)] * sides[0] + [(bottom, math.inf)] * sides[1]
-            # A pass of a two-sided mode that builds one suffix side records the
+            # A pass of a two-sided rule that builds one suffix side records the
             # counter of each support it finds, the witnesses of its certificate.
             seen = set() if min_side and max_side and sides[0] != sides[1] else None
             unsupported = table.unsupported(dfa, store, windows, holes, seen)

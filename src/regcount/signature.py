@@ -11,6 +11,7 @@ domain consistency on the native side as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Sequence
 
 
@@ -30,10 +31,10 @@ class SignatureMap:
             raise KeyError(f"position {i + 1}: native value {value} has no signature mapping") from None
 
     def project(self, i: int, native: Iterable[int]) -> int:
-        """Bitmask of symbols hit by some native value at position i."""
+        """Bitmask of symbols hit by some native value at position i; each id is read with ``operator.index``."""
         mask = 0
         for v in native:
-            mask |= 1 << self.symbol_of(i, v)
+            mask |= 1 << index(self.symbol_of(i, v))
         return mask
 
     def channel_back(self, i: int, pruned_symbols: Iterable[int], native: Iterable[int]) -> list[int]:

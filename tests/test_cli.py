@@ -96,6 +96,11 @@ def test_validate_ok(aab_path):
     assert result.stdout.startswith("ok: 3 states")
 
 
+def test_validate_reads_a_catalog_automaton_as_every_command_does():
+    result = run_cli("validate", "catalog:B")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "ok: 2 states, 2 symbols\n", "")
+
+
 def test_validate_broken_file_exits_2():
     result = run_process("validate", os.path.join(DATA, "broken_automaton.json"))
     assert result.returncode == 2
@@ -647,6 +652,14 @@ def test_instance_on_stdin():
     result = run_cli("propagate", "-", stdin=json.dumps(witness_instance_doc()))
     assert result.returncode == 0
     assert "x5 != 2" in result.stdout.splitlines()
+
+
+def test_an_instance_automaton_error_names_its_source_on_stdin_as_in_a_file(tmp_path):
+    doc = {**witness_instance_doc(), "automaton": {**automaton_to_json(catalog("B")), "start": 7}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_main("propagate", "-", stdin=json.dumps(doc)) == (2, "", "error: stdin: start state 7 out of range\n")
+    assert run_main("propagate", str(path)) == (2, "", f"error: {path}: start state 7 out of range\n")
 
 
 @pytest.mark.parametrize("args", [

@@ -1,16 +1,20 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kernels
 from regcount import (
     COUNTER_VAR,
+    CounterDfa,
     DomainStore,
     MalformedInstance,
     RemoveResult,
     SignatureMap,
     catalog,
+    enumerate_support,
     instance_from_json,
     instance_to_json,
     load_instance,
@@ -143,6 +147,43 @@ def test_stores_reject_a_symbol_outside_the_alphabet():
         project_store(dfa, sig, [[1, 2]], [0])
     assert project_store(dfa, sig, [[1]], [0]) == DomainStore(2, [[0]], [0])
     assert DomainStore(2, [[0, 1], []], [0]).domains == [0b11, 0]
+
+
+@pytest.mark.parametrize("name", ["python", "c"])
+@pytest.mark.parametrize("n", [2, 12])
+def test_a_store_of_numpy_integers_holds_ints_and_propagates_as_one_of_ints(name, n):
+    # rng.integers draws numpy integers; the store reads each mask and
+    # N-value as an int, so both kernels and the oracle see what an int
+    # store gives them.
+    rst = catalog("RST")
+    rng = np.random.default_rng(40011)
+    symbols = rng.integers(0, rst.num_symbols, size=(n, 2))
+    # N in {0, n/2 - 1}: every mode but atleast removes a symbol.
+    given = DomainStore(rst.num_symbols, list(symbols), np.array([0, n // 2 - 1]))
+    plain = DomainStore(rst.num_symbols, symbols.tolist(), [0, n // 2 - 1])
+    assert {type(v) for v in given.domains + given.counter} == {int}
+    assert given == plain
+    with kernels.forced(name):
+        assert kernels.outcomes(rst, given) == kernels.outcomes(rst, plain)
+    for mode in ("atmost", "atleast", "exact"):
+        assert enumerate_support(rst, given, mode) == enumerate_support(rst, plain, mode)
+    # A signature whose symbols are numpy integers projects to int masks too.
+    signature = SignatureMap([dict(enumerate(row)) for row in symbols])
+    assert project_store(rst, signature, [[0, 1]] * n, given.counter) == plain
+
+
+@pytest.mark.parametrize("sym", [63, 64])
+def test_a_numpy_symbol_id_past_62_keeps_its_bit(sym):
+    # A numpy mask would turn negative at bit 63 and drop the symbol from 64 on.
+    assert DomainStore(70, [[np.int64(sym), np.int64(3)]], [0]).domains == [1 << sym | 1 << 3]
+    wide = CounterDfa(1, tuple(f"s{s}" for s in range(70)), 0, [[0] * 70], [[0] * 70])
+    signature = SignatureMap([{1: np.int64(sym), 2: np.int64(3)}])
+    assert project_store(wide, signature, [[1, 2]], [0]).domains == [1 << sym | 1 << 3]
+
+
+def test_a_float_counter_value_is_refused_where_the_store_is_built():
+    with pytest.raises(TypeError):
+        DomainStore(3, [[0]] * 12, [1.5, 3.0])
 
 
 # -- instance files -----------------------------------------------------------

@@ -26,6 +26,7 @@ from regcount import (
     rng_for,
     U64_MAX,
     propagate_composite,
+    propagate_decomposed,
     propagate_exact,
     run_fuzz,
     validate,
@@ -61,6 +62,13 @@ def test_config_rejects_an_increment_value_that_is_no_increment(value):
     for bound in (0, U64_MAX):
         cfg = GenConfig(increment_probability=1.0, increment_value=bound)
         assert set(random_cdfa(cfg, rng_for(0)).increment[0]) == {bound}
+
+
+@pytest.mark.parametrize(("field", "value"), [("seed", -1), ("min_states", True), ("max_states", 2.5)])
+def test_config_rejects_an_integer_field_out_of_range_or_of_another_type(field, value):
+    # Rejected when configured, not inside numpy or by a draw that reads it.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer of at least "):
+        GenConfig(**{field: value})
 
 
 def test_counter_shape_subset_is_honored():
@@ -317,9 +325,12 @@ def idle(*args):
     return PropagationOutcome(FIXPOINT)
 
 
-def exact_dropping_x1(dfa, store):
-    out = propagate_exact(dfa, store)
-    return PropagationOutcome(out.status, out.removals + [(0, TWO)], out.passes)
+def dropping_x1(propagator):
+    """``propagator`` that also removes the supported x1 = 2."""
+    def propagate_and_drop(dfa, store):
+        out = propagator(dfa, store)
+        return PropagationOutcome(out.status, out.removals + [(0, TWO)], out.passes)
+    return propagate_and_drop
 
 
 def miscounting(enumerate_reports):
@@ -337,14 +348,17 @@ def miscounting(enumerate_reports):
         ("propagate_atmost", failing, "atmost", "failed-on-satisfiable"),
         ("propagate_atleast", failing, "atleast", "failed-on-satisfiable"),
         ("propagate_exact", failing, "exact", "failed-on-satisfiable"),
-        ("propagate_exact", exact_dropping_x1, "exact", "unsound"),
+        ("propagate_exact", dropping_x1(propagate_exact), "exact", "unsound"),
         ("propagate_decomposed", failing, "exact", "dominance"),
         ("propagate_exact", idle, "exact", "dominance"),
         # Reported under the instance's own mode, whatever modes are checked.
         ("enumerate_all_modes", miscounting(enumerate_all_modes), "exact", "oracle-count"),
+        # The decomposition is judged on its own under exact's report.
+        ("propagate_decomposed", failing, "decomposed", "failed-on-satisfiable"),
+        ("propagate_decomposed", dropping_x1(propagate_decomposed), "decomposed", "unsound"),
     ],
     ids=["atmost-fails", "atleast-fails", "exact-fails", "exact-unsound", "decomposition-fails",
-         "exact-misses-decomposition", "oracle-miscounts"],
+         "exact-misses-decomposition", "oracle-miscounts", "decomposed-fails", "decomposed-unsound"],
 )
 def test_check_instance_reports_each_planted_bug(monkeypatch, name, planted, mode, kind):
     import regcount.generator as generator_module
@@ -359,6 +373,18 @@ AMONG = catalog("AMONG")
 NATIVES = [[1, 2], [2], [2, 3]]
 AMONG_INST = Instance(dfa=AMONG, mode="atmost", counter_values=[1, 2],
                       signature=among_signature(AMONG, {2}, NATIVES), native_domains=NATIVES)
+
+
+@pytest.mark.parametrize(("oracle", "check"), [
+    ("enumerate_all_modes", lambda modes: check_instance(B, PLAIN, modes=modes)),
+    ("enumerate_all_modes_native", lambda modes: check_among_instance(AMONG_INST, modes=modes)),
+], ids=["plain", "among"])
+def test_a_checker_refuses_a_mode_it_does_not_know_before_the_oracle_runs(monkeypatch, oracle, check):
+    import regcount.generator as generator_module
+
+    monkeypatch.setattr(generator_module, oracle, lambda *args: pytest.fail("the oracle ran"))
+    with pytest.raises(ValueError, match="'bogus' is not a valid Mode"):
+        check(("atmost", "bogus"))
 
 
 def composite_dropping_a_kept_value(dfa, sig, natives, counter, mode):
